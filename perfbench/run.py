@@ -33,7 +33,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORKLOADS = ("analyze_mix", "canonical_ladder", "verify_suite", "clifford_scale")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PROBE_TIMEOUT_S = 120
 
@@ -79,23 +79,14 @@ def _blas_threads() -> int | None:
 
 
 def _git_commit() -> str:
+    # The ceiling keeps git from reporting a repository that merely encloses ROOT.
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": os.path.dirname(ROOT)}
     try:
-        with open(os.path.join(ROOT, ".git", "HEAD"), encoding="utf-8") as f:
-            head = f.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        try:
-            with open(os.path.join(ROOT, ".git", ref), encoding="utf-8") as f:
-                return f.read().strip()
-        except FileNotFoundError:
-            with open(os.path.join(ROOT, ".git", "packed-refs"), encoding="utf-8") as f:
-                for line in f:
-                    if line.strip().endswith(ref):
-                        return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def environment(seed: int) -> dict:
@@ -225,20 +216,14 @@ def traced(make_pass, seed: int, seconds: float, workdir: str, tally: Tally, tra
     return metrics, all_spans
 
 
-def unit_of(metric: str) -> str:
-    if metric.endswith("_s"):
-        return "s"
-    if metric == "peak_rss_mib":
-        return "MiB"
-    if metric == "io.bytes_written":
-        return "B"
-    if metric == "linalg.decomp_n3_sum":
-        return "n3"
-    if metric == "rg.max_phys_dim":
-        return "dim"
-    if metric.endswith(("ratio", "_per_gate", "_per_block", "_per_check", "_per_distinct_matrix")):
-        return "ratio"
-    return "count"
+def metric_units() -> dict[str, str]:
+    """Unit of every metric, as BENCHMARK.json lists it."""
+    try:
+        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+            spec = json.load(f)
+    except (OSError, ValueError) as exc:
+        fail(f"cannot read BENCHMARK.json: {exc}")
+    return {m["name"]: m["unit"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def run_one(args) -> dict:
@@ -257,6 +242,7 @@ def run_one(args) -> dict:
     import workloads
 
     env = environment(args.seed)
+    units = metric_units()
     if env["blas_threads"] is not None and env["blas_threads"] > env["nproc"]:
         fail(f"BLAS runs {env['blas_threads']} threads on {env['nproc']} CPUs")
     make_pass, make_warmup = workloads.WORKLOADS[args.workload]
@@ -290,7 +276,7 @@ def run_one(args) -> dict:
     print(f"workload {args.workload} seed {args.seed} trace {args.trace}")
     for name, value in metrics.items():
         extra = f"  (n={samples[name]})" if name in samples else ""
-        print(f"  {name} = {value:.6g} {unit_of(name)}{extra}")
+        print(f"  {name} = {value:.6g} {units[name]}{extra}")
     for op_id, kind, msg in tally.failures:
         print(f"  FAILED {op_id}: {kind}: {msg}")
     print("env " + json.dumps(env, sort_keys=True))
@@ -298,7 +284,7 @@ def run_one(args) -> dict:
         "correct": not tally.failures,
         "attempted": tally.attempted,
         "failed": len(tally.failures),
-        "metrics": {k: {"value": v, "unit": unit_of(k)} for k, v in metrics.items()},
+        "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()},
     }
 
 

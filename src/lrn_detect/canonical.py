@@ -31,14 +31,8 @@ from .errors import (
     NotNormalInput,
     SizeCap,
 )
-from .spectral import DEFAULT_TAU_SPEC, is_normal, spectral
-from .tensor import (
-    MpsTensor,
-    block_tensor,
-    mixed_transfer_matrix,
-    spectral_radius,
-    transfer_matrix,
-)
+from .spectral import DEFAULT_TAU_SPEC, is_normal, normality_witness, spectral
+from .tensor import MpsTensor, block_tensor, mixed_transfer_matrix, transfer_matrix
 from .weights import WeightSpectrum, wrap_phase
 
 DEFAULT_TAU_BLOCK = 1e-10
@@ -85,18 +79,27 @@ def gauge_equivalent(
     Returns the phase and gauge matrix, or None when the families are
     inequivalent (or the reconstruction misses the tolerance).
     """
-    wit_b = is_normal(b)
-    if not (is_normal(a) and wit_b):
+    wit_a, wit_b = is_normal(a), is_normal(b)
+    if not (wit_a and wit_b):
         raise NotNormalInput("gauge equivalence is defined for normal tensors only")
+    # A normal tensor's unique peripheral eigenvalue sits on the radius.
+    return _gauge_relation(
+        a, b, abs(wit_a.peripheral[0]), abs(wit_b.peripheral[0]),
+        wit_b.right_fixed_point, tau, tau_detect,
+    )
+
+
+def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau, tau_detect):
+    """``gauge_equivalent`` for tensors already certified normal.
+
+    ``r_a``/``r_b`` are their transfer spectral radii and ``right_fp_b``
+    the right fixed point of ``b``.
+    """
     if a.bond_dim != b.bond_dim:
         return None
     # Detection is scale-invariant: the mixed transfer operator of two
     # radius-one normal tensors has spectral radius one iff they are gauge
     # equivalent.  Verification below is against the unscaled equation.
-    r_a = spectral_radius(transfer_matrix(a))
-    r_b = spectral_radius(transfer_matrix(b))
-    if r_a <= 0.0 or r_b <= 0.0:
-        return None
     m = mixed_transfer_matrix(
         a.scaled(1.0 / math.sqrt(r_a)), b.scaled(1.0 / math.sqrt(r_b))
     )
@@ -108,7 +111,7 @@ def gauge_equivalent(
     phase = float(np.angle(lam))
     chi = a.bond_dim
     mat = evecs[:, top].reshape(chi, chi)
-    x = mat @ np.linalg.inv(wit_b.right_fixed_point)
+    x = mat @ np.linalg.inv(right_fp_b)
     # Fix the free scale of x: unit Frobenius density, dominant entry positive.
     x = x * (math.sqrt(chi) / np.linalg.norm(x))
     pivot = x.flat[int(np.argmax(np.abs(x)))]
@@ -196,13 +199,23 @@ def _leak(t: MpsTensor, basis: np.ndarray) -> float:
     return float(np.max(np.abs(outside)))
 
 
-def _defective_split(t: MpsTensor, tn: MpsTensor, tau_spec: float, tau_block: float):
+def _spectrum(t: MpsTensor, tau_spec: float):
+    """Transfer spectrum of ``t`` and its SpectralData (None if defective)."""
+    try:
+        s = spectral(transfer_matrix(t), tau_spec)
+    except NonDiagonalizablePeripheral as exc:
+        return exc.spectrum, None
+    return s.eigenvalues, s
+
+
+def _defective_split(t, tn, spectrum, tau_spec, tau_block, floor):
     """Split a tensor whose peripheral transfer space is defective.
 
-    True fixed points (null vectors of E - 1, which exist on both sides
-    even for a defective peripheral block) provide candidate invariant
-    subspaces; every candidate is verified exactly before recursing, so a
-    wrong guess can only fail loudly.
+    ``tn`` is ``t`` scaled to transfer radius one and ``spectrum`` the
+    transfer spectrum of ``tn``.  True fixed points (null vectors of E - 1,
+    which exist on both sides even for a defective peripheral block)
+    provide candidate invariant subspaces; every candidate is verified
+    exactly before recursing, so a wrong guess can only fail loudly.
     """
     chi = t.bond_dim
     e = transfer_matrix(tn).matrix
@@ -228,46 +241,50 @@ def _defective_split(t: MpsTensor, tn: MpsTensor, tau_spec: float, tau_block: fl
             if _leak(tn, inner) <= tau_block * scale * chi:
                 parts = []
                 for sub_basis in (inner, outer):
-                    for sub, p, cmap in _split_parts(
-                        _restrict(t, sub_basis), tau_spec, tau_block
+                    for sub, p, cmap, data in _split_parts(
+                        _restrict(t, sub_basis), tau_spec, tau_block, floor
                     ):
-                        parts.append((sub, p, sub_basis @ cmap))
+                        parts.append((sub, p, sub_basis @ cmap, data))
                 return parts
     raise DecompositionFailure(
         "peripheral space is defective and no verified invariant support exists",
-        spectrum=np.linalg.eigvals(e),
+        spectrum=spectrum,
     )
 
 
-def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float):
+def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float, floor: float, spec=None):
     """Recursively split ``t`` into irreducible parts.
 
-    Returns ``[(tensor, period, colmap)]``; ``period > 1`` marks a piece
-    whose peripheral spectrum is a cyclic group and which needs blocking.
-    ``colmap`` spans the part's bond subspace in the coordinates of ``t``.
-    Parts keep the scale they inherit from ``t``.
+    Returns ``[(tensor, period, colmap, data)]``; ``period > 1`` marks a
+    piece whose peripheral spectrum is a cyclic group and which needs
+    blocking.  ``colmap`` spans the part's bond subspace in the coordinates
+    of ``t`` and ``data`` is the SpectralData of the part's transfer matrix.
+    Parts keep the scale they inherit from ``t``; pieces whose transfer
+    radius is below ``floor`` are dropped.  ``spec`` is ``_spectrum(t)``
+    when the caller already has it.
     """
     chi = t.bond_dim
-    radius = spectral_radius(transfer_matrix(t))
-    if radius < 1e-24:
+    spectrum, s = spec or _spectrum(t, tau_spec)
+    radius = float(abs(spectrum[0]))
+    if radius < floor:
         return []  # nilpotent piece: generates the zero state for N >= chi
     tn = t.scaled(1.0 / math.sqrt(radius))
-    if chi == 1:
-        return [(t, 1, np.eye(1, dtype=complex))]
-    try:
-        s = spectral(transfer_matrix(tn), tau_spec)
-    except NonDiagonalizablePeripheral:
+    spectrum = spectrum / radius  # the transfer spectrum of tn
+    if s is None:
         # Triangular junk can leave the peripheral space defective while a
         # canonical form still exists; peel off an exactly verified
         # invariant support read from the true fixed points.
-        return _defective_split(t, tn, tau_spec, tau_block)
+        return _defective_split(t, tn, spectrum, tau_spec, tau_block, floor)
+    if chi == 1:
+        return [(t, 1, np.eye(1, dtype=complex), s)]
+    peripheral = s.peripheral / radius
     ones_idx = [
-        j for j, lam in enumerate(s.peripheral) if abs(lam - 1.0) <= 10 * tau_spec
+        j for j, lam in enumerate(peripheral) if abs(lam - 1.0) <= 10 * tau_spec
     ]
     if not ones_idx:
         raise DecompositionFailure(
             "spectral radius is not an eigenvalue of the transfer channel",
-            spectrum=s.eigenvalues,
+            spectrum=spectrum,
         )
     vec_id = np.eye(chi, dtype=complex).reshape(-1)
     scale = max(float(np.max(np.abs(tn.matrices))), 1.0)
@@ -286,7 +303,7 @@ def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float):
         if evals[-1] <= 0:
             raise DecompositionFailure(
                 "fixed-point projection produced no positive component",
-                spectrum=s.eigenvalues,
+                spectrum=spectrum,
             )
         if evals[0] < -1e-7 * evals[-1]:
             raise DecompositionFailure(
@@ -304,31 +321,31 @@ def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float):
             if _leak(tn, inner) > tau_block * scale * chi:
                 raise DecompositionFailure(
                     "candidate invariant subspace leaks outside itself",
-                    spectrum=s.eigenvalues,
+                    spectrum=spectrum,
                 )
             parts = []
             for basis in (inner, outer):
-                for sub, p, cmap in _split_parts(
-                    _restrict(t, basis), tau_spec, tau_block
+                for sub, p, cmap, data in _split_parts(
+                    _restrict(t, basis), tau_spec, tau_block, floor
                 ):
-                    parts.append((sub, p, basis @ cmap))
+                    parts.append((sub, p, basis @ cmap, data))
             return parts
 
     if len(ones_idx) == 1:
-        k = len(s.peripheral)
+        k = len(peripheral)
         if k == 1:
-            return [(t, 1, np.eye(chi, dtype=complex))]
+            return [(t, 1, np.eye(chi, dtype=complex), s)]
         # Irreducible but periodic: peripheral phases must be k-th roots of unity.
-        args = [float(np.angle(lam)) for lam in s.peripheral]
+        args = [float(np.angle(lam)) for lam in peripheral]
         expected = [wrap_phase(2.0 * math.pi * j / k) for j in range(k)]
         if any(
             min(abs(wrap_phase(a - b)) for b in expected) > 1e-6 for a in args
         ):
             raise DecompositionFailure(
                 "irreducible piece has peripheral phases that are not roots of unity",
-                spectrum=s.peripheral,
+                spectrum=peripheral,
             )
-        return [(t, k, np.eye(chi, dtype=complex))]
+        return [(t, k, np.eye(chi, dtype=complex), s)]
 
     # Both fixed points have full support and the fixed space is degenerate:
     # gauge to a unital channel, whose fixed points form a *-algebra, and cut
@@ -354,7 +371,7 @@ def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float):
     if best is None or best_dev < 1e-9:
         raise DecompositionFailure(
             "degenerate fixed space but no non-scalar Hermitian fixed point",
-            spectrum=s.peripheral,
+            spectrum=peripheral,
         )
     hev, hvec = np.linalg.eigh(best)
     spread = float(hev[-1] - hev[0])
@@ -376,8 +393,8 @@ def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float):
                 spectrum=hev,
             )
         sub = _restrict(tn_unital, basis).scaled(math.sqrt(radius))
-        for part, p, cmap in _split_parts(sub, tau_spec, tau_block):
-            parts.append((part, p, g @ basis @ cmap))
+        for part, p, cmap, data in _split_parts(sub, tau_spec, tau_block, floor):
+            parts.append((part, p, g @ basis @ cmap, data))
     return parts
 
 
@@ -402,14 +419,14 @@ def canonical_decompose(
     q = 1
     current = a
     for _ in range(q_max + 1):
-        radius = spectral_radius(transfer_matrix(current))
+        spec = _spectrum(current, tau_spec)
+        radius = float(abs(spec[0][0]))
         if radius < 1e-24:
             raise DecompositionFailure("tensor generates the zero family")
-        scaled = current.scaled(1.0 / math.sqrt(radius))
-        parts = _split_parts(scaled, tau_spec, tau_block)
+        parts = _split_parts(current, tau_spec, tau_block, 1e-24 * radius, spec)
         if not parts:
             raise DecompositionFailure("all parts are nilpotent")
-        periods = {p for _, p, _ in parts}
+        periods = {p for _, p, _, _ in parts}
         if periods == {1}:
             break
         q_new = q * math.lcm(*periods)
@@ -427,14 +444,9 @@ def canonical_decompose(
         raise DecompositionFailure("blocking did not stabilize the decomposition")
 
     # Normalize each part to spectral radius one and record its weight.
-    colmaps = [cmap for _, _, cmap in parts]
-    mags = []
-    tensors = []
-    for part, _, _ in parts:
-        rho = spectral_radius(transfer_matrix(part))
-        mags.append(math.sqrt(rho))
-        tensors.append(part.scaled(1.0 / math.sqrt(rho)))
-    mags = np.array(mags)
+    colmaps = [cmap for _, _, cmap, _ in parts]
+    tensors = [part.scaled(1.0 / math.sqrt(s.radius)) for part, _, _, s in parts]
+    mags = np.array([math.sqrt(s.radius / radius) for *_, s in parts])
     top = float(np.max(mags))
     if abs(top - 1.0) > 1e-6:
         raise DecompositionFailure(
@@ -442,8 +454,8 @@ def canonical_decompose(
         )
     mags = mags / top
 
-    for tt in tensors:
-        w = is_normal(tt, tau_spec)
+    witnesses = [normality_witness(s) for *_, s in parts]
+    for w in witnesses:
         if not w:
             raise DecompositionFailure(
                 f"extracted block failed the normality certificate: {w.reason}",
@@ -456,7 +468,10 @@ def canonical_decompose(
     group_seeds: list[int] = []
     for k in surviving:
         for gi, seed in enumerate(group_seeds):
-            rel = gauge_equivalent(tensors[k], tensors[seed], tau=1e-7)
+            rel = _gauge_relation(
+                tensors[k], tensors[seed], 1.0, 1.0,
+                witnesses[seed].right_fixed_point, tau=1e-7, tau_detect=1e-6,
+            )
             if rel is not None:
                 group_of[k] = gi
                 rel_phase[k] = rel.phase

@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,7 @@ from .dense import (
     reduced_density,
     subsystem_entropy,
 )
-from .errors import LrnDetectError
+from .errors import LrnDetectError, NonDiagonalizablePeripheral
 from .exact import ExactWeight
 from .experiments import fixed_point_invariance_experiment, invariance_experiment
 from .io import dump_report, load_tensor, rows_to_csv
@@ -85,7 +84,6 @@ class AnalysisRequest:
     out: str | None
     fmt: str
     seed: int
-    jobs: int
     n_min: int
     n_max: int
     depth: int
@@ -100,8 +98,6 @@ class AnalysisRequest:
             raise LrnDetectError(f"pipeline {self.pipeline!r} requires --input")
         if self.fmt not in ("json", "csv"):
             raise LrnDetectError("--format must be json or csv")
-        if self.jobs < 1:
-            raise LrnDetectError("--jobs must be at least 1")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise LrnDetectError("need 1 <= n-min <= n-max")
 
@@ -185,7 +181,11 @@ def cmd_analyze(req: AnalysisRequest) -> int:
 
 def cmd_rg(req: AnalysisRequest) -> int:
     tensor, _ = load_tensor(req.input_path)
-    s = spectral(transfer_matrix(tensor))
+    try:
+        s = spectral(transfer_matrix(tensor))
+    except NonDiagonalizablePeripheral:
+        s = None  # a defective peripheral space is degenerate: multi-block
+    multi_block = s is None or s.multi_block
     fp = rg_fixed_point(tensor)
     rows = []
     for b in fp.blocks:
@@ -193,11 +193,10 @@ def cmd_rg(req: AnalysisRequest) -> int:
             rows.append(
                 {"block": b.label, "iteration": it, "lambda2": lam2, "phys_dim": d_eff}
             )
-    xi = correlation_length(s)
     report = {
         "input": req.input_path,
-        "multi_block": bool(s.multi_block),
-        "correlation_length": "multi-block" if s.multi_block else xi,
+        "multi_block": multi_block,
+        "correlation_length": "multi-block" if multi_block else correlation_length(s),
         "blocking": fp.canonical.blocking,
         "trace": rows,
         "fixed_point": [
@@ -300,25 +299,16 @@ def _verify_clifford_quantization(seed: int, trials: int) -> dict:
             "worst_deviation": worst}
 
 
-def _verify_invariance(seed: int, seeds_per_fixture: int, jobs: int, depth: int) -> dict:
+def _verify_invariance(seed: int, seeds_per_fixture: int, depth: int) -> dict:
     n = 8 * depth + 8  # smallest ring hosting four regions of 2*depth + 2
     fixtures = [("ghz_half", families.ghz_tensor())]
     if depth == 1:
         fixtures.append(("phase_loop_pi3", families.phase_loop_tensor(math.pi / 3)))
-    cases = []
+    results = []
     for name, tensor in fixtures:
         fp = rg_fixed_point(tensor)
-        for k in range(seeds_per_fixture):
-            cases.append((name, fp, seed + k))
-
-    def run(case):
-        name, fp, s = case
-        rep = fixed_point_invariance_experiment(fp, n, depth, s)
-        return name, s, rep
-
-    results = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for name, s, rep in pool.map(run, cases):
+        for s in range(seed, seed + seeds_per_fixture):
+            rep = fixed_point_invariance_experiment(fp, n, depth, s)
             results.append({"fixture": name, "seed": s, **rep.to_json()})
     if depth == 1:
         t_star = families.counterexample_t_star()
@@ -387,7 +377,7 @@ def cmd_verify(req: AnalysisRequest) -> int:
     trials = max(4, req.n_max - req.n_min + 1)
     suites = [
         _verify_clifford_quantization(req.seed, trials * 4),
-        _verify_invariance(req.seed, max(2, trials // 4), req.jobs, req.depth),
+        _verify_invariance(req.seed, max(2, trials // 4), req.depth),
         _verify_flatness(req.seed, trials),
     ]
     if req.depth == 1:
@@ -423,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--n-min", type=int, default=20)
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--depth", type=int, default=1)
@@ -441,7 +430,6 @@ def main(argv=None) -> int:
             out=args.out,
             fmt=args.format,
             seed=args.seed,
-            jobs=args.jobs,
             n_min=args.n_min,
             n_max=args.n_max,
             depth=args.depth,

@@ -16,7 +16,12 @@ class NonDiagonalizablePeripheral(LrnDetectError):
     """Peripheral eigenspace has nontrivial Jordan structure.
 
     Signals a tensor outside canonical form; blocking usually resolves it.
+    Carries the transfer spectrum, sorted by descending modulus.
     """
+
+    def __init__(self, message, spectrum=None):
+        super().__init__(message)
+        self.spectrum = spectrum
 
 
 class ConvergenceFailure(LrnDetectError):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .canonical import CanonicalForm, canonical_decompose
 from .errors import ConvergenceFailure, DecompositionFailure, RankTolerance, SizeCap
-from .spectral import is_normal, spectral
-from .tensor import MpsTensor, block_tensor, spectral_radius, transfer_matrix
+from .spectral import SpectralData, normality_witness, spectral
+from .tensor import MpsTensor, block_tensor, transfer_matrix
 from .weights import WeightSpectrum
 
 DEFAULT_RG_TOL = 1e-12
@@ -113,9 +113,12 @@ class FixedPointState:
         return tuple((b.link_dim, b.link_dim) for b in self.blocks)
 
 
-def _cf2_gauge(t: MpsTensor, tau_spec: float) -> tuple[MpsTensor, np.ndarray]:
-    """Gauge a normal tensor so L = identity and R = diag(schmidt)."""
-    wit = is_normal(t, tau_spec)
+def _cf2_gauge(t: MpsTensor, s: SpectralData) -> tuple[MpsTensor, np.ndarray]:
+    """Gauge a normal tensor so L = identity and R = diag(schmidt).
+
+    ``s`` is the spectral data of the transfer matrix of ``t``.
+    """
+    wit = normality_witness(s)
     if not wit:
         raise DecompositionFailure(
             f"fixed-point gauge needs a normal tensor: {wit.reason}",
@@ -170,9 +173,10 @@ def rg_fixed_point(
         # Pre-gauge to the frame with identity left fixed point: the flow
         # then iterates a unital channel, which keeps the extracted block's
         # conditioning from polluting the converged eigenvectors.
-        t, _ = _cf2_gauge(reps[g], tau_spec)
+        t, _ = _cf2_gauge(reps[g], spectral(transfer_matrix(reps[g]), tau_spec))
         history = []
-        lam2 = spectral(transfer_matrix(t), tau_spec).subleading_modulus
+        s = spectral(transfer_matrix(t), tau_spec)
+        lam2 = s.subleading_modulus / s.radius
         history.append((lam2, t.phys_dim))
         it = 0
         while lam2 >= tol:
@@ -183,12 +187,12 @@ def rg_fixed_point(
                     last_residual=lam2,
                 )
             t = rg_step(t, tau_rank=tau_rank).tensor
-            radius = spectral_radius(transfer_matrix(t))
-            t = t.scaled(1.0 / math.sqrt(radius))
-            lam2 = spectral(transfer_matrix(t), tau_spec).subleading_modulus
+            s = spectral(transfer_matrix(t), tau_spec)
+            t = t.scaled(1.0 / math.sqrt(s.radius))
+            lam2 = s.subleading_modulus / s.radius
             it += 1
             history.append((lam2, t.phys_dim))
-        t_cf2, lam = _cf2_gauge(t, tau_spec)
+        t_cf2, lam = _cf2_gauge(t, s)
         # Normal blocks have positive-definite fixed points; clip round-off.
         lam = np.clip(lam, 0.0, None)
         lam = lam / float(np.sum(lam))

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,18 +12,18 @@ from .tensor import MpsTensor, TransferOperator, transfer_matrix
 
 DEFAULT_TAU_SPEC = 1e-9
 
-CACHE_ENV_VAR = "LRN_DETECT_CACHE"
-
 
 @dataclass(frozen=True)
 class SpectralData:
     """Eigendata of a transfer operator.
 
     ``eigenvalues`` is the full spectrum sorted by descending modulus.
-    ``peripheral`` collects the eigenvalues whose modulus lies within
-    ``tau`` of the spectral radius; ``right_vecs``/``left_vecs`` hold one
-    column per peripheral eigenvalue, scaled so the left-right pairing is
-    the identity on the peripheral space.
+    ``peripheral`` collects the eigenvalues whose modulus is at least
+    ``radius * (1 - tau)``; ``right_vecs``/``left_vecs`` hold one column
+    per peripheral eigenvalue, scaled so the left-right pairing is the
+    identity on the peripheral space.  The cut is relative, so the data of
+    a matrix also describe every positive rescaling of it (eigenvalues
+    scale, the peripheral set and the vectors do not).
     """
 
     eigenvalues: np.ndarray
@@ -51,64 +49,39 @@ class SpectralData:
         return len(self.peripheral) > 1
 
 
-def _cache_key(matrix: np.ndarray, tau: float) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(matrix).tobytes())
-    h.update(repr((matrix.shape, tau)).encode())
-    return h.hexdigest()
-
-
-def _cache_load(path: str) -> SpectralData | None:
-    try:
-        with np.load(path) as f:
-            return SpectralData(
-                eigenvalues=f["eigenvalues"],
-                peripheral=f["peripheral"],
-                right_vecs=f["right_vecs"],
-                left_vecs=f["left_vecs"],
-                tau=float(f["tau"]),
-            )
-    except Exception:
-        return None
-
-
 def spectral(t: TransferOperator | np.ndarray, tau_spec: float = DEFAULT_TAU_SPEC) -> SpectralData:
     """Full eigendecomposition with a biorthonormalized peripheral block.
 
+    The peripheral cluster is every eigenvalue of modulus at least
+    ``radius * (1 - tau_spec)``, a cut relative to the spectral radius.
+
     Raises:
         NonDiagonalizablePeripheral: if the peripheral space carries a
-            nontrivial Jordan block (left/right pairing is singular).
+            nontrivial Jordan block (left/right pairing is singular).  The
+            exception carries the sorted spectrum.
     """
     if not 0.0 < tau_spec < 0.5:
         raise ValueError("tau_spec must lie in (0, 0.5)")
     m = t.matrix if isinstance(t, TransferOperator) else np.asarray(t, dtype=complex)
-
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
-    cache_path = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, _cache_key(m, tau_spec) + ".npz")
-        if os.path.exists(cache_path):
-            hit = _cache_load(cache_path)
-            if hit is not None:
-                return hit
 
     evals, rvecs = np.linalg.eig(m)
     order = np.argsort(-np.abs(evals), kind="stable")
     evals, rvecs = evals[order], rvecs[:, order]
     radius = abs(evals[0])
 
-    k = int(np.sum(np.abs(evals) >= radius - tau_spec)) if radius > 0 else 1
+    cut = radius * (1.0 - tau_spec)
+    k = int(np.sum(np.abs(evals) >= cut)) if radius > 0 else 1
     peripheral = evals[:k]
 
     # Left eigenvectors from the adjoint; eigenvalues there are conjugated.
     levals, lvecs = np.linalg.eig(m.conj().T)
     lorder = np.argsort(-np.abs(levals), kind="stable")
     levals, lvecs = levals[lorder], lvecs[:, lorder]
-    kl = int(np.sum(np.abs(levals) >= radius - tau_spec)) if radius > 0 else 1
+    kl = int(np.sum(np.abs(levals) >= cut)) if radius > 0 else 1
     if kl != k:
         raise NonDiagonalizablePeripheral(
-            f"peripheral multiplicities disagree between sides ({k} vs {kl})"
+            f"peripheral multiplicities disagree between sides ({k} vs {kl})",
+            spectrum=evals,
         )
 
     r_per = rvecs[:, :k] / np.linalg.norm(rvecs[:, :k], axis=0)
@@ -130,30 +103,18 @@ def spectral(t: TransferOperator | np.ndarray, tau_spec: float = DEFAULT_TAU_SPE
         sv = np.linalg.svd(gram, compute_uv=False)
         if sv[-1] < 1e-8:
             raise NonDiagonalizablePeripheral(
-                "peripheral left/right pairing is numerically singular"
+                "peripheral left/right pairing is numerically singular",
+                spectrum=evals,
             )
     l_norm = l_assigned @ np.linalg.inv(gram).conj().T
 
-    data = SpectralData(
+    return SpectralData(
         eigenvalues=evals,
         peripheral=peripheral,
         right_vecs=r_per,
         left_vecs=l_norm,
         tau=tau_spec,
     )
-    if cache_path:
-        try:
-            np.savez(
-                cache_path,
-                eigenvalues=data.eigenvalues,
-                peripheral=data.peripheral,
-                right_vecs=data.right_vecs,
-                left_vecs=data.left_vecs,
-                tau=tau_spec,
-            )
-        except OSError:
-            pass
-    return data
 
 
 def correlation_length(s: SpectralData) -> float:
@@ -214,15 +175,12 @@ class NormalityWitness:
         return self.normal
 
 
-def is_normal(a: MpsTensor, tau: float = DEFAULT_TAU_SPEC) -> NormalityWitness:
-    """Test irreducibility plus uniqueness of the peripheral eigenvalue.
+def normality_witness(s: SpectralData) -> NormalityWitness:
+    """Normality verdict read from the spectral data of a transfer matrix.
 
-    A tensor passes iff the transfer channel and its adjoint both have a
-    full-support positive fixed point and the peripheral eigenvalue is
-    unique.  Scale-invariant: the test is applied after normalizing the
-    spectral radius to one.
+    The verdict is that of ``is_normal`` on any tensor whose transfer
+    matrix ``s`` describes, at any positive scale.
     """
-    s = spectral(transfer_matrix(a), tau)
     if s.radius == 0.0:
         return NormalityWitness(False, "zero spectral radius", s.peripheral)
     if s.multi_block:
@@ -231,7 +189,8 @@ def is_normal(a: MpsTensor, tau: float = DEFAULT_TAU_SPEC) -> NormalityWitness:
             f"{len(s.peripheral)} peripheral eigenvalues",
             s.peripheral,
         )
-    chi = a.bond_dim
+    chi = math.isqrt(s.right_vecs.shape[0])
+    tau = s.tau
     fps = []
     for vec in (s.right_vecs[:, 0], s.left_vecs[:, 0]):
         h = rotate_to_hermitian(vec.reshape(chi, chi))
@@ -252,3 +211,15 @@ def is_normal(a: MpsTensor, tau: float = DEFAULT_TAU_SPEC) -> NormalityWitness:
         True, "unique peripheral eigenvalue, full-support fixed points",
         s.peripheral, right_fixed_point=fps[0], left_fixed_point=fps[1],
     )
+
+
+def is_normal(a: MpsTensor, tau: float = DEFAULT_TAU_SPEC) -> NormalityWitness:
+    """Test irreducibility plus uniqueness of the peripheral eigenvalue.
+
+    A tensor passes iff the transfer channel and its adjoint both have a
+    full-support positive fixed point and the peripheral eigenvalue is
+    unique.  Scale-invariant: the peripheral cluster is cut relative to the
+    spectral radius (``|lambda| >= radius * (1 - tau)``) and the fixed
+    points are read from eigenvectors, which rescaling leaves unchanged.
+    """
+    return normality_witness(spectral(transfer_matrix(a), tau))

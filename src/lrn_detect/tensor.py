@@ -122,8 +122,3 @@ def block_tensor(a: MpsTensor, q: int, phys_dim_cap: int = DEFAULT_PHYS_DIM_CAP)
             -1, a.bond_dim, a.bond_dim
         )
     return MpsTensor(out)
-
-
-def spectral_radius(t: TransferOperator | np.ndarray) -> float:
-    m = t.matrix if isinstance(t, TransferOperator) else t
-    return float(np.max(np.abs(np.linalg.eigvals(m)))) if m.size else 0.0

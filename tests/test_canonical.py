@@ -51,12 +51,17 @@ def test_gauge_equivalent_conjugation_recovered():
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     x += 2 * np.eye(2)  # keep it comfortably invertible
     conj = MpsTensor(np.einsum("ab,ibc,cd->iad", x, t.matrices, np.linalg.inv(x)))
-    rel = gauge_equivalent(conj, t)
-    assert rel is not None
-    assert abs(rel.phase) < 1e-8
-    # x recovered up to a complex scale
-    ratio = rel.x / x
-    assert np.max(np.abs(ratio - ratio.flat[0])) < 1e-6
+    # Detection is scale-invariant: also both tensors far below radius one.
+    t3 = random_normal_tensor(2, 3, seed=6)
+    x3 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 2 * np.eye(3)
+    scaled = (t3.scaled(1e-4), t3.gauged(x3).scaled(1e-4 * cmath.exp(0.4j)))
+    for (a, b), gauge, phase in (((conj, t), x, 0.0), (scaled, x3, -0.4)):
+        rel = gauge_equivalent(a, b)
+        assert rel is not None
+        assert abs(rel.phase - phase) < 1e-8
+        # the gauge recovered up to a complex scale
+        ratio = rel.x / gauge
+        assert np.max(np.abs(ratio - ratio.flat[0])) < 1e-6
 
 
 def test_gauge_equivalent_none_for_orthogonal():
@@ -74,6 +79,25 @@ def test_decompose_normal_single_block():
     assert len(cf.blocks) == 1
     assert abs(cf.blocks[0].mu - 1.0) < 1e-9
     assert cf.blocking == 1
+
+
+def test_decompose_factorizes_a_normal_block_once(monkeypatch):
+    # One spectral factorization (right and left eigenvectors) serves the
+    # split, the block radius and the normality certificate.
+    t = random_normal_tensor(2, 8, seed=8)
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    cf = canonical_decompose(t)
+    assert len(cf.blocks) == 1
+    assert calls["eig"] <= 2
+    assert calls["eigvals"] == 0
 
 
 def test_decompose_ghz():

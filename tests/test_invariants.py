@@ -66,10 +66,10 @@ def test_multiblock_chi4_scrambled_recovery():
     # a random gauge: the decomposition must recover both weights and blocks.
     a = random_normal_tensor(2, 2, seed=41)
     b = random_normal_tensor(2, 2, seed=42)
-    from lrn_detect.tensor import spectral_radius, transfer_matrix
+    from lrn_detect import spectral, transfer_matrix
 
-    a = a.scaled(1.0 / math.sqrt(spectral_radius(transfer_matrix(a))))
-    b = b.scaled(0.9 / math.sqrt(spectral_radius(transfer_matrix(b))))
+    a = a.scaled(1.0 / math.sqrt(spectral(transfer_matrix(a)).radius))
+    b = b.scaled(0.9 / math.sqrt(spectral(transfer_matrix(b)).radius))
     mats = np.zeros((2, 4, 4), dtype=complex)
     mats[:, :2, :2] = a.matrices
     mats[:, 2:, 2:] = b.matrices
@@ -161,9 +161,9 @@ def _random_composite(rng, specs):
     blocks = []
     for k, (chi, mu) in enumerate(specs):
         t = random_normal_tensor(2, chi, seed=int(rng.integers(2**31)))
-        from lrn_detect.tensor import spectral_radius, transfer_matrix
+        from lrn_detect import spectral, transfer_matrix
 
-        t = t.scaled(mu / math.sqrt(spectral_radius(transfer_matrix(t))))
+        t = t.scaled(mu / math.sqrt(spectral(transfer_matrix(t)).radius))
         blocks.append(t)
     dim = sum(chi for chi, _ in specs)
     mats = np.zeros((2, dim, dim), dtype=complex)
@@ -221,9 +221,9 @@ def test_gauge_equivalent_bond2_pair_grouped():
     # |1 + e^{i phi N}| at size N.
     rng = np.random.default_rng(424)
     base = random_normal_tensor(2, 2, seed=17)
-    from lrn_detect.tensor import spectral_radius, transfer_matrix
+    from lrn_detect import spectral, transfer_matrix
 
-    base = base.scaled(1.0 / math.sqrt(spectral_radius(transfer_matrix(base))))
+    base = base.scaled(1.0 / math.sqrt(spectral(transfer_matrix(base)).radius))
     phi0 = 0.6
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 2 * np.eye(2)
     copy = cmath.exp(1j * phi0) * np.einsum(

@@ -148,7 +148,7 @@ def test_cli_typicality_sweep(capsys):
 
 
 def test_cli_verify_small(capsys):
-    code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4", "--jobs", "2"])
+    code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["passed"] is True
@@ -160,21 +160,6 @@ def test_cli_verify_small(capsys):
 def test_cli_requires_input(capsys):
     assert main(["--pipeline", "analyze"]) == 1
     assert "error" in capsys.readouterr().err
-
-
-def test_spectral_cache_round_trip(tmp_path, monkeypatch):
-    import numpy as np
-
-    from lrn_detect import spectral, transfer_matrix
-
-    monkeypatch.setenv("LRN_DETECT_CACHE", str(tmp_path / "cache"))
-    t = random_normal_tensor(2, 3, seed=6)
-    first = spectral(transfer_matrix(t))
-    cached = spectral(transfer_matrix(t))
-    assert np.array_equal(first.eigenvalues, cached.eigenvalues)
-    assert np.array_equal(first.right_vecs, cached.right_vecs)
-    files = list((tmp_path / "cache").iterdir())
-    assert len(files) == 1
 
 
 def test_cli_verify_deterministic_report(tmp_path):
@@ -211,6 +196,18 @@ def test_cli_rg_json_flags_multi_block(fixture_dir, capsys):
     assert report["correlation_length"] == "multi-block"
     assert report["blocking"] == 1
     assert {b["label"] for b in report["fixed_point"]} == {"group0", "group1"}
+
+
+def test_cli_rg_defective_peripheral_is_multi_block(tmp_path, capsys):
+    from lrn_detect import MpsTensor
+
+    jordan = np.zeros((2, 2, 2), dtype=complex)
+    jordan[0] = [[1.0, 1.0], [0.0, 1.0]]
+    save_tensor(tmp_path / "jordan.json", MpsTensor(jordan))
+    assert main(["--pipeline", "rg", "--input", str(tmp_path / "jordan.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["multi_block"] is True
+    assert report["correlation_length"] == "multi-block"
 
 
 def test_cli_stab_raw_text_input(tmp_path, capsys):

@@ -22,7 +22,6 @@ from lrn_detect.families import (
     product_tensor,
     random_normal_tensor,
 )
-from lrn_detect.tensor import spectral_radius
 
 
 def test_rg_step_product_tensor():
@@ -65,11 +64,11 @@ def test_rg_step_transfer_squares():
 
 def test_rg_iteration_kills_correlations():
     t = random_normal_tensor(2, 2, seed=9)
-    t = t.scaled(1.0 / math.sqrt(spectral_radius(transfer_matrix(t))))
+    t = t.scaled(1.0 / math.sqrt(spectral(transfer_matrix(t)).radius))
     lam2 = spectral(transfer_matrix(t)).subleading_modulus
     for _ in range(20):
         t = rg_step(t).tensor
-        t = t.scaled(1.0 / math.sqrt(spectral_radius(transfer_matrix(t))))
+        t = t.scaled(1.0 / math.sqrt(spectral(transfer_matrix(t)).radius))
         new = spectral(transfer_matrix(t)).subleading_modulus
         assert new <= lam2**2 + 1e-8
         lam2 = new
@@ -158,7 +157,7 @@ def test_materialize_fixed_point_rejects_mixed_dims():
     from lrn_detect.errors import DimensionMismatch
 
     corr = random_normal_tensor(2, 2, seed=9)
-    corr = corr.scaled(1.0 / math.sqrt(spectral_radius(transfer_matrix(corr))))
+    corr = corr.scaled(1.0 / math.sqrt(spectral(transfer_matrix(corr)).radius))
     mats = np.zeros((2, 3, 3), dtype=complex)
     mats[:, :2, :2] = corr.matrices
     mats[0, 2, 2] = cmath.exp(0.4j)

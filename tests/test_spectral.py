@@ -81,8 +81,10 @@ def test_is_normal_rejects_triangular_junk():
 
 
 def test_random_normal_tensor_certifies():
-    for seed in range(3):
-        t = random_normal_tensor(2, 2, seed=seed)
+    tensors = [random_normal_tensor(2, 2, seed=seed) for seed in range(3)]
+    # Normality is scale-invariant: a tiny transfer radius changes nothing.
+    tensors.append(random_normal_tensor(2, 3, seed=6).scaled(1e-5))
+    for t in tensors:
         wit = is_normal(t)
         assert wit
         ev = np.linalg.eigvalsh(wit.right_fixed_point)

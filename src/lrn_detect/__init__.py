@@ -2,11 +2,14 @@
 
 Decides, from a single site tensor, whether a state family carries
 nonstabilizerness that no shallow local circuit can remove: the tensor is
-decomposed into weighted normal blocks, flowed to its coarse-graining
-fixed point, and the resulting weight spectrum is fed to an entropy
-criterion (sufficient for long-range magic) and a weight-ratio criterion
-(necessary for exact short-range magic).  Exact stabilizer and dense
-engines verify the supporting facts on small instances.
+decomposed into weighted normal blocks, whose coarse-graining fixed point
+(Schmidt weights of its entangled pairs) is read in closed form from the
+blocks' transfer fixed points, and the resulting weight spectrum is fed to
+an entropy criterion (sufficient for long-range magic) and a weight-ratio
+criterion (necessary for exact short-range magic).  The iterated RG flow
+(``rg_fixed_point``) yields the converged tensors and serves as an oracle
+for the closed form.  Exact stabilizer and dense engines verify the
+supporting facts on small instances.
 """
 
 from .canonical import (

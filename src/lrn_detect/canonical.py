@@ -31,7 +31,13 @@ from .errors import (
     NotNormalInput,
     SizeCap,
 )
-from .spectral import DEFAULT_TAU_SPEC, is_normal, normality_witness, spectral
+from .spectral import (
+    DEFAULT_TAU_SPEC,
+    NormalityWitness,
+    is_normal,
+    normality_witness,
+    spectral,
+)
 from .tensor import MpsTensor, block_tensor, mixed_transfer_matrix, transfer_matrix
 from .weights import WeightSpectrum, wrap_phase
 
@@ -127,11 +133,17 @@ def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau, tau_detect):
 
 @dataclass(frozen=True)
 class CanonicalBlock:
-    """One normal block: weight ``mu`` times a radius-one normal tensor."""
+    """One normal block: weight ``mu`` times a radius-one normal tensor.
+
+    ``witness`` is the normality certificate of ``tensor``; it holds for
+    every rescaling and phase of the tensor, so it is read once from the
+    transfer matrix of the extracted part.
+    """
 
     mu: complex
     tensor: MpsTensor
     group: int
+    witness: NormalityWitness = field(repr=False)
 
     @property
     def surviving(self) -> bool:
@@ -159,31 +171,40 @@ class CanonicalForm:
     def num_groups(self) -> int:
         return 1 + max((b.group for b in self.blocks), default=-1)
 
-    def group_members(self, g: int) -> list[CanonicalBlock]:
-        return [b for b in self.blocks if b.group == g]
+    def surviving_groups(self) -> dict[str, list[CanonicalBlock]]:
+        """Members of every surviving group, keyed by label, in group order.
 
-    def group_representatives(self) -> dict[int, MpsTensor]:
-        reps: dict[int, MpsTensor] = {}
+        Decaying blocks (weight magnitude below one) do not reach the
+        coarse-grained fixed point; they always form singleton groups.  The
+        first member of a group is its representative.
+        """
+        groups: dict[int, list[CanonicalBlock]] = {}
         for b in self.blocks:
-            reps.setdefault(b.group, b.tensor)
-        return reps
+            if b.surviving:
+                groups.setdefault(b.group, []).append(b)
+        return {f"group{g}": groups[g] for g in sorted(groups)}
 
     @property
     def weight_spectrum(self) -> WeightSpectrum:
-        """Merged weights of the surviving groups.
+        """Merged weights of the surviving groups."""
+        groups = self.surviving_groups()
+        terms = [tuple((1.0 + 0.0j, float(np.angle(b.mu))) for b in members)
+                 for members in groups.values()]
+        return WeightSpectrum(terms=tuple(terms), labels=tuple(groups))
 
-        Decaying blocks (weight magnitude below one) do not reach the
-        coarse-grained fixed point and are excluded.
+    def schmidt_weights(self) -> dict[str, np.ndarray]:
+        """Schmidt weights of the coarse-graining fixed point, per surviving group.
+
+        The fixed point of a normal block is a product of entangled pairs
+        whose Schmidt weights are fixed by the block's transfer fixed points
+        (the spectrum of ``sqrt(L) R sqrt(L)``), so they are read in closed
+        form from each representative's normality witness; ``rg_fixed_point``
+        iterates the flow to the same values.
         """
-        terms = []
-        labels = []
-        for g in range(self.num_groups):
-            members = [b for b in self.group_members(g) if b.surviving]
-            if not members:
-                continue
-            terms.append(tuple((1.0 + 0.0j, float(np.angle(b.mu))) for b in members))
-            labels.append(f"group{g}")
-        return WeightSpectrum(terms=tuple(terms), labels=tuple(labels))
+        return {
+            label: members[0].witness.fixed_point_gauge()[1]
+            for label, members in self.surviving_groups().items()
+        }
 
 
 def _restrict(t: MpsTensor, basis: np.ndarray) -> MpsTensor:
@@ -504,7 +525,9 @@ def canonical_decompose(
         else:
             mu = complex(mags[k])
             tensor_k = tt
-        blocks.append(CanonicalBlock(mu=mu, tensor=tensor_k, group=group_of[k]))
+        blocks.append(
+            CanonicalBlock(mu=mu, tensor=tensor_k, group=group_of[k], witness=witnesses[k])
+        )
 
     gauge = _assemble_gauge(current, blocks, colmaps, tau_block)
     return CanonicalForm(blocks=tuple(blocks), blocking=q, gauge=gauge, input_tensor=a)

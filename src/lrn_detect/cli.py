@@ -2,8 +2,9 @@
 
 One executable, one ``--pipeline`` switch:
 
-* ``analyze``    tensor JSON -> canonical form, fixed point, verdicts
-* ``rg``         tensor JSON -> per-iteration flow trace
+* ``analyze``    tensor JSON -> canonical form, fixed-point Schmidt weights
+                 (closed form, read from the canonical blocks), verdicts
+* ``rg``         tensor JSON -> per-iteration trace of the iterated RG flow
 * ``verify``     run the dense-oracle invariant suites
 * ``stab``       tableau request -> exact entropies / mutual information
 * ``ghz``        exact-weight JSON -> family label
@@ -22,11 +23,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import families
+from .canonical import canonical_decompose
 from .causal import apply_reduction, causal_cone_reduce
 from .circuits import apply_brickwork, random_brickwork
 from .criteria import (
@@ -51,7 +53,7 @@ from .io import dump_report, load_tensor, rows_to_csv
 from .partition import build_partition
 from .rg import rg_fixed_point
 from .spectral import correlation_length, spectral
-from .stabilizer import StabilizerTableau, random_clifford_circuit
+from .stabilizer import _CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
 from .tensor import transfer_matrix
 from .weights import WeightSpectrum
 
@@ -61,19 +63,6 @@ _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_EXCLUDED = 2
 _EXIT_INCONCLUSIVE = 3
-
-_CLIFFORD_DENSE = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "S": np.diag([1, 1j]).astype(complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1, -1]).astype(complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
-}
-
 
 @dataclass
 class AnalysisRequest:
@@ -89,7 +78,6 @@ class AnalysisRequest:
     depth: int
     tol_int: float
     q_max: int
-    options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.pipeline not in PIPELINES:
@@ -128,10 +116,9 @@ def _status_exit(statuses: list[str]) -> int:
 
 def cmd_analyze(req: AnalysisRequest) -> int:
     tensor, exact_weights = load_tensor(req.input_path)
-    fp = rg_fixed_point(tensor)  # --qmax bounds rational denominators, not blocking
-    cf = fp.canonical
+    cf = canonical_decompose(tensor)  # --qmax bounds rational denominators, not blocking
 
-    spectrum = fp.weights
+    spectrum = cf.weight_spectrum
     if exact_weights is not None:
         if len(exact_weights) != spectrum.num_blocks:
             raise LrnDetectError(
@@ -164,13 +151,8 @@ def cmd_analyze(req: AnalysisRequest) -> int:
             ],
         },
         "fixed_point": [
-            {
-                "label": b.label,
-                "schmidt_weights": list(map(float, b.schmidt_weights)),
-                "iterations": b.iterations,
-                "final_lambda2": b.final_lambda2,
-            }
-            for b in fp.blocks
+            {"label": label, "schmidt_weights": list(map(float, lam))}
+            for label, lam in cf.schmidt_weights().items()
         ],
         "weight_spectrum": spectrum.to_json(),
         "verdicts": {k: _verdict_json(v) for k, v in verdicts.items()},

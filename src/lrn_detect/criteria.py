@@ -29,6 +29,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 DEFAULT_TAU_INT = 1e-6
 DEFAULT_N_WINDOW = (1000, 2000)
 DEFAULT_PHASE_Q_MAX = 10**4
+# Largest weight period whose residue classes are all evaluated.
+_MAX_PERIOD = 10**4
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,10 @@ def lrn_entropy_check(
     exists; the entropy is swept over ``n_window`` and certification is
     granted only when the whole window clears the tolerance (a
     deliberately conservative reading).  Classes clearing the gap are
-    reported either way, as subsequence metadata.
+    reported either way, as subsequence metadata.  A commensurate period
+    above ``_MAX_PERIOD`` is not enumerated: the window is swept instead and
+    the verdict stays inconclusive, since a partial set of residue classes
+    cannot certify.
     """
     if w.num_blocks == 0:
         raise OutOfRange("weight spectrum has no blocks")
@@ -91,10 +96,13 @@ def lrn_entropy_check(
     phases = [p for p in w.phases() if abs(p) > 1e-15]
     fracs = [best_rational(p / (2 * math.pi), phase_q_max, phase_tau) for p in phases]
 
+    s = None  # the weight period, when every phase is commensurate
     if all(f is not None for f in fracs):
         s = 1
         for f in fracs:
             s = math.lcm(s, f.denominator)
+
+    if s is not None and s <= _MAX_PERIOD:
         classes = []
         for r in range(s):
             n_rep = r if r >= 1 else s
@@ -113,6 +121,12 @@ def lrn_entropy_check(
         qualifier = (s, int(best["residue"])) if s > 1 else None
         return Verdict(status=status, evidence=evidence, residue_class=qualifier)
 
+    if s is None:
+        evidence = {"mode": "incommensurate"}
+    else:
+        # Too many residue classes to evaluate: the window is swept and
+        # reported, but a partial set of classes never certifies.
+        evidence = {"mode": "period_capped", "period": s, "period_cap": _MAX_PERIOD}
     lo, hi = n_window
     if lo < 1 or hi < lo:
         raise OutOfRange("invalid evaluation window")
@@ -127,17 +141,16 @@ def lrn_entropy_check(
             min_dist = d
         if d <= tau_int and first_fail is None:
             first_fail = n
-    evidence = {
-        "mode": "incommensurate",
+    evidence.update({
         "window": [lo, hi],
         "entropy_inf": h_inf,
         "entropy_sup": h_sup,
         "min_distance": min_dist,
-    }
+    })
     if first_fail is not None:
         evidence["first_integer_hit_n"] = first_fail
-    status = LRN_CERTIFIED if min_dist > tau_int else INCONCLUSIVE
-    return Verdict(status=status, evidence=evidence)
+    certified = s is None and min_dist > tau_int
+    return Verdict(status=LRN_CERTIFIED if certified else INCONCLUSIVE, evidence=evidence)
 
 
 def srn_ratio_check(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .canonical import CanonicalForm, canonical_decompose
 from .errors import ConvergenceFailure, DecompositionFailure, RankTolerance, SizeCap
-from .spectral import SpectralData, normality_witness, spectral
+from .spectral import normality_witness, spectral
 from .tensor import MpsTensor, block_tensor, transfer_matrix
 from .weights import WeightSpectrum
 
@@ -113,30 +113,6 @@ class FixedPointState:
         return tuple((b.link_dim, b.link_dim) for b in self.blocks)
 
 
-def _cf2_gauge(t: MpsTensor, s: SpectralData) -> tuple[MpsTensor, np.ndarray]:
-    """Gauge a normal tensor so L = identity and R = diag(schmidt).
-
-    ``s`` is the spectral data of the transfer matrix of ``t``.
-    """
-    wit = normality_witness(s)
-    if not wit:
-        raise DecompositionFailure(
-            f"fixed-point gauge needs a normal tensor: {wit.reason}",
-            spectrum=wit.peripheral,
-        )
-    l_fp = wit.left_fixed_point
-    lev, lvec = np.linalg.eigh(l_fp)
-    l_isqrt = lvec @ np.diag(1.0 / np.sqrt(lev)) @ lvec.conj().T
-    l_sqrt = lvec @ np.diag(np.sqrt(lev)) @ lvec.conj().T
-    r_rot = l_sqrt @ wit.right_fixed_point @ l_sqrt
-    rev, rvec = np.linalg.eigh(r_rot)
-    order = np.argsort(-rev)
-    rev, rvec = rev[order], rvec[:, order]
-    x = l_isqrt @ rvec
-    lam = rev / float(np.sum(rev))
-    return t.gauged(x), lam
-
-
 def rg_fixed_point(
     a: MpsTensor,
     tol: float = DEFAULT_RG_TOL,
@@ -150,9 +126,12 @@ def rg_fixed_point(
 
     Each gauge group's representative is iterated until the subleading
     transfer modulus drops below ``tol``; the Schmidt weights are then read
-    from the diagonal right fixed point in the CF II gauge.  The weight
-    spectrum is inherited from the canonical decomposition (group weights
-    combine block coefficients and gauge phases).
+    from the diagonal right fixed point in the CF II gauge.  They equal the
+    closed form ``CanonicalForm.schmidt_weights()`` up to round-off; the
+    flow is kept for the converged tensors and as that closed form's
+    oracle.  The weight spectrum is inherited from the canonical
+    decomposition (group weights combine block coefficients and gauge
+    phases).
 
     Raises:
         ConvergenceFailure: carrying the last subleading modulus when a
@@ -161,19 +140,13 @@ def rg_fixed_point(
     cf = canonical_decompose(
         a, tau_block=tau_block, tau_spec=tau_spec, q_max=q_max
     )
-    spectrum = cf.weight_spectrum
-    reps = cf.group_representatives()
-    surviving_groups = []
-    for g in range(cf.num_groups):
-        if any(b.surviving for b in cf.group_members(g)):
-            surviving_groups.append(g)
-
     blocks = []
-    for label, g in zip(spectrum.labels, surviving_groups):
+    for label, members in cf.surviving_groups().items():
         # Pre-gauge to the frame with identity left fixed point: the flow
         # then iterates a unital channel, which keeps the extracted block's
         # conditioning from polluting the converged eigenvectors.
-        t, _ = _cf2_gauge(reps[g], spectral(transfer_matrix(reps[g]), tau_spec))
+        rep = members[0]
+        t = rep.tensor.gauged(rep.witness.fixed_point_gauge()[0])
         history = []
         s = spectral(transfer_matrix(t), tau_spec)
         lam2 = s.subleading_modulus / s.radius
@@ -192,18 +165,16 @@ def rg_fixed_point(
             lam2 = s.subleading_modulus / s.radius
             it += 1
             history.append((lam2, t.phys_dim))
-        t_cf2, lam = _cf2_gauge(t, s)
-        # Normal blocks have positive-definite fixed points; clip round-off.
-        lam = np.clip(lam, 0.0, None)
-        lam = lam / float(np.sum(lam))
+        # CF II gauge: L = identity, R = diag(schmidt weights).
+        x, lam = normality_witness(s).fixed_point_gauge()
         blocks.append(
             FixedPointBlock(
                 label=label,
                 schmidt_weights=lam,
-                tensor=t_cf2,
+                tensor=t.gauged(x),
                 iterations=it,
                 final_lambda2=lam2,
                 history=tuple(history),
             )
         )
-    return FixedPointState(blocks=tuple(blocks), weights=spectrum, canonical=cf)
+    return FixedPointState(blocks=tuple(blocks), weights=cf.weight_spectrum, canonical=cf)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonDiagonalizablePeripheral
+from .errors import DecompositionFailure, NonDiagonalizablePeripheral
 from .tensor import MpsTensor, TransferOperator, transfer_matrix
 
 DEFAULT_TAU_SPEC = 1e-9
@@ -173,6 +173,34 @@ class NormalityWitness:
 
     def __bool__(self) -> bool:
         return self.normal
+
+    def fixed_point_gauge(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauge to the fixed-point frame and the Schmidt weights there.
+
+        Returns ``(x, lam)``: conjugating the tensor by ``x``
+        (``A -> inv(x) A x``) makes the left fixed point the identity and
+        the right one ``diag(lam)``.  ``lam`` is the spectrum of
+        ``sqrt(L) R sqrt(L)``, descending with unit sum; these are the
+        Schmidt weights of the entangled pairs of the coarse-graining fixed
+        point, so they depend on the witness only.
+
+        Raises:
+            DecompositionFailure: if the witness does not certify normality.
+        """
+        if not self.normal:
+            raise DecompositionFailure(
+                f"fixed-point gauge needs a normal tensor: {self.reason}",
+                spectrum=self.peripheral,
+            )
+        lev, lvec = np.linalg.eigh(self.left_fixed_point)
+        l_isqrt = lvec @ np.diag(1.0 / np.sqrt(lev)) @ lvec.conj().T
+        l_sqrt = lvec @ np.diag(np.sqrt(lev)) @ lvec.conj().T
+        rev, rvec = np.linalg.eigh(l_sqrt @ self.right_fixed_point @ l_sqrt)
+        order = np.argsort(-rev)
+        rev, rvec = rev[order], rvec[:, order]
+        # Both fixed points are positive definite; clip round-off.
+        lam = np.clip(rev, 0.0, None)
+        return l_isqrt @ rvec, lam / float(np.sum(lam))
 
 
 def normality_witness(s: SpectralData) -> NormalityWitness:

@@ -15,6 +15,7 @@ making every entropy an exact integer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,18 @@ from .errors import (
 
 _ONE_QUBIT_GATES = ("H", "S", "X", "Y", "Z")
 _TWO_QUBIT_GATES = ("CNOT", "CZ")
+# Dense unitaries of the gate set, for cross-checks against the dense oracle.
+_CLIFFORD_DENSE = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "S": np.diag([1, 1j]).astype(complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1, -1]).astype(complex),
+    "CNOT": np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    ),
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+}
 
 
 def _popcount(x: int) -> int:

@@ -104,6 +104,28 @@ def test_entropy_check_incommensurate_window():
     assert v.evidence["entropy_inf"] <= v.evidence["entropy_sup"]
 
 
+def test_entropy_check_caps_the_period():
+    # Periods 9973 and 9967 are coprime: 99,400,891 residue classes.  The
+    # weights have constant moduli, so the window sweep alone would certify;
+    # a capped period must stay inconclusive.
+    p1, p2 = 2 * math.pi / 9973, 2 * math.pi / 9967
+    w = WeightSpectrum(terms=(((1.0, 0.0),), ((1.0, p1),), ((0.5, p2),)))
+    v = lrn_entropy_check(w)
+    assert v.status == INCONCLUSIVE
+    assert v.evidence["mode"] == "period_capped"
+    assert v.evidence["period"] == 9973 * 9967
+    assert v.evidence["period_cap"] == 10**4
+    assert v.evidence["window"] == [1000, 2000]
+    assert v.evidence["min_distance"] > 1e-6
+    assert v.residue_class is None
+    # A period of 997 is still enumerated class by class.
+    w = WeightSpectrum(terms=(((1.0, 0.0),), ((1.0, 2 * math.pi * 7 / 997),)))
+    v = lrn_entropy_check(w)
+    assert v.evidence["mode"] == "commensurate"
+    assert v.evidence["period"] == 997
+    assert len(v.evidence["classes"]) == 997
+
+
 def test_entropy_check_propagates_degenerate():
     w = WeightSpectrum(terms=(((1.0, 0.0), (1.0, math.pi)), ((0.0, 0.0),)))
     with pytest.raises(DegenerateNormalization):

@@ -90,6 +90,7 @@ def test_cli_analyze_report_contents(fixture_dir, tmp_path, capsys):
     v = report["verdicts"]["entropy_criterion"]
     assert v["status"] == "INCONCLUSIVE"
     assert abs(v["evidence"]["classes"][0]["entropy"] - 1.0) < 1e-9
+    assert [set(b) for b in report["fixed_point"]] == [{"label", "schmidt_weights"}] * 2
 
 
 def test_cli_analyze_counterexample_evidence(fixture_dir, tmp_path):
@@ -262,3 +263,62 @@ def test_cli_analyze_triangular_junk(tmp_path, capsys):
     assert main(["--pipeline", "analyze", "--input", str(tmp_path / "junk.json")]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["canonical_form"]["num_groups"] == 2  # junk invisible to the family
+
+
+def test_cli_analyze_chi12_normal(tmp_path, capsys):
+    # The fixed point is read in closed form, so no flow step caps the bond
+    # dimension: a single normal block is inconclusive, not an error.
+    save_tensor(tmp_path / "chi12.json", random_normal_tensor(2, 12, seed=12))
+    assert main(["--pipeline", "analyze", "--input", str(tmp_path / "chi12.json")]) == 3
+    report = json.loads(capsys.readouterr().out)
+    (entry,) = report["fixed_point"]
+    lam = np.array(entry["schmidt_weights"])
+    assert lam.shape == (12,)
+    assert abs(float(np.sum(lam)) - 1.0) < 1e-12
+    assert np.all(lam > 0) and np.all(np.diff(lam) <= 0)
+
+
+def test_cli_analyze_composite_with_chi10_block(tmp_path, capsys):
+    from lrn_detect import MpsTensor, spectral, transfer_matrix
+
+    specs = [(10, 1.0), (2, -1.0), (2, 0.5)]  # the last block decays
+    dim = sum(chi for chi, _ in specs)
+    mats = np.zeros((2, dim, dim), dtype=complex)
+    off = 0
+    for k, (chi, mu) in enumerate(specs):
+        t = random_normal_tensor(2, chi, seed=40 + k)
+        t = t.scaled(mu / math.sqrt(spectral(transfer_matrix(t)).radius))
+        mats[:, off : off + chi, off : off + chi] = t.matrices
+        off += chi
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x += 2.5 * dim * np.eye(dim)
+    save_tensor(tmp_path / "comp.json",
+                MpsTensor(np.einsum("ab,ibc,cd->iad", np.linalg.inv(x), mats, x)))
+    assert main(["--pipeline", "analyze", "--input", str(tmp_path / "comp.json")]) == 3
+    report = json.loads(capsys.readouterr().out)
+    blocks = report["canonical_form"]["blocks"]
+    assert sorted(b["bond_dim"] for b in blocks) == [2, 2, 10]
+    surviving = sorted({b["group"] for b in blocks if b["surviving"]})
+    assert [e["label"] for e in report["fixed_point"]] == [f"group{g}" for g in surviving]
+    assert sorted(len(e["schmidt_weights"]) for e in report["fixed_point"]) == [2, 10]
+
+
+@pytest.mark.parametrize("name,max_eig", [("chi8", 2), ("ghz", 7)])
+def test_cli_analyze_reuses_canonical_factorizations(name, max_eig, tmp_path, monkeypatch):
+    # The fixed point is read from the blocks' normality witnesses, so
+    # analyze factorizes no matrix beyond canonical_decompose.
+    tensor = random_normal_tensor(2, 8, seed=8) if name == "chi8" else ghz_tensor()
+    save_tensor(tmp_path / "t.json", tensor)
+    calls = {"eig": 0}
+    original = np.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls["eig"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    out = tmp_path / "r.json"
+    assert main(["--pipeline", "analyze", "--input", str(tmp_path / "t.json"),
+                 "--out", str(out)]) == 3
+    assert calls["eig"] <= max_eig

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lrn_detect import (
+    MpsTensor,
     evaluate_weights,
     materialize_fixed_point,
     materialize_mps,
@@ -168,3 +169,44 @@ def test_materialize_fixed_point_rejects_mixed_dims():
     assert {b.tensor.phys_dim for b in fp.blocks} == {2, 4}
     with pytest.raises(DimensionMismatch):
         materialize_fixed_point(fp, 4)
+
+
+def _scrambled_composite(seed, specs):
+    """Block-diagonal sum of normal blocks ``(d, chi, mu)`` behind a random gauge."""
+    rng = np.random.default_rng(seed)
+    d = specs[0][0]
+    dim = sum(chi for _, chi, _ in specs)
+    mats = np.zeros((d, dim, dim), dtype=complex)
+    off = 0
+    for _, chi, mu in specs:
+        t = random_normal_tensor(d, chi, seed=int(rng.integers(2**31)))
+        t = t.scaled(mu / math.sqrt(spectral(transfer_matrix(t)).radius))
+        mats[:, off : off + chi, off : off + chi] = t.matrices
+        off += chi
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x += 2.5 * dim * np.eye(dim)
+    return MpsTensor(np.einsum("ab,ibc,cd->iad", np.linalg.inv(x), mats, x))
+
+
+_CLOSED_FORM_CASES = {
+    **{f"normal_d{d}_chi{chi}": lambda d=d, chi=chi: random_normal_tensor(
+        d, chi, seed=100 + 10 * chi + d)
+       for d, chi in [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5),
+                      (3, 5), (2, 6), (3, 6), (2, 7), (2, 8), (3, 8)]},
+    "composite_3_2_decay": lambda: _scrambled_composite(
+        5, [(2, 3, 1.0), (2, 2, 1.0), (2, 2, 0.7)]),
+    "composite_2_4_1": lambda: _scrambled_composite(
+        6, [(3, 2, 1.0), (3, 4, -1.0), (3, 1, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLOSED_FORM_CASES))
+def test_closed_form_schmidt_weights_match_flow(case):
+    # The flow is the oracle: its converged Schmidt weights are the spectrum
+    # of sqrt(L) R sqrt(L) read from each representative's normality witness.
+    fp = rg_fixed_point(_CLOSED_FORM_CASES[case]())
+    closed = fp.canonical.schmidt_weights()
+    assert list(closed) == [b.label for b in fp.blocks]
+    for b in fp.blocks:
+        assert closed[b.label].shape == b.schmidt_weights.shape
+        assert np.max(np.abs(closed[b.label] - b.schmidt_weights)) < 1e-12

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseState, apply_local_gate
+from .dense import DenseState, _apply_gates
 from .errors import GeometryMismatch
 
 _UNITARY_TOL = 1e-12
@@ -95,14 +95,12 @@ def random_brickwork(
 
 
 def apply_brickwork(psi: DenseState, circuit: BrickworkCircuit) -> DenseState:
-    """Apply the layers in order; unitarity keeps the norm."""
+    """Apply the layers in order; unitarity keeps the norm, checked once."""
     if (psi.n_sites, psi.local_dim) != (circuit.n_sites, circuit.local_dim):
         raise GeometryMismatch(
             f"circuit on {circuit.n_sites} sites of dim {circuit.local_dim} "
             f"does not match state on {psi.n_sites} of dim {psi.local_dim}"
         )
-    out = psi
-    for layer in circuit.layers:
-        for s, gate in layer:
-            out = apply_local_gate(out, gate, (s, (s + 1) % circuit.n_sites))
-    return out
+    n = circuit.n_sites
+    gates = [(gate, (s, (s + 1) % n)) for layer in circuit.layers for s, gate in layer]
+    return DenseState(n, circuit.local_dim, _apply_gates(psi, gates))

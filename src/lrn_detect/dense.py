@@ -68,8 +68,12 @@ class DenseState:
 def materialize_mps(a: MpsTensor, n: int, amp_cap: int = AMP_CAP) -> DenseState:
     """Amplitudes ``tr(A[i1] ... A[iN])``, normalized.
 
+    The ring is cut into two halves whose bond-matrix products are traced
+    against each other, so the largest intermediate holds
+    ``d**ceil(N/2) * chi**2`` entries rather than ``d**N * chi**2``.
+
     Raises:
-        SizeCap: if the amplitude count exceeds the cap.
+        SizeCap: if the amplitude count or a half's products exceed the cap.
         ZeroState: if every trace vanishes at this N.
     """
     if n < 1:
@@ -77,13 +81,26 @@ def materialize_mps(a: MpsTensor, n: int, amp_cap: int = AMP_CAP) -> DenseState:
     d, chi = a.phys_dim, a.bond_dim
     if d**n > amp_cap:
         raise SizeCap(f"{d}**{n} amplitudes exceed the cap {amp_cap}")
-    g = a.matrices
-    for _ in range(n - 1):
-        g = np.einsum("pab,jbc->pjac", g.reshape(-1, chi, chi), a.matrices).reshape(
-            -1, chi, chi
+    half = (n + 1) // 2
+    if d**half * chi * chi > amp_cap:
+        raise SizeCap(
+            f"{d}**{half} half-ring products of bond dimension {chi} exceed "
+            f"the cap {amp_cap}"
         )
-    amps = np.trace(g, axis1=1, axis2=2)
+    left, right = _word_products(a, half), _word_products(a, n - half)
+    # tr(L R) = sum_ab L[a, b] R[b, a], for every pair of half-ring words.
+    right_t = right.transpose(0, 2, 1).reshape(len(right), -1)
+    amps = left.reshape(len(left), -1) @ right_t.T
     return DenseState.from_amplitudes(amps, n, d)
+
+
+def _word_products(a: MpsTensor, k: int) -> np.ndarray:
+    """Products ``A[i1] ... A[ik]`` for every word, the first site most significant."""
+    chi = a.bond_dim
+    g = np.eye(chi, dtype=complex)[None]
+    for _ in range(k):
+        g = np.einsum("pab,jbc->pjac", g, a.matrices).reshape(-1, chi, chi)
+    return g
 
 
 def reduced_density(psi: DenseState, region, rho_cap: int = RHO_CAP) -> np.ndarray:
@@ -112,8 +129,10 @@ def von_neumann_entropy(rho: np.ndarray, floor: float = _EIG_FLOOR) -> float:
 def subsystem_entropy(psi: DenseState, region) -> float:
     """Entanglement entropy of a region of a pure state.
 
-    Computed from the singular values of the bipartition matrix of the
-    smaller side (pure states have equal entropy on both sides of a cut).
+    Computed from the eigenvalues of the reduced density ``m @ m†`` of the
+    smaller side, where ``m`` is the bipartition matrix (pure states have
+    equal entropy on both sides of a cut).  They are the squared singular
+    values of ``m``, at the cost of a small Hermitian eigenproblem.
     """
     region = tuple(sorted(set(region)))
     n, d = psi.n_sites, psi.local_dim
@@ -123,8 +142,8 @@ def subsystem_entropy(psi: DenseState, region) -> float:
         region = tuple(q for q in range(n) if q not in region)
     rest = [q for q in range(n) if q not in region]
     arr = psi.amplitudes.reshape([d] * n).transpose(list(region) + rest)
-    sv = np.linalg.svd(arr.reshape(d ** len(region), -1), compute_uv=False)
-    p = sv * sv
+    m = arr.reshape(d ** len(region), -1)
+    p = np.linalg.eigvalsh(m @ m.conj().T)
     p = p[p > _EIG_FLOOR]
     return float(-np.sum(p * np.log2(p)))
 
@@ -208,16 +227,27 @@ def flatness_check(rho_ab: np.ndarray, dim_a: int, tau: float = 1e-9) -> bool:
 
 def apply_local_gate(psi: DenseState, gate: np.ndarray, sites) -> DenseState:
     """Apply a unitary acting on the listed sites (in the given order)."""
-    sites = tuple(sites)
+    return DenseState(psi.n_sites, psi.local_dim, _apply_gates(psi, [(gate, sites)]))
+
+
+def _apply_gates(psi: DenseState, gates) -> np.ndarray:
+    """Amplitudes of ``psi`` after each ``(gate, sites)`` in turn.
+
+    The one gate loop of the dense engine.  It works on a bare array and
+    never renormalizes; callers wrap the result in one ``DenseState``,
+    whose norm check then covers the whole gate list.
+    """
     n, d = psi.n_sites, psi.local_dim
-    k = len(sites)
-    if gate.shape != (d**k, d**k):
-        raise DimensionMismatch(f"gate shape {gate.shape} does not fit {k} sites")
     arr = psi.amplitudes.reshape([d] * n)
-    arr = np.moveaxis(arr, sites, range(k))
-    arr = (gate @ arr.reshape(d**k, -1)).reshape([d] * n)
-    arr = np.moveaxis(arr, range(k), sites)
-    return DenseState(n, d, arr.reshape(-1))
+    for gate, sites in gates:
+        sites = tuple(sites)
+        k = len(sites)
+        if gate.shape != (d**k, d**k):
+            raise DimensionMismatch(f"gate shape {gate.shape} does not fit {k} sites")
+        arr = np.moveaxis(arr, sites, range(k))
+        arr = (gate @ arr.reshape(d**k, -1)).reshape([d] * n)
+        arr = np.moveaxis(arr, range(k), sites)
+    return arr.reshape(-1)
 
 
 def materialize_fixed_point(

@@ -144,13 +144,14 @@ def rg_fixed_point(
     for label, members in cf.surviving_groups().items():
         # Pre-gauge to the frame with identity left fixed point: the flow
         # then iterates a unital channel, which keeps the extracted block's
-        # conditioning from polluting the converged eigenvectors.
+        # conditioning from polluting the converged eigenvectors.  The
+        # witness's lambda2 holds for every gauge and scale, so the flow
+        # factorizes only the tensors its steps make.
         rep = members[0]
-        t = rep.tensor.gauged(rep.witness.fixed_point_gauge()[0])
-        history = []
-        s = spectral(transfer_matrix(t), tau_spec)
-        lam2 = s.subleading_modulus / s.radius
-        history.append((lam2, t.phys_dim))
+        x, lam = rep.witness.fixed_point_gauge()
+        t = rep.tensor.gauged(x)
+        lam2 = rep.witness.lambda2
+        history = [(lam2, t.phys_dim)]
         it = 0
         while lam2 >= tol:
             if it >= max_iter:
@@ -165,13 +166,16 @@ def rg_fixed_point(
             lam2 = s.subleading_modulus / s.radius
             it += 1
             history.append((lam2, t.phys_dim))
-        # CF II gauge: L = identity, R = diag(schmidt weights).
-        x, lam = normality_witness(s).fixed_point_gauge()
+        if it:
+            # CF II gauge: L = identity, R = diag(schmidt weights).  Without
+            # a step, the pre-gauge is that gauge already.
+            x, lam = normality_witness(s).fixed_point_gauge()
+            t = t.gauged(x)
         blocks.append(
             FixedPointBlock(
                 label=label,
                 schmidt_weights=lam,
-                tensor=t.gauged(x),
+                tensor=t,
                 iterations=it,
                 final_lambda2=lam2,
                 history=tuple(history),

@@ -162,12 +162,16 @@ class NormalityWitness:
     """Outcome of a normality test, truthy iff the tensor is normal.
 
     The witness carries the positive fixed points of the transfer channel
-    and of its adjoint (when they exist) and the peripheral eigenvalues.
+    and of its adjoint (when they exist), the peripheral eigenvalues and
+    ``lambda2``, the largest modulus outside the peripheral cluster relative
+    to the spectral radius (0 if there is none).  Like the verdict, they
+    hold for every gauge and positive rescaling of the tensor.
     """
 
     normal: bool
     reason: str
     peripheral: np.ndarray
+    lambda2: float
     right_fixed_point: np.ndarray | None = None
     left_fixed_point: np.ndarray | None = None
 
@@ -210,12 +214,14 @@ def normality_witness(s: SpectralData) -> NormalityWitness:
     matrix ``s`` describes, at any positive scale.
     """
     if s.radius == 0.0:
-        return NormalityWitness(False, "zero spectral radius", s.peripheral)
+        return NormalityWitness(False, "zero spectral radius", s.peripheral, 0.0)
+    lam2 = s.subleading_modulus / s.radius
     if s.multi_block:
         return NormalityWitness(
             False,
             f"{len(s.peripheral)} peripheral eigenvalues",
             s.peripheral,
+            lam2,
         )
     chi = math.isqrt(s.right_vecs.shape[0])
     tau = s.tau
@@ -224,20 +230,21 @@ def normality_witness(s: SpectralData) -> NormalityWitness:
         h = rotate_to_hermitian(vec.reshape(chi, chi))
         if h is None:
             return NormalityWitness(
-                False, "fixed point not proportional to a Hermitian matrix", s.peripheral
+                False, "fixed point not proportional to a Hermitian matrix",
+                s.peripheral, lam2,
             )
         ev = np.linalg.eigvalsh(h)
         if ev[0] < -max(tau, 1e-12) * max(abs(ev[-1]), 1.0):
-            return NormalityWitness(False, "fixed point indefinite", s.peripheral)
+            return NormalityWitness(False, "fixed point indefinite", s.peripheral, lam2)
         if ev[0] <= max(tau, 1e-12) * abs(ev[-1]):
             return NormalityWitness(
-                False, "fixed point lacks full support", s.peripheral,
+                False, "fixed point lacks full support", s.peripheral, lam2,
                 right_fixed_point=h if len(fps) == 0 else fps[0],
             )
         fps.append(h / np.trace(h).real)
     return NormalityWitness(
         True, "unique peripheral eigenvalue, full-support fixed points",
-        s.peripheral, right_fixed_point=fps[0], left_fixed_point=fps[1],
+        s.peripheral, lam2, right_fixed_point=fps[0], left_fixed_point=fps[1],
     )
 
 

@@ -43,10 +43,6 @@ _CLIFFORD_DENSE = {
 }
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 @dataclass(frozen=True)
 class PauliString:
     """One signed Pauli operator on n qubits."""
@@ -62,16 +58,16 @@ class PauliString:
     @property
     def sign_exponent(self) -> int:
         """Exponent of i in the literal IXYZ form (0 or 2 for group elements)."""
-        return (self.phase - _popcount(self.x & self.z)) % 4
+        return (self.phase - (self.x & self.z).bit_count()) % 4
 
     def mul(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise TargetOutOfRange("cannot multiply operators on different registers")
-        phase = (self.phase + other.phase + 2 * _popcount(self.z & other.x)) % 4
+        phase = (self.phase + other.phase + 2 * (self.z & other.x).bit_count()) % 4
         return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase)
 
     def commutes(self, other: "PauliString") -> bool:
-        return (_popcount(self.x & other.z) + _popcount(self.z & other.x)) % 2 == 0
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def to_text(self) -> str:
         se = self.sign_exponent
@@ -142,15 +138,14 @@ class StabilizerTableau:
             raise DependentGenerators("need exactly n generators for n qubits")
         object.__setattr__(self, "phases", tuple(p % 4 for p in self.phases))
         for p, x, z in zip(self.phases, self.xs, self.zs):
-            if (p - _popcount(x & z)) % 2 != 0:
+            if (p - (x & z).bit_count()) % 2 != 0:
                 raise DependentGenerators("generator carries an imaginary phase")
         rows = list(zip(self.xs, self.zs))
-        for i in range(self.n):
+        for i, (xi, zi) in enumerate(rows):
             for j in range(i + 1, self.n):
-                sym = _popcount(rows[i][0] & rows[j][1]) + _popcount(
-                    rows[i][1] & rows[j][0]
-                )
-                if sym % 2:
+                xj, zj = rows[j]
+                # The symplectic form's parity is that of the XOR's weight.
+                if ((xi & zj) ^ (zi & xj)).bit_count() % 2:
                     raise DependentGenerators(
                         f"generators {i} and {j} anticommute"
                     )
@@ -200,63 +195,55 @@ class StabilizerTableau:
 
     def apply_gate(self, gate: str, targets) -> "StabilizerTableau":
         """Conjugate every generator by a Clifford gate."""
-        if isinstance(targets, int):
-            targets = (targets,)
-        targets = tuple(targets)
-        for t in targets:
-            if not 0 <= t < self.n:
-                raise TargetOutOfRange(f"target {t} outside register of {self.n}")
-        if gate in _ONE_QUBIT_GATES:
-            if len(targets) != 1:
-                raise TargetOutOfRange(f"{gate} takes one target")
-        elif gate in _TWO_QUBIT_GATES:
-            if len(targets) != 2 or targets[0] == targets[1]:
-                raise TargetOutOfRange(f"{gate} takes two distinct targets")
-        else:
-            raise TargetOutOfRange(f"unknown gate {gate!r}")
-
-        xs, zs, ps = list(self.xs), list(self.zs), list(self.phases)
-        for r in range(self.n):
-            x, z, p = xs[r], zs[r], ps[r]
-            if gate == "H":
-                (q,) = targets
-                xq, zq = (x >> q) & 1, (z >> q) & 1
-                p += 2 * xq * zq
-                flip = (xq ^ zq) << q
-                x ^= flip
-                z ^= flip
-            elif gate == "S":
-                (q,) = targets
-                xq = (x >> q) & 1
-                p += xq
-                z ^= xq << q
-            elif gate == "X":
-                (q,) = targets
-                p += 2 * ((z >> q) & 1)
-            elif gate == "Z":
-                (q,) = targets
-                p += 2 * ((x >> q) & 1)
-            elif gate == "Y":
-                (q,) = targets
-                p += 2 * (((x >> q) & 1) ^ ((z >> q) & 1))
-            elif gate == "CNOT":
-                c, t = targets
-                x ^= ((x >> c) & 1) << t
-                z ^= ((z >> t) & 1) << c
-            elif gate == "CZ":
-                a, b = targets
-                xa, xb = (x >> a) & 1, (x >> b) & 1
-                p += 2 * xa * xb
-                z ^= xb << a
-                z ^= xa << b
-            xs[r], zs[r], ps[r] = x, z, p % 4
-        return StabilizerTableau(self.n, tuple(xs), tuple(zs), tuple(ps))
+        return self.apply_circuit([(gate, targets)])
 
     def apply_circuit(self, circuit) -> "StabilizerTableau":
-        t = self
-        for gate, targets in circuit:
-            t = t.apply_gate(gate, targets)
-        return t
+        """Conjugate every generator by a list of ``(gate, targets)``, in order.
+
+        Every gate is checked before any row moves.  Each generator row then
+        runs through the whole circuit as plain integers; conjugation keeps
+        the generators commuting and independent, so the result is built
+        (and validated) once.
+        """
+        ops = [_checked_gate(self.n, gate, targets) for gate, targets in circuit]
+        xs, zs, ps = [], [], []
+        for x, z, p in zip(self.xs, self.zs, self.phases):
+            for gate, targets in ops:
+                if gate == "H":
+                    (q,) = targets
+                    xq, zq = (x >> q) & 1, (z >> q) & 1
+                    p += 2 * xq * zq
+                    flip = (xq ^ zq) << q
+                    x ^= flip
+                    z ^= flip
+                elif gate == "S":
+                    (q,) = targets
+                    xq = (x >> q) & 1
+                    p += xq
+                    z ^= xq << q
+                elif gate == "X":
+                    (q,) = targets
+                    p += 2 * ((z >> q) & 1)
+                elif gate == "Z":
+                    (q,) = targets
+                    p += 2 * ((x >> q) & 1)
+                elif gate == "Y":
+                    (q,) = targets
+                    p += 2 * (((x >> q) & 1) ^ ((z >> q) & 1))
+                elif gate == "CNOT":
+                    c, t = targets
+                    x ^= ((x >> c) & 1) << t
+                    z ^= ((z >> t) & 1) << c
+                else:  # CZ
+                    a, b = targets
+                    xa, xb = (x >> a) & 1, (x >> b) & 1
+                    p += 2 * xa * xb
+                    z ^= xb << a
+                    z ^= xa << b
+            xs.append(x)
+            zs.append(z)
+            ps.append(p % 4)
+        return StabilizerTableau(self.n, tuple(xs), tuple(zs), tuple(ps))
 
     # -- canonical form ------------------------------------------------------
 
@@ -348,6 +335,30 @@ class StabilizerTableau:
             if nrm > 1e-9:
                 return v / nrm
         raise ZeroState("projector product annihilated every trial vector")
+
+
+def _checked_gate(n: int, gate: str, targets) -> tuple[str, tuple[int, ...]]:
+    """``(gate, targets)`` with the targets as a tuple, once checked.
+
+    Raises:
+        TargetOutOfRange: for a target outside the register, a wrong target
+            count or an unknown gate.
+    """
+    if isinstance(targets, int):
+        targets = (targets,)
+    targets = tuple(targets)
+    for t in targets:
+        if not 0 <= t < n:
+            raise TargetOutOfRange(f"target {t} outside register of {n}")
+    if gate in _ONE_QUBIT_GATES:
+        if len(targets) != 1:
+            raise TargetOutOfRange(f"{gate} takes one target")
+    elif gate in _TWO_QUBIT_GATES:
+        if len(targets) != 2 or targets[0] == targets[1]:
+            raise TargetOutOfRange(f"{gate} takes two distinct targets")
+    else:
+        raise TargetOutOfRange(f"unknown gate {gate!r}")
+    return gate, targets
 
 
 def _gf2_rank(rows) -> int:

@@ -1,6 +1,9 @@
 """Dense reference engine: states, entropies, distances, flatness."""
 
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from lrn_detect.families import (
     ghz_tensor,
     phase_loop_tensor,
     product_tensor,
+    random_normal_tensor,
 )
 
 
@@ -246,3 +250,94 @@ def test_qudit_brickwork_and_mi():
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-10
     mi = mutual_information(state, {0}, {3})
     assert abs(mi - binary_entropy(0.36)) < 1e-12
+
+
+def _trace_product_amplitudes(t, n):
+    """Oracle: ``tr(A[i1] ... A[iN])`` word by word, site 0 most significant."""
+    amps = []
+    for word in itertools.product(range(t.phys_dim), repeat=n):
+        m = np.eye(t.bond_dim, dtype=complex)
+        for i in word:
+            m = m @ t.matrices[i]
+        amps.append(np.trace(m))
+    return np.array(amps)
+
+
+@pytest.mark.parametrize("d,chi", [(2, 8), (3, 4)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_materialize_mps_matches_trace_products(d, chi, n):
+    t = random_normal_tensor(d, chi, seed=10 * n + d)
+    raw = _trace_product_amplitudes(t, n)
+    psi = materialize_mps(t, n)
+    assert np.max(np.abs(psi.amplitudes - raw / np.linalg.norm(raw))) < 1e-12
+
+
+def test_materialize_mps_peak_memory_is_bounded():
+    t = random_normal_tensor(2, 8, seed=5)
+    tracemalloc.start()
+    try:
+        psi = materialize_mps(t, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.amplitudes.nbytes == 2**14 * 16  # a 0.25 MiB state
+    assert peak <= 2 * 2**20
+    # The cap covers the half-ring products, not only the amplitudes.
+    with pytest.raises(SizeCap):
+        materialize_mps(t, 10, amp_cap=2**10)
+
+
+def _svd_entropy(psi, region):
+    """Oracle: entropy from the singular values of the region/rest matrix."""
+    n, d = psi.n_sites, psi.local_dim
+    rest = [q for q in range(n) if q not in region]
+    arr = psi.amplitudes.reshape([d] * n).transpose(list(region) + rest)
+    sv = np.linalg.svd(arr.reshape(d ** len(region), -1), compute_uv=False)
+    p = sv * sv
+    p = p[p > 1e-12]
+    return float(-np.sum(p * np.log2(p)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_subsystem_entropy_matches_svd_oracle(d):
+    rng = np.random.default_rng(40 + d)
+    n = 7 if d == 2 else 5
+    raw = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+    sites = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)]
+    states = {
+        "random": DenseState.from_amplitudes(raw, n, d),
+        "product": DenseState.from_amplitudes(
+            functools.reduce(np.kron, sites), n, d
+        ),
+        "ghz": dense_pattern_state(["0", str(d - 1)], [1.0, 1.0], n),
+    }
+    assert states["ghz"].local_dim == d
+    # Every proper region, so both sides of every cut.
+    for k in range(1, n):
+        for region in itertools.combinations(range(n), k):
+            for name, psi in states.items():
+                got = subsystem_entropy(psi, region)
+                assert abs(got - _svd_entropy(psi, region)) < 1e-12, (name, region)
+                if name == "ghz":
+                    assert abs(got - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])
+def test_apply_brickwork_builds_one_state(d, n, monkeypatch):
+    state = dense_pattern_state(["0", str(d - 1)], [0.6, 0.8], n)
+    circ = random_brickwork(n, 3, seed=11, local_dim=d)
+    gate_by_gate = state
+    for layer in circ.layers:
+        for s, gate in layer:
+            gate_by_gate = apply_local_gate(gate_by_gate, gate, (s, (s + 1) % n))
+    built = {"n": 0}
+    original = DenseState.__post_init__
+
+    def counted(self):
+        built["n"] += 1
+        original(self)
+
+    monkeypatch.setattr(DenseState, "__post_init__", counted)
+    out = apply_brickwork(state, circ)
+    assert built["n"] == 1
+    assert np.max(np.abs(out.amplitudes - gate_by_gate.amplitudes)) < 1e-13

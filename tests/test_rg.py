@@ -210,3 +210,31 @@ def test_closed_form_schmidt_weights_match_flow(case):
     for b in fp.blocks:
         assert closed[b.label].shape == b.schmidt_weights.shape
         assert np.max(np.abs(closed[b.label] - b.schmidt_weights)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,max_eig",
+    [("ghz", 7), ("loop_pi3", 12), ("chi4", 14)],
+)
+def test_flow_reads_first_lambda2_from_witness(name, max_eig, monkeypatch):
+    # canonical_decompose already factorized every block; the flow takes the
+    # first lambda2 from the carried witness and factorizes only the
+    # tensors its own steps produce (none for ghz and the phase loop).
+    tensor = {
+        "ghz": ghz_tensor,
+        "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
+        "chi4": lambda: random_normal_tensor(2, 4, seed=3),
+    }[name]()
+    calls = {"eig": 0}
+    original = np.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls["eig"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    fp = rg_fixed_point(tensor)
+    assert calls["eig"] <= max_eig
+    groups = fp.canonical.surviving_groups()
+    for b in fp.blocks:
+        assert b.history[0][0] == groups[b.label][0].witness.lambda2

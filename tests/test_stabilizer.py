@@ -193,3 +193,50 @@ def test_pauli_product_phases():
     zx = np.column_stack([z.mul(x).dense_apply(basis[:, j]) for j in range(2)])
     assert np.allclose(xz, -1j * CLIFFORD_DENSE["Y"])
     assert np.allclose(zx, 1j * CLIFFORD_DENSE["Y"])
+
+
+def test_apply_circuit_equals_gate_by_gate_and_dense():
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        n = int(rng.integers(3, 13))
+        circ = random_clifford_circuit(n, int(rng.integers(1, 9)), int(rng.integers(2**31)))
+        t = StabilizerTableau.zero_state(n).apply_circuit(circ)
+        folded = StabilizerTableau.zero_state(n)
+        for gate, targets in circ:
+            folded = folded.apply_circuit([(gate, targets)])
+        assert t == folded
+        psi = dense_from_circuit(n, circ)
+        for g in t.generators():
+            assert np.max(np.abs(g.dense_apply(psi.amplitudes) - psi.amplitudes)) < 1e-10
+
+
+def test_apply_circuit_validates_the_result_once(monkeypatch):
+    calls = {"n": 0}
+    original = StabilizerTableau.__post_init__
+
+    def counted(self):
+        calls["n"] += 1
+        original(self)
+
+    start = StabilizerTableau.zero_state(10)
+    monkeypatch.setattr(StabilizerTableau, "__post_init__", counted)
+    circ = random_clifford_circuit(10, 12, seed=5)
+    assert len(circ) > 100
+    start.apply_circuit(circ)
+    assert calls["n"] <= 1
+    calls["n"] = 0
+    start.apply_gate("H", 3)
+    assert calls["n"] <= 1
+
+
+@pytest.mark.parametrize("position", [0, 7, -1])
+@pytest.mark.parametrize(
+    "bad",
+    [("H", (5,)), ("H", (-1,)), ("CNOT", (1, 1)), ("CZ", (0,)), ("S", (0, 1)), ("Q", (0,))],
+)
+def test_apply_circuit_rejects_a_bad_gate_anywhere(bad, position):
+    circ = random_clifford_circuit(4, 4, seed=9)
+    assert len(circ) > 8
+    circ.insert(position if position >= 0 else len(circ), bad)
+    with pytest.raises(TargetOutOfRange):
+        StabilizerTableau.zero_state(4).apply_circuit(circ)

@@ -188,39 +188,40 @@ def _build_channel(gates, key: str, p: Partition, d: int, depth: int) -> Boundar
 def apply_reduction(red: CausalConeReduction, psi: DenseState) -> np.ndarray:
     """Evaluate the channel formula on the input state.
 
-    Applies each boundary channel Kraus-branch-wise to the pure input,
-    then traces everything outside A u B.  Returns the density matrix on
-    the sites ``partition.a + partition.b`` in that order.
+    Carries every Kraus branch of the pure input as one row of a stacked
+    array: each boundary channel multiplies its whole Kraus stack into
+    every branch with one matmul, and one Gram product over all branches
+    traces everything outside A u B.  Returns the density matrix on the
+    sites ``partition.a + partition.b`` in that order.
     """
     p = red.partition
     n, d = psi.n_sites, psi.local_dim
     if (n, d) != (red.circuit.n_sites, red.circuit.local_dim):
         raise GeometryMismatch("state does not match the reduction geometry")
     sites = list(range(n))
-    branches = [psi.amplitudes.copy()]
+    branches = psi.amplitudes.reshape(1, -1)  # (branch, amplitudes on ``sites``)
     for key in ("a_left", "a_right", "b_left", "b_right"):
         ch = red.channels[key]
         if ch is None:
             continue
-        in_pos = [sites.index(q) for q in ch.input_sites]
         rest_sites = [q for q in sites if q not in ch.input_sites]
-        w = len(ch.input_sites)
-        k_out = len(ch.output_sites)
-        new_branches = []
-        for arr in branches:
-            t = arr.reshape([d] * len(sites))
-            t = np.moveaxis(t, in_pos, range(w)).reshape(d**w, -1)
-            for kmat in ch.kraus:
-                new_branches.append((kmat @ t).reshape(-1))
+        kraus = np.stack(ch.kraus)
+        n_kraus, dim_out, dim_in = kraus.shape
+        # (wedge, branch, rest) columns, so one matmul serves every branch.
+        cols = _site_major(branches, sites, ch.input_sites, d).reshape(dim_in, -1)
+        out = kraus.reshape(-1, dim_in) @ cols
+        out = out.reshape(n_kraus, dim_out, len(branches), -1).transpose(2, 0, 1, 3)
+        branches = out.reshape(len(branches) * n_kraus, -1)
         sites = list(ch.output_sites) + rest_sites
-        branches = new_branches
 
     target = list(p.a) + list(p.b)
-    pos = [sites.index(q) for q in target]
-    dim_ab = d ** len(target)
-    sigma = np.zeros((dim_ab, dim_ab), dtype=complex)
-    for arr in branches:
-        t = arr.reshape([d] * len(sites))
-        m = np.moveaxis(t, pos, range(len(target))).reshape(dim_ab, -1)
-        sigma += m @ m.conj().T
-    return sigma
+    m = _site_major(branches, sites, target, d).reshape(d ** len(target), -1)
+    return m @ m.conj().T
+
+
+def _site_major(branches: np.ndarray, sites, lead, d: int) -> np.ndarray:
+    """``branches`` as a ``(lead sites, branch, other sites)`` tensor."""
+    t = branches.reshape([branches.shape[0]] + [d] * len(sites))
+    lead_axes = [1 + sites.index(q) for q in lead]
+    rest_axes = [1 + i for i, q in enumerate(sites) if q not in lead]
+    return t.transpose(lead_axes + [0] + rest_axes)

@@ -14,7 +14,9 @@ Exit codes for verdict pipelines: 0 when long-range nonstabilizerness is
 certified, 2 when only the exact-SRN exclusion fires, 3 when
 inconclusive, 1 on errors.  All randomness flows from ``--seed``;
 identical requests produce byte-identical reports.  Reports go to stdout
-or ``--out``; stderr carries diagnostics only.
+or ``--out``; stderr carries diagnostics only: an error is one JSON object
+with its type, message and diagnostic payload (spectrum, singular values
+or last residual, when the error carries one).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .dense import (
 )
 from .errors import LrnDetectError, NonDiagonalizablePeripheral
 from .exact import ExactWeight
-from .experiments import fixed_point_invariance_experiment, invariance_experiment
+from .experiments import _fixed_point_sweep, _invariance_sweep
 from .io import dump_report, load_tensor, rows_to_csv
 from .partition import build_partition
 from .rg import rg_fixed_point
@@ -285,24 +287,22 @@ def _verify_invariance(seed: int, seeds_per_fixture: int, depth: int) -> dict:
     fixtures = [("ghz_half", families.ghz_tensor())]
     if depth == 1:
         fixtures.append(("phase_loop_pi3", families.phase_loop_tensor(math.pi / 3)))
+    seeds = range(seed, seed + seeds_per_fixture)
     results = []
     for name, tensor in fixtures:
-        fp = rg_fixed_point(tensor)
-        for s in range(seed, seed + seeds_per_fixture):
-            rep = fixed_point_invariance_experiment(fp, n, depth, s)
-            results.append({"fixture": name, "seed": s, **rep.to_json()})
+        for rep in _fixed_point_sweep(rg_fixed_point(tensor), n, depth, seeds):
+            results.append({"fixture": name, "seed": rep.seed, **rep.to_json()})
     if depth == 1:
         t_star = families.counterexample_t_star()
         probs = families.counterexample_probs(t_star)
         state = families.dense_pattern_state(
             ["00", "01", "10", "11"], np.sqrt(probs), n
         )
-        for k in range(seeds_per_fixture):
-            part = build_partition(n, depth)
-            circ = random_brickwork(n, depth, seed + k)
-            rep = invariance_experiment(state, probs, part, circ, seed=seed + k)
+        part = build_partition(n, depth)
+        circuits = ((s, random_brickwork(n, depth, s)) for s in seeds)
+        for rep in _invariance_sweep(state, probs, part, circuits):
             results.append(
-                {"fixture": "four_component", "seed": seed + k, **rep.to_json()}
+                {"fixture": "four_component", "seed": rep.seed, **rep.to_json()}
             )
     passed = all(r["passed"] for r in results)
     out = {"suite": "invariance", "passed": passed, "depth": depth, "cases": results}
@@ -414,6 +414,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Diagnostic attributes an error may carry (spectra, singular values,
+# residuals); each one that is set goes into the stderr payload.
+_PAYLOAD_FIELDS = ("spectrum", "singular_values", "last_residual")
+
+
+def _error_json(exc: Exception) -> dict:
+    """One stderr object: error type, message and diagnostic payload."""
+    payload = {
+        name: _json_value(getattr(exc, name))
+        for name in _PAYLOAD_FIELDS
+        if getattr(exc, name, None) is not None
+    }
+    return {"error": type(exc).__name__, "message": str(exc), "payload": payload}
+
+
+def _json_value(x):
+    """Arrays become lists, complex numbers ``{re, im}``, non-finite floats strings."""
+    if isinstance(x, np.ndarray):
+        return [_json_value(v) for v in x]
+    if isinstance(x, (complex, np.complexfloating)):
+        return {"re": _json_value(x.real), "im": _json_value(x.imag)}
+    x = float(x)
+    return x if math.isfinite(x) else str(x)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -431,7 +456,7 @@ def main(argv=None) -> int:
         )
         return _COMMANDS[req.pipeline](req)
     except (LrnDetectError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(json.dumps(_error_json(exc)), file=sys.stderr)
         return _EXIT_ERROR
 
 

@@ -52,16 +52,24 @@ def shannon_entropy(p, tol_norm: float = 1e-9) -> float:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise NotNormalized("probability vector must be one-dimensional and nonempty")
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    return float(_entropies(arr, tol_norm))
+
+
+def _entropies(p: np.ndarray, tol_norm: float = 1e-9) -> np.ndarray:
+    """Base-2 Shannon entropy of each row of ``p``, after the same checks."""
+    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
         raise NotNormalized("probabilities must lie in [0, 1]")
-    if abs(float(np.sum(arr)) - 1.0) > tol_norm:
-        raise NotNormalized(f"probabilities sum to {float(np.sum(arr))}, not 1")
-    pos = arr[arr > 0.0]
-    return float(-np.sum(pos * np.log2(pos)))
+    sums = np.sum(p, axis=-1)
+    off = np.abs(sums - 1.0) > tol_norm
+    if np.any(off):
+        raise NotNormalized(f"probabilities sum to {float(sums[off].flat[0])}, not 1")
+    logs = np.log2(np.where(p > 0.0, p, 1.0))  # log 1 = 0 drops the empty entries
+    return -np.sum(p * logs, axis=-1)
 
 
-def _integer_distance(h: float) -> float:
-    return abs(h - round(h))
+def _integer_distance(h: np.ndarray) -> np.ndarray:
+    """Elementwise distance to the nearest integer."""
+    return np.abs(h - np.round(h))
 
 
 def lrn_entropy_check(
@@ -103,12 +111,14 @@ def lrn_entropy_check(
             s = math.lcm(s, f.denominator)
 
     if s is not None and s <= _MAX_PERIOD:
-        classes = []
-        for r in range(s):
-            n_rep = r if r >= 1 else s
-            h = shannon_entropy(evaluate_weights(w, n_rep))
-            classes.append({"residue": r, "n": n_rep, "entropy": h,
-                            "distance": _integer_distance(h)})
+        reps = np.arange(s)
+        reps[0] = s  # residue 0 is represented by N = s
+        h = _entropies(evaluate_weights(w, reps))
+        rows = zip(reps.tolist(), h.tolist(), _integer_distance(h).tolist())
+        classes = [
+            {"residue": r, "n": n_rep, "entropy": e, "distance": d}
+            for r, (n_rep, e, d) in enumerate(rows)
+        ]
         min_dist = min(c["distance"] for c in classes)
         best = max(classes, key=lambda c: c["distance"])
         evidence = {
@@ -130,25 +140,19 @@ def lrn_entropy_check(
     lo, hi = n_window
     if lo < 1 or hi < lo:
         raise OutOfRange("invalid evaluation window")
-    h_inf, h_sup = math.inf, -math.inf
-    min_dist = math.inf
-    first_fail = None
-    for n in range(lo, hi + 1):
-        h = shannon_entropy(evaluate_weights(w, n))
-        h_inf, h_sup = min(h_inf, h), max(h_sup, h)
-        d = _integer_distance(h)
-        if d < min_dist:
-            min_dist = d
-        if d <= tau_int and first_fail is None:
-            first_fail = n
+    ns = np.arange(lo, hi + 1)
+    h = _entropies(evaluate_weights(w, ns))
+    dist = _integer_distance(h)
+    min_dist = float(np.min(dist))
     evidence.update({
         "window": [lo, hi],
-        "entropy_inf": h_inf,
-        "entropy_sup": h_sup,
+        "entropy_inf": float(np.min(h)),
+        "entropy_sup": float(np.max(h)),
         "min_distance": min_dist,
     })
-    if first_fail is not None:
-        evidence["first_integer_hit_n"] = first_fail
+    hits = np.flatnonzero(dist <= tau_int)
+    if hits.size:
+        evidence["first_integer_hit_n"] = int(ns[hits[0]])
     certified = s is None and min_dist > tau_int
     return Verdict(status=LRN_CERTIFIED if certified else INCONCLUSIVE, evidence=evidence)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 
 from .errors import (
     BadFactorization,
@@ -240,13 +241,14 @@ def _apply_gates(psi: DenseState, gates) -> np.ndarray:
     n, d = psi.n_sites, psi.local_dim
     arr = psi.amplitudes.reshape([d] * n)
     for gate, sites in gates:
-        sites = tuple(sites)
+        sites = normalize_axis_tuple(tuple(sites), n)  # as np.moveaxis reads them
         k = len(sites)
         if gate.shape != (d**k, d**k):
             raise DimensionMismatch(f"gate shape {gate.shape} does not fit {k} sites")
-        arr = np.moveaxis(arr, sites, range(k))
-        arr = (gate @ arr.reshape(d**k, -1)).reshape([d] * n)
-        arr = np.moveaxis(arr, range(k), sites)
+        # The targets lead, so the matmul reads one contiguous (d**k, rest) block.
+        perm = list(sites) + [q for q in range(n) if q not in sites]
+        arr = (gate @ arr.transpose(perm).reshape(d**k, -1)).reshape([d] * n)
+        arr = arr.transpose(np.argsort(perm))
     return arr.reshape(-1)
 
 

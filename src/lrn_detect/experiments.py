@@ -61,20 +61,7 @@ def invariance_experiment(
     tol: float = 1e-8,
 ) -> InvarianceReport:
     """Compare I(A:B) before and after a circuit with the weight entropy."""
-    before = mutual_information(state, partition.a, partition.b)
-    evolved = apply_brickwork(state, circuit)
-    after = mutual_information(evolved, partition.a, partition.b)
-    h = shannon_entropy(np.asarray(probs, dtype=float))
-    return InvarianceReport(
-        before=before,
-        after=after,
-        shannon=h,
-        n_sites=state.n_sites,
-        depth=circuit.depth,
-        seed=seed,
-        partition=partition,
-        tolerance=tol,
-    )
+    return _invariance_sweep(state, probs, partition, [(seed, circuit)], tol)[0]
 
 
 def fixed_point_invariance_experiment(
@@ -90,8 +77,46 @@ def fixed_point_invariance_experiment(
     circuit's layer alignment is drawn from the seed so sweeps cover both
     brick offsets.
     """
+    return _fixed_point_sweep(f, n, depth, [seed], tol)[0]
+
+
+def _fixed_point_sweep(
+    f: FixedPointState, n: int, depth: int, seeds, tol: float = 1e-8
+) -> list[InvarianceReport]:
+    """``fixed_point_invariance_experiment`` for each seed, one state for all."""
     state = materialize_fixed_point(f, n)
     probs = evaluate_weights(f.weights, n)
     partition = build_partition(n, depth)
-    circuit = random_brickwork(n, depth, seed, local_dim=state.local_dim)
-    return invariance_experiment(state, probs, partition, circuit, seed=seed, tol=tol)
+    circuits = (
+        (s, random_brickwork(n, depth, s, local_dim=state.local_dim)) for s in seeds
+    )
+    return _invariance_sweep(state, probs, partition, circuits, tol)
+
+
+def _invariance_sweep(
+    state: DenseState, probs, partition: Partition, circuits, tol: float = 1e-8
+) -> list[InvarianceReport]:
+    """One report per ``(seed, circuit)`` pair.
+
+    ``before`` and the weight entropy depend on the state and the
+    partition only, so they are computed once; each circuit costs one
+    evolution and one ``after``.
+    """
+    before = mutual_information(state, partition.a, partition.b)
+    h = shannon_entropy(np.asarray(probs, dtype=float))
+    reports = []
+    for seed, circuit in circuits:
+        evolved = apply_brickwork(state, circuit)
+        reports.append(
+            InvarianceReport(
+                before=before,
+                after=mutual_information(evolved, partition.a, partition.b),
+                shannon=h,
+                n_sites=state.n_sites,
+                depth=circuit.depth,
+                seed=seed,
+                partition=partition,
+                tolerance=tol,
+            )
+        )
+    return reports

@@ -8,7 +8,6 @@ ratio criteria.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -55,17 +54,23 @@ class WeightSpectrum:
     def num_blocks(self) -> int:
         return len(self.terms)
 
-    def amplitudes(self, n: int) -> np.ndarray:
-        """Unnormalized alpha_k(N)."""
-        if n < 1:
+    def amplitudes(self, n) -> np.ndarray:
+        """Unnormalized alpha_k(N); an array of sizes gives one row per size.
+
+        Each term ``c * exp(i*phi*N)`` is formed and summed component by
+        component, in the same order and roundings as scalar complex
+        arithmetic, so a size gives the same bits alone or in a sweep.
+        """
+        ns = np.asarray(n)
+        if np.any(ns < 1):
             raise ValueError("system size must be >= 1")
-        return np.array(
-            [
-                sum(c * cmath.exp(1j * p * n) for c, p in block)
-                for block in self.terms
-            ],
-            dtype=complex,
-        )
+        out = np.zeros(ns.shape + (self.num_blocks,), dtype=complex)
+        for k, block in enumerate(self.terms):
+            for c, p in block:
+                e = np.exp(1j * p * ns)
+                out[..., k].real += c.real * e.real - c.imag * e.imag
+                out[..., k].imag += c.real * e.imag + c.imag * e.real
+        return out
 
     def phases(self) -> list[float]:
         return [p for block in self.terms for _, p in block]
@@ -93,18 +98,22 @@ class WeightSpectrum:
         return WeightSpectrum(terms=terms, labels=tuple(obj.get("labels", ())))
 
 
-def evaluate_weights(w: WeightSpectrum, n: int) -> np.ndarray:
+def evaluate_weights(w: WeightSpectrum, n) -> np.ndarray:
     """Probabilities p_k(N), normalizing by the root-sum-square of weights.
 
-    Blocks whose weight vanishes at this N are retained with p = 0.
+    ``n`` is one system size or an array of them (one row of
+    probabilities per size).  Blocks whose weight vanishes at an N are
+    retained with p = 0.
 
     Raises:
-        DegenerateNormalization: if every weight vanishes at this N.
+        DegenerateNormalization: at the first N where every weight vanishes.
     """
-    alpha = w.amplitudes(n)
-    c_sq = float(np.sum(np.abs(alpha) ** 2))
-    if math.sqrt(c_sq) < _NORM_FLOOR:
+    mod_sq = np.abs(w.amplitudes(n)) ** 2
+    c_sq = np.sum(mod_sq, axis=-1, keepdims=True)
+    vanishing = np.sqrt(c_sq) < _NORM_FLOOR
+    if np.any(vanishing):
+        first = np.asarray(n).reshape(-1)[np.argmax(vanishing.reshape(-1))]
         raise DegenerateNormalization(
-            f"all block weights vanish at N={n}; the family has no state there"
+            f"all block weights vanish at N={first}; the family has no state there"
         )
-    return np.abs(alpha) ** 2 / c_sq
+    return mod_sq / c_sq

@@ -1,5 +1,6 @@
 """Entropy criterion, ratio criterion, family classification, counting."""
 
+import cmath
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from lrn_detect import (
     LRN_CERTIFIED,
     ExactWeight,
     WeightSpectrum,
+    evaluate_weights,
     ghz_classify,
     lrn_entropy_check,
     shannon_entropy,
@@ -223,3 +225,58 @@ def test_entropy_check_mixed_phases_uses_window():
     )
     v = lrn_entropy_check(w, n_window=(40, 80))
     assert v.evidence["mode"] == "incommensurate"
+
+
+def _scalar_entropy(w, n):
+    """Reference: weights and entropy at one size in plain Python arithmetic."""
+    alpha = [sum(c * cmath.exp(1j * p * n) for c, p in block) for block in w.terms]
+    mod_sq = [abs(a) ** 2 for a in alpha]
+    probs = [m / sum(mod_sq) for m in mod_sq]
+    return -sum(p * math.log2(p) for p in probs if p > 0.0)
+
+
+def test_entropy_sweeps_match_per_size_reference():
+    # Both sweeps (every residue class, and the window) evaluate all sizes in
+    # one array pass; each entry must match a size-by-size evaluation.
+    rng = np.random.default_rng(17)
+    for trial in range(12):
+        blocks = []
+        for _ in range(int(rng.integers(2, 6))):
+            terms = []
+            for _ in range(int(rng.integers(1, 4))):
+                c = complex(rng.standard_normal(), rng.standard_normal())
+                if trial % 2:
+                    phase = float(rng.uniform(-math.pi, math.pi))
+                else:
+                    q = int(rng.integers(2, 30))
+                    phase = 2 * math.pi * int(rng.integers(1, q)) / q
+                terms.append((c, phase))
+            blocks.append(tuple(terms))
+        w = WeightSpectrum(terms=tuple(blocks))
+        v = lrn_entropy_check(w, n_window=(300, 700))
+        if v.evidence["mode"] == "commensurate":
+            for c in v.evidence["classes"]:
+                ref = _scalar_entropy(w, c["n"])
+                assert abs(c["entropy"] - ref) <= 1e-14
+                assert c["n"] == (c["residue"] or v.evidence["period"])
+            assert len(v.evidence["classes"]) == v.evidence["period"]
+        else:
+            ref = [_scalar_entropy(w, n) for n in range(300, 701)]
+            assert abs(v.evidence["entropy_inf"] - min(ref)) <= 1e-14
+            assert abs(v.evidence["entropy_sup"] - max(ref)) <= 1e-14
+            dist = [abs(h - round(h)) for h in ref]
+            assert abs(v.evidence["min_distance"] - min(dist)) <= 1e-14
+            hits = [n for n, d in zip(range(300, 701), dist) if d <= 1e-6]
+            assert v.evidence.get("first_integer_hit_n") == (hits[0] if hits else None)
+
+
+def test_weight_sweep_names_the_first_vanishing_size():
+    w = WeightSpectrum(terms=(((1.0, 0.0), (1.0, math.pi)), ((0.0, 0.0),)))
+    with pytest.raises(DegenerateNormalization, match="at N=1;"):
+        lrn_entropy_check(w)  # residues are visited as N = 2, 1
+    with pytest.raises(DegenerateNormalization, match="at N=3;"):
+        evaluate_weights(w, np.array([4, 6, 3, 5]))
+    rows = evaluate_weights(w, np.array([2, 4, 6]))
+    assert rows.shape == (3, 2)
+    for n, row in zip((2, 4, 6), rows):
+        assert np.array_equal(row, evaluate_weights(w, n))

@@ -26,8 +26,11 @@ from lrn_detect import (
     von_neumann_entropy,
 )
 from lrn_detect.circuits import BrickworkCircuit
+from lrn_detect.circuits import haar_gate
+from lrn_detect.dense import _apply_gates
 from lrn_detect.errors import (
     BadFactorization,
+    DimensionMismatch,
     GeometryMismatch,
     NotPSD,
     SizeCap,
@@ -341,3 +344,46 @@ def test_apply_brickwork_builds_one_state(d, n, monkeypatch):
     out = apply_brickwork(state, circ)
     assert built["n"] == 1
     assert np.max(np.abs(out.amplitudes - gate_by_gate.amplitudes)) < 1e-13
+
+
+def _embedded_unitary(gate, sites, n, d):
+    """``gate ⊗ 1`` on ``sites`` (in their order) as a d**n matrix.
+
+    The Kronecker product acts in the basis ordered (sites, rest); the
+    natural basis index of every digit string is relabelled into it.
+    """
+    rest = [q for q in range(n) if q not in sites]
+    full = np.kron(gate, np.eye(d ** len(rest)))
+    digits = np.array(list(itertools.product(range(d), repeat=n)))
+    idx = digits[:, list(sites) + rest] @ (d ** np.arange(n - 1, -1, -1))
+    return full[np.ix_(idx, idx)]
+
+
+@pytest.mark.parametrize("d,n,targets", [
+    (2, 5, [(0, 3), (3, 1), (4, 0), (1, 4, 2), (2,), (4, 3, 0)]),
+    (3, 4, [(0, 2), (3, 1), (2, 0, 3), (1,), (3, 0)]),
+])
+def test_gate_loop_matches_kronecker_embedding(d, n, targets):
+    rng = np.random.default_rng(10 * d + n)
+    raw = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+    psi = DenseState.from_amplitudes(raw, n, d)
+    gates = [(haar_gate(d ** len(t), rng), t) for t in targets]
+    expect = psi.amplitudes
+    step = psi
+    for gate, t in gates:
+        expect = _embedded_unitary(gate, t, n, d) @ expect
+        step = apply_local_gate(step, gate, t)
+        assert np.max(np.abs(step.amplitudes - expect)) < 1e-13, t
+    # The whole list in one loop: intermediate layouts stay permuted views.
+    assert np.max(np.abs(_apply_gates(psi, gates) - expect)) < 1e-13
+    # Targets are read as numpy reads axes: negative ones count from the end.
+    gate = gates[0][0]
+    assert np.array_equal(apply_local_gate(psi, gate, (-1, 0)).amplitudes,
+                          apply_local_gate(psi, gate, (n - 1, 0)).amplitudes)
+    for bad in [(0, n), (1, 1)]:
+        with pytest.raises(ValueError):
+            apply_local_gate(psi, gate, bad)
+    with pytest.raises(DimensionMismatch):
+        apply_local_gate(psi, np.eye(d**2), (0, 1, 2))
+    with pytest.raises(DimensionMismatch):
+        _apply_gates(psi, [(np.eye(d**2), (0, 1)), (np.eye(d), (0, 1))])

@@ -75,3 +75,47 @@ def test_report_json_fields():
     obj = rep.to_json()
     assert set(obj) == {"before", "after", "shannon", "partition", "seed", "depth", "passed"}
     assert obj["depth"] == 1 and obj["seed"] == 2
+
+
+def test_invariance_sweep_matches_single_seed_experiments():
+    # The sweep shares the state, the partition and ``before`` across seeds;
+    # every per-seed report must still equal the single-seed experiment.
+    from lrn_detect.experiments import _fixed_point_sweep, _invariance_sweep
+
+    for tensor in (ghz_tensor(), phase_loop_tensor(math.pi / 3)):
+        fp = rg_fixed_point(tensor)
+        seeds = [4, 5, 6, 7]
+        swept = _fixed_point_sweep(fp, 16, 1, seeds)
+        assert [rep.seed for rep in swept] == seeds
+        for rep in swept:
+            assert rep == fixed_point_invariance_experiment(fp, 16, 1, rep.seed)
+    probs = counterexample_probs(counterexample_t_star())
+    state = dense_pattern_state(["00", "01", "10", "11"], np.sqrt(probs), 16)
+    part = build_partition(16, 1)
+    circuits = [(s, random_brickwork(16, 1, s)) for s in (0, 1, 2)]
+    swept = _invariance_sweep(state, probs, part, circuits)
+    for (s, circ), rep in zip(circuits, swept):
+        assert rep == invariance_experiment(state, probs, part, circ, seed=s)
+
+
+def test_cli_verify_builds_each_fixture_state_once(monkeypatch, capsys):
+    # Default verify: two fixed-point fixtures and the four-component state,
+    # five seeds each.  One state and one ``before`` per fixture, one
+    # ``after`` per seed: 2 materializations and 3 * (1 + 5) = 18 I(A:B).
+    from lrn_detect import cli, experiments
+
+    calls = {"materialize": 0, "mi": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "materialize_fixed_point",
+                        counted("materialize", experiments.materialize_fixed_point))
+    monkeypatch.setattr(experiments, "mutual_information",
+                        counted("mi", experiments.mutual_information))
+    assert cli.main(["--pipeline", "verify"]) == 0
+    assert calls == {"materialize": 2, "mi": 18}
+    capsys.readouterr()

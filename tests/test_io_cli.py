@@ -8,6 +8,12 @@ import pytest
 
 from lrn_detect import ExactWeight
 from lrn_detect.cli import main
+from lrn_detect.errors import (
+    ConvergenceFailure,
+    DecompositionFailure,
+    NonDiagonalizablePeripheral,
+    RankTolerance,
+)
 from lrn_detect.families import (
     counterexample_exact_weights,
     counterexample_tensor,
@@ -322,3 +328,42 @@ def test_cli_analyze_reuses_canonical_factorizations(name, max_eig, tmp_path, mo
     assert main(["--pipeline", "analyze", "--input", str(tmp_path / "t.json"),
                  "--out", str(out)]) == 3
     assert calls["eig"] <= max_eig
+
+
+@pytest.mark.parametrize("make_error,field,expect", [
+    (lambda: DecompositionFailure("split failed", spectrum=np.array([1.0, 0.5j])),
+     "spectrum", [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.5}]),
+    (lambda: NonDiagonalizablePeripheral("defective", spectrum=np.array([1.0 + 0j, -1.0])),
+     "spectrum", [{"re": 1.0, "im": 0.0}, {"re": -1.0, "im": 0.0}]),
+    (lambda: RankTolerance("clustered", singular_values=np.array([1.0, 1e-5])),
+     "singular_values", [1.0, 1e-5]),
+    (lambda: ConvergenceFailure("stuck", last_residual=np.float64(0.25)),
+     "last_residual", 0.25),
+])
+def test_cli_error_payload_on_stderr(make_error, field, expect, fixture_dir, tmp_path,
+                                     monkeypatch, capsys):
+    # No fixture reaches these failures through the CLI, so the decomposition
+    # is made to raise; the diagnostics must reach stderr as one JSON object.
+    from lrn_detect import cli
+
+    exc = make_error()
+
+    def failing(tensor):
+        raise exc
+
+    monkeypatch.setattr(cli, "canonical_decompose", failing)
+    out = tmp_path / "r.json"
+    assert main(["--pipeline", "analyze", "--input", str(fixture_dir / "ghz.json"),
+                 "--out", str(out)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == "" and not out.exists()
+    err = json.loads(streams.err)
+    assert err == {"error": type(exc).__name__, "message": str(exc),
+                   "payload": {field: expect}}
+
+
+def test_cli_error_without_payload_is_json(capsys):
+    assert main(["--pipeline", "ghz"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "LrnDetectError",
+                   "message": "pipeline 'ghz' requires --input", "payload": {}}

@@ -14,8 +14,9 @@ from lrn_detect import (
     reduced_density,
 )
 from lrn_detect.circuits import BrickworkCircuit
-from lrn_detect.errors import PartitionTooSmall
+from lrn_detect.errors import GeometryMismatch, PartitionTooSmall
 from lrn_detect.families import dense_pattern_state
+from lrn_detect.dense import DenseState
 from lrn_detect.partition import Partition
 
 
@@ -139,3 +140,51 @@ def test_wrapped_partition_channel_formula(start, seed):
     assert np.linalg.norm(sigma - u @ rho_ab @ u.conj().T) < 1e-10
     for ch in red.channel_list():
         assert ch.cptp_defect() < 1e-12
+
+
+def _reduction_branch_by_branch(red, psi):
+    """Reference: each Kraus operator applied to each branch in turn."""
+    p, n, d = red.partition, psi.n_sites, psi.local_dim
+    sites, branches = list(range(n)), [psi.amplitudes]
+    for key in ("a_left", "a_right", "b_left", "b_right"):
+        ch = red.channels[key]
+        if ch is None:
+            continue
+        w = len(ch.input_sites)
+        in_pos = [sites.index(q) for q in ch.input_sites]
+        new = []
+        for arr in branches:
+            t = np.moveaxis(arr.reshape([d] * len(sites)), in_pos, range(w))
+            t = t.reshape(d**w, -1)
+            new.extend((k @ t).reshape(-1) for k in ch.kraus)
+        sites = list(ch.output_sites) + [q for q in sites if q not in ch.input_sites]
+        branches = new
+    target = list(p.a) + list(p.b)
+    pos = [sites.index(q) for q in target]
+    dim = d ** len(target)
+    sigma = np.zeros((dim, dim), dtype=complex)
+    for arr in branches:
+        m = np.moveaxis(arr.reshape([d] * len(sites)), pos, range(len(target)))
+        m = m.reshape(dim, -1)
+        sigma += m @ m.conj().T
+    return sigma
+
+
+@pytest.mark.parametrize("start", [0, 13])
+def test_stacked_reduction_matches_branch_by_branch(start):
+    p = build_partition(16, 1, start=start)
+    rng = np.random.default_rng(start)
+    psi = DenseState.from_amplitudes(
+        rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16), 16, 2
+    )
+    channel_counts = set()
+    for seed in range(10):
+        red = causal_cone_reduce(random_brickwork(16, 1, seed), p)
+        channel_counts.add(len(red.channel_list()))
+        sigma = apply_reduction(red, psi)
+        assert np.max(np.abs(sigma - _reduction_branch_by_branch(red, psi))) <= 1e-14
+        for ch in red.channel_list():
+            assert ch.cptp_defect() < 1e-12
+    assert channel_counts == {0, 4}  # some seeds align with the partition
+    with pytest.raises(GeometryMismatch):
+        apply_reduction(red, dense_pattern_state(["0", "1"], [0.6, 0.8], 12))

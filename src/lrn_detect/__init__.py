@@ -6,10 +6,10 @@ decomposed into weighted normal blocks, whose coarse-graining fixed point
 (Schmidt weights of its entangled pairs) is read in closed form from the
 blocks' transfer fixed points, and the resulting weight spectrum is fed to
 an entropy criterion (sufficient for long-range magic) and a weight-ratio
-criterion (necessary for exact short-range magic).  The iterated RG flow
-(``rg_fixed_point``) yields the converged tensors and serves as an oracle
-for the closed form.  Exact stabilizer and dense engines verify the
-supporting facts on small instances.
+criterion (necessary for exact short-range magic).  ``rg_fixed_point``
+builds the fixed-point tensors in closed form as well; the iterated RG
+flow (``rg_step``) is the tests' oracle for both.  Exact stabilizer and
+dense engines verify the supporting facts on small instances.
 """
 
 from .canonical import (

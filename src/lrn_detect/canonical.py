@@ -34,6 +34,7 @@ from .errors import (
 from .spectral import (
     DEFAULT_TAU_SPEC,
     NormalityWitness,
+    SpectralData,
     is_normal,
     normality_witness,
     spectral,
@@ -160,12 +161,15 @@ class CanonicalForm:
     bond-space change of basis to block-diagonal form when the split is
     exact, None when triangular junk had to be discarded.  Blocks sharing
     a ``group`` are gauge-equivalent and generate a common state family.
+    ``input_spectral`` is the SpectralData of the input's own transfer
+    matrix, None when its peripheral space is defective.
     """
 
     blocks: tuple[CanonicalBlock, ...]
     blocking: int
     gauge: np.ndarray | None
     input_tensor: MpsTensor = field(repr=False)
+    input_spectral: SpectralData | None = field(repr=False)
 
     @property
     def num_groups(self) -> int:
@@ -198,8 +202,9 @@ class CanonicalForm:
         The fixed point of a normal block is a product of entangled pairs
         whose Schmidt weights are fixed by the block's transfer fixed points
         (the spectrum of ``sqrt(L) R sqrt(L)``), so they are read in closed
-        form from each representative's normality witness; ``rg_fixed_point``
-        iterates the flow to the same values.
+        form from each representative's normality witness.  ``rg_fixed_point``
+        builds the fixed-point tensors from them; the tests iterate the flow
+        as their oracle.
         """
         return {
             label: members[0].witness.fixed_point_gauge()[1]
@@ -439,8 +444,11 @@ def canonical_decompose(
     """
     q = 1
     current = a
+    input_spectral = None
     for _ in range(q_max + 1):
         spec = _spectrum(current, tau_spec)
+        if q == 1:
+            input_spectral = spec[1]
         radius = float(abs(spec[0][0]))
         if radius < 1e-24:
             raise DecompositionFailure("tensor generates the zero family")
@@ -530,7 +538,10 @@ def canonical_decompose(
         )
 
     gauge = _assemble_gauge(current, blocks, colmaps, tau_block)
-    return CanonicalForm(blocks=tuple(blocks), blocking=q, gauge=gauge, input_tensor=a)
+    return CanonicalForm(
+        blocks=tuple(blocks), blocking=q, gauge=gauge, input_tensor=a,
+        input_spectral=input_spectral,
+    )
 
 
 def _assemble_gauge(current, blocks, colmaps, tau_block):

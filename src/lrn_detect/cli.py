@@ -4,7 +4,8 @@ One executable, one ``--pipeline`` switch:
 
 * ``analyze``    tensor JSON -> canonical form, fixed-point Schmidt weights
                  (closed form, read from the canonical blocks), verdicts
-* ``rg``         tensor JSON -> per-iteration trace of the iterated RG flow
+* ``rg``         tensor JSON -> RG fixed point per block, with the analytic
+                 per-step trace of its subleading transfer modulus
 * ``verify``     run the dense-oracle invariant suites
 * ``stab``       tableau request -> exact entropies / mutual information
 * ``ghz``        exact-weight JSON -> family label
@@ -48,15 +49,14 @@ from .dense import (
     reduced_density,
     subsystem_entropy,
 )
-from .errors import LrnDetectError, NonDiagonalizablePeripheral
+from .errors import LrnDetectError
 from .exact import ExactWeight
 from .experiments import _fixed_point_sweep, _invariance_sweep
 from .io import dump_report, load_tensor, rows_to_csv
 from .partition import build_partition
 from .rg import rg_fixed_point
-from .spectral import correlation_length, spectral
+from .spectral import correlation_length
 from .stabilizer import _CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
-from .tensor import transfer_matrix
 from .weights import WeightSpectrum
 
 PIPELINES = ("analyze", "rg", "verify", "stab", "ghz", "typicality")
@@ -165,18 +165,14 @@ def cmd_analyze(req: AnalysisRequest) -> int:
 
 def cmd_rg(req: AnalysisRequest) -> int:
     tensor, _ = load_tensor(req.input_path)
-    try:
-        s = spectral(transfer_matrix(tensor))
-    except NonDiagonalizablePeripheral:
-        s = None  # a defective peripheral space is degenerate: multi-block
-    multi_block = s is None or s.multi_block
     fp = rg_fixed_point(tensor)
-    rows = []
-    for b in fp.blocks:
-        for it, (lam2, d_eff) in enumerate(b.history):
-            rows.append(
-                {"block": b.label, "iteration": it, "lambda2": lam2, "phys_dim": d_eff}
-            )
+    s = fp.canonical.input_spectral
+    multi_block = s is None or s.multi_block  # defective peripheral: degenerate
+    rows = [
+        {"block": b.label, "iteration": it, "lambda2": lam2}
+        for b in fp.blocks
+        for it, lam2 in enumerate(b.history)
+    ]
     report = {
         "input": req.input_path,
         "multi_block": multi_block,

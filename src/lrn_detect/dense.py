@@ -241,7 +241,10 @@ def _apply_gates(psi: DenseState, gates) -> np.ndarray:
     n, d = psi.n_sites, psi.local_dim
     arr = psi.amplitudes.reshape([d] * n)
     for gate, sites in gates:
-        sites = normalize_axis_tuple(tuple(sites), n)  # as np.moveaxis reads them
+        try:
+            sites = normalize_axis_tuple(tuple(sites), n)  # as np.moveaxis reads them
+        except ValueError as exc:  # out of range (AxisError) or repeated
+            raise DimensionMismatch(f"bad gate targets {sites}: {exc}") from exc
         k = len(sites)
         if gate.shape != (d**k, d**k):
             raise DimensionMismatch(f"gate shape {gate.shape} does not fit {k} sites")

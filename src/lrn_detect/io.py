@@ -39,12 +39,17 @@ def tensor_from_json(obj: dict) -> tuple[MpsTensor, list[ExactWeight] | None]:
         raw = obj["matrices"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed tensor object: {exc}") from exc
-    mats = np.zeros((d, chi, chi), dtype=complex)
+    # The whole declared shape is checked against the file before anything
+    # is allocated, so the array is never larger than the input.
+    if d < 1 or chi < 1:
+        raise DimensionMismatch(f"d and chi must be at least 1, got {d} and {chi}")
     if len(raw) != d:
         raise DimensionMismatch(f"expected {d} matrices, got {len(raw)}")
     for i, mat in enumerate(raw):
         if len(mat) != chi or any(len(row) != chi for row in mat):
             raise DimensionMismatch(f"matrix {i} is not {chi} x {chi}")
+    mats = np.zeros((d, chi, chi), dtype=complex)
+    for i, mat in enumerate(raw):
         for r, row in enumerate(mat):
             for c, val in enumerate(row):
                 mats[i, r, c] = complex(val[0], val[1])

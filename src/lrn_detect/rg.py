@@ -5,19 +5,21 @@ bond-pair space to physical-pair space) as ``M = V C`` with ``V`` an
 isometry onto the image and ``C`` the positive factor expressed in its own
 right-singular basis.  The flow squares the transfer spectrum, so the
 subleading modulus collapses doubly exponentially toward the fixed point.
+
+The fixed point of a normal block is known in closed form (a product of
+entangled pairs), so ``rg_fixed_point`` reads it from the canonical form
+rather than iterating ``rg_step``; the iterated flow is the tests' oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .canonical import CanonicalForm, canonical_decompose
 from .errors import ConvergenceFailure, DecompositionFailure, RankTolerance, SizeCap
-from .spectral import normality_witness, spectral
-from .tensor import MpsTensor, block_tensor, transfer_matrix
+from .tensor import MpsTensor, block_tensor
 from .weights import WeightSpectrum
 
 DEFAULT_RG_TOL = 1e-12
@@ -75,12 +77,13 @@ def rg_step(
 
 @dataclass(frozen=True)
 class FixedPointBlock:
-    """Converged flow of one surviving block.
+    """Fixed point of the flow of one surviving block.
 
-    ``tensor`` is the converged block tensor gauged so the left fixed point
-    is the identity and the right one is the diagonal of ``schmidt_weights``
-    (descending, unit sum).  ``history`` records ``(lambda2, phys_dim)`` per
-    iteration, starting with the input tensor.
+    ``tensor`` is the fixed-point block tensor gauged so the left fixed
+    point is the identity and the right one is the diagonal of
+    ``schmidt_weights`` (descending, unit sum).  ``history`` records the
+    subleading modulus ``lambda2**(2**j)`` after each step ``j``, starting
+    with the input tensor's ``lambda2``.
     """
 
     label: str
@@ -88,7 +91,7 @@ class FixedPointBlock:
     tensor: MpsTensor
     iterations: int
     final_lambda2: float
-    history: tuple[tuple[float, int], ...] = field(default=(), repr=False)
+    history: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def link_dim(self) -> int:
@@ -113,71 +116,72 @@ class FixedPointState:
         return tuple((b.link_dim, b.link_dim) for b in self.blocks)
 
 
+def _pair_tensor(lam: np.ndarray) -> MpsTensor:
+    """Fixed-point tensor of a normal block with Schmidt weights ``lam``.
+
+    ``A^{(ab)} = sqrt(lam[a]) |a><b|`` with physical index ``a*chi + b``: a
+    product of entangled pairs, each site holding the right half of one
+    pair and the left half of the next.  Its transfer matrix is ``|R)(L|``
+    with ``L = 1`` and ``R = diag(lam)``, the CF II gauge.
+    """
+    chi = lam.size
+    a, b = np.divmod(np.arange(chi * chi), chi)
+    mats = np.zeros((chi * chi, chi, chi), dtype=complex)
+    mats[a * chi + b, a, b] = np.sqrt(lam)[a]
+    return MpsTensor(mats)
+
+
 def rg_fixed_point(
     a: MpsTensor,
     tol: float = DEFAULT_RG_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    tau_rank: float = DEFAULT_TAU_RANK,
     tau_spec: float = 1e-9,
     tau_block: float = 1e-10,
     q_max: int = 8,
 ) -> FixedPointState:
-    """Flow every surviving block to its fixed point.
+    """Fixed point of the RG flow of every surviving block, in closed form.
 
-    Each gauge group's representative is iterated until the subleading
-    transfer modulus drops below ``tol``; the Schmidt weights are then read
-    from the diagonal right fixed point in the CF II gauge.  They equal the
-    closed form ``CanonicalForm.schmidt_weights()`` up to round-off; the
-    flow is kept for the converged tensors and as that closed form's
-    oracle.  The weight spectrum is inherited from the canonical
-    decomposition (group weights combine block coefficients and gauge
-    phases).
+    The flow squares the transfer spectrum, so a block with subleading
+    modulus ``lambda2`` reaches ``lambda2**(2**k)`` after ``k`` steps; it
+    takes the least ``k`` that brings this below ``tol``.  Its limit is the
+    product of entangled pairs whose Schmidt weights are the spectrum of
+    ``sqrt(L) R sqrt(L)``, read from the representative's normality witness
+    (``CanonicalForm.schmidt_weights()``).  A block already at the fixed
+    point keeps its own tensor in the CF II gauge; every other block gets
+    the pair tensor of its weights.  The weight spectrum is inherited from
+    the canonical decomposition (group weights combine block coefficients
+    and gauge phases).  No transfer matrix is factorized beyond those of
+    ``canonical_decompose``.
 
     Raises:
         ConvergenceFailure: carrying the last subleading modulus when a
-            block does not converge within ``max_iter`` steps.
+            block needs more than ``max_iter`` steps.
     """
     cf = canonical_decompose(
         a, tau_block=tau_block, tau_spec=tau_spec, q_max=q_max
     )
     blocks = []
     for label, members in cf.surviving_groups().items():
-        # Pre-gauge to the frame with identity left fixed point: the flow
-        # then iterates a unital channel, which keeps the extracted block's
-        # conditioning from polluting the converged eigenvectors.  The
-        # witness's lambda2 holds for every gauge and scale, so the flow
-        # factorizes only the tensors its steps make.
         rep = members[0]
         x, lam = rep.witness.fixed_point_gauge()
-        t = rep.tensor.gauged(x)
-        lam2 = rep.witness.lambda2
-        history = [(lam2, t.phys_dim)]
-        it = 0
-        while lam2 >= tol:
-            if it >= max_iter:
+        history = [rep.witness.lambda2]
+        while history[-1] >= tol:
+            if len(history) > max_iter:
                 raise ConvergenceFailure(
-                    f"block {label} stuck at subleading modulus {lam2:.3e} "
+                    f"block {label} still at subleading modulus {history[-1]:.3e} "
                     f"after {max_iter} steps",
-                    last_residual=lam2,
+                    last_residual=history[-1],
                 )
-            t = rg_step(t, tau_rank=tau_rank).tensor
-            s = spectral(transfer_matrix(t), tau_spec)
-            t = t.scaled(1.0 / math.sqrt(s.radius))
-            lam2 = s.subleading_modulus / s.radius
-            it += 1
-            history.append((lam2, t.phys_dim))
-        if it:
-            # CF II gauge: L = identity, R = diag(schmidt weights).  Without
-            # a step, the pre-gauge is that gauge already.
-            x, lam = normality_witness(s).fixed_point_gauge()
-            t = t.gauged(x)
+            history.append(history[-1] ** 2)
+        # CF II gauge: L = identity, R = diag(schmidt weights).
+        t = rep.tensor.gauged(x) if len(history) == 1 else _pair_tensor(lam)
         blocks.append(
             FixedPointBlock(
                 label=label,
                 schmidt_weights=lam,
                 tensor=t,
-                iterations=it,
-                final_lambda2=lam2,
+                iterations=len(history) - 1,
+                final_lambda2=history[-1],
                 history=tuple(history),
             )
         )

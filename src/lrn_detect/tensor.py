@@ -16,6 +16,9 @@ from .errors import DimensionMismatch, SizeCap
 
 # Guard against accidental exponential blow-up when grouping sites.
 DEFAULT_PHYS_DIM_CAP = 4096
+# Largest transfer-operator dimension (chi**2 <= 4096, i.e. chi <= 64): a
+# dense transfer matrix then holds at most 2**24 complex entries (256 MiB).
+TRANSFER_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,15 @@ class TransferOperator:
 
 
 def transfer_matrix(a: MpsTensor) -> TransferOperator:
-    """Transfer operator of ``a`` as a dense chi^2 x chi^2 matrix."""
+    """Transfer operator of ``a`` as a dense chi^2 x chi^2 matrix.
+
+    Raises:
+        SizeCap: if chi^2 exceeds ``TRANSFER_CAP``; checked before the
+            matrix is formed.
+    """
     mats = a.matrices
     chi = a.bond_dim
+    _check_transfer_dim(chi * chi)
     m = np.einsum("iab,icd->acbd", mats, mats.conj()).reshape(chi * chi, chi * chi)
     return TransferOperator(matrix=m, source=a)
 
@@ -87,16 +96,25 @@ def transfer_matrix(a: MpsTensor) -> TransferOperator:
 def mixed_transfer_matrix(a: MpsTensor, b: MpsTensor) -> np.ndarray:
     """``sum_i kron(A[i], conj(B[i]))`` for two tensors with equal d.
 
-    Bond dimensions may differ; the result is (chi_a*chi_b) square.
+    Bond dimensions may differ; the result is (chi_a*chi_b) square.  The
+    same ``TRANSFER_CAP`` as for ``transfer_matrix`` applies.
     """
     if a.phys_dim != b.phys_dim:
         raise DimensionMismatch(
             f"physical dimensions differ: {a.phys_dim} vs {b.phys_dim}"
         )
     ca, cb = a.bond_dim, b.bond_dim
+    _check_transfer_dim(ca * cb)
     return np.einsum("iab,icd->acbd", a.matrices, b.matrices.conj()).reshape(
         ca * cb, ca * cb
     )
+
+
+def _check_transfer_dim(dim: int) -> None:
+    if dim > TRANSFER_CAP:
+        raise SizeCap(
+            f"transfer-operator dimension {dim} exceeds cap {TRANSFER_CAP}"
+        )
 
 
 def block_tensor(a: MpsTensor, q: int, phys_dim_cap: int = DEFAULT_PHYS_DIM_CAP) -> MpsTensor:

@@ -380,8 +380,9 @@ def test_gate_loop_matches_kronecker_embedding(d, n, targets):
     gate = gates[0][0]
     assert np.array_equal(apply_local_gate(psi, gate, (-1, 0)).amplitudes,
                           apply_local_gate(psi, gate, (n - 1, 0)).amplitudes)
-    for bad in [(0, n), (1, 1)]:
-        with pytest.raises(ValueError):
+    # Out-of-range and repeated targets are named errors, not numpy's.
+    for bad in [(0, n), (1, 1), (-n - 1, 0), (0, -n)]:
+        with pytest.raises(DimensionMismatch):
             apply_local_gate(psi, gate, bad)
     with pytest.raises(DimensionMismatch):
         apply_local_gate(psi, np.eye(d**2), (0, 1, 2))

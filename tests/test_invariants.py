@@ -102,7 +102,7 @@ def test_fixed_point_blocks_locally_orthogonal():
 def test_rg_trace_lambda2_squares():
     t = random_normal_tensor(2, 2, seed=2)
     fp = rg_fixed_point(t)
-    hist = [lam for lam, _ in fp.blocks[0].history]
+    hist = fp.blocks[0].history
     for prev, nxt in zip(hist, hist[1:]):
         assert nxt <= prev**2 + 1e-8
 

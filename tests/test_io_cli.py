@@ -140,7 +140,7 @@ def test_cli_rg_pipeline_csv(fixture_dir, capsys):
         ["--pipeline", "rg", "--input", str(fixture_dir / "ghz.json"), "--format", "csv"]
     ) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "block,iteration,lambda2,phys_dim"
+    assert lines[0] == "block,iteration,lambda2"
     assert len(lines) >= 3  # two blocks, at least one row each
 
 
@@ -282,6 +282,62 @@ def test_cli_analyze_chi12_normal(tmp_path, capsys):
     assert lam.shape == (12,)
     assert abs(float(np.sum(lam)) - 1.0) < 1e-12
     assert np.all(lam > 0) and np.all(np.diff(lam) <= 0)
+
+
+def test_cli_rg_chi12_normal(tmp_path, monkeypatch, capsys):
+    # The fixed point is built in closed form, so no flow step caps the bond
+    # dimension, and the input's transfer matrix is factorized once: the two
+    # eig of canonical_decompose are the whole cost.
+    save_tensor(tmp_path / "chi12.json", random_normal_tensor(2, 12, seed=7))
+    calls = {"eig": 0}
+    original = np.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls["eig"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    assert main(["--pipeline", "rg", "--input", str(tmp_path / "chi12.json")]) == 0
+    assert calls["eig"] == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["multi_block"] is False
+    assert report["correlation_length"] > 0
+    (entry,) = report["fixed_point"]
+    assert len(entry["schmidt_weights"]) == 12
+    assert entry["iterations"] == len(report["trace"]) - 1 > 0
+    assert entry["final_lambda2"] == report["trace"][-1]["lambda2"] < 1e-12
+
+
+@pytest.mark.parametrize("pipeline", ["analyze", "rg"])
+def test_cli_transfer_cap_is_a_named_error(pipeline, tmp_path, capsys):
+    # chi = 65 puts the transfer matrix past its cap (chi**2 <= 4096).
+    from lrn_detect import MpsTensor
+
+    rng = np.random.default_rng(65)
+    save_tensor(tmp_path / "chi65.json", MpsTensor(rng.standard_normal((2, 65, 65))))
+    assert main(["--pipeline", pipeline, "--input", str(tmp_path / "chi65.json")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "SizeCap"
+
+
+def test_tensor_from_json_checks_shape_before_allocating():
+    import tracemalloc
+
+    from lrn_detect.errors import DimensionMismatch
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch):
+            tensor_from_json({"d": 1, "chi": 10**5, "matrices": []})
+        with pytest.raises(DimensionMismatch):
+            tensor_from_json({"d": 1, "chi": 10**5, "matrices": [[]]})
+        with pytest.raises(DimensionMismatch):
+            tensor_from_json({"d": -1, "chi": 2, "matrices": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_cli_analyze_composite_with_chi10_block(tmp_path, capsys):

@@ -7,12 +7,14 @@ import pytest
 
 from lrn_detect import (
     MpsTensor,
+    canonical_decompose,
     evaluate_weights,
     materialize_fixed_point,
     materialize_mps,
     rg_fixed_point,
     rg_step,
     spectral,
+    subsystem_entropy,
     transfer_matrix,
 )
 from lrn_detect.errors import ConvergenceFailure, RankTolerance, SizeCap
@@ -23,6 +25,7 @@ from lrn_detect.families import (
     product_tensor,
     random_normal_tensor,
 )
+from lrn_detect.spectral import normality_witness
 
 
 def test_rg_step_product_tensor():
@@ -200,26 +203,91 @@ _CLOSED_FORM_CASES = {
 }
 
 
+def _flow_oracle(rep, tol=1e-12, max_steps=60):
+    """Iterate ``rg_step`` on a canonical block until its lambda2 drops below ``tol``.
+
+    The independent route to the fixed point: each step coarse-grains the
+    tensor, rescales it to transfer radius one and measures the subleading
+    modulus from a fresh factorization.  Returns the converged tensor in the
+    CF II gauge (L = 1, R = diag(lam)), its Schmidt weights ``lam`` and the
+    measured lambda2 before the first and after every step.
+    """
+    x, _ = rep.witness.fixed_point_gauge()
+    t = rep.tensor.gauged(x)
+    history = []
+    while True:
+        s = spectral(transfer_matrix(t))
+        t = t.scaled(1.0 / math.sqrt(s.radius))
+        history.append(s.subleading_modulus / s.radius)
+        if history[-1] < tol:
+            break
+        assert len(history) <= max_steps
+        t = rg_step(t).tensor
+    x, lam = normality_witness(s).fixed_point_gauge()
+    return t.gauged(x), lam, history
+
+
+def _oracle_of(fp, block):
+    return _flow_oracle(fp.canonical.surviving_groups()[block.label][0])
+
+
 @pytest.mark.parametrize("case", sorted(_CLOSED_FORM_CASES))
 def test_closed_form_schmidt_weights_match_flow(case):
-    # The flow is the oracle: its converged Schmidt weights are the spectrum
-    # of sqrt(L) R sqrt(L) read from each representative's normality witness.
+    # The flow, iterated here, is the oracle for the closed-form weights.
     fp = rg_fixed_point(_CLOSED_FORM_CASES[case]())
-    closed = fp.canonical.schmidt_weights()
-    assert list(closed) == [b.label for b in fp.blocks]
+    assert [b.label for b in fp.blocks] == list(fp.canonical.surviving_groups())
     for b in fp.blocks:
-        assert closed[b.label].shape == b.schmidt_weights.shape
-        assert np.max(np.abs(closed[b.label] - b.schmidt_weights)) < 1e-12
+        _, lam, _ = _oracle_of(fp, b)
+        assert lam.shape == b.schmidt_weights.shape
+        assert np.max(np.abs(lam - b.schmidt_weights)) < 1e-12
+
+
+@pytest.mark.parametrize("chi,seed", [(2, 21), (2, 9), (3, 7), (3, 4), (4, 3), (4, 7)])
+def test_pair_tensor_matches_flow_limit(chi, seed):
+    tol = 1e-12
+    fp = rg_fixed_point(random_normal_tensor(2, chi, seed=seed), tol=tol)
+    (b,) = fp.blocks
+    limit, _, measured = _oracle_of(fp, b)
+    assert b.iterations > 0 and b.tensor.phys_dim == chi * chi
+    # Same transfer matrix |R)(L| as the flow's converged tensor.
+    e_pair = transfer_matrix(b.tensor).matrix
+    e_flow = transfer_matrix(limit).matrix
+    assert np.max(np.abs(e_pair - e_flow)) < 1e-12
+    # The analytic trace squares the first lambda2; the flow measures it.
+    assert all(nxt == prev**2 for prev, nxt in zip(b.history, b.history[1:]))
+    for analytic, seen in zip(b.history, measured):
+        assert abs(analytic - seen) < 1e-10
+    # Step counts agree unless a value sits too close to tol to call.
+    if not any(tol / 10 < v < 10 * tol for v in b.history):
+        assert b.iterations == len(measured) - 1
+    assert b.final_lambda2 == b.history[-1] < tol
+
+
+@pytest.mark.parametrize("chi,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_materialized_pair_fixed_point_matches_flow_limit(chi, n):
+    fp = rg_fixed_point(random_normal_tensor(2, chi, seed=40 + chi))
+    (b,) = fp.blocks
+    assert b.iterations > 0
+    limit, _, _ = _oracle_of(fp, b)
+    link = materialize_fixed_point(fp, n)
+    trace = materialize_mps(limit, n)
+    # The physical bases differ by a unitary on each site, which leaves
+    # every region's entropy unchanged.
+    for start in range(n):
+        for length in range(1, n):
+            region = [(start + k) % n for k in range(length)]
+            assert abs(subsystem_entropy(link, region)
+                       - subsystem_entropy(trace, region)) < 1e-10, region
 
 
 @pytest.mark.parametrize(
-    "name,max_eig",
-    [("ghz", 7), ("loop_pi3", 12), ("chi4", 14)],
+    "name,n_eig",
+    [("ghz", 7), ("loop_pi3", 12), ("chi4", 2)],
 )
-def test_flow_reads_first_lambda2_from_witness(name, max_eig, monkeypatch):
-    # canonical_decompose already factorized every block; the flow takes the
-    # first lambda2 from the carried witness and factorizes only the
-    # tensors its own steps produce (none for ghz and the phase loop).
+def test_flow_reads_first_lambda2_from_witness(name, n_eig, monkeypatch):
+    # canonical_decompose already factorized every block; the fixed point
+    # takes lambda2 and the Schmidt weights from the carried witnesses and
+    # factorizes nothing else.
     tensor = {
         "ghz": ghz_tensor,
         "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
@@ -233,8 +301,11 @@ def test_flow_reads_first_lambda2_from_witness(name, max_eig, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eig", counted)
+    canonical_decompose(tensor)
+    assert calls["eig"] == n_eig
+    calls["eig"] = 0
     fp = rg_fixed_point(tensor)
-    assert calls["eig"] <= max_eig
+    assert calls["eig"] == n_eig
     groups = fp.canonical.surviving_groups()
     for b in fp.blocks:
-        assert b.history[0][0] == groups[b.label][0].witness.lambda2
+        assert b.history[0] == groups[b.label][0].witness.lambda2

@@ -25,14 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DecompositionFailure,
-    NonDiagonalizablePeripheral,
-    NotNormalInput,
-    SizeCap,
-)
+from .errors import DecompositionFailure, NonDiagonalizablePeripheral, NotNormalInput
 from .spectral import (
-    DEFAULT_TAU_SPEC,
+    TAU_SPEC,
     NormalityWitness,
     SpectralData,
     is_normal,
@@ -42,20 +37,27 @@ from .spectral import (
 from .tensor import MpsTensor, block_tensor, mixed_transfer_matrix, transfer_matrix
 from .weights import WeightSpectrum, wrap_phase
 
-DEFAULT_TAU_BLOCK = 1e-10
-DEFAULT_Q_MAX = 8
+# Largest leak of an invariant-subspace candidate, relative to the entry
+# scale and the bond dimension, for it to count as exactly invariant.
+TAU_BLOCK = 1e-10
+# Largest number of sites grouped to resolve a periodic piece.
+BLOCKING_CAP = 8
+# Frobenius norm below which a mixed transfer operator counts as zero.
+TAU_ORTHOGONAL = 1e-10
+# Distance of the mixed transfer radius from one that still detects a gauge.
+TAU_GAUGE_DETECT = 1e-6
 
 _SURVIVAL_TOL = 1e-8
 
 
-def local_orthogonal(a: MpsTensor, b: MpsTensor, tau: float = 1e-10) -> bool:
+def local_orthogonal(a: MpsTensor, b: MpsTensor) -> bool:
     """True iff the mixed transfer operator vanishes in Frobenius norm.
 
     Local orthogonality of two site tensors makes the generated states
     orthogonal at every system size.
     """
     m = mixed_transfer_matrix(a, b)
-    return float(np.linalg.norm(m)) < tau
+    return float(np.linalg.norm(m)) < TAU_ORTHOGONAL
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,7 @@ class GaugeRelation:
     x: np.ndarray
 
 
-def gauge_equivalent(
-    a: MpsTensor,
-    b: MpsTensor,
-    tau: float = 1e-8,
-    tau_detect: float = 1e-6,
-) -> GaugeRelation | None:
+def gauge_equivalent(a: MpsTensor, b: MpsTensor, tau: float = 1e-8) -> GaugeRelation | None:
     """Detect gauge equivalence of two normal tensors.
 
     The mixed transfer operator of two radius-one normal tensors has
@@ -92,11 +89,11 @@ def gauge_equivalent(
     # A normal tensor's unique peripheral eigenvalue sits on the radius.
     return _gauge_relation(
         a, b, abs(wit_a.peripheral[0]), abs(wit_b.peripheral[0]),
-        wit_b.right_fixed_point, tau, tau_detect,
+        wit_b.right_fixed_point, tau,
     )
 
 
-def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau, tau_detect):
+def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau):
     """``gauge_equivalent`` for tensors already certified normal.
 
     ``r_a``/``r_b`` are their transfer spectral radii and ``right_fp_b``
@@ -113,7 +110,7 @@ def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau, tau_detect):
     evals, evecs = np.linalg.eig(m)
     top = int(np.argmax(np.abs(evals)))
     lam = evals[top]
-    if abs(lam) < 1.0 - tau_detect:
+    if abs(lam) < 1.0 - TAU_GAUGE_DETECT:
         return None
     phase = float(np.angle(lam))
     chi = a.bond_dim
@@ -225,16 +222,16 @@ def _leak(t: MpsTensor, basis: np.ndarray) -> float:
     return float(np.max(np.abs(outside)))
 
 
-def _spectrum(t: MpsTensor, tau_spec: float):
+def _spectrum(t: MpsTensor):
     """Transfer spectrum of ``t`` and its SpectralData (None if defective)."""
     try:
-        s = spectral(transfer_matrix(t), tau_spec)
+        s = spectral(transfer_matrix(t))
     except NonDiagonalizablePeripheral as exc:
         return exc.spectrum, None
     return s.eigenvalues, s
 
 
-def _defective_split(t, tn, spectrum, tau_spec, tau_block, floor):
+def _defective_split(t, tn, spectrum, floor):
     """Split a tensor whose peripheral transfer space is defective.
 
     ``tn`` is ``t`` scaled to transfer radius one and ``spectrum`` the
@@ -264,12 +261,10 @@ def _defective_split(t, tn, spectrum, tau_spec, tau_block, floor):
                     )
     for basis, comp in candidates:
         for inner, outer in ((basis, comp), (comp, basis)):
-            if _leak(tn, inner) <= tau_block * scale * chi:
+            if _leak(tn, inner) <= TAU_BLOCK * scale * chi:
                 parts = []
                 for sub_basis in (inner, outer):
-                    for sub, p, cmap, data in _split_parts(
-                        _restrict(t, sub_basis), tau_spec, tau_block, floor
-                    ):
+                    for sub, p, cmap, data in _split_parts(_restrict(t, sub_basis), floor):
                         parts.append((sub, p, sub_basis @ cmap, data))
                 return parts
     raise DecompositionFailure(
@@ -278,7 +273,7 @@ def _defective_split(t, tn, spectrum, tau_spec, tau_block, floor):
     )
 
 
-def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float, floor: float, spec=None):
+def _split_parts(t: MpsTensor, floor: float, spec=None):
     """Recursively split ``t`` into irreducible parts.
 
     Returns ``[(tensor, period, colmap, data)]``; ``period > 1`` marks a
@@ -290,7 +285,7 @@ def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float, floor: float, 
     when the caller already has it.
     """
     chi = t.bond_dim
-    spectrum, s = spec or _spectrum(t, tau_spec)
+    spectrum, s = spec or _spectrum(t)
     radius = float(abs(spectrum[0]))
     if radius < floor:
         return []  # nilpotent piece: generates the zero state for N >= chi
@@ -300,12 +295,12 @@ def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float, floor: float, 
         # Triangular junk can leave the peripheral space defective while a
         # canonical form still exists; peel off an exactly verified
         # invariant support read from the true fixed points.
-        return _defective_split(t, tn, spectrum, tau_spec, tau_block, floor)
+        return _defective_split(t, tn, spectrum, floor)
     if chi == 1:
         return [(t, 1, np.eye(1, dtype=complex), s)]
     peripheral = s.peripheral / radius
     ones_idx = [
-        j for j, lam in enumerate(peripheral) if abs(lam - 1.0) <= 10 * tau_spec
+        j for j, lam in enumerate(peripheral) if abs(lam - 1.0) <= 10 * TAU_SPEC
     ]
     if not ones_idx:
         raise DecompositionFailure(
@@ -336,7 +331,7 @@ def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float, floor: float, 
                 "peripheral fixed point is indefinite beyond tolerance",
                 spectrum=evals,
             )
-        support = evals > max(tau_spec, 1e-12) * evals[-1]
+        support = evals > TAU_SPEC * evals[-1]
         if not np.all(support):
             keep = evecs[:, support]
             drop = evecs[:, ~support]
@@ -344,16 +339,14 @@ def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float, floor: float, 
             # Left fixed point: matrices map ker(Y) into itself.
             inner = drop if adjoint else keep
             outer = keep if adjoint else drop
-            if _leak(tn, inner) > tau_block * scale * chi:
+            if _leak(tn, inner) > TAU_BLOCK * scale * chi:
                 raise DecompositionFailure(
                     "candidate invariant subspace leaks outside itself",
                     spectrum=spectrum,
                 )
             parts = []
             for basis in (inner, outer):
-                for sub, p, cmap, data in _split_parts(
-                    _restrict(t, basis), tau_spec, tau_block, floor
-                ):
+                for sub, p, cmap, data in _split_parts(_restrict(t, basis), floor):
                     parts.append((sub, p, basis @ cmap, data))
             return parts
 
@@ -413,62 +406,55 @@ def _split_parts(t: MpsTensor, tau_spec: float, tau_block: float, floor: float, 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         basis = hvec[:, lo:hi]
         comp = np.concatenate([hvec[:, :lo], hvec[:, hi:]], axis=1)
-        if max(_leak(tn_unital, basis), _leak(tn_unital, comp)) > tau_block * uscale * chi:
+        if max(_leak(tn_unital, basis), _leak(tn_unital, comp)) > TAU_BLOCK * uscale * chi:
             raise DecompositionFailure(
                 "fixed-point algebra projector fails to reduce the matrices",
                 spectrum=hev,
             )
         sub = _restrict(tn_unital, basis).scaled(math.sqrt(radius))
-        for part, p, cmap, data in _split_parts(sub, tau_spec, tau_block, floor):
+        for part, p, cmap, data in _split_parts(sub, floor):
             parts.append((part, p, g @ basis @ cmap, data))
     return parts
 
 
-def canonical_decompose(
-    a: MpsTensor,
-    tau_block: float = DEFAULT_TAU_BLOCK,
-    tau_spec: float = DEFAULT_TAU_SPEC,
-    q_max: int = DEFAULT_Q_MAX,
-    phys_dim_cap: int = 4096,
-) -> CanonicalForm:
+def canonical_decompose(a: MpsTensor) -> CanonicalForm:
     """Extract the canonical form of a TI MPS tensor.
 
-    Blocks sites as needed (up to ``q_max``), splits the bond space into
-    certified-normal blocks with weights ``mu_k`` (``|mu_k| <= 1``, the
-    largest exactly one), and groups gauge-equivalent blocks.
+    Blocks sites as needed (up to ``BLOCKING_CAP`` sites), splits the bond
+    space into certified-normal blocks with weights ``mu_k``
+    (``|mu_k| <= 1``, the largest exactly one), and groups gauge-equivalent
+    blocks.
 
     Raises:
         DecompositionFailure: when block projectors cannot be extracted
-            within ``tau_block``, a block fails its normality certificate,
-            or the required blocking exceeds ``q_max``.
+            within ``TAU_BLOCK``, a block fails its normality certificate,
+            or the required blocking exceeds ``BLOCKING_CAP``.
+        SizeCap: when the blocked physical dimension exceeds
+            ``tensor.PHYS_DIM_CAP``.
     """
     q = 1
     current = a
     input_spectral = None
-    for _ in range(q_max + 1):
-        spec = _spectrum(current, tau_spec)
+    for _ in range(BLOCKING_CAP + 1):
+        spec = _spectrum(current)
         if q == 1:
             input_spectral = spec[1]
         radius = float(abs(spec[0][0]))
         if radius < 1e-24:
             raise DecompositionFailure("tensor generates the zero family")
-        parts = _split_parts(current, tau_spec, tau_block, 1e-24 * radius, spec)
+        parts = _split_parts(current, 1e-24 * radius, spec)
         if not parts:
             raise DecompositionFailure("all parts are nilpotent")
         periods = {p for _, p, _, _ in parts}
         if periods == {1}:
             break
         q_new = q * math.lcm(*periods)
-        if q_new > q_max:
+        if q_new > BLOCKING_CAP:
             raise DecompositionFailure(
-                f"blocking order {q_new} exceeds the cap {q_max}"
-            )
-        if a.phys_dim**q_new > phys_dim_cap:
-            raise SizeCap(
-                f"blocking to order {q_new} exceeds the physical-dimension cap"
+                f"blocking order {q_new} exceeds the cap {BLOCKING_CAP}"
             )
         q = q_new
-        current = block_tensor(a, q, phys_dim_cap)
+        current = block_tensor(a, q)
     else:
         raise DecompositionFailure("blocking did not stabilize the decomposition")
 
@@ -499,7 +485,7 @@ def canonical_decompose(
         for gi, seed in enumerate(group_seeds):
             rel = _gauge_relation(
                 tensors[k], tensors[seed], 1.0, 1.0,
-                witnesses[seed].right_fixed_point, tau=1e-7, tau_detect=1e-6,
+                witnesses[seed].right_fixed_point, tau=1e-7,
             )
             if rel is not None:
                 group_of[k] = gi
@@ -537,14 +523,14 @@ def canonical_decompose(
             CanonicalBlock(mu=mu, tensor=tensor_k, group=group_of[k], witness=witnesses[k])
         )
 
-    gauge = _assemble_gauge(current, blocks, colmaps, tau_block)
+    gauge = _assemble_gauge(current, blocks, colmaps)
     return CanonicalForm(
         blocks=tuple(blocks), blocking=q, gauge=gauge, input_tensor=a,
         input_spectral=input_spectral,
     )
 
 
-def _assemble_gauge(current, blocks, colmaps, tau_block):
+def _assemble_gauge(current, blocks, colmaps):
     """Build the change of basis to block-diagonal form, if it is exact.
 
     The column maps collected during splitting span the block subspaces in
@@ -569,6 +555,6 @@ def _assemble_gauge(current, blocks, colmaps, tau_block):
         off += sz
     resid = float(np.max(np.abs(rotated[:, ~mask]))) if (~mask).any() else 0.0
     scale = max(float(np.max(np.abs(current.matrices))), 1.0)
-    if resid > 1e3 * tau_block * scale * chi:
+    if resid > 1e3 * TAU_BLOCK * scale * chi:
         return None
     return xi

@@ -28,9 +28,18 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 DEFAULT_TAU_INT = 1e-6
 DEFAULT_N_WINDOW = (1000, 2000)
-DEFAULT_PHASE_Q_MAX = 10**4
+# Rational phase detection: a phase / 2pi within PHASE_TAU of a fraction with
+# denominator at most PHASE_Q_MAX counts as commensurate.
+PHASE_Q_MAX = 10**4
+PHASE_TAU = 1e-9
 # Largest weight period whose residue classes are all evaluated.
 _MAX_PERIOD = 10**4
+# Continued-fraction tolerance of the heuristic (float) ratio guess.
+RATIO_TAU = 1e-9
+# Largest deviation of a probability vector's sum from one.
+NORM_TOL = 1e-9
+# Distance from 0, 1/2 and 1 that still labels a cat-family weight.
+GHZ_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,20 +56,20 @@ class Verdict:
     residue_class: tuple[int, int] | None = None
 
 
-def shannon_entropy(p, tol_norm: float = 1e-9) -> float:
+def shannon_entropy(p) -> float:
     """Base-2 Shannon entropy of a probability vector (0 log 0 := 0)."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise NotNormalized("probability vector must be one-dimensional and nonempty")
-    return float(_entropies(arr, tol_norm))
+    return float(_entropies(arr))
 
 
-def _entropies(p: np.ndarray, tol_norm: float = 1e-9) -> np.ndarray:
+def _entropies(p: np.ndarray) -> np.ndarray:
     """Base-2 Shannon entropy of each row of ``p``, after the same checks."""
     if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
         raise NotNormalized("probabilities must lie in [0, 1]")
     sums = np.sum(p, axis=-1)
-    off = np.abs(sums - 1.0) > tol_norm
+    off = np.abs(sums - 1.0) > NORM_TOL
     if np.any(off):
         raise NotNormalized(f"probabilities sum to {float(sums[off].flat[0])}, not 1")
     logs = np.log2(np.where(p > 0.0, p, 1.0))  # log 1 = 0 drops the empty entries
@@ -76,8 +85,6 @@ def lrn_entropy_check(
     w: WeightSpectrum,
     n_window: tuple[int, int] = DEFAULT_N_WINDOW,
     tau_int: float = DEFAULT_TAU_INT,
-    phase_q_max: int = DEFAULT_PHASE_Q_MAX,
-    phase_tau: float = 1e-9,
 ) -> Verdict:
     """Sufficient criterion: non-integer weight entropy certifies LRN.
 
@@ -102,7 +109,7 @@ def lrn_entropy_check(
         )
 
     phases = [p for p in w.phases() if abs(p) > 1e-15]
-    fracs = [best_rational(p / (2 * math.pi), phase_q_max, phase_tau) for p in phases]
+    fracs = [best_rational(p / (2 * math.pi), PHASE_Q_MAX, PHASE_TAU) for p in phases]
 
     s = None  # the weight period, when every phase is commensurate
     if all(f is not None for f in fracs):
@@ -160,7 +167,6 @@ def lrn_entropy_check(
 def srn_ratio_check(
     weights: Sequence[ExactWeight],
     q_max: int = 10**6,
-    tau_rat: float = 1e-9,
 ) -> Verdict:
     """Necessary criterion for exact SRN: fourth-power ratios rational.
 
@@ -193,7 +199,7 @@ def srn_ratio_check(
                     offender = entry
             else:
                 x = (w_i.value() ** 2) / (w_j.value() ** 2)
-                approx = best_rational(x, q_max, tau_rat)
+                approx = best_rational(x, q_max, RATIO_TAU)
                 entry = {
                     "pair": [i, j],
                     "method": "heuristic",
@@ -210,7 +216,7 @@ def srn_ratio_check(
     return Verdict(status=INCONCLUSIVE, evidence=evidence)
 
 
-def ghz_classify(alpha_sq, tol: float = 1e-12) -> str:
+def ghz_classify(alpha_sq) -> str:
     """Classify the two-component product-state family by its weight.
 
     STABILIZER at weight 0 or 1, SRN at weight 1/2, LRN anywhere else.
@@ -227,43 +233,35 @@ def ghz_classify(alpha_sq, tol: float = 1e-12) -> str:
             return "LRN"
     else:
         x = float(alpha_sq)
-    if not -tol <= x <= 1.0 + tol:
+    if not -GHZ_TOL <= x <= 1.0 + GHZ_TOL:
         raise OutOfRange(f"weight {x} outside [0, 1]")
-    if min(abs(x), abs(x - 1.0)) <= tol:
+    if min(abs(x), abs(x - 1.0)) <= GHZ_TOL:
         return "STABILIZER"
-    if abs(x - 0.5) <= tol:
+    if abs(x - 0.5) <= GHZ_TOL:
         return "SRN"
     return "LRN"
 
 
-def typicality_log_ratio(
-    n: int,
-    depth_exponent: int = 2,
-    depth_coeff: float = 1.0,
-    polylog_exponent: int = 2,
-    eps0: float = 0.01,
-    alpha: float = 1.0,
-    n_gates: int = 3,
-) -> float:
+def typicality_log_ratio(n: int) -> float:
     """Natural-log ratio of reachable states to distinguishable states.
 
     Counts circuits of polylog depth applied to stabilizer states against
     epsilon-balls in Hilbert space, all in log space: the result is
     ``ln(n_C) + ln(n_S) - ln(n_B)`` with ``ln(n_B) = (1 - eps**2) 2**(n-1)``,
     ``ln(n_S) = (n**2 / 2) ln 2`` and
-    ``ln(n_C) = n D polylog(n D / eps) ln(n_gates)``.
-    A negative value means typical states are out of reach.
+    ``ln(n_C) = n D ln(n D / eps)**2 ln 3``, for circuits of depth
+    ``D = ceil(log2 n)**2`` over three gates and the resolution
+    ``eps = 0.01 / n``.  A negative value means typical states are out of
+    reach.
     """
     if n < 2:
         raise OutOfRange("need at least two qubits")
-    if eps0 <= 0 or n_gates < 2:
-        raise OutOfRange("eps0 must be positive and the gate set nontrivial")
-    eps = eps0 / n**alpha
-    depth = depth_coeff * math.ceil(math.log2(n)) ** depth_exponent
+    eps = 0.01 / n
+    depth = math.ceil(math.log2(n)) ** 2
     try:
         ln_balls = (1.0 - eps * eps) * 2.0 ** (n - 1)
     except OverflowError:
         return -math.inf
     ln_stab = 0.5 * n * n * math.log(2.0)
-    ln_circ = n * depth * math.log(n * depth / eps) ** polylog_exponent * math.log(n_gates)
+    ln_circ = n * depth * math.log(n * depth / eps) ** 2 * math.log(3)
     return ln_circ + ln_stab - ln_balls

@@ -104,13 +104,13 @@ def _word_products(a: MpsTensor, k: int) -> np.ndarray:
     return g
 
 
-def reduced_density(psi: DenseState, region, rho_cap: int = RHO_CAP) -> np.ndarray:
+def reduced_density(psi: DenseState, region) -> np.ndarray:
     """Partial trace down to ``region`` (row/column order follows ``region``)."""
     region = tuple(region)
     n, d = psi.n_sites, psi.local_dim
     if len(set(region)) != len(region) or any(not 0 <= r < n for r in region):
         raise DimensionMismatch(f"bad region {region}")
-    if d ** len(region) > rho_cap:
+    if d ** len(region) > RHO_CAP:
         raise SizeCap(f"reduced density of dimension {d}**{len(region)} exceeds cap")
     rest = [q for q in range(n) if q not in region]
     arr = psi.amplitudes.reshape([d] * n).transpose(list(region) + rest)
@@ -118,12 +118,12 @@ def reduced_density(psi: DenseState, region, rho_cap: int = RHO_CAP) -> np.ndarr
     return m @ m.conj().T
 
 
-def von_neumann_entropy(rho: np.ndarray, floor: float = _EIG_FLOOR) -> float:
-    """Base-2 entropy of a density matrix; eigenvalues below ``floor`` are dropped."""
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Base-2 entropy of a density matrix, dropping eigenvalues below ``_EIG_FLOOR``."""
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     if evals[0] < -_PSD_TOL:
         raise NotPSD(f"eigenvalue {evals[0]} below the PSD tolerance")
-    pos = evals[evals > floor]
+    pos = evals[evals > _EIG_FLOOR]
     return float(-np.sum(pos * np.log2(pos)))
 
 
@@ -255,9 +255,7 @@ def _apply_gates(psi: DenseState, gates) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def materialize_fixed_point(
-    f: FixedPointState, n: int, amp_cap: int = AMP_CAP
-) -> DenseState:
+def materialize_fixed_point(f: FixedPointState, n: int) -> DenseState:
     """Dense fixed-point state from Schmidt links and site isometries.
 
     Builds, for every block, the product of link states
@@ -275,20 +273,20 @@ def materialize_fixed_point(
             "blocks converged to different physical dimensions; "
             "materialization needs a common site space"
         )
-    if d**n > amp_cap:
-        raise SizeCap(f"{d}**{n} amplitudes exceed the cap {amp_cap}")
+    if d**n > AMP_CAP:
+        raise SizeCap(f"{d}**{n} amplitudes exceed the cap {AMP_CAP}")
     alpha = f.weights.amplitudes(n)
     total = np.zeros(d**n, dtype=complex)
     for weight, block in zip(alpha, f.blocks):
-        total += weight * _materialize_block(block, n, amp_cap)
+        total += weight * _materialize_block(block, n)
     return DenseState.from_amplitudes(total, n, d)
 
 
-def _materialize_block(block, n: int, amp_cap: int) -> np.ndarray:
+def _materialize_block(block, n: int) -> np.ndarray:
     t = block.tensor
     d, chi = t.phys_dim, t.bond_dim
     lam = np.asarray(block.schmidt_weights, dtype=float)
-    if (chi * chi) ** n > amp_cap:
+    if (chi * chi) ** n > AMP_CAP:
         raise SizeCap("link construction exceeds the amplitude cap")
     # Site isometry: in the CF II gauge the tensor factors as V (1 x sqrt(lam)).
     with np.errstate(divide="ignore"):

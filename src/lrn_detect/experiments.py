@@ -18,6 +18,10 @@ from .partition import Partition, build_partition
 from .rg import FixedPointState
 from .weights import evaluate_weights
 
+# Largest deviation of I(A:B) from its value before the circuit and from the
+# weight entropy for an invariance report to pass.
+INVARIANCE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class InvarianceReport:
@@ -58,18 +62,14 @@ def invariance_experiment(
     partition: Partition,
     circuit: BrickworkCircuit,
     seed: int = 0,
-    tol: float = 1e-8,
+    tol: float = INVARIANCE_TOL,
 ) -> InvarianceReport:
     """Compare I(A:B) before and after a circuit with the weight entropy."""
     return _invariance_sweep(state, probs, partition, [(seed, circuit)], tol)[0]
 
 
 def fixed_point_invariance_experiment(
-    f: FixedPointState,
-    n: int,
-    depth: int,
-    seed: int,
-    tol: float = 1e-8,
+    f: FixedPointState, n: int, depth: int, seed: int
 ) -> InvarianceReport:
     """Materialize a fixed point, hit it with a random shallow circuit.
 
@@ -77,12 +77,10 @@ def fixed_point_invariance_experiment(
     circuit's layer alignment is drawn from the seed so sweeps cover both
     brick offsets.
     """
-    return _fixed_point_sweep(f, n, depth, [seed], tol)[0]
+    return _fixed_point_sweep(f, n, depth, [seed])[0]
 
 
-def _fixed_point_sweep(
-    f: FixedPointState, n: int, depth: int, seeds, tol: float = 1e-8
-) -> list[InvarianceReport]:
+def _fixed_point_sweep(f: FixedPointState, n: int, depth: int, seeds) -> list[InvarianceReport]:
     """``fixed_point_invariance_experiment`` for each seed, one state for all."""
     state = materialize_fixed_point(f, n)
     probs = evaluate_weights(f.weights, n)
@@ -90,11 +88,11 @@ def _fixed_point_sweep(
     circuits = (
         (s, random_brickwork(n, depth, s, local_dim=state.local_dim)) for s in seeds
     )
-    return _invariance_sweep(state, probs, partition, circuits, tol)
+    return _invariance_sweep(state, probs, partition, circuits)
 
 
 def _invariance_sweep(
-    state: DenseState, probs, partition: Partition, circuits, tol: float = 1e-8
+    state: DenseState, probs, partition: Partition, circuits, tol: float = INVARIANCE_TOL
 ) -> list[InvarianceReport]:
     """One report per ``(seed, circuit)`` pair.
 

@@ -23,6 +23,10 @@ from .tensor import MpsTensor
 from .weights import WeightSpectrum
 
 ROOT3_INV_QUARTER = 3.0 ** (-0.25)
+# Bracket width at which the bisection for the counterexample's t* stops.
+T_STAR_TOL = 1e-13
+# Draws tried before random_normal_tensor gives up.
+MAX_DRAWS = 20
 
 
 def product_tensor(level: int = 0, d: int = 2) -> MpsTensor:
@@ -106,14 +110,14 @@ def counterexample_probs(t: float) -> list[float]:
     return [p1, p2, t, p4]
 
 
-def counterexample_t_star(tol: float = 1e-13) -> float:
+def counterexample_t_star() -> float:
     """Bisection root of H(t) = 1 on (0, 0.1); lands near 0.023."""
     lo, hi = 1e-12, 0.1
     f_lo = counterexample_entropy(lo) - 1.0
     f_hi = counterexample_entropy(hi) - 1.0
     if f_lo >= 0.0 or f_hi <= 0.0:
         raise OutOfRange("entropy does not bracket 1 on (0, 0.1)")
-    while hi - lo > tol:
+    while hi - lo > T_STAR_TOL:
         mid = 0.5 * (lo + hi)
         if counterexample_entropy(mid) - 1.0 < 0.0:
             lo = mid
@@ -155,14 +159,14 @@ def ghz_family_weights(alpha_sq: float):
     return WeightSpectrum.constant([math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)])
 
 
-def random_normal_tensor(d: int, chi: int, seed, max_tries: int = 20) -> MpsTensor:
+def random_normal_tensor(d: int, chi: int, seed) -> MpsTensor:
     """Random Gaussian tensor, resampled until it certifies normal."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         mats = rng.standard_normal((d, chi, chi)) + 1j * rng.standard_normal(
             (d, chi, chi)
         )
         t = MpsTensor(mats / np.linalg.norm(mats))
         if is_normal(t):
             return t
-    raise OutOfRange("could not draw a normal tensor; widen the search")
+    raise OutOfRange(f"could not draw a normal tensor in {MAX_DRAWS} tries")

@@ -35,10 +35,12 @@ def tensor_to_json(a: MpsTensor, exact_weights=None) -> dict:
 
 def tensor_from_json(obj: dict) -> tuple[MpsTensor, list[ExactWeight] | None]:
     try:
-        d, chi = int(obj["d"]), int(obj["chi"])
-        raw = obj["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
+        d, chi, raw = obj["d"], obj["chi"], obj["matrices"]
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"malformed tensor object: {exc}") from exc
+    # A JSON integer and nothing else: no float, string or bool is coerced.
+    if type(d) is not int or type(chi) is not int:
+        raise DimensionMismatch(f"d and chi must be integers, got {d!r} and {chi!r}")
     # The whole declared shape is checked against the file before anything
     # is allocated, so the array is never larger than the input.
     if d < 1 or chi < 1:

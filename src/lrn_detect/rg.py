@@ -18,13 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import CanonicalForm, canonical_decompose
-from .errors import ConvergenceFailure, DecompositionFailure, RankTolerance, SizeCap
+from .errors import ConvergenceFailure, DecompositionFailure, RankTolerance
 from .tensor import MpsTensor, block_tensor
 from .weights import WeightSpectrum
 
 DEFAULT_RG_TOL = 1e-12
 DEFAULT_MAX_ITER = 60
-DEFAULT_TAU_RANK = 1e-10
+# Relative singular value below which a two-site map has no support; values
+# within a decade of it are reported, not rounded into or out of the rank.
+TAU_RANK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,35 +43,30 @@ class RgStep:
     tensor: MpsTensor
 
 
-def rg_step(
-    a: MpsTensor,
-    tau_rank: float = DEFAULT_TAU_RANK,
-    phys_dim_cap: int = 4096,
-) -> RgStep:
+def rg_step(a: MpsTensor) -> RgStep:
     """Block two sites and polar-split the result.
 
     Raises:
-        RankTolerance: when singular values cluster at the rank cutoff, so
-            the effective dimension would be a coin flip.  Reported, never
-            guessed.
-        SizeCap: when the doubled physical dimension exceeds the cap.
+        RankTolerance: when singular values cluster at the rank cutoff
+            ``TAU_RANK``, so the effective dimension would be a coin flip.
+            Reported, never guessed.
+        SizeCap: when the doubled physical dimension exceeds
+            ``tensor.PHYS_DIM_CAP``.
     """
     d, chi = a.phys_dim, a.bond_dim
-    if d * d > phys_dim_cap:
-        raise SizeCap(f"two-site physical dimension {d * d} exceeds cap {phys_dim_cap}")
-    two_site = block_tensor(a, 2, phys_dim_cap)
+    two_site = block_tensor(a, 2)
     m = two_site.matrices.reshape(d * d, chi * chi)
     u, sv, vh = np.linalg.svd(m, full_matrices=False)
     if sv[0] <= 0.0:
         raise DecompositionFailure("two-site tensor vanishes identically")
     rel = sv / sv[0]
-    in_band = (rel > tau_rank * 0.1) & (rel < tau_rank * 10.0)
+    in_band = (rel > TAU_RANK * 0.1) & (rel < TAU_RANK * 10.0)
     if np.any(in_band):
         raise RankTolerance(
             "singular values cluster at the rank cutoff",
             singular_values=sv,
         )
-    rank = int(np.sum(rel > tau_rank))
+    rank = int(np.sum(rel > TAU_RANK))
     v = u[:, :rank]
     a_prime = (sv[:rank, None] * vh[:rank]).reshape(rank, chi, chi)
     return RgStep(isometry=v, tensor=MpsTensor(a_prime))
@@ -135,9 +132,6 @@ def rg_fixed_point(
     a: MpsTensor,
     tol: float = DEFAULT_RG_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    tau_spec: float = 1e-9,
-    tau_block: float = 1e-10,
-    q_max: int = 8,
 ) -> FixedPointState:
     """Fixed point of the RG flow of every surviving block, in closed form.
 
@@ -157,9 +151,7 @@ def rg_fixed_point(
         ConvergenceFailure: carrying the last subleading modulus when a
             block needs more than ``max_iter`` steps.
     """
-    cf = canonical_decompose(
-        a, tau_block=tau_block, tau_spec=tau_spec, q_max=q_max
-    )
+    cf = canonical_decompose(a)
     blocks = []
     for label, members in cf.surviving_groups().items():
         rep = members[0]

@@ -10,7 +10,8 @@ import numpy as np
 from .errors import DecompositionFailure, NonDiagonalizablePeripheral
 from .tensor import MpsTensor, TransferOperator, transfer_matrix
 
-DEFAULT_TAU_SPEC = 1e-9
+# Relative width of the peripheral cut: |lambda| >= radius * (1 - TAU_SPEC).
+TAU_SPEC = 1e-9
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,7 @@ class SpectralData:
 
     ``eigenvalues`` is the full spectrum sorted by descending modulus.
     ``peripheral`` collects the eigenvalues whose modulus is at least
-    ``radius * (1 - tau)``; ``right_vecs``/``left_vecs`` hold one column
+    ``radius * (1 - TAU_SPEC)``; ``right_vecs``/``left_vecs`` hold one column
     per peripheral eigenvalue, scaled so the left-right pairing is the
     identity on the peripheral space.  The cut is relative, so the data of
     a matrix also describe every positive rescaling of it (eigenvalues
@@ -30,7 +31,6 @@ class SpectralData:
     peripheral: np.ndarray
     right_vecs: np.ndarray
     left_vecs: np.ndarray
-    tau: float
 
     @property
     def radius(self) -> float:
@@ -49,19 +49,17 @@ class SpectralData:
         return len(self.peripheral) > 1
 
 
-def spectral(t: TransferOperator | np.ndarray, tau_spec: float = DEFAULT_TAU_SPEC) -> SpectralData:
+def spectral(t: TransferOperator | np.ndarray) -> SpectralData:
     """Full eigendecomposition with a biorthonormalized peripheral block.
 
     The peripheral cluster is every eigenvalue of modulus at least
-    ``radius * (1 - tau_spec)``, a cut relative to the spectral radius.
+    ``radius * (1 - TAU_SPEC)``, a cut relative to the spectral radius.
 
     Raises:
         NonDiagonalizablePeripheral: if the peripheral space carries a
             nontrivial Jordan block (left/right pairing is singular).  The
             exception carries the sorted spectrum.
     """
-    if not 0.0 < tau_spec < 0.5:
-        raise ValueError("tau_spec must lie in (0, 0.5)")
     m = t.matrix if isinstance(t, TransferOperator) else np.asarray(t, dtype=complex)
 
     evals, rvecs = np.linalg.eig(m)
@@ -69,7 +67,7 @@ def spectral(t: TransferOperator | np.ndarray, tau_spec: float = DEFAULT_TAU_SPE
     evals, rvecs = evals[order], rvecs[:, order]
     radius = abs(evals[0])
 
-    cut = radius * (1.0 - tau_spec)
+    cut = radius * (1.0 - TAU_SPEC)
     k = int(np.sum(np.abs(evals) >= cut)) if radius > 0 else 1
     peripheral = evals[:k]
 
@@ -86,17 +84,7 @@ def spectral(t: TransferOperator | np.ndarray, tau_spec: float = DEFAULT_TAU_SPE
 
     r_per = rvecs[:, :k] / np.linalg.norm(rvecs[:, :k], axis=0)
     l_per = lvecs[:, :k] / np.linalg.norm(lvecs[:, :k], axis=0)
-    # Sort left columns so their (conjugated) eigenvalues match the right ones.
-    l_assigned = np.zeros_like(l_per)
-    used = set()
-    for i, lam in enumerate(peripheral):
-        dists = np.abs(np.conj(levals[:k]) - lam)
-        for j in np.argsort(dists):
-            if j not in used:
-                used.add(int(j))
-                l_assigned[:, i] = l_per[:, j]
-                break
-    gram = l_assigned.conj().T @ r_per
+    gram = l_per.conj().T @ r_per
     # A defective peripheral block leaves the unit-column pairing singular
     # (LAPACK hands back near-parallel or mutually orthogonal junk vectors).
     if k:
@@ -106,14 +94,15 @@ def spectral(t: TransferOperator | np.ndarray, tau_spec: float = DEFAULT_TAU_SPE
                 "peripheral left/right pairing is numerically singular",
                 spectrum=evals,
             )
-    l_norm = l_assigned @ np.linalg.inv(gram).conj().T
+    # The dual basis of r_per within span(l_per), whatever its column
+    # order: column j is the left eigenvector paired with peripheral[j].
+    l_norm = l_per @ np.linalg.inv(gram).conj().T
 
     return SpectralData(
         eigenvalues=evals,
         peripheral=peripheral,
         right_vecs=r_per,
         left_vecs=l_norm,
-        tau=tau_spec,
     )
 
 
@@ -224,7 +213,6 @@ def normality_witness(s: SpectralData) -> NormalityWitness:
             lam2,
         )
     chi = math.isqrt(s.right_vecs.shape[0])
-    tau = s.tau
     fps = []
     for vec in (s.right_vecs[:, 0], s.left_vecs[:, 0]):
         h = rotate_to_hermitian(vec.reshape(chi, chi))
@@ -234,9 +222,9 @@ def normality_witness(s: SpectralData) -> NormalityWitness:
                 s.peripheral, lam2,
             )
         ev = np.linalg.eigvalsh(h)
-        if ev[0] < -max(tau, 1e-12) * max(abs(ev[-1]), 1.0):
+        if ev[0] < -TAU_SPEC * max(abs(ev[-1]), 1.0):
             return NormalityWitness(False, "fixed point indefinite", s.peripheral, lam2)
-        if ev[0] <= max(tau, 1e-12) * abs(ev[-1]):
+        if ev[0] <= TAU_SPEC * abs(ev[-1]):
             return NormalityWitness(
                 False, "fixed point lacks full support", s.peripheral, lam2,
                 right_fixed_point=h if len(fps) == 0 else fps[0],
@@ -248,13 +236,13 @@ def normality_witness(s: SpectralData) -> NormalityWitness:
     )
 
 
-def is_normal(a: MpsTensor, tau: float = DEFAULT_TAU_SPEC) -> NormalityWitness:
+def is_normal(a: MpsTensor) -> NormalityWitness:
     """Test irreducibility plus uniqueness of the peripheral eigenvalue.
 
     A tensor passes iff the transfer channel and its adjoint both have a
     full-support positive fixed point and the peripheral eigenvalue is
     unique.  Scale-invariant: the peripheral cluster is cut relative to the
-    spectral radius (``|lambda| >= radius * (1 - tau)``) and the fixed
+    spectral radius (``|lambda| >= radius * (1 - TAU_SPEC)``) and the fixed
     points are read from eigenvectors, which rescaling leaves unchanged.
     """
-    return normality_witness(spectral(transfer_matrix(a), tau))
+    return normality_witness(spectral(transfer_matrix(a)))

@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, SizeCap
 
-# Guard against accidental exponential blow-up when grouping sites.
-DEFAULT_PHYS_DIM_CAP = 4096
+# Largest physical dimension of a blocked tensor: guards against
+# exponential blow-up when grouping sites.
+PHYS_DIM_CAP = 4096
 # Largest transfer-operator dimension (chi**2 <= 4096, i.e. chi <= 64): a
 # dense transfer matrix then holds at most 2**24 complex entries (256 MiB).
 TRANSFER_CAP = 4096
@@ -117,18 +118,22 @@ def _check_transfer_dim(dim: int) -> None:
         )
 
 
-def block_tensor(a: MpsTensor, q: int, phys_dim_cap: int = DEFAULT_PHYS_DIM_CAP) -> MpsTensor:
+def block_tensor(a: MpsTensor, q: int) -> MpsTensor:
     """Group ``q`` adjacent sites into one effective site.
 
     The new tensor has physical dimension ``d**q`` (indices ordered with the
     leftmost original site slowest) and the same bond dimension; its transfer
     operator is the q-th power of the original one.
+
+    Raises:
+        SizeCap: if ``d**q`` exceeds ``PHYS_DIM_CAP``; checked before the
+            blocked tensor is formed.
     """
     if q < 1:
         raise DimensionMismatch("blocking order q must be >= 1")
-    if a.phys_dim**q > phys_dim_cap:
+    if a.phys_dim**q > PHYS_DIM_CAP:
         raise SizeCap(
-            f"blocked physical dimension {a.phys_dim}**{q} exceeds cap {phys_dim_cap}"
+            f"blocked physical dimension {a.phys_dim}**{q} exceeds cap {PHYS_DIM_CAP}"
         )
     if q == 1:
         return a

@@ -63,6 +63,18 @@ def test_tensor_from_json_validates():
         tensor_from_json({"d": 2, "chi": 1, "matrices": [[[[0, 0]]]]})
 
 
+@pytest.mark.parametrize(
+    "d, chi",
+    [(1.9, True), ("1", 1), (1, "1"), (1.0, 1), (1, 1.0), (True, 1), (None, 1)],
+    ids=["float-bool", "str-d", "str-chi", "float-d", "float-chi", "bool-d", "null-d"],
+)
+def test_tensor_from_json_rejects_non_integer_header(d, chi):
+    from lrn_detect.errors import DimensionMismatch
+
+    with pytest.raises(DimensionMismatch):
+        tensor_from_json({"d": d, "chi": chi, "matrices": [[[[1, 0]]]]})
+
+
 def test_csv_rows():
     text = rows_to_csv([{"a": 1, "b": 2.5}, {"a": 3, "c": "x,y"}], None)
     lines = text.strip().split("\n")
@@ -162,6 +174,21 @@ def test_cli_verify_small(capsys):
     assert {s["suite"] for s in report["suites"]} == {
         "clifford_quantization", "invariance", "causal_cone", "flatness",
     }
+
+
+def test_cli_verify_depth2_skips_invariance(monkeypatch, capsys):
+    import lrn_detect.experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("materialize_fixed_point called above the amplitude cap")
+
+    monkeypatch.setattr(lrn_detect.experiments, "materialize_fixed_point", refuse)
+    code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4", "--depth", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    suite = next(s for s in report["suites"] if s["suite"] == "invariance")
+    assert suite == {"suite": "invariance", "passed": True, "depth": 2,
+                     "skipped": f"{2**24} amplitudes above cap {2**20}"}
 
 
 def test_cli_requires_input(capsys):

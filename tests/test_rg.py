@@ -90,7 +90,7 @@ def test_rg_step_rank_tolerance():
 
 def test_rg_step_phys_cap():
     with pytest.raises(SizeCap):
-        rg_step(product_tensor(d=70), phys_dim_cap=4096)
+        rg_step(product_tensor(d=70))
 
 
 def test_fixed_point_ghz():

@@ -14,6 +14,7 @@ from lrn_detect import (
 )
 from lrn_detect.errors import NonDiagonalizablePeripheral
 from lrn_detect.families import (
+    alternating_tensor,
     ghz_tensor,
     phase_loop_tensor,
     product_tensor,
@@ -28,10 +29,40 @@ def test_ghz_peripheral_pair():
     assert s.multi_block
 
 
-def test_biorthonormal_pairing():
-    s = spectral(transfer_matrix(phase_loop_tensor(0.9)))
+def _scrambled_gauge_pair():
+    """A normal block beside its e^{0.7i} copy, behind a random gauge.
+
+    The peripheral transfer eigenvalues are 1 (twice) and e^{+-0.7i}.
+    """
+    rng = np.random.default_rng(11)
+    t = random_normal_tensor(2, 2, seed=4).matrices
+    mats = np.zeros((2, 4, 4), dtype=complex)
+    mats[:, :2, :2] = t
+    mats[:, 2:, 2:] = np.exp(0.7j) * t
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 10 * np.eye(4)
+    return MpsTensor(np.einsum("ab,ibc,cd->iad", np.linalg.inv(x), mats, x))
+
+
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: phase_loop_tensor(0.9), 5),
+        (alternating_tensor, 2),
+        (ghz_tensor, 2),
+        (_scrambled_gauge_pair, 4),
+    ],
+    ids=["phase_loop", "alternating", "ghz", "scrambled_gauge_pair"],
+)
+def test_biorthonormal_pairing(make, k):
+    e = transfer_matrix(make()).matrix
+    s = spectral(e)
+    assert len(s.peripheral) == k
     gram = s.left_vecs.conj().T @ s.right_vecs
-    assert np.allclose(gram, np.eye(len(s.peripheral)), atol=1e-9)
+    assert np.allclose(gram, np.eye(k), atol=1e-9)
+    # Column j is a left eigenvector for peripheral[j]: l^H E = lambda l^H.
+    for j, lam in enumerate(s.peripheral):
+        l_h = s.left_vecs[:, j].conj()
+        assert np.allclose(l_h @ e, lam * l_h, atol=1e-9)
 
 
 def test_normal_tensor_unique_peripheral():

@@ -46,8 +46,8 @@ from .dense import (
     DenseState,
     _apply_gates,
     flatness_check,
+    mutual_information,
     reduced_density,
-    subsystem_entropy,
 )
 from .errors import LrnDetectError
 from .exact import ExactWeight
@@ -96,6 +96,8 @@ class AnalysisRequest:
             raise LrnDetectError("--format must be json or csv")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise LrnDetectError("need 1 <= n-min <= n-max")
+        if self.depth < 1:
+            raise LrnDetectError(f"--depth must be at least 1, got {self.depth}")
 
 
 def _emit(req: AnalysisRequest, report: dict, rows: list[dict] | None = None) -> None:
@@ -266,12 +268,7 @@ def _verify_clifford_quantization(seed: int, trials: int) -> dict:
         cut = max(1, n // 3)
         a, b = qubits[:cut], qubits[cut : 2 * cut]
         mi_tab = tab.mutual_information(a, b)
-        mi_dense = (
-            subsystem_entropy(psi, a)
-            + subsystem_entropy(psi, b)
-            - subsystem_entropy(psi, a + b)
-        )
-        dev = abs(mi_tab - mi_dense)
+        dev = abs(mi_tab - mutual_information(psi, a, b))
         worst = max(worst, dev)
         if dev > 1e-9 or mi_tab != round(mi_tab):
             return {

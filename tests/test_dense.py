@@ -13,13 +13,16 @@ from lrn_detect import (
     apply_brickwork,
     apply_local_gate,
     binary_entropy,
+    build_partition,
     fannes_check,
     flatness_check,
+    materialize_fixed_point,
     materialize_mps,
     mutual_information,
     partial_transpose,
     random_brickwork,
     reduced_density,
+    rg_fixed_point,
     subsystem_entropy,
     trace_distance_mixed,
     trace_distance_pure,
@@ -27,7 +30,13 @@ from lrn_detect import (
 )
 from lrn_detect.circuits import BrickworkCircuit
 from lrn_detect.circuits import haar_gate
-from lrn_detect.dense import _apply_gates
+from lrn_detect.dense import (
+    _PIVOT_ENTROPY_BOUND,
+    _PIVOT_FLOOR,
+    RHO_CAP,
+    _apply_gates,
+    _gram_entropy,
+)
 from lrn_detect.errors import (
     BadFactorization,
     DimensionMismatch,
@@ -388,3 +397,147 @@ def test_gate_loop_matches_kronecker_embedding(d, n, targets):
         apply_local_gate(psi, np.eye(d**2), (0, 1, 2))
     with pytest.raises(DimensionMismatch):
         _apply_gates(psi, [(np.eye(d**2), (0, 1)), (np.eye(d), (0, 1))])
+
+
+def _eigvalsh_entropy(m):
+    """Oracle: entropy from a full ``eigvalsh`` of the Gram matrix ``m m†``."""
+    p = np.linalg.eigvalsh(m @ m.conj().T)
+    p = p[p > 1e-12]
+    return float(-np.sum(p * np.log2(p)))
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """Records the size of every ``eigvalsh`` call."""
+    sizes = []
+    original = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return sizes
+
+
+def test_pivot_entropy_bound_is_audenaert_fannes_at_the_cap():
+    t = _PIVOT_FLOOR
+    assert _PIVOT_ENTROPY_BOUND == pytest.approx(
+        t * math.log2(RHO_CAP - 1) + binary_entropy(t), rel=1e-12
+    )
+    assert _PIVOT_ENTROPY_BOUND < 1e-13
+
+
+def test_gram_entropy_matches_full_eigvalsh(eigvalsh_sizes):
+    rng = np.random.default_rng(17)
+    dim = 256
+
+    def gaussian(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def random_factor(rows, cols, rank):
+        m = gaussian((rows, rank)) @ gaussian((rank, cols))
+        return m / np.linalg.norm(m)
+
+    # Eigenvalues on both sides of the pivot floor (relative 1e-15), none
+    # within reach of the 1e-12 entropy cut.
+    tail = [1e-9, 1e-11, 1e-13, 1e-14, 3e-15, 1e-16, 1e-17, 1e-19]
+    spectrum = [*rng.dirichlet(np.ones(6)) * (1.0 - sum(tail)), *tail]
+    u, v = (np.linalg.qr(gaussian((k, k)))[0][:, :len(spectrum)] for k in (64, 80))
+    near_deficient = (u * np.sqrt(spectrum)) @ v.conj().T
+
+    cases = {  # name: (m, sizes the helper's one eigenproblem may have)
+        "full_rank": (random_factor(dim, dim, dim), {dim}),
+        "full_rank_odd": (random_factor(37, 40, 37), {37}),
+        "rank_1": (random_factor(dim, dim, 1), {1}),
+        "rank_2": (random_factor(dim, dim, 2), {2}),
+        "rank_64": (random_factor(dim, dim, 64), {64}),
+        "tall": (random_factor(300, 24, 24), {24}),
+        "wide": (random_factor(20, 300, 20), {20}),
+        "tall_low_rank": (random_factor(300, 120, 5), {5}),
+        "wide_low_rank": (random_factor(90, 400, 7), {7}),
+        # Six leading and five tail eigenvalues lie above the floor: fewer
+        # than 11 steps would leave over 1e-15 in the Schur complement.
+        "near_deficient": (near_deficient, {11, 12}),
+        "zero": (np.zeros((8, 5), dtype=complex), {0}),
+    }
+    for name, (m, sizes) in cases.items():
+        eigvalsh_sizes.clear()
+        got = _gram_entropy(m)
+        assert len(eigvalsh_sizes) == 1 and eigvalsh_sizes[0] in sizes, name
+        assert abs(got - _eigvalsh_entropy(m)) <= _PIVOT_ENTROPY_BOUND, name
+    assert _gram_entropy(cases["zero"][0]) == 0.0
+
+
+def _three_entropy_mi(psi, region_a, region_b):
+    """Oracle: I(A:B) from three independent subsystem entropies."""
+    a, b = set(region_a), set(region_b)
+    return (subsystem_entropy(psi, a) + subsystem_entropy(psi, b)
+            - subsystem_entropy(psi, a | b))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mutual_information_matches_three_entropy_oracle(d):
+    rng = np.random.default_rng(60 + d)
+    n = 6 if d == 2 else 5
+    raw = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+    sites = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)]
+    states = {
+        "random": DenseState.from_amplitudes(raw, n, d),
+        "product": DenseState.from_amplitudes(functools.reduce(np.kron, sites), n, d),
+        "ghz": dense_pattern_state(["0", str(d - 1)], [1.0, 1.0], n),
+    }
+    # Every assignment of each site to A, B or neither: empty regions,
+    # A∪B equal to every site, and B larger than its complement included.
+    for labels in itertools.product(range(3), repeat=n):
+        a = [q for q in range(n) if labels[q] == 1]
+        b = [q for q in range(n) if labels[q] == 2]
+        for name, psi in states.items():
+            got = mutual_information(psi, a, b)
+            assert abs(got - _three_entropy_mi(psi, a, b)) < 1e-12, (name, a, b)
+            if name == "product":
+                assert abs(got) < 1e-12
+            elif name == "ghz" and a and b:  # one shared bit; two if A∪B is pure
+                assert abs(got - (1.0 if len(a) + len(b) < n else 2.0)) < 1e-12
+    psi = states["random"]
+    assert abs(mutual_information(psi, [], [0, 1])) < 1e-12
+    half = list(range(n // 2))
+    assert abs(mutual_information(psi, half, range(n // 2, n))
+               - 2 * subsystem_entropy(psi, half)) < 1e-12
+    for bad in [({0, 1}, {1, 2}), ({0}, {n}), ({-1}, {2}), ({0}, {n + 3, 1})]:
+        with pytest.raises(DimensionMismatch):
+            mutual_information(psi, *bad)
+
+
+def test_mutual_information_fixed_point_after_brickwork(eigvalsh_sizes):
+    n = 16
+    part = build_partition(n, 1)
+    state = materialize_fixed_point(rg_fixed_point(phase_loop_tensor(math.pi / 3)), n)
+    for seed in range(3):
+        psi = apply_brickwork(state, random_brickwork(n, 1, seed))
+        eigvalsh_sizes.clear()
+        got = mutual_information(psi, part.a, part.b)
+        # Marginals of 4 sites, then the rank of rho_AB rather than 256.
+        assert eigvalsh_sizes[:2] == [16, 16]
+        assert eigvalsh_sizes[2] <= 64
+        assert abs(got - _three_entropy_mi(psi, part.a, part.b)) < 1e-12
+
+
+@pytest.mark.parametrize("big", ["a", "b"])
+def test_mutual_information_memory_follows_the_smaller_side(big):
+    # One region holds 10 of 14 sites: its own 1024 x 1024 reduced density
+    # (or the per-A blocks of B's) would dwarf the 0.25 MiB state.
+    rng = np.random.default_rng(8)
+    raw = rng.standard_normal(2**14) + 1j * rng.standard_normal(2**14)
+    psi = DenseState.from_amplitudes(raw, 14, 2)
+    a, b = [0], list(range(1, 11))
+    if big == "a":
+        a, b = b, a
+    tracemalloc.start()
+    try:
+        got = mutual_information(psi, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    assert abs(got - _three_entropy_mi(psi, a, b)) < 1e-12

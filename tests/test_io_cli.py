@@ -191,6 +191,24 @@ def test_cli_verify_depth2_skips_invariance(monkeypatch, capsys):
                      "skipped": f"{2**24} amplitudes above cap {2**20}"}
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_cli_verify_rejects_depth_below_one(depth, monkeypatch, capsys):
+    from lrn_detect.dense import DenseState
+
+    def refuse(self):
+        raise AssertionError("a dense state was built for an invalid depth")
+
+    monkeypatch.setattr(DenseState, "__post_init__", refuse)
+    code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4",
+                 "--depth", str(depth)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["error"] == "LrnDetectError"
+    assert "--depth" in err["message"]
+
+
 def test_cli_requires_input(capsys):
     assert main(["--pipeline", "analyze"]) == 1
     assert "error" in capsys.readouterr().err

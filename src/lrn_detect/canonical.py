@@ -30,6 +30,7 @@ from .spectral import (
     TAU_SPEC,
     NormalityWitness,
     SpectralData,
+    _peripheral_vectors,
     is_normal,
     normality_witness,
     spectral,
@@ -107,14 +108,14 @@ def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau):
     m = mixed_transfer_matrix(
         a.scaled(1.0 / math.sqrt(r_a)), b.scaled(1.0 / math.sqrt(r_b))
     )
-    evals, evecs = np.linalg.eig(m)
-    top = int(np.argmax(np.abs(evals)))
-    lam = evals[top]
+    evals = np.linalg.eigvals(m)
+    evals = evals[np.argsort(-np.abs(evals), kind="stable")]
+    lam = evals[0]
     if abs(lam) < 1.0 - TAU_GAUGE_DETECT:
         return None
     phase = float(np.angle(lam))
     chi = a.bond_dim
-    mat = evecs[:, top].reshape(chi, chi)
+    mat = _peripheral_vectors(m, evals, 1)[0][:, 0].reshape(chi, chi)
     x = mat @ np.linalg.inv(right_fp_b)
     # Fix the free scale of x: unit Frobenius density, dominant entry positive.
     x = x * (math.sqrt(chi) / np.linalg.norm(x))

@@ -7,24 +7,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionFailure, NonDiagonalizablePeripheral
+from .errors import ConvergenceFailure, DecompositionFailure, NonDiagonalizablePeripheral
 from .tensor import MpsTensor, TransferOperator, transfer_matrix
 
 # Relative width of the peripheral cut: |lambda| >= radius * (1 - TAU_SPEC).
 TAU_SPEC = 1e-9
+# Peripheral eigenvalues closer than this, relative to the radius, share one
+# shift and one block of inverse iteration.
+TAU_CLUSTER = 1e-4
+# Largest accepted eigenpair residual ||E r - lambda r|| / ||r||, relative to
+# the Frobenius norm of E (and likewise for left vectors).
+TAU_RESIDUAL = 1e-10
+# Most inverse-iteration sweeps per block.
+MAX_SWEEPS = 8
+# Outward move of each group's shift, relative to the radius.
+_SHIFT = 1e-10
+# Largest predicted error factor per inverse-iteration sweep: a block grows
+# until its members are this much closer to the shift than any other
+# eigenvalue.
+_RATE = 1e-3
+# Residual, relative to ||E||_F, at which a further sweep cannot help.
+_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendata of a transfer operator.
+    """Spectrum of a transfer operator and its peripheral eigenvectors.
 
     ``eigenvalues`` is the full spectrum sorted by descending modulus.
     ``peripheral`` collects the eigenvalues whose modulus is at least
-    ``radius * (1 - TAU_SPEC)``; ``right_vecs``/``left_vecs`` hold one column
-    per peripheral eigenvalue, scaled so the left-right pairing is the
-    identity on the peripheral space.  The cut is relative, so the data of
-    a matrix also describe every positive rescaling of it (eigenvalues
-    scale, the peripheral set and the vectors do not).
+    ``radius * (1 - TAU_SPEC)`` (none when the radius is zero);
+    ``right_vecs``/``left_vecs`` hold one column per peripheral eigenvalue,
+    scaled so the left-right pairing is the identity on the peripheral
+    space; no other eigenvector is computed.  The cut is relative, so the
+    data of a matrix also describe every positive rescaling of it
+    (eigenvalues scale, the peripheral set and the vectors do not).
     """
 
     eigenvalues: np.ndarray
@@ -50,60 +67,235 @@ class SpectralData:
 
 
 def spectral(t: TransferOperator | np.ndarray) -> SpectralData:
-    """Full eigendecomposition with a biorthonormalized peripheral block.
+    """Spectrum by one ``eigvals``, biorthonormal peripheral eigenvectors.
 
     The peripheral cluster is every eigenvalue of modulus at least
-    ``radius * (1 - TAU_SPEC)``, a cut relative to the spectral radius.
+    ``radius * (1 - TAU_SPEC)``, a cut relative to the spectral radius.  Its
+    right and left eigenvectors come from shifted inverse iteration
+    (``_peripheral_vectors``), so the matrix is factorized once per group of
+    nearby peripheral eigenvalues rather than diagonalized twice.  A zero
+    spectral radius leaves no peripheral cluster.
 
     Raises:
         NonDiagonalizablePeripheral: if the peripheral space carries a
-            nontrivial Jordan block (left/right pairing is singular).  The
+            nontrivial Jordan block (left/right pairing is singular, or
+            inverse iteration stalls above ``TAU_RESIDUAL``).  The
             exception carries the sorted spectrum.
+        ConvergenceFailure: if inverse iteration is still short of
+            ``TAU_RESIDUAL`` after ``MAX_SWEEPS`` sweeps.
     """
     m = t.matrix if isinstance(t, TransferOperator) else np.asarray(t, dtype=complex)
 
-    evals, rvecs = np.linalg.eig(m)
-    order = np.argsort(-np.abs(evals), kind="stable")
-    evals, rvecs = evals[order], rvecs[:, order]
+    evals = np.linalg.eigvals(m)
+    evals = evals[np.argsort(-np.abs(evals), kind="stable")]
     radius = abs(evals[0])
+    if radius == 0.0:
+        empty = np.zeros((m.shape[0], 0), dtype=complex)
+        return SpectralData(eigenvalues=evals, peripheral=evals[:0],
+                            right_vecs=empty, left_vecs=empty)
+    k = int(np.sum(np.abs(evals) >= radius * (1.0 - TAU_SPEC)))
+    rvecs, lvecs = _peripheral_vectors(m, evals, k)
 
-    cut = radius * (1.0 - TAU_SPEC)
-    k = int(np.sum(np.abs(evals) >= cut)) if radius > 0 else 1
-    peripheral = evals[:k]
-
-    # Left eigenvectors from the adjoint; eigenvalues there are conjugated.
-    levals, lvecs = np.linalg.eig(m.conj().T)
-    lorder = np.argsort(-np.abs(levals), kind="stable")
-    levals, lvecs = levals[lorder], lvecs[:, lorder]
-    kl = int(np.sum(np.abs(levals) >= cut)) if radius > 0 else 1
-    if kl != k:
-        raise NonDiagonalizablePeripheral(
-            f"peripheral multiplicities disagree between sides ({k} vs {kl})",
-            spectrum=evals,
-        )
-
-    r_per = rvecs[:, :k] / np.linalg.norm(rvecs[:, :k], axis=0)
-    l_per = lvecs[:, :k] / np.linalg.norm(lvecs[:, :k], axis=0)
+    r_per = rvecs / np.linalg.norm(rvecs, axis=0)
+    l_per = lvecs / np.linalg.norm(lvecs, axis=0)
     gram = l_per.conj().T @ r_per
     # A defective peripheral block leaves the unit-column pairing singular
-    # (LAPACK hands back near-parallel or mutually orthogonal junk vectors).
-    if k:
-        sv = np.linalg.svd(gram, compute_uv=False)
-        if sv[-1] < 1e-8:
-            raise NonDiagonalizablePeripheral(
-                "peripheral left/right pairing is numerically singular",
-                spectrum=evals,
-            )
+    # (the Ritz vectors of a Jordan block are nearly parallel).
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[-1] < 1e-8:
+        raise NonDiagonalizablePeripheral(
+            "peripheral left/right pairing is numerically singular",
+            spectrum=evals,
+        )
     # The dual basis of r_per within span(l_per), whatever its column
     # order: column j is the left eigenvector paired with peripheral[j].
     l_norm = l_per @ np.linalg.inv(gram).conj().T
 
     return SpectralData(
         eigenvalues=evals,
-        peripheral=peripheral,
+        peripheral=evals[:k],
         right_vecs=r_per,
         left_vecs=l_norm,
     )
+
+
+def _clusters(values: np.ndarray, width: float) -> list[np.ndarray]:
+    """Single-linkage groups of ``values``: indices linked within ``width``.
+
+    A value joins a group when it lies within ``width`` of a member, so no
+    value outside a group is that close to it.
+    """
+    free = np.ones(len(values), dtype=bool)
+    out = []
+    for j in range(len(values)):
+        if not free[j]:
+            continue
+        free[j] = False
+        members = [j]
+        for i in members:  # grows while it is walked
+            near = np.flatnonzero(free & (np.abs(values - values[i]) <= width))
+            free[near] = False
+            members.extend(near.tolist())
+        out.append(np.array(sorted(members)))
+    return out
+
+
+def _block(evals: np.ndarray, group: np.ndarray, radius: float):
+    """Shift and inverse-iteration block for the peripheral group ``group``.
+
+    The shift ``sigma`` has the phase of the group's mean and modulus
+    ``radius`` plus the larger of ``_SHIFT * radius`` and the group's
+    spread about its mean, so it lies outside every eigenvalue's modulus
+    and about equally close to each member.  The block is the ``c``
+    eigenvalues nearest ``sigma``: the fewest that hold the group and put
+    the farthest of them at most ``_RATE`` times as far from ``sigma`` as
+    the nearest eigenvalue left out, which is the factor by which each
+    sweep shrinks the error.  Returns ``(sigma, members)``, members sorted.
+    """
+    center = np.mean(evals[group])
+    spread = float(np.max(np.abs(evals[group] - center)))
+    sigma = center / abs(center) * (radius + max(_SHIFT * radius, spread))
+    dist = np.abs(evals - sigma)
+    order = np.argsort(dist, kind="stable")
+    rank = np.empty(len(evals), dtype=int)
+    rank[order] = np.arange(len(evals))
+    c = int(np.max(rank[group])) + 1
+    while c < len(evals) and dist[order[c - 1]] > _RATE * dist[order[c]]:
+        c += 1
+    return sigma, np.sort(order[:c])
+
+
+def _match(targets: np.ndarray, ritz: np.ndarray) -> np.ndarray:
+    """Index of a distinct Ritz value for each target, nearest pairs first."""
+    dist = np.abs(targets[:, None] - ritz[None, :])
+    pick = np.empty(len(targets), dtype=int)
+    for _ in range(len(targets)):
+        i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+        pick[i] = j
+        dist[i, :] = np.inf
+        dist[:, j] = np.inf
+    return pick
+
+
+def _orthonormal(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the columns of ``x`` (full column rank)."""
+    if x.shape[1] == 1:
+        return x / np.linalg.norm(x)
+    return np.linalg.qr(x)[0]
+
+
+def _start_block(n: int, c: int) -> np.ndarray:
+    """Deterministic generic n x c start block for inverse iteration.
+
+    Entry j (row-major, from 1) is ``exp(2 pi i phi j^2)``, phi the golden
+    ratio.  This chirp is a Vandermonde matrix with distinct nodes between
+    two diagonals of unit phases, so it has full rank and no zero entry.
+    It stands in for a seeded random block without importing
+    ``numpy.random``, which costs about 20 ms per process.
+    """
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    j = np.arange(1, n * c + 1, dtype=float)
+    return np.exp(2j * math.pi * golden * j * j).reshape(n, c)
+
+
+def _peripheral_vectors(m: np.ndarray, evals: np.ndarray, k: int):
+    """Right and left eigenvectors of ``m`` for ``evals[:k]``.
+
+    ``evals`` is the spectrum of ``m`` sorted by descending modulus, with a
+    nonzero first entry.  Returns ``(right, left)``, one column per
+    eigenvalue, with ``left^H right`` the identity on every block.
+
+    Peripheral eigenvalues within ``TAU_CLUSTER * radius`` of each other
+    form a group.  Each group gets one shift ``sigma`` just outside the
+    spectral disc, so the shifted matrix is regular even when an eigenvalue
+    is exact (``ghz``, the phase loops), and one block: the eigenvalues
+    nearest ``sigma``, grown until the predicted error factor per sweep is
+    at most ``_RATE`` (``_block``).  The block may take in non-peripheral
+    neighbours; their vectors are computed and dropped.  Each block gets
+    one inverse of ``m - sigma``, whose adjoint serves the left side.  A
+    block that reaches into another group also solves for that group's
+    eigenvalues; the later solve overwrites them.
+    Block inverse iteration runs from a deterministic start of the block's
+    width (``_start_block``) and re-orthonormalizes after each sweep; the
+    oblique compression ``C = (W^H V)^-1 W^H m V`` (its ``eig`` when the
+    block has more than one member) then yields right Ritz vectors ``V y``
+    and their duals.  The wanted eigenvalues take the nearest Ritz pairs.
+    Sweeps go on until the worst residual ``||m r - theta r|| / ||r||`` (or
+    its left twin) reaches round-off or no longer halves; the pairs are
+    accepted if it is then within ``TAU_RESIDUAL * ||m||_F``.
+
+    Raises:
+        NonDiagonalizablePeripheral: if a block is defective: its left
+            and right vectors pair singularly, or the iteration stalls
+            above the bound.
+        ConvergenceFailure: if the residual still halves but misses the
+            bound after ``MAX_SWEEPS`` sweeps; carries the last residual
+            relative to ``||m||_F``.
+    """
+    n = m.shape[0]
+    radius = abs(evals[0])
+    scale = float(np.linalg.norm(m))
+    right = np.empty((n, k), dtype=complex)
+    left = np.empty((n, k), dtype=complex)
+    for group in _clusters(evals[:k], TAU_CLUSTER * radius):
+        sigma, members = _block(evals, group, radius)
+        c = len(members)
+        wanted = members[members < k]
+        shifted = m.copy()
+        shifted.flat[:: n + 1] -= sigma
+        resolvent = np.linalg.inv(shifted)
+        del shifted
+        v = w = _start_block(n, c)
+        residual = math.inf
+        for _ in range(MAX_SWEEPS):
+            v = _orthonormal(resolvent @ v)
+            w = _orthonormal((w.conj().T @ resolvent).conj().T)
+            mv = m @ v
+            try:
+                pairing_inv = np.linalg.inv(w.conj().T @ v)
+                ritz = pairing_inv @ (w.conj().T @ mv)
+                if c == 1:
+                    theta, y, duals = ritz[0], np.ones((1, 1)), pairing_inv.conj().T
+                else:
+                    theta, y = np.linalg.eig(ritz)
+                    pick = _match(evals[wanted], theta)
+                    # Rows of inv(y) are the left eigenvectors of the compression.
+                    duals = pairing_inv.conj().T @ np.linalg.inv(y)[pick].conj().T
+                    theta, y = theta[pick], y[:, pick]
+            except np.linalg.LinAlgError:
+                raise NonDiagonalizablePeripheral(
+                    "left and right peripheral vectors pair singularly",
+                    spectrum=evals,
+                ) from None
+            r, l = v @ y, w @ duals
+            res_r = np.linalg.norm(mv @ y - r * theta, axis=0)
+            res_l = np.linalg.norm(l.conj().T @ m - theta[:, None] * l.conj().T, axis=1)
+            previous, residual = residual, float(np.max(np.concatenate([
+                res_r / np.linalg.norm(r, axis=0), res_l / np.linalg.norm(l, axis=0),
+            ]))) / scale
+            if residual <= _FLOOR or not residual < 0.5 * previous:
+                break  # round-off, or the floor that round-off allows here
+        else:
+            if not residual <= TAU_RESIDUAL:
+                raise ConvergenceFailure(
+                    f"inverse iteration on a peripheral block of {c} missed "
+                    f"the residual bound after {MAX_SWEEPS} sweeps",
+                    last_residual=residual,
+                )
+        if not residual <= TAU_RESIDUAL:
+            # The shift and block make a semisimple block converge by at
+            # least _RATE per sweep, down to about eps times its condition
+            # number.  Stalling above the bound means a Jordan block, whose
+            # chain the resolvent amplifies by powers of the shift distance
+            # until round-off swamps the iteration.
+            raise NonDiagonalizablePeripheral(
+                f"inverse iteration on a peripheral block of {c} stalls at "
+                f"residual {residual:.3g}: numerically defective",
+                spectrum=evals,
+            )
+        right[:, wanted] = r
+        left[:, wanted] = l
+    return right, left
 
 
 def correlation_length(s: SpectralData) -> float:
@@ -124,7 +316,8 @@ def correlation_length(s: SpectralData) -> float:
 def rotate_to_hermitian(m: np.ndarray) -> np.ndarray | None:
     """Strip the global phase of a matrix proportional to a Hermitian one.
 
-    Returns the Hermitian representative with nonnegative trace direction,
+    Returns the Hermitian representative whose extreme eigenvalues have a
+    nonnegative sum (so a definite matrix comes back positive definite),
     or None if ``m`` is not proportional to any Hermitian matrix.  The
     tolerance is loose: eigenvectors of strongly non-normal transfer
     operators can carry sqrt(eps)-scale junk even when the underlying
@@ -141,7 +334,7 @@ def rotate_to_hermitian(m: np.ndarray) -> np.ndarray | None:
     if np.linalg.norm(m - coeff * h) > 1e-6 * np.linalg.norm(m):
         return None
     ev = np.linalg.eigvalsh(h)
-    if abs(ev[0]) > abs(ev[-1]):
+    if ev[0] + ev[-1] < 0.0:
         h = -h
     return h
 

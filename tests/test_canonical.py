@@ -81,23 +81,15 @@ def test_decompose_normal_single_block():
     assert cf.blocking == 1
 
 
-def test_decompose_factorizes_a_normal_block_once(monkeypatch):
-    # One spectral factorization (right and left eigenvectors) serves the
-    # split, the block radius and the normality certificate.
+def test_decompose_factorizes_a_normal_block_once(count_linalg):
+    # One eigvals of the 64 x 64 transfer matrix, plus inverse iteration,
+    # serves the split, the block radius and the normality certificate; a
+    # unique peripheral eigenvalue needs no Ritz eig.
     t = random_normal_tensor(2, 8, seed=8)
-    calls = {"eig": 0, "eigvals": 0}
-    for name in calls:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = count_linalg()
     cf = canonical_decompose(t)
     assert len(cf.blocks) == 1
-    assert calls["eig"] <= 2
-    assert calls["eigvals"] == 0
+    assert calls == {"eig": [], "eigvals": [64]}
 
 
 def test_decompose_ghz():
@@ -218,3 +210,29 @@ def test_decompose_scrambled_alternating():
     assert cf.blocking == 2
     assert len(cf.blocks) == 2
     assert {round(abs(b.mu), 9) for b in cf.blocks} == {1.0}
+
+
+# --- robustness sweep -----------------------------------------------------------
+
+
+@pytest.mark.slow
+def test_copy_composites_decompose_robustly(copy_composite):
+    # About one draw in 1,350 of such composites is known to miss the
+    # projector leak tolerance (a DecompositionFailure); one miss in the
+    # thousand draws is within that rate, a second is not.
+    failures = []
+    for seed in range(1000):
+        rng = np.random.default_rng([2024, seed])
+        d = int(rng.integers(2, 4))
+        chis = [int(c) for c in rng.integers(2, 4, size=int(rng.integers(2, 4)))]
+        q = int(rng.integers(2, 7))
+        tensor = copy_composite(rng, d, chis, np.exp(2j * math.pi / q))
+        blocks, groups = len(chis) + 1, len(chis)
+        try:
+            cf = canonical_decompose(tensor)
+        except DecompositionFailure as exc:
+            failures.append((seed, str(exc)))
+            continue
+        if (len(cf.blocks), cf.num_groups, cf.blocking) != (blocks, groups, 1):
+            failures.append((seed, f"{len(cf.blocks)} blocks, {cf.num_groups} groups"))
+    assert len(failures) <= 1, failures

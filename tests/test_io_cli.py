@@ -15,6 +15,7 @@ from lrn_detect.errors import (
     RankTolerance,
 )
 from lrn_detect.families import (
+    alternating_tensor,
     counterexample_exact_weights,
     counterexample_tensor,
     ghz_tensor,
@@ -329,21 +330,14 @@ def test_cli_analyze_chi12_normal(tmp_path, capsys):
     assert np.all(lam > 0) and np.all(np.diff(lam) <= 0)
 
 
-def test_cli_rg_chi12_normal(tmp_path, monkeypatch, capsys):
+def test_cli_rg_chi12_normal(tmp_path, count_linalg, capsys):
     # The fixed point is built in closed form, so no flow step caps the bond
-    # dimension, and the input's transfer matrix is factorized once: the two
-    # eig of canonical_decompose are the whole cost.
+    # dimension, and the input's transfer matrix is factorized once: one
+    # eigvals of canonical_decompose is the whole cost.
     save_tensor(tmp_path / "chi12.json", random_normal_tensor(2, 12, seed=7))
-    calls = {"eig": 0}
-    original = np.linalg.eig
-
-    def counted(*args, **kwargs):
-        calls["eig"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eig", counted)
+    calls = count_linalg()
     assert main(["--pipeline", "rg", "--input", str(tmp_path / "chi12.json")]) == 0
-    assert calls["eig"] == 2
+    assert calls == {"eig": [], "eigvals": [144]}
     report = json.loads(capsys.readouterr().out)
     assert report["multi_block"] is False
     assert report["correlation_length"] > 0
@@ -411,24 +405,50 @@ def test_cli_analyze_composite_with_chi10_block(tmp_path, capsys):
     assert sorted(len(e["schmidt_weights"]) for e in report["fixed_point"]) == [2, 10]
 
 
-@pytest.mark.parametrize("name,max_eig", [("chi8", 2), ("ghz", 7)])
-def test_cli_analyze_reuses_canonical_factorizations(name, max_eig, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name,eigvals_sizes,eig_sizes", [
+    ("chi8", [64], []),
+    ("ghz", [1, 1, 1, 4], [2, 2]),
+], ids=["chi8", "ghz"])
+def test_cli_analyze_reuses_canonical_factorizations(
+    name, eigvals_sizes, eig_sizes, tmp_path, count_linalg
+):
     # The fixed point is read from the blocks' normality witnesses, so
-    # analyze factorizes no matrix beyond canonical_decompose.
+    # analyze factorizes no matrix beyond canonical_decompose: one eigvals
+    # per transfer matrix, and eig only on the 2 x 2 Ritz matrix of ghz's
+    # degenerate peripheral cluster, once per inverse-iteration sweep.
     tensor = random_normal_tensor(2, 8, seed=8) if name == "chi8" else ghz_tensor()
     save_tensor(tmp_path / "t.json", tensor)
-    calls = {"eig": 0}
-    original = np.linalg.eig
-
-    def counted(*args, **kwargs):
-        calls["eig"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eig", counted)
+    calls = count_linalg()
     out = tmp_path / "r.json"
     assert main(["--pipeline", "analyze", "--input", str(tmp_path / "t.json"),
                  "--out", str(out)]) == 3
-    assert calls["eig"] <= max_eig
+    assert sorted(calls["eigvals"]) == eigvals_sizes
+    assert calls["eig"] == eig_sizes
+
+
+@pytest.mark.parametrize("pipeline", ["analyze", "rg"])
+@pytest.mark.parametrize("name", [
+    "ghz", "loop_pi3", "loop_7_997", "alternating", "counterexample", "chi6", "copy_composite",
+])
+def test_cli_runs_no_eig_on_a_transfer_matrix(
+    name, pipeline, tmp_path, count_linalg, copy_composite, capsys
+):
+    # Spectra come from eigvals; eig only ever sees a peripheral block's
+    # Ritz matrix, which is smaller than any transfer matrix of the input.
+    tensor = {
+        "ghz": ghz_tensor,
+        "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
+        "loop_7_997": lambda: phase_loop_tensor(2 * math.pi * 7 / 997),
+        "alternating": alternating_tensor,
+        "counterexample": counterexample_tensor,
+        "chi6": lambda: random_normal_tensor(3, 6, seed=6),
+        "copy_composite": lambda: copy_composite(np.random.default_rng(3), 2, [3, 2], np.exp(0.4j)),
+    }[name]()
+    save_tensor(tmp_path / "t.json", tensor)
+    calls = count_linalg()
+    assert main(["--pipeline", pipeline, "--input", str(tmp_path / "t.json")]) in (0, 2, 3)
+    assert tensor.bond_dim ** 2 in calls["eigvals"]
+    assert all(size < tensor.bond_dim ** 2 for size in calls["eig"])
 
 
 @pytest.mark.parametrize("make_error,field,expect", [

@@ -281,31 +281,30 @@ def test_materialized_pair_fixed_point_matches_flow_limit(chi, n):
 
 
 @pytest.mark.parametrize(
-    "name,n_eig",
-    [("ghz", 7), ("loop_pi3", 12), ("chi4", 2)],
+    "name,eigvals_sizes,eig_sizes",
+    [("ghz", [1, 1, 1, 4], [2, 2]), ("loop_pi3", [1] * 6 + [9], [3, 3]), ("chi4", [16], [])],
+    ids=["ghz", "loop_pi3", "chi4"],
 )
-def test_flow_reads_first_lambda2_from_witness(name, n_eig, monkeypatch):
+def test_flow_reads_first_lambda2_from_witness(name, eigvals_sizes, eig_sizes, count_linalg):
     # canonical_decompose already factorized every block; the fixed point
     # takes lambda2 and the Schmidt weights from the carried witnesses and
-    # factorizes nothing else.
+    # factorizes nothing else.  Each transfer matrix gets one eigvals; eig
+    # runs only on the Ritz matrix of a degenerate peripheral cluster, once
+    # per inverse-iteration sweep.
     tensor = {
         "ghz": ghz_tensor,
         "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
         "chi4": lambda: random_normal_tensor(2, 4, seed=3),
     }[name]()
-    calls = {"eig": 0}
-    original = np.linalg.eig
-
-    def counted(*args, **kwargs):
-        calls["eig"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eig", counted)
+    calls = count_linalg()
     canonical_decompose(tensor)
-    assert calls["eig"] == n_eig
-    calls["eig"] = 0
+    assert sorted(calls["eigvals"]) == eigvals_sizes
+    assert calls["eig"] == eig_sizes
+    calls["eigvals"].clear()
+    calls["eig"].clear()
     fp = rg_fixed_point(tensor)
-    assert calls["eig"] == n_eig
+    assert sorted(calls["eigvals"]) == eigvals_sizes
+    assert calls["eig"] == eig_sizes
     groups = fp.canonical.surviving_groups()
     for b in fp.blocks:
         assert b.history[0] == groups[b.label][0].witness.lambda2

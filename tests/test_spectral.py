@@ -15,11 +15,13 @@ from lrn_detect import (
 from lrn_detect.errors import NonDiagonalizablePeripheral
 from lrn_detect.families import (
     alternating_tensor,
+    counterexample_tensor,
     ghz_tensor,
     phase_loop_tensor,
     product_tensor,
     random_normal_tensor,
 )
+from lrn_detect.spectral import TAU_RESIDUAL, TAU_SPEC, rotate_to_hermitian
 
 
 def test_ghz_peripheral_pair():
@@ -120,3 +122,154 @@ def test_random_normal_tensor_certifies():
         assert wit
         ev = np.linalg.eigvalsh(wit.right_fixed_point)
         assert ev[0] > 0
+
+
+# --- inverse iteration against a dense eig oracle -----------------------------
+
+
+def _gauge(rng, chi):
+    return rng.standard_normal((chi, chi)) + 1j * rng.standard_normal((chi, chi)) + 3 * np.eye(chi)
+
+
+def _close_phase_pair():
+    """A normal block beside its e^{1e-6 i} copy: a cluster of four close,
+    distinct peripheral eigenvalues 1, 1, e^{+-1e-6 i}."""
+    t = random_normal_tensor(2, 3, seed=21).matrices
+    mats = np.zeros((2, 6, 6), dtype=complex)
+    mats[:, :3, :3] = t
+    mats[:, 3:, 3:] = np.exp(1e-6j) * t
+    return MpsTensor(mats).gauged(_gauge(np.random.default_rng(21), 6))
+
+
+def _oracle_peripheral(e):
+    """Peripheral eigenvalues of ``e`` read from a full dense ``eig``."""
+    evals = np.linalg.eig(e)[0]
+    radius = np.max(np.abs(evals))
+    return evals[np.abs(evals) >= radius * (1.0 - TAU_SPEC)]
+
+
+_ORACLE_CASES = {
+    "ghz": ghz_tensor,
+    "product": product_tensor,
+    "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
+    "loop_incommensurate": lambda: phase_loop_tensor(math.sqrt(2.0)),
+    "loop_7_997": lambda: phase_loop_tensor(2 * math.pi * 7 / 997),
+    "alternating": alternating_tensor,
+    "counterexample": counterexample_tensor,
+    "close_phase_pair": _close_phase_pair,
+    **{f"normal_d{d}_chi{chi}": (lambda d=d, chi=chi: random_normal_tensor(d, chi, seed=chi))
+       for d in (2, 3) for chi in (2, 5, 9, 16)},
+}
+
+
+def _assert_matches_oracle(e):
+    s = spectral(e)
+    expected = _oracle_peripheral(e)
+    k = len(expected)
+    assert len(s.peripheral) == k
+    # Same peripheral multiset: every oracle eigenvalue has its own partner.
+    dist = np.abs(expected[:, None] - s.peripheral[None, :])
+    for _ in range(k):
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        assert dist[i, j] < 1e-9 * s.radius
+        dist[i, :] = np.inf
+        dist[:, j] = np.inf
+    assert np.allclose(s.left_vecs.conj().T @ s.right_vecs, np.eye(k), atol=1e-9)
+    bound = TAU_RESIDUAL * np.linalg.norm(e)
+    for j, lam in enumerate(s.peripheral):
+        r, l_h = s.right_vecs[:, j], s.left_vecs[:, j].conj()
+        assert np.linalg.norm(e @ r - lam * r) <= bound * np.linalg.norm(r)
+        assert np.linalg.norm(l_h @ e - lam * l_h) <= bound * np.linalg.norm(l_h)
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_inverse_iteration_matches_dense_eig(name):
+    _assert_matches_oracle(transfer_matrix(_ORACLE_CASES[name]()).matrix)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inverse_iteration_matches_dense_eig_on_composites(seed, copy_composite):
+    # Random block phases: the peripheral spectrum holds the degenerate
+    # eigenvalue one, the copy's phase and its conjugate.
+    rng = np.random.default_rng(seed)
+    tensor = copy_composite(rng, 2 + seed % 2, [2, 3], np.exp(2j * math.pi * rng.uniform()))
+    _assert_matches_oracle(transfer_matrix(tensor).matrix)
+
+
+def test_close_phase_pair_is_one_resolved_cluster():
+    s = spectral(transfer_matrix(_close_phase_pair()))
+    phases = np.sort(np.angle(s.peripheral))
+    assert np.allclose(phases, [-1e-6, 0.0, 0.0, 1e-6], atol=1e-12)
+
+
+def _jordan_beside(neighbour, coupled):
+    """Transfer-like matrix with a triple eigenvalue one, scrambled.
+
+    ``coupled`` makes the triple one Jordan block.  ``neighbour`` is one
+    more eigenvalue, here just inside the peripheral cut, and a decaying
+    bulk keeps the matrix from being all cluster.
+    """
+    rng = np.random.default_rng(5)
+    core = np.eye(3, dtype=complex)
+    if coupled:
+        core += np.diag([1.0, 1.0], 1)
+    bulk = 0.5 * rng.uniform(size=12) * np.exp(2j * math.pi * rng.uniform(size=12))
+    m = np.zeros((16, 16), dtype=complex)
+    m[:3, :3] = core
+    m[3, 3] = neighbour
+    m[4:, 4:] = np.diag(bulk)
+    x = _gauge(rng, 16)
+    return x @ m @ np.linalg.inv(x)
+
+
+def test_jordan_block_beside_a_non_peripheral_eigenvalue():
+    inside = 1.0 - 3 * TAU_SPEC  # non-peripheral, but near enough to join the block
+    with pytest.raises(NonDiagonalizablePeripheral):
+        spectral(_jordan_beside(inside, coupled=True))
+    # The same spectrum without the Jordan coupling resolves: the neighbour
+    # shares the block but stays outside the peripheral set.
+    e = _jordan_beside(inside, coupled=False)
+    s = spectral(e)
+    assert np.allclose(s.peripheral, [1.0, 1.0, 1.0], atol=1e-9)
+    assert np.allclose(s.left_vecs.conj().T @ s.right_vecs, np.eye(3), atol=1e-9)
+    bound = TAU_RESIDUAL * np.linalg.norm(e)
+    assert np.all(np.linalg.norm(e @ s.right_vecs - s.right_vecs, axis=0) <= bound)
+
+
+def test_lone_peripheral_eigenvalue_beside_slow_modes():
+    # The peripheral 1 has two non-peripheral neighbours 1e-4 away, one just
+    # inside TAU_CLUSTER: the shift sits 1e-10 from the 1, so each sweep
+    # shrinks the error by about 1e-6 and the neighbours stay out.
+    rng = np.random.default_rng(7)
+    bulk = 0.5 * rng.uniform(size=13) * np.exp(2j * math.pi * rng.uniform(size=13))
+    near = (1 - 1e-6) * np.exp(np.array([0.9e-4j, -1.5e-4j]))
+    x = _gauge(rng, 16)
+    e = x @ np.diag(np.concatenate([[1.0], near, bulk])) @ np.linalg.inv(x)
+    _assert_matches_oracle(e)
+
+
+def test_zero_tensor_has_no_peripheral_cluster():
+    s = spectral(transfer_matrix(MpsTensor(np.zeros((2, 3, 3)))))
+    assert s.radius == 0.0
+    assert s.peripheral.size == 0
+    assert s.right_vecs.shape == s.left_vecs.shape == (9, 0)
+    assert not is_normal(MpsTensor(np.zeros((2, 3, 3))))
+
+
+@pytest.mark.parametrize("m", [
+    -np.eye(2), -1j * np.eye(3), np.diag([-2.0, -1.0]), 1j * np.diag([-2.0, -1.0]),
+], ids=["minus_identity", "minus_i_identity", "negative_diag", "rotated_negative_diag"])
+def test_rotate_to_hermitian_returns_positive_representative(m):
+    h = rotate_to_hermitian(m)
+    assert np.allclose(h, np.abs(np.diagonal(m)) * np.eye(len(m)))
+
+
+@pytest.mark.parametrize("m, expected", [
+    (np.diag([-2.0, 1.0]), np.diag([2.0, -1.0])),
+    (np.diag([-1.0, 2.0]), np.diag([-1.0, 2.0])),
+    (np.diag([-1.0, 1.0]), np.diag([-1.0, 1.0])),
+])
+def test_rotate_to_hermitian_keeps_indefinite_orientation(m, expected):
+    # As before the sign fix: the larger eigenvalue magnitude ends up
+    # positive, and a tie keeps the input's sign.
+    assert np.array_equal(rotate_to_hermitian(m), expected)

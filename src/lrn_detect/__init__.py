@@ -54,6 +54,7 @@ from .experiments import (
     InvarianceReport,
     fixed_point_invariance_experiment,
     invariance_experiment,
+    invariance_sweep,
 )
 from .partition import Partition, build_partition
 from .rg import FixedPointBlock, FixedPointState, RgStep, rg_fixed_point, rg_step
@@ -113,6 +114,7 @@ __all__ = [
     "ghz_classify",
     "haar_gate",
     "invariance_experiment",
+    "invariance_sweep",
     "is_normal",
     "local_orthogonal",
     "lrn_entropy_check",

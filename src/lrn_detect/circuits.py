@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseState, _apply_gates
+from .dense import UNITARY_TOL, DenseState, _apply_gates, _unitarity_defect
 from .errors import GeometryMismatch
-
-_UNITARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,12 +38,18 @@ class BrickworkCircuit:
                 used.update((a, b))
                 if gate.shape != (d2, d2):
                     raise GeometryMismatch(f"gate shape {gate.shape}, expected {(d2, d2)}")
-                if np.max(np.abs(gate.conj().T @ gate - np.eye(d2))) > _UNITARY_TOL:
+                if _unitarity_defect(gate) > UNITARY_TOL:
                     raise GeometryMismatch("gate is not unitary within tolerance")
 
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+    @property
+    def gates(self) -> list:
+        """Every gate as ``(gate, (s, (s+1) % n))``, layer after layer."""
+        n = self.n_sites
+        return [(gate, (s, (s + 1) % n)) for layer in self.layers for s, gate in layer]
 
     def adjoint(self) -> "BrickworkCircuit":
         return BrickworkCircuit(
@@ -60,10 +64,19 @@ class BrickworkCircuit:
 
 def haar_gate(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-like unitary: QR of a complex Gaussian with fixed phases."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r)
-    return q * (ph / np.abs(ph))
+    return _haar_gates(1, dim, rng)[0]
+
+
+def _haar_gates(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-like unitaries from one draw and one stacked QR.
+
+    Gate i takes its real part, then its imaginary part, from the stream
+    in turn, so the stack equals ``count`` successive ``haar_gate`` calls.
+    """
+    z = rng.standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    ph = np.diagonal(r, axis1=1, axis2=2)
+    return q * (ph / np.abs(ph))[:, None, :]
 
 
 def random_brickwork(
@@ -82,15 +95,13 @@ def random_brickwork(
     rng = np.random.default_rng(seed)
     if first_offset is None:
         first_offset = int(rng.integers(0, 2))
-    d2 = local_dim**2
     layers = []
     for layer_idx in range(depth):
         offset = (first_offset + layer_idx) % 2
-        layer = []
-        for k in range(n // 2):  # odd n leaves one site idle per layer
-            s = (offset + 2 * k) % n
-            layer.append((s, haar_gate(d2, rng)))
-        layers.append(tuple(layer))
+        gates = _haar_gates(n // 2, local_dim**2, rng)  # odd n leaves one site idle
+        layers.append(
+            tuple(((offset + 2 * k) % n, gate) for k, gate in enumerate(gates))
+        )
     return BrickworkCircuit(n_sites=n, local_dim=local_dim, layers=tuple(layers))
 
 
@@ -101,6 +112,4 @@ def apply_brickwork(psi: DenseState, circuit: BrickworkCircuit) -> DenseState:
             f"circuit on {circuit.n_sites} sites of dim {circuit.local_dim} "
             f"does not match state on {psi.n_sites} of dim {psi.local_dim}"
         )
-    n = circuit.n_sites
-    gates = [(gate, (s, (s + 1) % n)) for layer in circuit.layers for s, gate in layer]
-    return DenseState(n, circuit.local_dim, _apply_gates(psi, gates))
+    return DenseState(circuit.n_sites, circuit.local_dim, _apply_gates(psi, circuit.gates))

@@ -33,7 +33,7 @@ import numpy as np
 from . import families
 from .canonical import canonical_decompose
 from .causal import apply_reduction, causal_cone_reduce
-from .circuits import apply_brickwork, random_brickwork
+from .circuits import random_brickwork
 from .criteria import (
     EXACT_SRN_EXCLUDED,
     LRN_CERTIFIED,
@@ -51,7 +51,7 @@ from .dense import (
 )
 from .errors import LrnDetectError
 from .exact import ExactWeight
-from .experiments import _fixed_point_sweep, _invariance_sweep
+from .experiments import _fixed_point_sweep, invariance_sweep
 from .io import dump_report, load_tensor, rows_to_csv
 from .partition import build_partition
 from .rg import rg_fixed_point
@@ -302,7 +302,7 @@ def _verify_invariance(seed: int, seeds_per_fixture: int, depth: int) -> dict:
         )
         part = build_partition(n, depth)
         circuits = ((s, random_brickwork(n, depth, s)) for s in seeds)
-        for rep in _invariance_sweep(state, probs, part, circuits):
+        for rep in invariance_sweep(state, probs, part, circuits):
             results.append(
                 {"fixture": "four_component", "seed": rep.seed, **rep.to_json()}
             )
@@ -313,29 +313,21 @@ def _verify_invariance(seed: int, seeds_per_fixture: int, depth: int) -> dict:
     return out
 
 
-def _conjugate_product(rho_ab: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """``(u_a ⊗ u_b) rho_ab (u_a ⊗ u_b)†``, one factor at a time.
-
-    Each factor acts on its own axis of the ``(da, db, da, db)`` view of
-    ``rho_ab``, so the Kronecker product is never formed.
-    """
-    da, db = u_a.shape[0], u_b.shape[0]
-    r = (u_a @ rho_ab.reshape(da, -1)).reshape(da, db, da * db)  # row a
-    r = (u_b @ r).reshape(-1, db) @ u_b.conj().T  # row b, then column b
-    r = u_a.conj() @ r.reshape(da * db, da, db)  # column a
-    return r.reshape(da * db, da * db)
-
-
 def _verify_causal_cone(seed: int, trials: int) -> dict:
     state = families.dense_pattern_state(["0", "1"], [math.sqrt(0.3), math.sqrt(0.7)], 16)
+    part = build_partition(16, 1)
     worst = 0.0
     for k in range(trials):
         circ = random_brickwork(16, 1, seed + k)
-        part = build_partition(16, 1)
         red = causal_cone_reduce(circ, part)
         sigma = apply_reduction(red, state)
-        rho_ab = reduced_density(apply_brickwork(state, circ), part.a + part.b)
-        err = float(np.linalg.norm(sigma - _conjugate_product(rho_ab, red.u_a, red.u_b)))
+        # The oracle, by linearity of the partial trace: the circuit, then u_a
+        # and u_b as two more gates, gives (u_a ⊗ u_b) rho_ab (u_a ⊗ u_b)†.
+        # No name holds the evolved state, so it is freed before the next
+        # trial's apply_reduction.
+        gates = circ.gates + [(red.u_a, part.a), (red.u_b, part.b)]
+        rho_ab = reduced_density(DenseState(16, 2, _apply_gates(state, gates)), part.a + part.b)
+        err = float(np.linalg.norm(sigma - rho_ab))
         cptp = max((c.cptp_defect() for c in red.channel_list()), default=0.0)
         worst = max(worst, err, cptp)
         if err > 1e-10 or cptp > 1e-12:

@@ -12,16 +12,17 @@ density (``_gram_entropy``) within a certified error bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_tuple
 
 from .errors import (
     BadFactorization,
     DimensionMismatch,
     NotPSD,
+    NotUnitary,
     SizeCap,
     ZeroState,
 )
@@ -30,6 +31,9 @@ from .tensor import MpsTensor
 
 AMP_CAP = 2**24
 RHO_CAP = 2**12
+
+# Largest entry of g†g - 1 a gate may have and count as unitary.
+UNITARY_TOL = 1e-12
 
 _EIG_FLOOR = 1e-12
 _PSD_TOL = 1e-9
@@ -65,6 +69,16 @@ class DenseState:
             raise ZeroState(f"amplitudes have norm {nrm}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _normalized(cls, n_sites: int, local_dim: int, amps: np.ndarray) -> "DenseState":
+        """Wrap amplitudes known to be normalized, skipping the norm check."""
+        amps.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "n_sites", n_sites)
+        object.__setattr__(out, "local_dim", local_dim)
+        object.__setattr__(out, "amplitudes", amps)
+        return out
 
     @staticmethod
     def from_amplitudes(raw, n_sites: int, local_dim: int) -> "DenseState":
@@ -313,8 +327,25 @@ def flatness_check(rho_ab: np.ndarray, dim_a: int, tau: float = 1e-9) -> bool:
 
 
 def apply_local_gate(psi: DenseState, gate: np.ndarray, sites) -> DenseState:
-    """Apply a unitary acting on the listed sites (in the given order)."""
-    return DenseState(psi.n_sites, psi.local_dim, _apply_gates(psi, [(gate, sites)]))
+    """Apply a unitary acting on the listed sites (in the given order).
+
+    The gate's unitarity is checked once, within ``UNITARY_TOL``; a
+    unitary keeps the input's norm, so the output is not re-normed.
+
+    Raises:
+        DimensionMismatch: for bad targets or a gate of the wrong shape.
+        NotUnitary: if ``gate`` is not unitary within ``UNITARY_TOL``.
+    """
+    amps = _apply_gates(psi, [(gate, sites)])
+    defect = _unitarity_defect(gate)
+    if defect > UNITARY_TOL:
+        raise NotUnitary(f"gate is {defect:.2e} from unitary (tolerance {UNITARY_TOL})")
+    return DenseState._normalized(psi.n_sites, psi.local_dim, amps)
+
+
+def _unitarity_defect(gate: np.ndarray) -> float:
+    """Largest entry of ``gate† gate - 1``."""
+    return float(np.abs(gate.conj().T @ gate - np.eye(len(gate))).max())
 
 
 def _apply_gates(psi: DenseState, gates) -> np.ndarray:
@@ -323,22 +354,41 @@ def _apply_gates(psi: DenseState, gates) -> np.ndarray:
     The one gate loop of the dense engine.  It works on a bare array and
     never renormalizes; callers wrap the result in one ``DenseState``,
     whose norm check then covers the whole gate list.
+
+    The array is kept in a rotating axis order: ``order[i]`` is the site
+    on axis i.  A gate whose targets lead is one BLAS call,
+    ``arr.reshape(d**k, -1).T @ gate.T``, whose C-contiguous output holds
+    the targets as its last axes; so a run of ring-consecutive gates (a
+    brickwork layer) never transposes.  Targets that do not lead cost one
+    copy: a cyclic rotation of the axes when they are consecutive in the
+    current order, otherwise a transpose that moves them to the front.
+    One transpose at the end restores site order.
     """
     n, d = psi.n_sites, psi.local_dim
-    arr = psi.amplitudes.reshape([d] * n)
+    arr = psi.amplitudes
+    order = list(range(n))
     for gate, sites in gates:
-        try:
-            sites = normalize_axis_tuple(tuple(sites), n)  # as np.moveaxis reads them
-        except ValueError as exc:  # out of range (AxisError) or repeated
-            raise DimensionMismatch(f"bad gate targets {sites}: {exc}") from exc
-        k = len(sites)
+        # Targets are read as numpy reads axes: negative ones count from the end.
+        t = [s + n if s < 0 else s for s in map(operator.index, sites)]
+        k = len(t)
+        if len(set(t)) < k or not all(0 <= s < n for s in t):
+            raise DimensionMismatch(f"bad gate targets {tuple(sites)} on {n} sites")
         if gate.shape != (d**k, d**k):
             raise DimensionMismatch(f"gate shape {gate.shape} does not fit {k} sites")
-        # The targets lead, so the matmul reads one contiguous (d**k, rest) block.
-        perm = list(sites) + [q for q in range(n) if q not in sites]
-        arr = (gate @ arr.transpose(perm).reshape(d**k, -1)).reshape([d] * n)
-        arr = arr.transpose(np.argsort(perm))
-    return arr.reshape(-1)
+        if order[:k] != t:
+            p = order.index(t[0])
+            rotated = order[p:] + order[:p]
+            if rotated[:k] == t:
+                arr = arr.reshape(d**p, -1).T.reshape(d**k, -1)
+                order = rotated
+            else:
+                rest = [q for q in order if q not in t]
+                axes = [order.index(q) for q in t + rest]
+                arr = arr.reshape([d] * n).transpose(axes).reshape(d**k, -1)
+                order = t + rest
+        arr = arr.reshape(d**k, -1).T @ gate.T
+        order = order[k:] + t
+    return arr.reshape([d] * n).transpose(sorted(range(n), key=order.__getitem__)).reshape(-1)
 
 
 def materialize_fixed_point(f: FixedPointState, n: int) -> DenseState:

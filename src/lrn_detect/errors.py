@@ -104,6 +104,10 @@ class NotPSD(LrnDetectError):
     """Matrix has an eigenvalue below the PSD tolerance."""
 
 
+class NotUnitary(LrnDetectError):
+    """Gate is not unitary within the tolerance."""
+
+
 class GeometryMismatch(LrnDetectError):
     """Circuit geometry does not match the state it is applied to."""
 

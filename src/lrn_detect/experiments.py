@@ -65,7 +65,7 @@ def invariance_experiment(
     tol: float = INVARIANCE_TOL,
 ) -> InvarianceReport:
     """Compare I(A:B) before and after a circuit with the weight entropy."""
-    return _invariance_sweep(state, probs, partition, [(seed, circuit)], tol)[0]
+    return invariance_sweep(state, probs, partition, [(seed, circuit)], tol)[0]
 
 
 def fixed_point_invariance_experiment(
@@ -88,13 +88,13 @@ def _fixed_point_sweep(f: FixedPointState, n: int, depth: int, seeds) -> list[In
     circuits = (
         (s, random_brickwork(n, depth, s, local_dim=state.local_dim)) for s in seeds
     )
-    return _invariance_sweep(state, probs, partition, circuits)
+    return invariance_sweep(state, probs, partition, circuits)
 
 
-def _invariance_sweep(
+def invariance_sweep(
     state: DenseState, probs, partition: Partition, circuits, tol: float = INVARIANCE_TOL
 ) -> list[InvarianceReport]:
-    """One report per ``(seed, circuit)`` pair.
+    """``invariance_experiment`` for each ``(seed, circuit)`` pair, in order.
 
     ``before`` and the weight entropy depend on the state and the
     partition only, so they are computed once; each circuit costs one

@@ -24,7 +24,7 @@ from lrn_detect import (
     fannes_check,
     flatness_check,
     ghz_classify,
-    invariance_experiment,
+    invariance_sweep,
     lrn_entropy_check,
     materialize_fixed_point,
     materialize_mps,
@@ -189,9 +189,9 @@ def test_criterion_4_shallow_circuit_invariance():
     assert 4 * depth + 4 <= len(partition.ab) <= 8 * depth
     assert partition.min_region() >= 2 * depth + 2
     for name, state, probs in cases:
-        for seed in range(20):
-            circ = random_brickwork(n, depth, seed)
-            rep = invariance_experiment(state, probs, partition, circ, seed=seed, tol=tol)
+        # One ``before`` per state, one ``after`` per seed.
+        circuits = [(seed, random_brickwork(n, depth, seed)) for seed in range(20)]
+        for rep in invariance_sweep(state, probs, partition, circuits, tol=tol):
             worst = max(worst, rep.max_deviation)
             if not rep.passed:
                 failures += 1

@@ -42,6 +42,7 @@ from lrn_detect.errors import (
     DimensionMismatch,
     GeometryMismatch,
     NotPSD,
+    NotUnitary,
     SizeCap,
     ZeroState,
 )
@@ -353,6 +354,69 @@ def test_apply_brickwork_builds_one_state(d, n, monkeypatch):
     out = apply_brickwork(state, circ)
     assert built["n"] == 1
     assert np.max(np.abs(out.amplitudes - gate_by_gate.amplitudes)) < 1e-13
+
+
+def test_apply_brickwork_peak_memory_is_bounded():
+    # Each gate reads the state and writes one new array; no third copy.
+    n = 16
+    state = dense_pattern_state(["0", "1"], [0.6, 0.8], n)
+    for offset in (0, 1):  # offset 1 adds one axis rotation and the final transpose
+        circ = random_brickwork(n, 1, seed=3, first_offset=offset)
+        tracemalloc.start()
+        try:
+            out = apply_brickwork(state, circ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.amplitudes.nbytes == 2**20  # a 1 MiB state
+        assert peak <= 2 * 2**20 + 64 * 2**10, offset
+
+
+def test_random_brickwork_matches_per_gate_draws():
+    # Oracle: one Gaussian draw and one QR per gate, gate after gate.
+    def per_gate(n, depth, seed, d):
+        rng = np.random.default_rng(seed)
+        first = int(rng.integers(0, 2))
+        layers = []
+        for layer_idx in range(depth):
+            offset = (first + layer_idx) % 2
+            layer = []
+            for k in range(n // 2):
+                z = rng.standard_normal((d * d, d * d))
+                z = z + 1j * rng.standard_normal((d * d, d * d))
+                q, r = np.linalg.qr(z)
+                ph = np.diag(r)
+                layer.append(((offset + 2 * k) % n, q * (ph / np.abs(ph))))
+            layers.append(layer)
+        return layers
+
+    for n, depth, d, seed in itertools.product((16, 8, 7, 3), (1, 2, 3), (2, 3), range(3)):
+        circ = random_brickwork(n, depth, seed, local_dim=d)
+        expect = per_gate(n, depth, seed, d)
+        assert len(circ.layers) == len(expect)
+        for got, want in zip(circ.layers, expect):
+            assert len(got) == len(want) == n // 2
+            for (s, gate), (t, oracle) in zip(got, want):
+                assert s == t and np.array_equal(gate, oracle), (n, depth, d, seed)
+
+
+def test_apply_local_gate_checks_the_gate_not_the_state(monkeypatch):
+    psi = dense_pattern_state(["0"], [1.0], 4)  # |0000>
+    # Keeps this state's norm, but is not unitary: a named error all the same.
+    for bad in (np.diag([1.0, 2.0]), np.diag([1.0, 1.0, 1.0, 1.0 + 1e-11])):
+        sites = (2,) if len(bad) == 2 else (1, 3)
+        with pytest.raises(NotUnitary):
+            apply_local_gate(psi, bad, sites)
+    # A unitary gate builds its output without re-norming the amplitudes.
+    def refuse(self):
+        raise AssertionError("apply_local_gate re-checked the state's norm")
+
+    monkeypatch.setattr(DenseState, "__post_init__", refuse)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    out = apply_local_gate(psi, hadamard, (2,))
+    assert (out.n_sites, out.local_dim) == (4, 2)
+    assert np.allclose(out.amplitudes[[0, 2]], [1 / math.sqrt(2.0)] * 2)
+    assert not out.amplitudes.flags.writeable
 
 
 def _embedded_unitary(gate, sites, n, d):

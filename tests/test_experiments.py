@@ -8,6 +8,7 @@ from lrn_detect import (
     build_partition,
     fixed_point_invariance_experiment,
     invariance_experiment,
+    invariance_sweep,
     random_brickwork,
     rg_fixed_point,
 )
@@ -80,7 +81,7 @@ def test_report_json_fields():
 def test_invariance_sweep_matches_single_seed_experiments():
     # The sweep shares the state, the partition and ``before`` across seeds;
     # every per-seed report must still equal the single-seed experiment.
-    from lrn_detect.experiments import _fixed_point_sweep, _invariance_sweep
+    from lrn_detect.experiments import _fixed_point_sweep
 
     for tensor in (ghz_tensor(), phase_loop_tensor(math.pi / 3)):
         fp = rg_fixed_point(tensor)
@@ -93,7 +94,7 @@ def test_invariance_sweep_matches_single_seed_experiments():
     state = dense_pattern_state(["00", "01", "10", "11"], np.sqrt(probs), 16)
     part = build_partition(16, 1)
     circuits = [(s, random_brickwork(16, 1, s)) for s in (0, 1, 2)]
-    swept = _invariance_sweep(state, probs, part, circuits)
+    swept = invariance_sweep(state, probs, part, circuits)
     for (s, circ), rep in zip(circuits, swept):
         assert rep == invariance_experiment(state, probs, part, circ, seed=s)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lrn_detect import ExactWeight
+from lrn_detect import ExactWeight, causal_cone_reduce
 from lrn_detect.cli import main
 from lrn_detect.errors import (
     ConvergenceFailure,
@@ -190,6 +190,31 @@ def test_cli_verify_depth2_skips_invariance(monkeypatch, capsys):
     suite = next(s for s in report["suites"] if s["suite"] == "invariance")
     assert suite == {"suite": "invariance", "passed": True, "depth": 2,
                      "skipped": f"{2**24} amplitudes above cap {2**20}"}
+
+
+def test_cli_verify_catches_a_wrong_causal_cone_reduction(monkeypatch, capsys):
+    # u_a with its first two sites exchanged, on rows and columns alike: the
+    # channel formula no longer equals the evolved state rotated by u_a ⊗ u_b.
+    import dataclasses
+
+    from lrn_detect import cli
+
+    def swapped(circuit, partition):
+        red = causal_cone_reduce(circuit, partition)
+        k = len(partition.a)
+        u = red.u_a.reshape([2] * (2 * k))
+        axes = list(range(2 * k))
+        axes[0], axes[1], axes[k], axes[k + 1] = 1, 0, k + 1, k
+        u_a = u.transpose(axes).reshape(red.u_a.shape)
+        return dataclasses.replace(red, u_a=u_a)
+
+    monkeypatch.setattr(cli, "causal_cone_reduce", swapped)
+    code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["passed"] is False
+    suite = next(s for s in report["suites"] if s["suite"] == "causal_cone")
+    assert suite["passed"] is False
+    assert suite["replay"] == {"seed": 0}
 
 
 @pytest.mark.parametrize("depth", [0, -1])

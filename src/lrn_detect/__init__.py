@@ -66,7 +66,7 @@ from .spectral import (
     spectral,
 )
 from .stabilizer import PauliString, StabilizerTableau, random_clifford_circuit
-from .tensor import MpsTensor, TransferOperator, block_tensor, mixed_transfer_matrix, transfer_matrix
+from .tensor import MpsTensor, block_tensor, mixed_transfer_matrix, transfer_matrix
 from .weights import WeightSpectrum, evaluate_weights
 
 __version__ = "0.1.0"
@@ -93,7 +93,6 @@ __all__ = [
     "RgStep",
     "SpectralData",
     "StabilizerTableau",
-    "TransferOperator",
     "Verdict",
     "WeightSpectrum",
     "apply_brickwork",

@@ -12,6 +12,11 @@ positive fixed points of the transfer channel:
 * an irreducible piece whose peripheral spectrum is a nontrivial group of
   roots of unity is periodic and is resolved by grouping that many sites.
 
+Every split is accepted only once ``_invariant`` confirms, within
+``TAU_BLOCK``, that the site matrices map the candidate subspace into itself.
+The parts keep no record of where they sat in the bond space: each reader of
+the form needs only the blocks, their weights and their normality witnesses.
+
 Surviving blocks (weight magnitude one) are grouped by gauge equivalence;
 relative phases are mean-centered per group, so each group representative
 is phase-free and the group weight is a plain sum of unit phase factors.
@@ -47,6 +52,15 @@ BLOCKING_CAP = 8
 TAU_ORTHOGONAL = 1e-10
 # Distance of the mixed transfer radius from one that still detects a gauge.
 TAU_GAUGE_DETECT = 1e-6
+# Largest entrywise miss of the reconstruction ``exp(i phase) x b inv(x)``,
+# relative to the entry scale of ``a``, for ``gauge_equivalent`` to accept.
+TAU_GAUGE = 1e-8
+# The same bound when grouping the blocks of one decomposition.  It is looser
+# because an extracted block is exact only up to the leak its split accepted
+# (``TAU_BLOCK`` times the entry scale and bond dimension), which the gauges
+# relating two copies can amplify; a tensor handed in directly has no such
+# error.
+TAU_GROUP = 1e-7
 
 _SURVIVAL_TOL = 1e-8
 
@@ -73,7 +87,7 @@ class GaugeRelation:
     x: np.ndarray
 
 
-def gauge_equivalent(a: MpsTensor, b: MpsTensor, tau: float = 1e-8) -> GaugeRelation | None:
+def gauge_equivalent(a: MpsTensor, b: MpsTensor) -> GaugeRelation | None:
     """Detect gauge equivalence of two normal tensors.
 
     The mixed transfer operator of two radius-one normal tensors has
@@ -82,7 +96,7 @@ def gauge_equivalent(a: MpsTensor, b: MpsTensor, tau: float = 1e-8) -> GaugeRela
     ``x @ r_b`` with ``r_b`` the right fixed point of ``b``.
 
     Returns the phase and gauge matrix, or None when the families are
-    inequivalent (or the reconstruction misses the tolerance).
+    inequivalent (or the reconstruction misses ``TAU_GAUGE``).
     """
     wit_a, wit_b = is_normal(a), is_normal(b)
     if not (wit_a and wit_b):
@@ -90,7 +104,7 @@ def gauge_equivalent(a: MpsTensor, b: MpsTensor, tau: float = 1e-8) -> GaugeRela
     # A normal tensor's unique peripheral eigenvalue sits on the radius.
     return _gauge_relation(
         a, b, abs(wit_a.peripheral[0]), abs(wit_b.peripheral[0]),
-        wit_b.right_fixed_point, tau,
+        wit_b.right_fixed_point, TAU_GAUGE,
     )
 
 
@@ -155,18 +169,14 @@ class CanonicalForm:
 
     ``blocking`` records how many sites were grouped before the blocks
     could be extracted (weights then refer to the blocked family, i.e. to
-    system sizes that are multiples of ``blocking``).  ``gauge`` is the
-    bond-space change of basis to block-diagonal form when the split is
-    exact, None when triangular junk had to be discarded.  Blocks sharing
-    a ``group`` are gauge-equivalent and generate a common state family.
+    system sizes that are multiples of ``blocking``).  Blocks sharing a
+    ``group`` are gauge-equivalent and generate a common state family.
     ``input_spectral`` is the SpectralData of the input's own transfer
     matrix, None when its peripheral space is defective.
     """
 
     blocks: tuple[CanonicalBlock, ...]
     blocking: int
-    gauge: np.ndarray | None
-    input_tensor: MpsTensor = field(repr=False)
     input_spectral: SpectralData | None = field(repr=False)
 
     @property
@@ -214,13 +224,23 @@ def _restrict(t: MpsTensor, basis: np.ndarray) -> MpsTensor:
     return MpsTensor(np.einsum("ab,ibc,cd->iad", basis.conj().T, t.matrices, basis))
 
 
-def _leak(t: MpsTensor, basis: np.ndarray) -> float:
-    """Mass mapped out of span(basis) by the site matrices."""
+def _invariant(t: MpsTensor, basis: np.ndarray) -> bool:
+    """True iff the site matrices map span(basis) into itself.
+
+    The mass they map out of the span (the leak) may be at most
+    ``TAU_BLOCK`` times the entry scale of ``t`` (its largest entry, at
+    least one) times the bond dimension.
+    """
+    chi = t.bond_dim
     p = basis @ basis.conj().T
-    outside = np.einsum(
-        "ab,ibc,cd->iad", np.eye(t.bond_dim) - p, t.matrices, p
-    )
-    return float(np.max(np.abs(outside)))
+    outside = np.einsum("ab,ibc,cd->iad", np.eye(chi) - p, t.matrices, p)
+    scale = max(float(np.max(np.abs(t.matrices))), 1.0)
+    return float(np.max(np.abs(outside))) <= TAU_BLOCK * scale * chi
+
+
+def _split_all(subs, floor: float):
+    """``_split_parts`` of each tensor in ``subs``, concatenated in order."""
+    return [part for sub in subs for part in _split_parts(sub, floor)]
 
 
 def _spectrum(t: MpsTensor):
@@ -242,8 +262,7 @@ def _defective_split(t, tn, spectrum, floor):
     exactly before recursing, so a wrong guess can only fail loudly.
     """
     chi = t.bond_dim
-    e = transfer_matrix(tn).matrix
-    scale = max(float(np.max(np.abs(tn.matrices))), 1.0)
+    e = transfer_matrix(tn)
     candidates = []
     for mat in (e, e.conj().T):
         u, sv, vh = np.linalg.svd(mat - np.eye(chi * chi))
@@ -262,12 +281,8 @@ def _defective_split(t, tn, spectrum, floor):
                     )
     for basis, comp in candidates:
         for inner, outer in ((basis, comp), (comp, basis)):
-            if _leak(tn, inner) <= TAU_BLOCK * scale * chi:
-                parts = []
-                for sub_basis in (inner, outer):
-                    for sub, p, cmap, data in _split_parts(_restrict(t, sub_basis), floor):
-                        parts.append((sub, p, sub_basis @ cmap, data))
-                return parts
+            if _invariant(tn, inner):
+                return _split_all((_restrict(t, b) for b in (inner, outer)), floor)
     raise DecompositionFailure(
         "peripheral space is defective and no verified invariant support exists",
         spectrum=spectrum,
@@ -277,10 +292,9 @@ def _defective_split(t, tn, spectrum, floor):
 def _split_parts(t: MpsTensor, floor: float, spec=None):
     """Recursively split ``t`` into irreducible parts.
 
-    Returns ``[(tensor, period, colmap, data)]``; ``period > 1`` marks a
-    piece whose peripheral spectrum is a cyclic group and which needs
-    blocking.  ``colmap`` spans the part's bond subspace in the coordinates
-    of ``t`` and ``data`` is the SpectralData of the part's transfer matrix.
+    Returns ``[(tensor, period, data)]``; ``period > 1`` marks a piece
+    whose peripheral spectrum is a cyclic group and which needs blocking,
+    and ``data`` is the SpectralData of the part's transfer matrix.
     Parts keep the scale they inherit from ``t``; pieces whose transfer
     radius is below ``floor`` are dropped.  ``spec`` is ``_spectrum(t)``
     when the caller already has it.
@@ -298,7 +312,7 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
         # invariant support read from the true fixed points.
         return _defective_split(t, tn, spectrum, floor)
     if chi == 1:
-        return [(t, 1, np.eye(1, dtype=complex), s)]
+        return [(t, 1, s)]
     peripheral = s.peripheral / radius
     ones_idx = [
         j for j, lam in enumerate(peripheral) if abs(lam - 1.0) <= 10 * TAU_SPEC
@@ -309,7 +323,6 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
             spectrum=spectrum,
         )
     vec_id = np.eye(chi, dtype=complex).reshape(-1)
-    scale = max(float(np.max(np.abs(tn.matrices))), 1.0)
 
     # Support/kernel splits from the two one-sided fixed points.
     for adjoint in (False, True):
@@ -332,6 +345,8 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
                 "peripheral fixed point is indefinite beyond tolerance",
                 spectrum=evals,
             )
+        if not adjoint:
+            xev, xvec = evals, evecs  # the right fixed point, for the unital gauge
         support = evals > TAU_SPEC * evals[-1]
         if not np.all(support):
             keep = evecs[:, support]
@@ -340,21 +355,17 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
             # Left fixed point: matrices map ker(Y) into itself.
             inner = drop if adjoint else keep
             outer = keep if adjoint else drop
-            if _leak(tn, inner) > TAU_BLOCK * scale * chi:
+            if not _invariant(tn, inner):
                 raise DecompositionFailure(
                     "candidate invariant subspace leaks outside itself",
                     spectrum=spectrum,
                 )
-            parts = []
-            for basis in (inner, outer):
-                for sub, p, cmap, data in _split_parts(_restrict(t, basis), floor):
-                    parts.append((sub, p, basis @ cmap, data))
-            return parts
+            return _split_all((_restrict(t, b) for b in (inner, outer)), floor)
 
     if len(ones_idx) == 1:
         k = len(peripheral)
         if k == 1:
-            return [(t, 1, np.eye(chi, dtype=complex), s)]
+            return [(t, 1, s)]
         # Irreducible but periodic: peripheral phases must be k-th roots of unity.
         args = [float(np.angle(lam)) for lam in peripheral]
         expected = [wrap_phase(2.0 * math.pi * j / k) for j in range(k)]
@@ -365,17 +376,11 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
                 "irreducible piece has peripheral phases that are not roots of unity",
                 spectrum=peripheral,
             )
-        return [(t, k, np.eye(chi, dtype=complex), s)]
+        return [(t, k, s)]
 
     # Both fixed points have full support and the fixed space is degenerate:
     # gauge to a unital channel, whose fixed points form a *-algebra, and cut
     # along the spectral projectors of a non-scalar Hermitian fixed point.
-    x = np.zeros(chi * chi, dtype=complex)
-    for j in ones_idx:
-        x += s.right_vecs[:, j] * (s.left_vecs[:, j].conj() @ vec_id)
-    xh = x.reshape(chi, chi)
-    xh = (xh + xh.conj().T) / 2.0
-    xev, xvec = np.linalg.eigh(xh)
     g = xvec @ np.diag(np.sqrt(xev)) @ xvec.conj().T
     g_inv = xvec @ np.diag(1.0 / np.sqrt(xev)) @ xvec.conj().T
     tn_unital = tn.gauged(g, g_inv)  # right fixed point becomes the identity
@@ -402,20 +407,17 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
             spectrum=hev,
         )
     bounds = [0, *cuts, chi]
-    uscale = max(float(np.max(np.abs(tn_unital.matrices))), 1.0)
-    parts = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        basis = hvec[:, lo:hi]
+    bases = [hvec[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for lo, hi, basis in zip(bounds[:-1], bounds[1:], bases):
         comp = np.concatenate([hvec[:, :lo], hvec[:, hi:]], axis=1)
-        if max(_leak(tn_unital, basis), _leak(tn_unital, comp)) > TAU_BLOCK * uscale * chi:
+        if not (_invariant(tn_unital, basis) and _invariant(tn_unital, comp)):
             raise DecompositionFailure(
                 "fixed-point algebra projector fails to reduce the matrices",
                 spectrum=hev,
             )
-        sub = _restrict(tn_unital, basis).scaled(math.sqrt(radius))
-        for part, p, cmap, data in _split_parts(sub, floor):
-            parts.append((part, p, g @ basis @ cmap, data))
-    return parts
+    return _split_all(
+        (_restrict(tn_unital, b).scaled(math.sqrt(radius)) for b in bases), floor
+    )
 
 
 def canonical_decompose(a: MpsTensor) -> CanonicalForm:
@@ -446,7 +448,7 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
         parts = _split_parts(current, 1e-24 * radius, spec)
         if not parts:
             raise DecompositionFailure("all parts are nilpotent")
-        periods = {p for _, p, _, _ in parts}
+        periods = {p for _, p, _ in parts}
         if periods == {1}:
             break
         q_new = q * math.lcm(*periods)
@@ -460,8 +462,7 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
         raise DecompositionFailure("blocking did not stabilize the decomposition")
 
     # Normalize each part to spectral radius one and record its weight.
-    colmaps = [cmap for _, _, cmap, _ in parts]
-    tensors = [part.scaled(1.0 / math.sqrt(s.radius)) for part, _, _, s in parts]
+    tensors = [part.scaled(1.0 / math.sqrt(s.radius)) for part, _, s in parts]
     mags = np.array([math.sqrt(s.radius / radius) for *_, s in parts])
     top = float(np.max(mags))
     if abs(top - 1.0) > 1e-6:
@@ -478,84 +479,41 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
                 spectrum=w.peripheral,
             )
 
+    # Surviving blocks join the first group whose seed (first member) they
+    # are gauge-equivalent to, carrying their phase relative to it.
     surviving = [k for k in range(len(tensors)) if mags[k] >= 1.0 - _SURVIVAL_TOL]
-    group_of: dict[int, int] = {}
-    rel_phase: dict[int, float] = {}
-    group_seeds: list[int] = []
+    groups: list[list[tuple[int, float]]] = []
     for k in surviving:
-        for gi, seed in enumerate(group_seeds):
+        for members in groups:
+            seed = members[0][0]
             rel = _gauge_relation(
                 tensors[k], tensors[seed], 1.0, 1.0,
-                witnesses[seed].right_fixed_point, tau=1e-7,
+                witnesses[seed].right_fixed_point, TAU_GROUP,
             )
             if rel is not None:
-                group_of[k] = gi
-                rel_phase[k] = rel.phase
+                members.append((k, rel.phase))
                 break
         else:
-            group_of[k] = len(group_seeds)
-            rel_phase[k] = 0.0
-            group_seeds.append(k)
-    next_group = len(group_seeds)
-    for k in range(len(tensors)):
-        if k not in group_of:
-            group_of[k] = next_group  # decaying blocks stay singleton groups
-            next_group += 1
+            groups.append([(k, 0.0)])
 
     # Mean-center phases within each group; the arbitrary overall phase of a
     # group is pushed into its representative tensor.
-    centered: dict[int, float] = {}
-    for gi in range(len(group_seeds)):
-        members = [k for k in surviving if group_of[k] == gi]
-        mean = sum(rel_phase[k] for k in members) / len(members)
-        for k in members:
-            centered[k] = wrap_phase(rel_phase[k] - mean)
+    placed: dict[int, tuple[int, float]] = {}
+    for gi, members in enumerate(groups):
+        mean = sum(phase for _, phase in members) / len(members)
+        for k, phase in members:
+            placed[k] = (gi, wrap_phase(phase - mean))
 
     blocks = []
-    for k, tt in enumerate(tensors):
-        if k in centered:
-            phi = centered[k]
+    next_group = len(groups)
+    for k, tensor_k in enumerate(tensors):
+        if k in placed:
+            gi, phi = placed[k]
             mu = cmath.exp(1j * phi)
-            tensor_k = tt.scaled(cmath.exp(-1j * phi))
-        else:
-            mu = complex(mags[k])
-            tensor_k = tt
-        blocks.append(
-            CanonicalBlock(mu=mu, tensor=tensor_k, group=group_of[k], witness=witnesses[k])
-        )
+            tensor_k = tensor_k.scaled(cmath.exp(-1j * phi))
+        else:  # decaying blocks stay singleton groups
+            gi, mu = next_group, complex(mags[k])
+            next_group += 1
+        blocks.append(CanonicalBlock(mu=mu, tensor=tensor_k, group=gi, witness=witnesses[k]))
 
-    gauge = _assemble_gauge(current, blocks, colmaps)
-    return CanonicalForm(
-        blocks=tuple(blocks), blocking=q, gauge=gauge, input_tensor=a,
-        input_spectral=input_spectral,
-    )
-
-
-def _assemble_gauge(current, blocks, colmaps):
-    """Build the change of basis to block-diagonal form, if it is exact.
-
-    The column maps collected during splitting span the block subspaces in
-    the (possibly blocked) input coordinates.  When they fill the bond
-    space and conjugation leaves no off-block mass, the concatenation is
-    the gauge; triangular splits leave residual junk and yield None.
-    """
-    chi = current.bond_dim
-    if sum(c.shape[1] for c in colmaps) != chi:
-        return None
-    xi = np.concatenate(colmaps, axis=1)
-    if np.linalg.cond(xi) > 1e10:
-        return None
-    rotated = np.einsum(
-        "ab,ibc,cd->iad", np.linalg.inv(xi), current.matrices, xi
-    )
-    mask = np.zeros((chi, chi), dtype=bool)
-    off = 0
-    for b in blocks:
-        sz = b.tensor.bond_dim
-        mask[off : off + sz, off : off + sz] = True
-        off += sz
-    resid = float(np.max(np.abs(rotated[:, ~mask]))) if (~mask).any() else 0.0
-    scale = max(float(np.max(np.abs(current.matrices))), 1.0)
-    if resid > 1e3 * TAU_BLOCK * scale * chi:
-        return None
-    return xi
+    return CanonicalForm(blocks=tuple(blocks), blocking=q, input_spectral=input_spectral)

@@ -56,10 +56,12 @@ from .io import dump_report, load_tensor, rows_to_csv
 from .partition import build_partition
 from .rg import rg_fixed_point
 from .spectral import correlation_length
-from .stabilizer import _CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
+from .stabilizer import CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
 from .weights import WeightSpectrum
 
 PIPELINES = ("analyze", "rg", "verify", "stab", "ghz", "typicality")
+# Pipelines whose report has a table of rows, the only thing CSV can hold.
+CSV_PIPELINES = ("rg", "typicality")
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -94,6 +96,11 @@ class AnalysisRequest:
             raise LrnDetectError(f"pipeline {self.pipeline!r} requires --input")
         if self.fmt not in ("json", "csv"):
             raise LrnDetectError("--format must be json or csv")
+        if self.fmt == "csv" and self.pipeline not in CSV_PIPELINES:
+            raise LrnDetectError(
+                f"--format csv applies to {' and '.join(CSV_PIPELINES)} only, "
+                f"not {self.pipeline!r}"
+            )
         if self.n_min < 1 or self.n_max < self.n_min:
             raise LrnDetectError("need 1 <= n-min <= n-max")
         if self.depth < 1:
@@ -101,7 +108,7 @@ class AnalysisRequest:
 
 
 def _emit(req: AnalysisRequest, report: dict, rows: list[dict] | None = None) -> None:
-    if req.fmt == "csv" and rows is not None:
+    if req.fmt == "csv":
         text = rows_to_csv(rows, req.out)
     else:
         text = dump_report(report, req.out)
@@ -262,7 +269,7 @@ def _verify_clifford_quantization(seed: int, trials: int) -> dict:
         tab = StabilizerTableau.zero_state(n).apply_circuit(circ)
         amps = np.zeros(2**n, dtype=complex)
         amps[0] = 1.0
-        gates = [(_CLIFFORD_DENSE[g], targets) for g, targets in circ]
+        gates = [(CLIFFORD_DENSE[g], targets) for g, targets in circ]
         psi = DenseState(n, 2, _apply_gates(DenseState(n, 2, amps), gates))
         qubits = list(rng.permutation(n))
         cut = max(1, n // 3)

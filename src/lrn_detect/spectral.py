@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DecompositionFailure, NonDiagonalizablePeripheral
-from .tensor import MpsTensor, TransferOperator, transfer_matrix
+from .tensor import MpsTensor, transfer_matrix
 
 # Relative width of the peripheral cut: |lambda| >= radius * (1 - TAU_SPEC).
 TAU_SPEC = 1e-9
@@ -66,8 +66,8 @@ class SpectralData:
         return len(self.peripheral) > 1
 
 
-def spectral(t: TransferOperator | np.ndarray) -> SpectralData:
-    """Spectrum by one ``eigvals``, biorthonormal peripheral eigenvectors.
+def spectral(m: np.ndarray) -> SpectralData:
+    """Spectrum of ``m`` by one ``eigvals``, biorthonormal peripheral eigenvectors.
 
     The peripheral cluster is every eigenvalue of modulus at least
     ``radius * (1 - TAU_SPEC)``, a cut relative to the spectral radius.  Its
@@ -84,7 +84,7 @@ def spectral(t: TransferOperator | np.ndarray) -> SpectralData:
         ConvergenceFailure: if inverse iteration is still short of
             ``TAU_RESIDUAL`` after ``MAX_SWEEPS`` sweeps.
     """
-    m = t.matrix if isinstance(t, TransferOperator) else np.asarray(t, dtype=complex)
+    m = np.asarray(m, dtype=complex)
 
     evals = np.linalg.eigvals(m)
     evals = evals[np.argsort(-np.abs(evals), kind="stable")]
@@ -313,12 +313,13 @@ def correlation_length(s: SpectralData) -> float:
     return -1.0 / math.log(lam2)
 
 
-def rotate_to_hermitian(m: np.ndarray) -> np.ndarray | None:
+def rotate_to_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Strip the global phase of a matrix proportional to a Hermitian one.
 
-    Returns the Hermitian representative whose extreme eigenvalues have a
-    nonnegative sum (so a definite matrix comes back positive definite),
-    or None if ``m`` is not proportional to any Hermitian matrix.  The
+    Returns ``(h, eigenvalues)``: the Hermitian representative whose
+    extreme eigenvalues have a nonnegative sum (so a definite matrix comes
+    back positive definite) and its eigenvalues, ascending.  Returns None
+    if ``m`` is not proportional to any Hermitian matrix.  The
     tolerance is loose: eigenvectors of strongly non-normal transfer
     operators can carry sqrt(eps)-scale junk even when the underlying
     fixed point is exactly Hermitian, while genuinely unrotatable
@@ -335,8 +336,8 @@ def rotate_to_hermitian(m: np.ndarray) -> np.ndarray | None:
         return None
     ev = np.linalg.eigvalsh(h)
     if ev[0] + ev[-1] < 0.0:
-        h = -h
-    return h
+        return -h, -ev[::-1]
+    return h, ev
 
 
 @dataclass(frozen=True)
@@ -408,13 +409,13 @@ def normality_witness(s: SpectralData) -> NormalityWitness:
     chi = math.isqrt(s.right_vecs.shape[0])
     fps = []
     for vec in (s.right_vecs[:, 0], s.left_vecs[:, 0]):
-        h = rotate_to_hermitian(vec.reshape(chi, chi))
-        if h is None:
+        rotated = rotate_to_hermitian(vec.reshape(chi, chi))
+        if rotated is None:
             return NormalityWitness(
                 False, "fixed point not proportional to a Hermitian matrix",
                 s.peripheral, lam2,
             )
-        ev = np.linalg.eigvalsh(h)
+        h, ev = rotated
         if ev[0] < -TAU_SPEC * max(abs(ev[-1]), 1.0):
             return NormalityWitness(False, "fixed point indefinite", s.peripheral, lam2)
         if ev[0] <= TAU_SPEC * abs(ev[-1]):

@@ -30,7 +30,7 @@ from .errors import (
 _ONE_QUBIT_GATES = ("H", "S", "X", "Y", "Z")
 _TWO_QUBIT_GATES = ("CNOT", "CZ")
 # Dense unitaries of the gate set, for cross-checks against the dense oracle.
-_CLIFFORD_DENSE = {
+CLIFFORD_DENSE = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
     "S": np.diag([1, 1j]).astype(complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -65,9 +65,6 @@ class PauliString:
             raise TargetOutOfRange("cannot multiply operators on different registers")
         phase = (self.phase + other.phase + 2 * (self.z & other.x).bit_count()) % 4
         return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase)
-
-    def commutes(self, other: "PauliString") -> bool:
-        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def to_text(self) -> str:
         se = self.sign_exponent

@@ -8,7 +8,7 @@ ring of ``N`` sites is ``tr(A[i1] @ ... @ A[iN])``.  The transfer operator
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,25 +63,12 @@ class MpsTensor:
         return MpsTensor(np.einsum("ab,ibc,cd->iad", x_inv, self.matrices, x))
 
 
-@dataclass(frozen=True)
-class TransferOperator:
-    """Matrix form of the mixed bond-space map generated by a tensor.
-
-    ``matrix[(a, a'), (b, b')] = sum_i A[i][a, b] * conj(A[i][a', b'])``
-    with row/column pairs flattened in C order, i.e. the literal Kronecker
-    sum ``sum_i kron(A[i], conj(A[i]))``.
-    """
-
-    matrix: np.ndarray
-    source: MpsTensor = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def transfer_matrix(a: MpsTensor) -> TransferOperator:
+def transfer_matrix(a: MpsTensor) -> np.ndarray:
     """Transfer operator of ``a`` as a dense chi^2 x chi^2 matrix.
+
+    ``m[(a, a'), (b, b')] = sum_i A[i][a, b] * conj(A[i][a', b'])`` with
+    row/column pairs flattened in C order, i.e. the literal Kronecker sum
+    ``sum_i kron(A[i], conj(A[i]))``.
 
     Raises:
         SizeCap: if chi^2 exceeds ``TRANSFER_CAP``; checked before the
@@ -90,8 +77,7 @@ def transfer_matrix(a: MpsTensor) -> TransferOperator:
     mats = a.matrices
     chi = a.bond_dim
     _check_transfer_dim(chi * chi)
-    m = np.einsum("iab,icd->acbd", mats, mats.conj()).reshape(chi * chi, chi * chi)
-    return TransferOperator(matrix=m, source=a)
+    return np.einsum("iab,icd->acbd", mats, mats.conj()).reshape(chi * chi, chi * chi)
 
 
 def mixed_transfer_matrix(a: MpsTensor, b: MpsTensor) -> np.ndarray:

@@ -6,16 +6,17 @@ import pytest
 
 @pytest.fixture
 def count_linalg(monkeypatch):
-    """Install counters on ``np.linalg.eig`` and ``np.linalg.eigvals``.
+    """Install counters on ``np.linalg`` functions, by default ``eig`` and ``eigvals``.
 
-    Calling the fixture's value installs them and returns
-    ``{"eig": [...], "eigvals": [...]}``: the row count of every matrix
-    handed to each function from then on, in call order.  Build the inputs
-    first, since building a random tensor calls ``eigvals`` too.
+    Calling the fixture's value with the function names (none for the
+    default pair) installs them and returns ``{name: [...]}``: the row count
+    of every matrix handed to each function from then on, in call order.
+    Build the inputs first, since building a random tensor calls
+    ``eigvals`` too.
     """
 
-    def install():
-        calls = {"eig": [], "eigvals": []}
+    def install(*names):
+        calls = {name: [] for name in names or ("eig", "eigvals")}
         for name, sizes in calls.items():
             original = getattr(np.linalg, name)
 

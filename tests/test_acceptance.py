@@ -16,7 +16,6 @@ from lrn_detect import (
     DenseState,
     MpsTensor,
     apply_brickwork,
-    apply_local_gate,
     apply_reduction,
     block_tensor,
     build_partition,
@@ -50,19 +49,8 @@ from lrn_detect.families import (
     product_tensor,
     random_normal_tensor,
 )
-from lrn_detect.stabilizer import StabilizerTableau, random_clifford_circuit
-
-CLIFFORD_DENSE = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "S": np.diag([1, 1j]).astype(complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1, -1]).astype(complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
-}
+from lrn_detect.dense import _apply_gates
+from lrn_detect.stabilizer import CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
 
 PHASES = (math.pi / 2, math.pi / 3, 2 * math.pi / 5)
 
@@ -76,10 +64,8 @@ def _report(criterion, passed, detail=""):
 def _dense_from_circuit(n, circuit):
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
-    psi = DenseState(n, 2, amps)
-    for gate, targets in circuit:
-        psi = apply_local_gate(psi, CLIFFORD_DENSE[gate], targets)
-    return psi
+    gates = [(CLIFFORD_DENSE[gate], targets) for gate, targets in circuit]
+    return DenseState(n, 2, _apply_gates(DenseState(n, 2, amps), gates))
 
 
 def test_criterion_1_ghz_family_classification():
@@ -240,16 +226,16 @@ def test_criterion_6_mps_structure():
                     (d, chi, chi)
                 )
                 t = MpsTensor(mats / (d * chi))
-                lhs = transfer_matrix(block_tensor(t, q)).matrix
-                rhs = np.linalg.matrix_power(transfer_matrix(t).matrix, q)
+                lhs = transfer_matrix(block_tensor(t, q))
+                rhs = np.linalg.matrix_power(transfer_matrix(t), q)
                 worst_block = max(worst_block, float(np.max(np.abs(lhs - rhs))))
     ok &= worst_block < 1e-10
 
     worst_square = 0.0
     for seed in range(4):
         t = random_normal_tensor(2, int(rng.integers(2, 4)), seed=100 + seed)
-        lhs = np.linalg.eigvals(transfer_matrix(rg_step(t).tensor).matrix)
-        rhs = np.linalg.eigvals(transfer_matrix(t).matrix) ** 2
+        lhs = np.linalg.eigvals(transfer_matrix(rg_step(t).tensor))
+        rhs = np.linalg.eigvals(transfer_matrix(t)) ** 2
         remaining = list(rhs)
         for x in lhs:
             j = int(np.argmin(np.abs(np.array(remaining) - x)))

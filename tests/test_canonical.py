@@ -92,13 +92,30 @@ def test_decompose_factorizes_a_normal_block_once(count_linalg):
     assert calls == {"eig": [], "eigvals": [64]}
 
 
+def test_decompose_decomposes_each_fixed_point_once(count_linalg):
+    # ghz: one eigh per one-sided fixed point, the right one reused for the
+    # unital gauge, and one for the fixed-point algebra cut.  Each block's
+    # witness takes the eigenvalues of its two fixed points from their
+    # Hermitian rotation, one eigvalsh each.  No gauge is assembled, so no
+    # condition number is taken.
+    ghz = ghz_tensor()
+    normal = random_normal_tensor(2, 8, seed=8)
+    calls = count_linalg("eigh", "eigvalsh", "cond")
+    canonical_decompose(ghz)
+    assert {name: len(sizes) for name, sizes in calls.items()} == {
+        "eigh": 3, "eigvalsh": 4, "cond": 0,
+    }
+    calls = count_linalg("eigvalsh")
+    canonical_decompose(normal)
+    assert len(calls["eigvalsh"]) == 2
+
+
 def test_decompose_ghz():
     cf = canonical_decompose(ghz_tensor())
     assert len(cf.blocks) == 2
     assert all(abs(b.mu - 1.0) < 1e-9 for b in cf.blocks)
     assert all(b.tensor.bond_dim == 1 for b in cf.blocks)
     assert cf.num_groups == 2
-    assert cf.gauge is not None
 
 
 def test_decompose_phase_loop_mu_values():
@@ -162,7 +179,6 @@ def test_decompose_triangular_junk_same_family():
     t = MpsTensor(mats)
     cf = canonical_decompose(t)
     assert len(cf.blocks) == 2
-    assert cf.gauge is None  # triangular residue: no exact block-diagonal gauge
     clean = ghz_tensor()
     for n in (2, 4, 6):
         assert abs(abs(materialize_mps(t, n).overlap(materialize_mps(clean, n))) - 1) < 1e-9
@@ -181,20 +197,6 @@ def test_decompose_equal_copies_merge():
 def test_decompose_zero_family_fails():
     with pytest.raises(DecompositionFailure):
         canonical_decompose(MpsTensor(np.zeros((2, 2, 2))))
-
-
-def test_gauge_field_block_diagonalizes():
-    rng = np.random.default_rng(17)
-    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 3 * np.eye(2)
-    scr = MpsTensor(
-        np.einsum("ab,ibc,cd->iad", np.linalg.inv(x), ghz_tensor().matrices, x)
-    )
-    cf = canonical_decompose(scr)
-    assert cf.gauge is not None
-    xi = cf.gauge
-    rot = np.einsum("ab,ibc,cd->iad", np.linalg.inv(xi), scr.matrices, xi)
-    assert np.max(np.abs(rot[:, 0, 1])) < 1e-8
-    assert np.max(np.abs(rot[:, 1, 0])) < 1e-8
 
 
 def test_decompose_scrambled_alternating():

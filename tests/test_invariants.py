@@ -82,7 +82,7 @@ def test_multiblock_chi4_scrambled_recovery():
     assert abs(mags[0] - 0.9) < 1e-7 and abs(mags[1] - 1.0) < 1e-8
     assert cf.num_groups == 2
     big = max(cf.blocks, key=lambda blk: abs(blk.mu))
-    assert gauge_equivalent(big.tensor, a, tau=1e-6) is not None
+    assert gauge_equivalent(big.tensor, a) is not None
     # distinct surviving families separate in the thermodynamic limit
     for blk, other in ((cf.blocks[0], cf.blocks[1]),):
         mixed = mixed_transfer_matrix(blk.tensor, other.tensor)
@@ -211,7 +211,7 @@ def test_canonical_reconstruction_random_composites():
 def _raw_norm(t, n):
     from lrn_detect.tensor import transfer_matrix
 
-    e = transfer_matrix(t).matrix
+    e = transfer_matrix(t)
     return math.sqrt(abs(np.trace(np.linalg.matrix_power(e, n))))
 
 

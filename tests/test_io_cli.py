@@ -167,6 +167,24 @@ def test_cli_typicality_sweep(capsys):
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize(
+    "pipeline, input_name",
+    [("analyze", "ghz.json"), ("verify", None), ("stab", "bell.json"), ("ghz", "half.json")],
+)
+def test_cli_refuses_csv_without_rows(pipeline, input_name, fixture_dir, capsys):
+    # Only rg and typicality reports carry rows; the others must not fall
+    # back to JSON under --format csv.
+    argv = ["--pipeline", pipeline, "--format", "csv"]
+    if input_name:
+        argv += ["--input", str(fixture_dir / input_name)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "LrnDetectError"
+    assert "--format csv" in error["message"]
+
+
 def test_cli_verify_small(capsys):
     code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4"])
     report = json.loads(capsys.readouterr().out)

@@ -61,8 +61,8 @@ def assert_multiset_close(xs, ys, atol):
 def test_rg_step_transfer_squares():
     t = random_normal_tensor(2, 3, seed=1)
     step = rg_step(t)
-    lhs = np.linalg.eigvals(transfer_matrix(step.tensor).matrix)
-    rhs = np.linalg.eigvals(transfer_matrix(t).matrix) ** 2
+    lhs = np.linalg.eigvals(transfer_matrix(step.tensor))
+    rhs = np.linalg.eigvals(transfer_matrix(t)) ** 2
     assert_multiset_close(lhs, rhs, atol=1e-8)
 
 
@@ -250,8 +250,8 @@ def test_pair_tensor_matches_flow_limit(chi, seed):
     limit, _, measured = _oracle_of(fp, b)
     assert b.iterations > 0 and b.tensor.phys_dim == chi * chi
     # Same transfer matrix |R)(L| as the flow's converged tensor.
-    e_pair = transfer_matrix(b.tensor).matrix
-    e_flow = transfer_matrix(limit).matrix
+    e_pair = transfer_matrix(b.tensor)
+    e_flow = transfer_matrix(limit)
     assert np.max(np.abs(e_pair - e_flow)) < 1e-12
     # The analytic trace squares the first lambda2; the flow measures it.
     assert all(nxt == prev**2 for prev, nxt in zip(b.history, b.history[1:]))

@@ -56,7 +56,7 @@ def _scrambled_gauge_pair():
     ids=["phase_loop", "alternating", "ghz", "scrambled_gauge_pair"],
 )
 def test_biorthonormal_pairing(make, k):
-    e = transfer_matrix(make()).matrix
+    e = transfer_matrix(make())
     s = spectral(e)
     assert len(s.peripheral) == k
     gram = s.left_vecs.conj().T @ s.right_vecs
@@ -184,7 +184,7 @@ def _assert_matches_oracle(e):
 
 @pytest.mark.parametrize("name", list(_ORACLE_CASES))
 def test_inverse_iteration_matches_dense_eig(name):
-    _assert_matches_oracle(transfer_matrix(_ORACLE_CASES[name]()).matrix)
+    _assert_matches_oracle(transfer_matrix(_ORACLE_CASES[name]()))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -193,7 +193,7 @@ def test_inverse_iteration_matches_dense_eig_on_composites(seed, copy_composite)
     # eigenvalue one, the copy's phase and its conjugate.
     rng = np.random.default_rng(seed)
     tensor = copy_composite(rng, 2 + seed % 2, [2, 3], np.exp(2j * math.pi * rng.uniform()))
-    _assert_matches_oracle(transfer_matrix(tensor).matrix)
+    _assert_matches_oracle(transfer_matrix(tensor))
 
 
 def test_close_phase_pair_is_one_resolved_cluster():
@@ -260,8 +260,9 @@ def test_zero_tensor_has_no_peripheral_cluster():
     -np.eye(2), -1j * np.eye(3), np.diag([-2.0, -1.0]), 1j * np.diag([-2.0, -1.0]),
 ], ids=["minus_identity", "minus_i_identity", "negative_diag", "rotated_negative_diag"])
 def test_rotate_to_hermitian_returns_positive_representative(m):
-    h = rotate_to_hermitian(m)
+    h, ev = rotate_to_hermitian(m)
     assert np.allclose(h, np.abs(np.diagonal(m)) * np.eye(len(m)))
+    assert np.allclose(ev, np.linalg.eigvalsh(h))
 
 
 @pytest.mark.parametrize("m, expected", [
@@ -272,4 +273,6 @@ def test_rotate_to_hermitian_returns_positive_representative(m):
 def test_rotate_to_hermitian_keeps_indefinite_orientation(m, expected):
     # As before the sign fix: the larger eigenvalue magnitude ends up
     # positive, and a tie keeps the input's sign.
-    assert np.array_equal(rotate_to_hermitian(m), expected)
+    h, ev = rotate_to_hermitian(m)
+    assert np.array_equal(h, expected)
+    assert np.allclose(ev, np.linalg.eigvalsh(expected))

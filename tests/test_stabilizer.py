@@ -3,35 +3,21 @@
 import numpy as np
 import pytest
 
-from lrn_detect import DenseState, PauliString, StabilizerTableau, apply_local_gate
-from lrn_detect.dense import subsystem_entropy
+from lrn_detect import DenseState, PauliString, StabilizerTableau
+from lrn_detect.dense import _apply_gates, subsystem_entropy
 from lrn_detect.errors import (
     DependentGenerators,
     OverlappingRegions,
     TargetOutOfRange,
 )
-from lrn_detect.stabilizer import random_clifford_circuit
-
-CLIFFORD_DENSE = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "S": np.diag([1, 1j]).astype(complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1, -1]).astype(complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
-}
+from lrn_detect.stabilizer import CLIFFORD_DENSE, random_clifford_circuit
 
 
 def dense_from_circuit(n, circuit):
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
-    psi = DenseState(n, 2, amps)
-    for gate, targets in circuit:
-        psi = apply_local_gate(psi, CLIFFORD_DENSE[gate], targets)
-    return psi
+    gates = [(CLIFFORD_DENSE[gate], targets) for gate, targets in circuit]
+    return DenseState(n, 2, _apply_gates(DenseState(n, 2, amps), gates))
 
 
 def test_hadamard_takes_z_to_x():

@@ -23,18 +23,18 @@ def test_tensor_validation():
 
 def test_transfer_product_state_is_scalar_one():
     t = product_tensor()
-    assert np.allclose(transfer_matrix(t).matrix, [[1.0]])
+    assert np.allclose(transfer_matrix(t), [[1.0]])
 
 
 def test_transfer_ghz_is_diagonal():
     # Hand expansion: sum_i kron(A_i, conj(A_i)) for diag(1,0), diag(0,1).
-    m = transfer_matrix(ghz_tensor()).matrix
+    m = transfer_matrix(ghz_tensor())
     assert np.allclose(m, np.diag([1.0, 0.0, 0.0, 1.0]))
 
 
 def test_transfer_phase_loop_peripheral_set():
     phi = 0.77
-    m = transfer_matrix(phase_loop_tensor(phi)).matrix
+    m = transfer_matrix(phase_loop_tensor(phi))
     evals = np.linalg.eigvals(m)
     evals = evals[np.argsort(-np.abs(evals))]
     top = evals[:5]
@@ -67,8 +67,8 @@ def test_block_ghz_two_sites():
 def test_blocking_homomorphism_random(d, chi, q):
     rng = np.random.default_rng(101 + d + 10 * chi + 100 * q)
     t = MpsTensor(crandn((d, chi, chi), rng) / (d * chi))
-    lhs = transfer_matrix(block_tensor(t, q)).matrix
-    rhs = np.linalg.matrix_power(transfer_matrix(t).matrix, q)
+    lhs = transfer_matrix(block_tensor(t, q))
+    rhs = np.linalg.matrix_power(transfer_matrix(t), q)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * chi * chi
 
 
@@ -85,8 +85,8 @@ def test_mixed_transfer_requires_equal_phys_dim():
 def test_blocking_exact_chi3_q3():
     rng = np.random.default_rng(321)
     t = MpsTensor(crandn((2, 3, 3), rng) / 6.0)
-    lhs = transfer_matrix(block_tensor(t, 3)).matrix
-    rhs = np.linalg.matrix_power(transfer_matrix(t).matrix, 3)
+    lhs = transfer_matrix(block_tensor(t, 3))
+    rhs = np.linalg.matrix_power(transfer_matrix(t), 3)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

@@ -64,6 +64,7 @@ from .spectral import (
     correlation_length,
     is_normal,
     spectral,
+    transfer_spectral,
 )
 from .stabilizer import PauliString, StabilizerTableau, random_clifford_circuit
 from .tensor import MpsTensor, block_tensor, mixed_transfer_matrix, transfer_matrix
@@ -135,6 +136,7 @@ __all__ = [
     "trace_distance_mixed",
     "trace_distance_pure",
     "transfer_matrix",
+    "transfer_spectral",
     "typicality_log_ratio",
     "von_neumann_entropy",
 ]

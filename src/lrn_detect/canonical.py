@@ -38,7 +38,7 @@ from .spectral import (
     _peripheral_vectors,
     is_normal,
     normality_witness,
-    spectral,
+    transfer_spectral,
 )
 from .tensor import MpsTensor, block_tensor, mixed_transfer_matrix, transfer_matrix
 from .weights import WeightSpectrum, wrap_phase
@@ -61,6 +61,24 @@ TAU_GAUGE = 1e-8
 # relating two copies can amplify; a tensor handed in directly has no such
 # error.
 TAU_GROUP = 1e-7
+# Singular values of E - 1 below this (relative) span a defective piece's fixed points.
+TAU_NULL = 1e-9
+# Hermitian parts of a defective piece's fixed point below this norm give no candidate.
+TAU_NONZERO = 1e-12
+# Eigenvalues of that Hermitian part above this, relative to the largest, form its support.
+TAU_SUPPORT = 1e-7
+# Most negative eigenvalue (relative) of a one-sided fixed point still read as positive.
+TAU_INDEFINITE = 1e-7
+# Largest distance of a periodic piece's peripheral phase from a k-th root of unity.
+TAU_ROOT = 1e-6
+# Least distance of a Hermitian fixed point from a multiple of one for it to cut the algebra.
+TAU_SCALAR = 1e-9
+# Least gap between consecutive eigenvalues of that fixed point, relative to its spread, to cut.
+TAU_CUT = 1e-6
+# Transfer radius of the input, and of a part relative to it, below which it generates zero.
+TAU_ZERO = 1e-24
+# Largest distance of the top block weight from one for the decomposition to be accepted.
+TAU_TOP_WEIGHT = 1e-6
 
 _SURVIVAL_TOL = 1e-8
 
@@ -246,7 +264,7 @@ def _split_all(subs, floor: float):
 def _spectrum(t: MpsTensor):
     """Transfer spectrum of ``t`` and its SpectralData (None if defective)."""
     try:
-        s = spectral(transfer_matrix(t))
+        s = transfer_spectral(t)
     except NonDiagonalizablePeripheral as exc:
         return exc.spectrum, None
     return s.eigenvalues, s
@@ -266,15 +284,15 @@ def _defective_split(t, tn, spectrum, floor):
     candidates = []
     for mat in (e, e.conj().T):
         u, sv, vh = np.linalg.svd(mat - np.eye(chi * chi))
-        null_dim = int(np.sum(sv < 1e-9 * max(sv[0], 1.0)))
+        null_dim = int(np.sum(sv < TAU_NULL * max(sv[0], 1.0)))
         for j in range(null_dim):
             vec = vh[chi * chi - 1 - j].conj().reshape(chi, chi)
             for h in ((vec + vec.conj().T) / 2.0, (vec - vec.conj().T) / 2.0j):
-                if np.linalg.norm(h) < 1e-12:
+                if np.linalg.norm(h) < TAU_NONZERO:
                     continue
                 evals, evecs = np.linalg.eigh(h)
                 mags = np.abs(evals)
-                support = mags > 1e-7 * float(np.max(mags))
+                support = mags > TAU_SUPPORT * float(np.max(mags))
                 if 0 < int(np.sum(support)) < chi:
                     candidates.append(
                         (evecs[:, support], evecs[:, ~support])
@@ -340,7 +358,7 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
                 "fixed-point projection produced no positive component",
                 spectrum=spectrum,
             )
-        if evals[0] < -1e-7 * evals[-1]:
+        if evals[0] < -TAU_INDEFINITE * evals[-1]:
             raise DecompositionFailure(
                 "peripheral fixed point is indefinite beyond tolerance",
                 spectrum=evals,
@@ -370,7 +388,7 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
         args = [float(np.angle(lam)) for lam in peripheral]
         expected = [wrap_phase(2.0 * math.pi * j / k) for j in range(k)]
         if any(
-            min(abs(wrap_phase(a - b)) for b in expected) > 1e-6 for a in args
+            min(abs(wrap_phase(a - b)) for b in expected) > TAU_ROOT for a in args
         ):
             raise DecompositionFailure(
                 "irreducible piece has peripheral phases that are not roots of unity",
@@ -393,14 +411,14 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
             dev = float(np.linalg.norm(cand - (np.trace(cand) / chi) * np.eye(chi)))
             if dev > best_dev:
                 best, best_dev = cand, dev
-    if best is None or best_dev < 1e-9:
+    if best is None or best_dev < TAU_SCALAR:
         raise DecompositionFailure(
             "degenerate fixed space but no non-scalar Hermitian fixed point",
             spectrum=peripheral,
         )
     hev, hvec = np.linalg.eigh(best)
     spread = float(hev[-1] - hev[0])
-    cuts = [i for i in range(1, chi) if hev[i] - hev[i - 1] > 1e-6 * max(spread, 1.0)]
+    cuts = [i for i in range(1, chi) if hev[i] - hev[i - 1] > TAU_CUT * max(spread, 1.0)]
     if not cuts:
         raise DecompositionFailure(
             "Hermitian fixed point has no resolvable eigenvalue clusters",
@@ -443,9 +461,9 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
         if q == 1:
             input_spectral = spec[1]
         radius = float(abs(spec[0][0]))
-        if radius < 1e-24:
+        if radius < TAU_ZERO:
             raise DecompositionFailure("tensor generates the zero family")
-        parts = _split_parts(current, 1e-24 * radius, spec)
+        parts = _split_parts(current, TAU_ZERO * radius, spec)
         if not parts:
             raise DecompositionFailure("all parts are nilpotent")
         periods = {p for _, p, _ in parts}
@@ -465,7 +483,7 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
     tensors = [part.scaled(1.0 / math.sqrt(s.radius)) for part, _, s in parts]
     mags = np.array([math.sqrt(s.radius / radius) for *_, s in parts])
     top = float(np.max(mags))
-    if abs(top - 1.0) > 1e-6:
+    if abs(top - 1.0) > TAU_TOP_WEIGHT:
         raise DecompositionFailure(
             f"largest block weight {top} deviates from one", spectrum=mags
         )

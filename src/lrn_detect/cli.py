@@ -14,8 +14,11 @@ One executable, one ``--pipeline`` switch:
 Exit codes for verdict pipelines: 0 when long-range nonstabilizerness is
 certified, 2 when only the exact-SRN exclusion fires, 3 when
 inconclusive, 1 on errors.  All randomness flows from ``--seed``;
-identical requests produce byte-identical reports.  Reports go to stdout
-or ``--out``; stderr carries diagnostics only: an error is one JSON object
+identical requests produce byte-identical reports at a fixed BLAS thread
+count.  Under another thread count, a composite's blocks and groups,
+which follow the eigensolver's output order, can come reordered, and
+floats can differ in their last bits.  Reports go to stdout or
+``--out``; stderr carries diagnostics only: an error is one JSON object
 with its type, message and diagnostic payload (spectrum, singular values
 or last residual, when the error carries one).
 """
@@ -23,6 +26,7 @@ or last residual, when the error carries one).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -440,8 +444,14 @@ def _json_value(x):
     return x if math.isfinite(x) else str(x)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and then kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         req = AnalysisRequest(
             pipeline=args.pipeline,

@@ -8,6 +8,8 @@ block weights of the family under ``"exact_weights"``.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -75,27 +77,77 @@ def save_tensor(path: str, a: MpsTensor, exact_weights=None) -> None:
 def dump_report(obj, path: str | None) -> str:
     """Serialize a report deterministically; write it when a path is given.
 
-    Non-finite floats are rendered as strings so the output stays strict
-    JSON.
+    The text is that of ``json.dumps(obj, sort_keys=True, indent=2)``,
+    written in one pass by ``_write``.  Non-finite floats of the report are
+    rendered as their ``repr`` strings so the output stays strict JSON;
+    values that ``_json_default`` converts (numpy scalars other than
+    ``float64``, complex numbers, arrays) are written as ``json`` writes
+    them.  Dictionary keys must be strings.
     """
-    text = (
-        json.dumps(_finitize(obj), sort_keys=True, indent=2, default=_json_default)
-        + "\n"
-    )
+    out: list[str] = []
+    _write(obj, out, "\n", True)
+    out.append("\n")
+    text = "".join(out)
     if path:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
     return text
 
 
-def _finitize(obj):
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    if isinstance(obj, dict):
-        return {k: _finitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finitize(v) for v in obj]
-    return obj
+def _write(obj, out: list[str], pad: str, strict: bool) -> None:
+    """Append the JSON text of ``obj`` to ``out``.
+
+    ``pad`` is a newline plus the indent of the line ``obj`` starts on;
+    the members of a container go one level (two spaces) deeper.  With
+    ``strict`` a non-finite float becomes its ``repr`` string; without it
+    (below a ``_json_default`` conversion) it becomes ``NaN`` or
+    ``[-]Infinity``.
+    """
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if math.isfinite(obj):
+            out.append(float.__repr__(obj))
+        elif strict:
+            out.append(_encode_str(repr(obj)))
+        else:
+            out.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner, strict)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {type(key)!r}")
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write(obj[key], out, inner, strict)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        _write(_json_default(obj), out, pad, False)
 
 
 def _json_default(value):

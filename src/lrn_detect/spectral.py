@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,7 +75,9 @@ def spectral(m: np.ndarray) -> SpectralData:
     right and left eigenvectors come from shifted inverse iteration
     (``_peripheral_vectors``), so the matrix is factorized once per group of
     nearby peripheral eigenvalues rather than diagonalized twice.  A zero
-    spectral radius leaves no peripheral cluster.
+    spectral radius leaves no peripheral cluster.  This is the generic path
+    for any square matrix; ``transfer_spectral`` is the same for the
+    transfer matrix of a tensor, with its eigenvalues taken in real form.
 
     Raises:
         NonDiagonalizablePeripheral: if the peripheral space carries a
@@ -85,8 +88,75 @@ def spectral(m: np.ndarray) -> SpectralData:
             ``TAU_RESIDUAL`` after ``MAX_SWEEPS`` sweeps.
     """
     m = np.asarray(m, dtype=complex)
+    return _spectral_data(m, np.linalg.eigvals(m))
 
-    evals = np.linalg.eigvals(m)
+
+def transfer_spectral(a: MpsTensor) -> SpectralData:
+    """``spectral(transfer_matrix(a))``, with the eigenvalues from the real form.
+
+    The transfer channel ``X -> sum_i A[i] X A[i]^H`` maps Hermitian
+    matrices to Hermitian matrices, so in a basis of Hermitian matrices
+    (``_real_form``) it is a real matrix similar to the transfer matrix.
+    Its eigenvalues come from a real ``eigvals``, two to three times
+    cheaper than the complex one at chi 5-16, which returns exact
+    conjugate pairs.
+    The peripheral eigenvectors still come from inverse iteration on the
+    complex transfer matrix (``_peripheral_vectors``): a real iteration
+    would resolve a degenerate peripheral space in another basis.
+
+    Raises:
+        SizeCap: if the transfer matrix exceeds ``tensor.TRANSFER_CAP``.
+        NonDiagonalizablePeripheral, ConvergenceFailure: as ``spectral``.
+    """
+    e = transfer_matrix(a)
+    return _spectral_data(e, np.linalg.eigvals(_real_form(e, a.bond_dim)))
+
+
+def _real_form(e: np.ndarray, chi: int) -> np.ndarray:
+    """A real matrix similar to ``e``, for ``e`` Hermiticity-preserving.
+
+    Column ``a * chi + b`` of ``V`` is the C-order vectorization of the
+    Hermitian matrix ``E_aa`` on the diagonal, ``E_ab + E_ba`` above it and
+    ``i (E_ba - E_ab)`` below it, so each basis element sits at the
+    position of its entry.  The columns are orthogonal with squared norms
+    ``D`` (one on the diagonal, two off it), and the result is
+    ``D^-1 V^H e V``: the real matrix of ``e`` in the orthonormal basis
+    ``V D^-1/2``, conjugated by ``D^1/2``.  Both factors are gathers of
+    mirrored positions, and the halving is exact: the entries of a
+    diagonal ``e`` reach the result unrounded, where the orthonormal basis
+    would scale them by ``sqrt(1/2)**2``, which is not exactly 1/2.  The
+    imaginary round-off of the product is dropped.
+    """
+    diag, upper, lower = _positions(chi)
+    v = np.empty_like(e)
+    eu, el = e[:, upper], e[:, lower]
+    v[:, diag] = e[:, diag]
+    v[:, upper] = eu + el
+    v[:, lower] = 1j * (eu - el)
+    out = np.empty(e.shape)
+    vu, vl = v[upper], v[lower]
+    out[diag] = v[diag].real
+    out[upper] = 0.5 * (vu + vl).real
+    out[lower] = 0.5 * (vu - vl).imag
+    return out
+
+
+@functools.cache
+def _positions(chi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C-order positions of the diagonal, the upper triangle and its mirror.
+
+    The arrays are shared by every call for ``chi``, so they are read-only.
+    """
+    rows, cols = np.triu_indices(chi, 1)
+    out = (np.arange(chi) * (chi + 1), rows * chi + cols, cols * chi + rows)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _spectral_data(m: np.ndarray, evals: np.ndarray) -> SpectralData:
+    """SpectralData of ``m`` given its eigenvalues in any order."""
+    evals = np.asarray(evals, dtype=complex)
     evals = evals[np.argsort(-np.abs(evals), kind="stable")]
     radius = abs(evals[0])
     if radius == 0.0:
@@ -439,4 +509,4 @@ def is_normal(a: MpsTensor) -> NormalityWitness:
     spectral radius (``|lambda| >= radius * (1 - TAU_SPEC)``) and the fixed
     points are read from eigenvectors, which rescaling leaves unchanged.
     """
-    return normality_witness(spectral(transfer_matrix(a)))
+    return normality_witness(transfer_spectral(a))

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 
+class _Calls(dict):
+    """``{name: [row count, ...]}`` with the matching dtypes in ``dtypes``."""
+
+    def __init__(self, names):
+        super().__init__((name, []) for name in names)
+        self.dtypes = {name: [] for name in names}
+
+
 @pytest.fixture
 def count_linalg(monkeypatch):
     """Install counters on ``np.linalg`` functions, by default ``eig`` and ``eigvals``.
@@ -11,23 +19,60 @@ def count_linalg(monkeypatch):
     Calling the fixture's value with the function names (none for the
     default pair) installs them and returns ``{name: [...]}``: the row count
     of every matrix handed to each function from then on, in call order.
+    Its ``dtypes`` attribute holds the matrices' dtypes the same way.
     Build the inputs first, since building a random tensor calls
     ``eigvals`` too.
     """
 
     def install(*names):
-        calls = {name: [] for name in names or ("eig", "eigvals")}
+        calls = _Calls(names or ("eig", "eigvals"))
         for name, sizes in calls.items():
             original = getattr(np.linalg, name)
 
-            def counted(a, *args, _sizes=sizes, _original=original, **kwargs):
+            def counted(a, *args, _sizes=sizes, _dtypes=calls.dtypes[name],
+                        _original=original, **kwargs):
                 _sizes.append(np.shape(a)[0])
+                _dtypes.append(np.asarray(a).dtype)
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         return calls
 
     return install
+
+
+def _same_canonical(cf_a, cf_b):
+    """Assert that two canonical forms describe the same decomposition.
+
+    Compares the blocking, the number of groups, the multiset of blocks by
+    ``(bond_dim, surviving, |mu|)`` and the multiset of the surviving
+    groups' Schmidt weights, floats to 1e-12.  Block and group order, and
+    so group labels and relative phases, are not compared: they follow the
+    eigensolver's output order where the eigenvalue-1 space is degenerate.
+    """
+    assert cf_a.blocking == cf_b.blocking, (cf_a.blocking, cf_b.blocking)
+    assert cf_a.num_groups == cf_b.num_groups, (cf_a.num_groups, cf_b.num_groups)
+
+    def blocks(cf):
+        return sorted((b.tensor.bond_dim, b.surviving, abs(b.mu)) for b in cf.blocks)
+
+    ba, bb = blocks(cf_a), blocks(cf_b)
+    assert [k[:2] for k in ba] == [k[:2] for k in bb], (ba, bb)
+    assert all(abs(x[2] - y[2]) <= 1e-12 for x, y in zip(ba, bb)), (ba, bb)
+
+    def weights(cf):
+        return sorted((len(lam), list(lam)) for lam in cf.schmidt_weights().values())
+
+    wa, wb = weights(cf_a), weights(cf_b)
+    assert [n for n, _ in wa] == [n for n, _ in wb], (wa, wb)
+    for (_, x), (_, y) in zip(wa, wb):
+        assert np.max(np.abs(np.subtract(x, y))) <= 1e-12, (x, y)
+
+
+@pytest.fixture
+def same_canonical():
+    """The comparator ``(cf_a, cf_b) -> None`` of canonical forms; asserts."""
+    return _same_canonical
 
 
 def _random_block(rng, d, chi):
@@ -73,3 +118,21 @@ def _copy_composite(rng, d, chis, copy_phase):
 def copy_composite():
     """The builder ``(rng, d, chis, copy_phase) -> MpsTensor`` of gauge-copy composites."""
     return _copy_composite
+
+
+@pytest.fixture
+def composite_draw():
+    """``seed -> MpsTensor``: a seeded gauge-copy composite.
+
+    Drawn like the slow decomposition sweep: d 2-3, two or three blocks of
+    bond dimension 2-3, and a copy phase 2 pi / q with q 2-6.
+    """
+
+    def draw(seed):
+        rng = np.random.default_rng([12, seed])
+        d = int(rng.integers(2, 4))
+        chis = [int(c) for c in rng.integers(2, 4, size=int(rng.integers(2, 4)))]
+        q = int(rng.integers(2, 7))
+        return _copy_composite(rng, d, chis, np.exp(2j * np.pi / q))
+
+    return draw

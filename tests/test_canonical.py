@@ -8,14 +8,18 @@ import pytest
 
 from lrn_detect import (
     MpsTensor,
+    canonical,
     canonical_decompose,
     gauge_equivalent,
     local_orthogonal,
     materialize_mps,
+    spectral,
+    transfer_matrix,
 )
 from lrn_detect.errors import DecompositionFailure, NotNormalInput
 from lrn_detect.families import (
     alternating_tensor,
+    counterexample_tensor,
     ghz_tensor,
     pattern_tensor,
     phase_loop_tensor,
@@ -212,6 +216,63 @@ def test_decompose_scrambled_alternating():
     assert cf.blocking == 2
     assert len(cf.blocks) == 2
     assert {round(abs(b.mu), 9) for b in cf.blocks} == {1.0}
+
+
+# --- eigenvalues from the real form ---------------------------------------------
+
+
+_REAL_FORM_CASES = {
+    "ghz": ghz_tensor,
+    "product": product_tensor,
+    "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
+    "loop_incommensurate": lambda: phase_loop_tensor(math.sqrt(2.0)),
+    "loop_7_997": lambda: phase_loop_tensor(2 * math.pi * 7 / 997),
+    "alternating": alternating_tensor,
+    "counterexample": counterexample_tensor,
+    **{f"normal_d{d}_chi{chi}": (lambda d=d, chi=chi: random_normal_tensor(d, chi, seed=chi))
+       for d, chi in ((2, 2), (3, 4), (2, 6), (3, 8))},
+}
+
+
+def _assert_matches_complex_oracle(tensor, monkeypatch, same_canonical):
+    cf = canonical_decompose(tensor)
+    with monkeypatch.context() as m:
+        # The oracle takes the transfer eigenvalues from a complex eigvals.
+        m.setattr(canonical, "transfer_spectral", lambda t: spectral(transfer_matrix(t)))
+        oracle = canonical_decompose(tensor)
+    same_canonical(cf, oracle)
+
+
+@pytest.mark.parametrize("name", list(_REAL_FORM_CASES))
+def test_decompose_matches_complex_eigvals_oracle(name, monkeypatch, same_canonical):
+    _assert_matches_complex_oracle(_REAL_FORM_CASES[name](), monkeypatch, same_canonical)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_decompose_matches_complex_eigvals_oracle_on_composites(
+    seed, composite_draw, monkeypatch, same_canonical
+):
+    _assert_matches_complex_oracle(composite_draw(seed), monkeypatch, same_canonical)
+
+
+@pytest.mark.parametrize("name", ["ghz", "loop_pi3", "alternating", "normal_d3_chi8", "composite"])
+def test_transfer_eigvals_are_real_and_mixed_ones_complex(
+    name, count_linalg, composite_draw, monkeypatch
+):
+    # Each transfer spectrum takes one real eigvals; each gauge test takes
+    # one complex eigvals of its mixed transfer matrix.
+    tensor = composite_draw(0) if name == "composite" else _REAL_FORM_CASES[name]()
+    spectra, mixed = [], []
+    for attr, log in (("transfer_spectral", spectra), ("mixed_transfer_matrix", mixed)):
+        original = getattr(canonical, attr)
+        monkeypatch.setattr(canonical, attr,
+                            lambda *args, _f=original, _log=log: _log.append(1) or _f(*args))
+    calls = count_linalg("eigvals")
+    canonical_decompose(tensor)
+    dtypes = calls.dtypes["eigvals"]
+    assert dtypes.count(np.dtype(np.float64)) == len(spectra) > 0
+    assert dtypes.count(np.dtype(complex)) == len(mixed)
+    assert len(dtypes) == len(spectra) + len(mixed)
 
 
 # --- robustness sweep -----------------------------------------------------------

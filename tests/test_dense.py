@@ -463,6 +463,51 @@ def test_gate_loop_matches_kronecker_embedding(d, n, targets):
         _apply_gates(psi, [(np.eye(d**2), (0, 1)), (np.eye(d), (0, 1))])
 
 
+def _rotating_frame_gates(psi, gates):
+    """Oracle: the gate loop with every gate, one-site ones too, as ``arr.T @ gate.T``."""
+    n, d = psi.n_sites, psi.local_dim
+    arr = psi.amplitudes
+    order = list(range(n))
+    for gate, t in gates:
+        t = list(t)
+        k = len(t)
+        if order[:k] != t:
+            p = order.index(t[0])
+            rotated = order[p:] + order[:p]
+            if rotated[:k] == t:
+                arr = arr.reshape(d**p, -1).T.reshape(d**k, -1)
+                order = rotated
+            else:
+                rest = [q for q in order if q not in t]
+                axes = [order.index(q) for q in t + rest]
+                arr = arr.reshape([d] * n).transpose(axes).reshape(d**k, -1)
+                order = t + rest
+        arr = arr.reshape(d**k, -1).T @ gate.T
+        order = order[k:] + t
+    return arr.reshape([d] * n).transpose(sorted(range(n), key=order.__getitem__)).reshape(-1)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (2, 7), (2, 12), (2, 16), (3, 3), (3, 6), (3, 9)])
+def test_one_site_gates_match_the_rotating_frame(d, n):
+    # Circuits that mix one- and two-site gates: a layer of one-site gates
+    # in site order (each keeps the rotating product), then one-site gates
+    # on random sites and on the second target of a two-site gate.
+    rng = np.random.default_rng(100 * d + n)
+    raw = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+    psi = DenseState.from_amplitudes(raw, n, d)
+    gates = [(haar_gate(d, rng), (q,)) for q in range(n)]
+    for _ in range(24):
+        if rng.uniform() < 0.5:
+            gates.append((haar_gate(d, rng), (int(rng.integers(n)),)))
+        else:
+            a = int(rng.integers(n))
+            b = (a + 1 + int(rng.integers(n - 1)) * (rng.uniform() < 0.3)) % n
+            gates.append((haar_gate(d * d, rng), (a, b)))
+            if rng.uniform() < 0.5:
+                gates.append((haar_gate(d, rng), (b,)))
+    assert np.max(np.abs(_apply_gates(psi, gates) - _rotating_frame_gates(psi, gates))) < 1e-13
+
+
 def _eigvalsh_entropy(m):
     """Oracle: entropy from a full ``eigvalsh`` of the Gram matrix ``m m†``."""
     p = np.linalg.eigvalsh(m @ m.conj().T)

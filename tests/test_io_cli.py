@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrn_detect import ExactWeight, causal_cone_reduce
 from lrn_detect.cli import main
@@ -22,7 +24,7 @@ from lrn_detect.families import (
     phase_loop_tensor,
     random_normal_tensor,
 )
-from lrn_detect.io import load_tensor, rows_to_csv, save_tensor, tensor_from_json
+from lrn_detect.io import dump_report, load_tensor, rows_to_csv, save_tensor, tensor_from_json
 
 
 @pytest.fixture
@@ -330,6 +332,85 @@ def test_reports_stay_strict_json(tmp_path):
     parsed = json.loads(text)  # strict JSON: non-finite floats became strings
     assert parsed["x"] == "inf"
     assert parsed["y"][0] == "-inf"
+
+
+def _json_dumps_report(obj) -> str:
+    """Oracle: the report text as ``json.dumps`` wrote it after a finitizing walk."""
+    from lrn_detect.io import _json_default
+
+    def finitize(x):
+        if isinstance(x, float) and not np.isfinite(x):
+            return repr(x)
+        if isinstance(x, dict):
+            return {k: finitize(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finitize(v) for v in x]
+        return x
+
+    return json.dumps(finitize(obj), sort_keys=True, indent=2, default=_json_default) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *[["--pipeline", "analyze", "--input", name] for name in (
+        "ghz03.json", "ghz.json", "counter.json", "loop.json", "loop_irrational.json",
+        "loop_7_997.json", "alternating.json", "product.json", "counter_plain.json",
+    )],
+    ["--pipeline", "rg", "--input", "loop.json"],
+    ["--pipeline", "rg", "--input", "ghz.json"],
+    ["--pipeline", "stab", "--input", "bell.json"],
+    ["--pipeline", "ghz", "--input", "half.json"],
+    ["--pipeline", "ghz", "--input", "w03.json"],
+    ["--pipeline", "typicality", "--n-min", "20", "--n-max", "24"],
+    ["--pipeline", "verify", "--n-min", "1", "--n-max", "1"],
+], ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
+def test_report_writer_matches_json_dumps(argv, fixture_dir, monkeypatch, capsys):
+    from lrn_detect import cli
+    from lrn_detect.families import product_tensor
+
+    save_tensor(fixture_dir / "loop_irrational.json", phase_loop_tensor(math.sqrt(2.0)))
+    save_tensor(fixture_dir / "loop_7_997.json", phase_loop_tensor(2 * math.pi * 7 / 997))
+    save_tensor(fixture_dir / "alternating.json", alternating_tensor())
+    save_tensor(fixture_dir / "product.json", product_tensor())
+    save_tensor(fixture_dir / "counter_plain.json", counterexample_tensor())
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    reports = []
+
+    def recording(obj, path):
+        reports.append(obj)
+        return dump_report(obj, path)
+
+    monkeypatch.setattr(cli, "dump_report", recording)
+    assert main(argv) in (0, 2, 3)
+    (report,) = reports
+    assert capsys.readouterr().out == _json_dumps_report(report)
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.complex_numbers(),
+    st.lists(st.floats(), max_size=4).map(np.array),
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2))),
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_report_writer_matches_json_dumps_on_trees(tree):
+    assert dump_report(tree, None) == _json_dumps_report(tree)
 
 
 def test_cli_analyze_decaying_block(tmp_path, capsys):

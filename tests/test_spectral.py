@@ -21,7 +21,12 @@ from lrn_detect.families import (
     product_tensor,
     random_normal_tensor,
 )
-from lrn_detect.spectral import TAU_RESIDUAL, TAU_SPEC, rotate_to_hermitian
+from lrn_detect.spectral import (
+    TAU_RESIDUAL,
+    TAU_SPEC,
+    rotate_to_hermitian,
+    transfer_spectral,
+)
 
 
 def test_ghz_peripheral_pair():
@@ -276,3 +281,72 @@ def test_rotate_to_hermitian_keeps_indefinite_orientation(m, expected):
     h, ev = rotate_to_hermitian(m)
     assert np.array_equal(h, expected)
     assert np.allclose(ev, np.linalg.eigvalsh(expected))
+
+
+# --- transfer spectra from the real form ----------------------------------------
+
+
+def _real_form_cases():
+    cases = {name: make for name, make in _ORACLE_CASES.items() if not name.startswith("normal")}
+    for k in range(12):
+        d, chi = 2 + k % 2, 2 + k % 7
+        cases[f"normal_{k}_d{d}_chi{chi}"] = (
+            lambda d=d, chi=chi, k=k: random_normal_tensor(d, chi, seed=100 + k))
+    return cases
+
+
+def _assert_real_form_spectrum(tensor):
+    s = transfer_spectral(tensor)
+    e = transfer_matrix(tensor)
+    expected = np.linalg.eigvals(e)
+    assert s.eigenvalues.dtype == complex and len(s.eigenvalues) == len(expected)
+    # Same multiset: every complex eigenvalue has its own real-form partner.
+    dist = np.abs(expected[:, None] - s.eigenvalues[None, :])
+    for _ in range(len(expected)):
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        assert dist[i, j] <= 1e-12 * s.radius
+        dist[i, :] = np.inf
+        dist[:, j] = np.inf
+    # A real matrix has exact conjugate pairs.
+    assert np.array_equal(np.sort_complex(s.eigenvalues), np.sort_complex(s.eigenvalues.conj()))
+    # The peripheral cut is the generic path's.
+    assert len(s.peripheral) == len(spectral(e).peripheral)
+
+
+@pytest.mark.parametrize("name", list(_real_form_cases()))
+def test_transfer_spectral_matches_complex_eigvals(name):
+    _assert_real_form_spectrum(_real_form_cases()[name]())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_transfer_spectral_matches_complex_eigvals_on_composites(seed, composite_draw):
+    _assert_real_form_spectrum(composite_draw(seed))
+
+
+@pytest.mark.parametrize("chi", [1, 2, 3, 5])
+def test_real_form_is_the_hermitian_basis_similarity(chi):
+    # Oracle: U^H E U with the orthonormal Hermitian basis written out entry
+    # by entry; the real form is its conjugate by D^1/2, D = diag(|v_j|^2).
+    from lrn_detect.spectral import _real_form
+
+    e = transfer_matrix(random_normal_tensor(2, chi, seed=chi))
+    n = chi * chi
+    u = np.zeros((n, n), dtype=complex)
+    norms = np.ones(n)
+    for a in range(chi):
+        for b in range(chi):
+            j, t = a * chi + b, b * chi + a
+            if a == b:
+                u[j, j] = 1.0
+            elif a < b:
+                u[j, j] = u[t, j] = 1.0 / math.sqrt(2.0)
+                norms[j] = 2.0
+            else:
+                u[t, j], u[j, j] = 1j / math.sqrt(2.0), -1j / math.sqrt(2.0)
+                norms[j] = 2.0
+    assert np.allclose(u.conj().T @ u, np.eye(n), atol=1e-15)
+    oracle = u.conj().T @ e @ u
+    assert np.max(np.abs(oracle.imag)) < 1e-14
+    scale = np.sqrt(norms)
+    assert np.allclose(_real_form(e, chi), oracle.real * scale[None, :] / scale[:, None],
+                       atol=1e-14)

@@ -11,6 +11,10 @@ One executable, one ``--pipeline`` switch:
 * ``ghz``        exact-weight JSON -> family label
 * ``typicality`` counting estimate sweep over system sizes
 
+The flags are the whole request: each command reads argparse's namespace,
+after ``_check`` applies the rules that tie flags together.  Every other
+cap and tolerance is a module constant of the layer that owns it.
+
 Exit codes for verdict pipelines: 0 when long-range nonstabilizerness is
 certified, 2 when only the exact-SRN exclusion fires, 3 when
 inconclusive, 1 on errors.  All randomness flows from ``--seed``;
@@ -30,7 +34,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,14 +59,13 @@ from .dense import (
 from .errors import LrnDetectError
 from .exact import ExactWeight
 from .experiments import _fixed_point_sweep, invariance_sweep
-from .io import dump_report, load_tensor, rows_to_csv
+from .io import dump_report, json_value, load_tensor, rows_to_csv
 from .partition import build_partition
 from .rg import rg_fixed_point
 from .spectral import correlation_length
 from .stabilizer import CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
 from .weights import WeightSpectrum
 
-PIPELINES = ("analyze", "rg", "verify", "stab", "ghz", "typicality")
 # Pipelines whose report has a table of rows, the only thing CSV can hold.
 CSV_PIPELINES = ("rg", "typicality")
 
@@ -78,45 +80,12 @@ _EXIT_INCONCLUSIVE = 3
 _VERIFY_AMP_CAP = 2**20
 
 
-@dataclass
-class AnalysisRequest:
-    """One validated run: input path, pipeline, tolerances, output routing."""
-
-    pipeline: str
-    input_path: str | None
-    out: str | None
-    fmt: str
-    seed: int
-    n_min: int
-    n_max: int
-    depth: int
-    tol_int: float
-    q_max: int
-
-    def __post_init__(self):
-        if self.pipeline not in PIPELINES:
-            raise LrnDetectError(f"unknown pipeline {self.pipeline!r}")
-        if self.pipeline in ("analyze", "rg", "stab", "ghz") and not self.input_path:
-            raise LrnDetectError(f"pipeline {self.pipeline!r} requires --input")
-        if self.fmt not in ("json", "csv"):
-            raise LrnDetectError("--format must be json or csv")
-        if self.fmt == "csv" and self.pipeline not in CSV_PIPELINES:
-            raise LrnDetectError(
-                f"--format csv applies to {' and '.join(CSV_PIPELINES)} only, "
-                f"not {self.pipeline!r}"
-            )
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise LrnDetectError("need 1 <= n-min <= n-max")
-        if self.depth < 1:
-            raise LrnDetectError(f"--depth must be at least 1, got {self.depth}")
-
-
-def _emit(req: AnalysisRequest, report: dict, rows: list[dict] | None = None) -> None:
-    if req.fmt == "csv":
-        text = rows_to_csv(rows, req.out)
+def _emit(args: argparse.Namespace, report: dict, rows: list[dict] | None = None) -> None:
+    if args.format == "csv":
+        text = rows_to_csv(rows, args.out)
     else:
-        text = dump_report(report, req.out)
-    if not req.out:
+        text = dump_report(report, args.out)
+    if not args.out:
         sys.stdout.write(text)
 
 
@@ -135,8 +104,8 @@ def _status_exit(statuses: list[str]) -> int:
     return _EXIT_INCONCLUSIVE
 
 
-def cmd_analyze(req: AnalysisRequest) -> int:
-    tensor, exact_weights = load_tensor(req.input_path)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    tensor, exact_weights = load_tensor(args.input)
     cf = canonical_decompose(tensor)
 
     spectrum = cf.weight_spectrum
@@ -150,12 +119,12 @@ def cmd_analyze(req: AnalysisRequest) -> int:
             [math.sqrt(max(w.value(), 0.0)) for w in exact_weights]
         )
 
-    verdicts = {"entropy_criterion": lrn_entropy_check(spectrum, tau_int=req.tol_int)}
+    verdicts = {"entropy_criterion": lrn_entropy_check(spectrum, tau_int=args.tol_int)}
     if exact_weights is not None and len(exact_weights) >= 2:
-        verdicts["ratio_criterion"] = srn_ratio_check(exact_weights, q_max=req.q_max)
+        verdicts["ratio_criterion"] = srn_ratio_check(exact_weights, q_max=args.qmax)
 
     report = {
-        "input": req.input_path,
+        "input": args.input,
         "canonical_form": {
             "blocking": cf.blocking,
             "num_blocks": len(cf.blocks),
@@ -178,12 +147,12 @@ def cmd_analyze(req: AnalysisRequest) -> int:
         "weight_spectrum": spectrum.to_json(),
         "verdicts": {k: _verdict_json(v) for k, v in verdicts.items()},
     }
-    _emit(req, report)
+    _emit(args, report)
     return _status_exit([v.status for v in verdicts.values()])
 
 
-def cmd_rg(req: AnalysisRequest) -> int:
-    tensor, _ = load_tensor(req.input_path)
+def cmd_rg(args: argparse.Namespace) -> int:
+    tensor, _ = load_tensor(args.input)
     fp = rg_fixed_point(tensor)
     s = fp.canonical.input_spectral
     multi_block = s is None or s.multi_block  # defective peripheral: degenerate
@@ -193,7 +162,7 @@ def cmd_rg(req: AnalysisRequest) -> int:
         for it, lam2 in enumerate(b.history)
     ]
     report = {
-        "input": req.input_path,
+        "input": args.input,
         "multi_block": multi_block,
         "correlation_length": "multi-block" if multi_block else correlation_length(s),
         "blocking": fp.canonical.blocking,
@@ -208,12 +177,12 @@ def cmd_rg(req: AnalysisRequest) -> int:
             for b in fp.blocks
         ],
     }
-    _emit(req, report, rows=rows)
+    _emit(args, report, rows=rows)
     return _EXIT_OK
 
 
-def cmd_stab(req: AnalysisRequest) -> int:
-    with open(req.input_path, encoding="utf-8") as f:
+def cmd_stab(args: argparse.Namespace) -> int:
+    with open(args.input, encoding="utf-8") as f:
         raw = f.read()
     try:
         obj = json.loads(raw)
@@ -225,7 +194,7 @@ def cmd_stab(req: AnalysisRequest) -> int:
         region_a = region_b = None
     canon = tableau.canonicalize()
     report = {
-        "input": req.input_path,
+        "input": args.input,
         "n": tableau.n,
         "canonical": canon.to_text().split("\n"),
     }
@@ -238,26 +207,26 @@ def cmd_stab(req: AnalysisRequest) -> int:
             report["mutual_information"] = tableau.mutual_information(
                 region_a, region_b
             )
-    _emit(req, report)
+    _emit(args, report)
     return _EXIT_OK
 
 
-def cmd_ghz(req: AnalysisRequest) -> int:
-    with open(req.input_path, encoding="utf-8") as f:
+def cmd_ghz(args: argparse.Namespace) -> int:
+    with open(args.input, encoding="utf-8") as f:
         weight = ExactWeight.from_json(json.load(f))
     label = ghz_classify(weight)
-    report = {"input": req.input_path, "alpha_sq": weight.value(), "label": label}
-    _emit(req, report)
+    report = {"input": args.input, "alpha_sq": weight.value(), "label": label}
+    _emit(args, report)
     return _EXIT_OK if label == "LRN" else _EXIT_INCONCLUSIVE
 
 
-def cmd_typicality(req: AnalysisRequest) -> int:
+def cmd_typicality(args: argparse.Namespace) -> int:
     rows = []
-    for n in range(req.n_min, req.n_max + 1):
+    for n in range(args.n_min, args.n_max + 1):
         val = typicality_log_ratio(n)
         rows.append({"n": n, "log_ratio": val, "reachable": val > 0})
-    report = {"sweep": rows, "n_min": req.n_min, "n_max": req.n_max}
-    _emit(req, report, rows=rows)
+    report = {"sweep": rows, "n_min": args.n_min, "n_max": args.n_max}
+    _emit(args, report, rows=rows)
     return _EXIT_OK
 
 
@@ -370,24 +339,24 @@ def _verify_flatness(seed: int, trials: int) -> dict:
     return {"suite": "flatness", "passed": True, "trials": trials}
 
 
-def cmd_verify(req: AnalysisRequest) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Run the runtime invariant suites; sizes scale with the N window."""
-    trials = max(4, req.n_max - req.n_min + 1)
+    trials = max(4, args.n_max - args.n_min + 1)
     suites = [
-        _verify_clifford_quantization(req.seed, trials * 4),
-        _verify_invariance(req.seed, max(2, trials // 4), req.depth),
-        _verify_flatness(req.seed, trials),
+        _verify_clifford_quantization(args.seed, trials * 4),
+        _verify_invariance(args.seed, max(2, trials // 4), args.depth),
+        _verify_flatness(args.seed, trials),
     ]
-    if req.depth == 1:
-        suites.append(_verify_causal_cone(req.seed, trials))
+    if args.depth == 1:
+        suites.append(_verify_causal_cone(args.seed, trials))
     else:
         # The dense channel comparison is desk-capped at depth 1; deeper
         # circuits are exercised through the invariance suite only.
         suites.append({"suite": "causal_cone", "passed": True,
-                       "skipped": f"dense comparison capped at depth 1 (got {req.depth})"})
+                       "skipped": f"dense comparison capped at depth 1 (got {args.depth})"})
     passed = all(s["passed"] for s in suites)
-    report = {"passed": passed, "suites": suites, "seed": req.seed, "depth": req.depth}
-    _emit(req, report)
+    report = {"passed": passed, "suites": suites, "seed": args.seed, "depth": args.depth}
+    _emit(args, report)
     return _EXIT_OK if passed else _EXIT_ERROR
 
 
@@ -399,9 +368,12 @@ _COMMANDS = {
     "ghz": cmd_ghz,
     "typicality": cmd_typicality,
 }
+PIPELINES = tuple(_COMMANDS)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser: built on first use, then kept for the process."""
     p = argparse.ArgumentParser(
         prog="lrn-detect",
         description="Detect long-range nonstabilizerness of TI MPS families.",
@@ -419,6 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check(args: argparse.Namespace) -> None:
+    """The rules that tie flags together; argparse checks each flag alone."""
+    if args.pipeline in ("analyze", "rg", "stab", "ghz") and not args.input:
+        raise LrnDetectError(f"pipeline {args.pipeline!r} requires --input")
+    if args.format == "csv" and args.pipeline not in CSV_PIPELINES:
+        raise LrnDetectError(
+            f"--format csv applies to {' and '.join(CSV_PIPELINES)} only, "
+            f"not {args.pipeline!r}"
+        )
+    if args.n_min < 1 or args.n_max < args.n_min:
+        raise LrnDetectError("need 1 <= n-min <= n-max")
+    if args.depth < 1:
+        raise LrnDetectError(f"--depth must be at least 1, got {args.depth}")
+
+
 # Diagnostic attributes an error may carry (spectra, singular values,
 # residuals); each one that is set goes into the stderr payload.
 _PAYLOAD_FIELDS = ("spectrum", "singular_values", "last_residual")
@@ -427,45 +414,18 @@ _PAYLOAD_FIELDS = ("spectrum", "singular_values", "last_residual")
 def _error_json(exc: Exception) -> dict:
     """One stderr object: error type, message and diagnostic payload."""
     payload = {
-        name: _json_value(getattr(exc, name))
+        name: json_value(getattr(exc, name))
         for name in _PAYLOAD_FIELDS
         if getattr(exc, name, None) is not None
     }
     return {"error": type(exc).__name__, "message": str(exc), "payload": payload}
 
 
-def _json_value(x):
-    """Arrays become lists, complex numbers ``{re, im}``, non-finite floats strings."""
-    if isinstance(x, np.ndarray):
-        return [_json_value(v) for v in x]
-    if isinstance(x, (complex, np.complexfloating)):
-        return {"re": _json_value(x.real), "im": _json_value(x.imag)}
-    x = float(x)
-    return x if math.isfinite(x) else str(x)
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on first use and then kept."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        req = AnalysisRequest(
-            pipeline=args.pipeline,
-            input_path=args.input,
-            out=args.out,
-            fmt=args.format,
-            seed=args.seed,
-            n_min=args.n_min,
-            n_max=args.n_max,
-            depth=args.depth,
-            tol_int=args.tol_int,
-            q_max=args.qmax,
-        )
-        return _COMMANDS[req.pipeline](req)
+        _check(args)
+        return _COMMANDS[args.pipeline](args)
     except (LrnDetectError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(json.dumps(_error_json(exc)), file=sys.stderr)
         return _EXIT_ERROR

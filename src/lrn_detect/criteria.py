@@ -27,7 +27,8 @@ EXACT_SRN_EXCLUDED = "EXACT_SRN_EXCLUDED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 DEFAULT_TAU_INT = 1e-6
-DEFAULT_N_WINDOW = (1000, 2000)
+# System sizes swept when the weights have no enumerable period.
+N_WINDOW = (1000, 2000)
 # Rational phase detection: a phase / 2pi within PHASE_TAU of a fraction with
 # denominator at most PHASE_Q_MAX counts as commensurate.
 PHASE_Q_MAX = 10**4
@@ -81,18 +82,14 @@ def _integer_distance(h: np.ndarray) -> np.ndarray:
     return np.abs(h - np.round(h))
 
 
-def lrn_entropy_check(
-    w: WeightSpectrum,
-    n_window: tuple[int, int] = DEFAULT_N_WINDOW,
-    tau_int: float = DEFAULT_TAU_INT,
-) -> Verdict:
+def lrn_entropy_check(w: WeightSpectrum, tau_int: float = DEFAULT_TAU_INT) -> Verdict:
     """Sufficient criterion: non-integer weight entropy certifies LRN.
 
     When all phases are commensurate with 2*pi the weights cycle with a
     finite period ``s`` and the entropy is evaluated exactly on every
     residue class; certification requires every class to clear the
     integer-distance tolerance.  With incommensurate phases no limit
-    exists; the entropy is swept over ``n_window`` and certification is
+    exists; the entropy is swept over ``N_WINDOW`` and certification is
     granted only when the whole window clears the tolerance (a
     deliberately conservative reading).  Classes clearing the gap are
     reported either way, as subsequence metadata.  A commensurate period
@@ -144,9 +141,7 @@ def lrn_entropy_check(
         # Too many residue classes to evaluate: the window is swept and
         # reported, but a partial set of classes never certifies.
         evidence = {"mode": "period_capped", "period": s, "period_cap": _MAX_PERIOD}
-    lo, hi = n_window
-    if lo < 1 or hi < lo:
-        raise OutOfRange("invalid evaluation window")
+    lo, hi = N_WINDOW
     ns = np.arange(lo, hi + 1)
     h = _entropies(evaluate_weights(w, ns))
     dist = _integer_distance(h)

@@ -38,6 +38,12 @@ UNITARY_TOL = 1e-12
 _EIG_FLOOR = 1e-12
 _PSD_TOL = 1e-9
 
+# Round-off allowance added to the right side of the Fannes bound.
+FANNES_SLACK = 1e-12
+# Partial-transpose eigenvalues above this modulus count as significant,
+# and flat means their moduli spread by at most this much.
+FLATNESS_TAU = 1e-9
+
 # `_gram_entropy` stops pivoting once the trace of the Schur complement is
 # below this fraction of tr(m m†).
 _PIVOT_FLOOR = 1e-15
@@ -94,7 +100,7 @@ class DenseState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def materialize_mps(a: MpsTensor, n: int, amp_cap: int = AMP_CAP) -> DenseState:
+def materialize_mps(a: MpsTensor, n: int) -> DenseState:
     """Amplitudes ``tr(A[i1] ... A[iN])``, normalized.
 
     The ring is cut into two halves whose bond-matrix products are traced
@@ -102,19 +108,19 @@ def materialize_mps(a: MpsTensor, n: int, amp_cap: int = AMP_CAP) -> DenseState:
     ``d**ceil(N/2) * chi**2`` entries rather than ``d**N * chi**2``.
 
     Raises:
-        SizeCap: if the amplitude count or a half's products exceed the cap.
+        SizeCap: if the amplitude count or a half's products exceed ``AMP_CAP``.
         ZeroState: if every trace vanishes at this N.
     """
     if n < 1:
         raise DimensionMismatch("need at least one site")
     d, chi = a.phys_dim, a.bond_dim
-    if d**n > amp_cap:
-        raise SizeCap(f"{d}**{n} amplitudes exceed the cap {amp_cap}")
+    if d**n > AMP_CAP:
+        raise SizeCap(f"{d}**{n} amplitudes exceed the cap {AMP_CAP}")
     half = (n + 1) // 2
-    if d**half * chi * chi > amp_cap:
+    if d**half * chi * chi > AMP_CAP:
         raise SizeCap(
             f"{d}**{half} half-ring products of bond dimension {chi} exceed "
-            f"the cap {amp_cap}"
+            f"the cap {AMP_CAP}"
         )
     left, right = _word_products(a, half), _word_products(a, n - half)
     # tr(L R) = sum_ab L[a, b] R[b, a], for every pair of half-ring words.
@@ -292,11 +298,11 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
-def fannes_check(rho, sigma, n_qubits: int, slack: float = 1e-12) -> bool:
+def fannes_check(rho, sigma, n_qubits: int) -> bool:
     """Entropy continuity bound: |S(rho) - S(sigma)| <= d*|R| + H_bin(d)."""
     delta = trace_distance_mixed(rho, sigma)
     gap = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
-    return gap <= delta * n_qubits + binary_entropy(delta) + slack
+    return gap <= delta * n_qubits + binary_entropy(delta) + FANNES_SLACK
 
 
 def partial_transpose(rho_ab: np.ndarray, dim_a: int) -> np.ndarray:
@@ -311,7 +317,7 @@ def partial_transpose(rho_ab: np.ndarray, dim_a: int) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(2, 1, 0, 3)).reshape(dim, dim)
 
 
-def flatness_check(rho_ab: np.ndarray, dim_a: int, tau: float = 1e-9) -> bool:
+def flatness_check(rho_ab: np.ndarray, dim_a: int) -> bool:
     """Do all significant partial-transpose eigenvalues share one modulus?
 
     Equivalent to the proportionality of the squared and fourth powers of
@@ -320,10 +326,10 @@ def flatness_check(rho_ab: np.ndarray, dim_a: int, tau: float = 1e-9) -> bool:
     pt = partial_transpose(rho_ab, dim_a)
     evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
     mags = np.abs(evals)
-    sig = mags[mags > tau]
+    sig = mags[mags > FLATNESS_TAU]
     if sig.size == 0:
         return True
-    return float(np.max(sig) - np.min(sig)) <= tau
+    return float(np.max(sig) - np.min(sig)) <= FLATNESS_TAU
 
 
 def apply_local_gate(psi: DenseState, gate: np.ndarray, sites) -> DenseState:
@@ -363,11 +369,7 @@ def _apply_gates(psi: DenseState, gates) -> np.ndarray:
     brickwork layer) never transposes.  Targets that do not lead cost one
     copy: a cyclic rotation of the axes when they are consecutive in the
     current order, otherwise a transpose that moves them to the front.
-    A one-site gate takes ``gate @ arr.reshape(d, -1)`` instead, about
-    twice as fast for these tall, thin operands, and leaves its target in
-    front; it keeps the rotating product only when the next gate starts on
-    the following site, which that product makes lead (a layer of one-site
-    gates).  One transpose at the end restores site order.
+    One transpose at the end restores site order.
     """
     n, d = psi.n_sites, psi.local_dim
     gates = list(gates)
@@ -381,10 +383,9 @@ def _apply_gates(psi: DenseState, gates) -> np.ndarray:
         if gate.shape != (d**k, d**k):
             raise DimensionMismatch(f"gate shape {gate.shape} does not fit {k} sites")
         targets.append(t)
-    targets.append([None])  # what follows the last gate
     arr = psi.amplitudes
     order = list(range(n))
-    for (gate, _), t, following in zip(gates, targets, targets[1:]):
+    for (gate, _), t in zip(gates, targets):
         k = len(t)
         if order[:k] != t:
             p = order.index(t[0])
@@ -397,11 +398,8 @@ def _apply_gates(psi: DenseState, gates) -> np.ndarray:
                 axes = [order.index(q) for q in t + rest]
                 arr = arr.reshape([d] * n).transpose(axes).reshape(d**k, -1)
                 order = t + rest
-        if k == 1 and order[1:2] != following[:1]:
-            arr = gate @ arr.reshape(d, -1)
-        else:
-            arr = arr.reshape(d**k, -1).T @ gate.T
-            order = order[k:] + t
+        arr = arr.reshape(d**k, -1).T @ gate.T
+        order = order[k:] + t
     return arr.reshape([d] * n).transpose(sorted(range(n), key=order.__getitem__)).reshape(-1)
 
 

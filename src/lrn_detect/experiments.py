@@ -34,7 +34,6 @@ class InvarianceReport:
     depth: int
     seed: int
     partition: Partition
-    tolerance: float
 
     @property
     def max_deviation(self) -> float:
@@ -42,7 +41,7 @@ class InvarianceReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation < self.tolerance
+        return self.max_deviation < INVARIANCE_TOL
 
     def to_json(self) -> dict:
         return {
@@ -62,10 +61,9 @@ def invariance_experiment(
     partition: Partition,
     circuit: BrickworkCircuit,
     seed: int = 0,
-    tol: float = INVARIANCE_TOL,
 ) -> InvarianceReport:
     """Compare I(A:B) before and after a circuit with the weight entropy."""
-    return invariance_sweep(state, probs, partition, [(seed, circuit)], tol)[0]
+    return invariance_sweep(state, probs, partition, [(seed, circuit)])[0]
 
 
 def fixed_point_invariance_experiment(
@@ -92,7 +90,7 @@ def _fixed_point_sweep(f: FixedPointState, n: int, depth: int, seeds) -> list[In
 
 
 def invariance_sweep(
-    state: DenseState, probs, partition: Partition, circuits, tol: float = INVARIANCE_TOL
+    state: DenseState, probs, partition: Partition, circuits
 ) -> list[InvarianceReport]:
     """``invariance_experiment`` for each ``(seed, circuit)`` pair, in order.
 
@@ -114,7 +112,6 @@ def invariance_sweep(
                 depth=circuit.depth,
                 seed=seed,
                 partition=partition,
-                tolerance=tol,
             )
         )
     return reports

@@ -78,14 +78,13 @@ def dump_report(obj, path: str | None) -> str:
     """Serialize a report deterministically; write it when a path is given.
 
     The text is that of ``json.dumps(obj, sort_keys=True, indent=2)``,
-    written in one pass by ``_write``.  Non-finite floats of the report are
-    rendered as their ``repr`` strings so the output stays strict JSON;
-    values that ``_json_default`` converts (numpy scalars other than
-    ``float64``, complex numbers, arrays) are written as ``json`` writes
-    them.  Dictionary keys must be strings.
+    written in one pass by ``_write``, except that non-finite floats and
+    the values JSON has no type for (numpy scalars, complex numbers,
+    arrays) are written as ``json_value`` converts them, so the output
+    stays strict JSON.  Dictionary keys must be strings.
     """
     out: list[str] = []
-    _write(obj, out, "\n", True)
+    _write(obj, out, "\n")
     out.append("\n")
     text = "".join(out)
     if path:
@@ -94,14 +93,12 @@ def dump_report(obj, path: str | None) -> str:
     return text
 
 
-def _write(obj, out: list[str], pad: str, strict: bool) -> None:
+def _write(obj, out: list[str], pad: str) -> None:
     """Append the JSON text of ``obj`` to ``out``.
 
     ``pad`` is a newline plus the indent of the line ``obj`` starts on;
-    the members of a container go one level (two spaces) deeper.  With
-    ``strict`` a non-finite float becomes its ``repr`` string; without it
-    (below a ``_json_default`` conversion) it becomes ``NaN`` or
-    ``[-]Infinity``.
+    the members of a container go one level (two spaces) deeper.  Values
+    JSON has no type for go through ``json_value`` first.
     """
     if isinstance(obj, str):
         out.append(_encode_str(obj))
@@ -116,10 +113,8 @@ def _write(obj, out: list[str], pad: str, strict: bool) -> None:
     elif isinstance(obj, float):
         if math.isfinite(obj):
             out.append(float.__repr__(obj))
-        elif strict:
-            out.append(_encode_str(repr(obj)))
         else:
-            out.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+            out.append(_encode_str(float.__repr__(obj)))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -128,7 +123,7 @@ def _write(obj, out: list[str], pad: str, strict: bool) -> None:
         sep = "[" + inner
         for value in obj:
             out.append(sep)
-            _write(value, out, inner, strict)
+            _write(value, out, inner)
             sep = "," + inner
         out.append(pad + "]")
     elif isinstance(obj, dict):
@@ -143,20 +138,34 @@ def _write(obj, out: list[str], pad: str, strict: bool) -> None:
             out.append(sep)
             out.append(_encode_str(key))
             out.append(": ")
-            _write(obj[key], out, inner, strict)
+            _write(obj[key], out, inner)
             sep = "," + inner
         out.append(pad + "}")
     else:
-        _write(_json_default(obj), out, pad, False)
+        _write(json_value(obj), out, pad)
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+def json_value(value):
+    """``value`` as plain strict JSON data: the conversion every writer uses.
+
+    Arrays become nested lists, numpy scalars Python numbers, complex
+    numbers ``{"re": ..., "im": ...}`` and non-finite floats the strings
+    "inf", "-inf" and "nan" (their ``float.__repr__``).  Lists are
+    converted entry by entry.
+    """
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        value = value.tolist()
+    if isinstance(value, list):
+        return [json_value(v) for v in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        return {"re": json_value(value.real), "im": json_value(value.imag)}
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else float.__repr__(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, int):  # an int or bool entry of an array
+        return value
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

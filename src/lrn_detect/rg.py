@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import CanonicalForm, canonical_decompose
-from .errors import ConvergenceFailure, DecompositionFailure, RankTolerance
+from .errors import DecompositionFailure, RankTolerance
 from .tensor import MpsTensor, block_tensor
 from .weights import WeightSpectrum
 
-DEFAULT_RG_TOL = 1e-12
-DEFAULT_MAX_ITER = 60
+# Subleading transfer modulus at which a block counts as converged.
+RG_TOL = 1e-12
 # Relative singular value below which a two-site map has no support; values
 # within a decade of it are reported, not rounded into or out of the rank.
 TAU_RANK = 1e-10
@@ -128,16 +128,12 @@ def _pair_tensor(lam: np.ndarray) -> MpsTensor:
     return MpsTensor(mats)
 
 
-def rg_fixed_point(
-    a: MpsTensor,
-    tol: float = DEFAULT_RG_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FixedPointState:
+def rg_fixed_point(a: MpsTensor) -> FixedPointState:
     """Fixed point of the RG flow of every surviving block, in closed form.
 
     The flow squares the transfer spectrum, so a block with subleading
     modulus ``lambda2`` reaches ``lambda2**(2**k)`` after ``k`` steps; it
-    takes the least ``k`` that brings this below ``tol``.  Its limit is the
+    takes the least ``k`` that brings this below ``RG_TOL``.  Its limit is the
     product of entangled pairs whose Schmidt weights are the spectrum of
     ``sqrt(L) R sqrt(L)``, read from the representative's normality witness
     (``CanonicalForm.schmidt_weights()``).  A block already at the fixed
@@ -146,10 +142,6 @@ def rg_fixed_point(
     the canonical decomposition (group weights combine block coefficients
     and gauge phases).  No transfer matrix is factorized beyond those of
     ``canonical_decompose``.
-
-    Raises:
-        ConvergenceFailure: carrying the last subleading modulus when a
-            block needs more than ``max_iter`` steps.
     """
     cf = canonical_decompose(a)
     blocks = []
@@ -157,13 +149,9 @@ def rg_fixed_point(
         rep = members[0]
         x, lam = rep.witness.fixed_point_gauge()
         history = [rep.witness.lambda2]
-        while history[-1] >= tol:
-            if len(history) > max_iter:
-                raise ConvergenceFailure(
-                    f"block {label} still at subleading modulus {history[-1]:.3e} "
-                    f"after {max_iter} steps",
-                    last_residual=history[-1],
-                )
+        # A normal block has lambda2 < 1 - TAU_SPEC (the peripheral cut), so
+        # (1 - 1e-9)**(2**35) < RG_TOL bounds this loop at 35 squarings.
+        while history[-1] >= RG_TOL:
             history.append(history[-1] ** 2)
         # CF II gauge: L = identity, R = diag(schmidt weights).
         t = rep.tensor.gauged(x) if len(history) == 1 else _pair_tensor(lam)

@@ -49,6 +49,7 @@ from lrn_detect.families import (
     product_tensor,
     random_normal_tensor,
 )
+from lrn_detect import dense, experiments
 from lrn_detect.dense import _apply_gates
 from lrn_detect.stabilizer import CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
 
@@ -100,7 +101,8 @@ def test_criterion_2_counterexample():
         ["00", "01", "10", "11"], np.sqrt(counterexample_probs(t_star)), 12
     )
     rho = reduced_density(state, (0, 1, 2, 3, 6, 7, 8, 9))
-    ok &= not flatness_check(rho, 16, tau=1e-9)
+    assert dense.FLATNESS_TAU == 1e-9
+    ok &= not flatness_check(rho, 16)
 
     rng = np.random.default_rng(2024)
     stab_flat = 0
@@ -112,7 +114,7 @@ def test_criterion_2_counterexample():
         qubits = list(rng.permutation(n))
         a, b = qubits[:2], qubits[2:4]
         rho_ab = reduced_density(psi, tuple(a) + tuple(b))
-        if flatness_check(rho_ab, 4, tau=1e-9):
+        if flatness_check(rho_ab, 4):
             stab_flat += 1
     ok &= stab_flat == 100
     _report("2 counterexample-state", ok, f"t*={t_star:.6f} stab_flat={stab_flat}/100")
@@ -147,7 +149,8 @@ def test_criterion_3_stabilizer_quantization():
 
 def test_criterion_4_shallow_circuit_invariance():
     """I(A:B) equals the weight entropy and survives depth-1 circuits."""
-    n, depth, tol = 16, 1, 1e-8
+    n, depth = 16, 1
+    assert experiments.INVARIANCE_TOL == 1e-8
     cases = []
     for k in range(21):
         alpha_sq = k / 20.0
@@ -177,7 +180,7 @@ def test_criterion_4_shallow_circuit_invariance():
     for name, state, probs in cases:
         # One ``before`` per state, one ``after`` per seed.
         circuits = [(seed, random_brickwork(n, depth, seed)) for seed in range(20)]
-        for rep in invariance_sweep(state, probs, partition, circuits, tol=tol):
+        for rep in invariance_sweep(state, probs, partition, circuits):
             worst = max(worst, rep.max_deviation)
             if not rep.passed:
                 failures += 1
@@ -277,6 +280,7 @@ def test_criterion_7_fannes_inequality():
     """Continuity bound never violated on random density pairs."""
     rng = np.random.default_rng(77)
     violations = 0
+    assert dense.FANNES_SLACK == 1e-12
     for _ in range(1000):
         k = int(rng.integers(1, 4))
         dim = 2**k
@@ -286,7 +290,7 @@ def test_criterion_7_fannes_inequality():
         rho /= np.trace(rho).real
         sigma = m2 @ m2.conj().T
         sigma /= np.trace(sigma).real
-        if not fannes_check(rho, sigma, n_qubits=k, slack=1e-12):
+        if not fannes_check(rho, sigma, n_qubits=k):
             violations += 1
     _report("7 fannes-inequality", violations == 0, f"violations={violations}/1000")
 

@@ -21,6 +21,7 @@ from lrn_detect import (
     srn_ratio_check,
     typicality_log_ratio,
 )
+from lrn_detect import criteria
 from lrn_detect.errors import DegenerateNormalization, NotNormalized, OutOfRange
 from lrn_detect.families import (
     counterexample_entropy,
@@ -99,9 +100,10 @@ def test_entropy_check_commensurate_classes():
     assert v.residue_class is not None and v.residue_class[0] == 4
 
 
-def test_entropy_check_incommensurate_window():
+def test_entropy_check_incommensurate_window(monkeypatch):
+    monkeypatch.setattr(criteria, "N_WINDOW", (50, 120))
     w = WeightSpectrum(terms=(((1.0, 0.0),), ((1.0, 1.0), (1.0, -1.0))))
-    v = lrn_entropy_check(w, n_window=(50, 120))
+    v = lrn_entropy_check(w)
     assert v.evidence["mode"] == "incommensurate"
     assert v.evidence["entropy_inf"] <= v.evidence["entropy_sup"]
 
@@ -218,12 +220,13 @@ def test_typicality_overflow_returns_negative_infinity():
     assert typicality_log_ratio(1200) == -math.inf
 
 
-def test_entropy_check_mixed_phases_uses_window():
+def test_entropy_check_mixed_phases_uses_window(monkeypatch):
     # one rational phase, one irrational: no finite period exists
+    monkeypatch.setattr(criteria, "N_WINDOW", (40, 80))
     w = WeightSpectrum(
         terms=(((1.0, math.pi / 2),), ((1.0, 1.0),), ((1.0, 0.0),))
     )
-    v = lrn_entropy_check(w, n_window=(40, 80))
+    v = lrn_entropy_check(w)
     assert v.evidence["mode"] == "incommensurate"
 
 
@@ -235,9 +238,10 @@ def _scalar_entropy(w, n):
     return -sum(p * math.log2(p) for p in probs if p > 0.0)
 
 
-def test_entropy_sweeps_match_per_size_reference():
+def test_entropy_sweeps_match_per_size_reference(monkeypatch):
     # Both sweeps (every residue class, and the window) evaluate all sizes in
     # one array pass; each entry must match a size-by-size evaluation.
+    monkeypatch.setattr(criteria, "N_WINDOW", (300, 700))
     rng = np.random.default_rng(17)
     for trial in range(12):
         blocks = []
@@ -253,7 +257,7 @@ def test_entropy_sweeps_match_per_size_reference():
                 terms.append((c, phase))
             blocks.append(tuple(terms))
         w = WeightSpectrum(terms=tuple(blocks))
-        v = lrn_entropy_check(w, n_window=(300, 700))
+        v = lrn_entropy_check(w)
         if v.evidence["mode"] == "commensurate":
             for c in v.evidence["classes"]:
                 ref = _scalar_entropy(w, c["n"])

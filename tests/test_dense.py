@@ -28,6 +28,7 @@ from lrn_detect import (
     trace_distance_pure,
     von_neumann_entropy,
 )
+from lrn_detect import dense
 from lrn_detect.circuits import BrickworkCircuit
 from lrn_detect.circuits import haar_gate
 from lrn_detect.dense import (
@@ -285,7 +286,7 @@ def test_materialize_mps_matches_trace_products(d, chi, n):
     assert np.max(np.abs(psi.amplitudes - raw / np.linalg.norm(raw))) < 1e-12
 
 
-def test_materialize_mps_peak_memory_is_bounded():
+def test_materialize_mps_peak_memory_is_bounded(monkeypatch):
     t = random_normal_tensor(2, 8, seed=5)
     tracemalloc.start()
     try:
@@ -296,8 +297,9 @@ def test_materialize_mps_peak_memory_is_bounded():
     assert psi.amplitudes.nbytes == 2**14 * 16  # a 0.25 MiB state
     assert peak <= 2 * 2**20
     # The cap covers the half-ring products, not only the amplitudes.
+    monkeypatch.setattr(dense, "AMP_CAP", 2**10)
     with pytest.raises(SizeCap):
-        materialize_mps(t, 10, amp_cap=2**10)
+        materialize_mps(t, 10)
 
 
 def _svd_entropy(psi, region):

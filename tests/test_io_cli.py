@@ -255,6 +255,40 @@ def test_cli_verify_rejects_depth_below_one(depth, monkeypatch, capsys):
     assert "--depth" in err["message"]
 
 
+@pytest.mark.parametrize("window", [["--n-min", "0"], ["--n-min", "5", "--n-max", "4"]],
+                         ids=["n-min-0", "n-min-above-n-max"])
+def test_cli_rejects_bad_size_window(window, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["--pipeline", "typicality", *window, "--out", str(out)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == "" and not out.exists()
+    assert json.loads(streams.err) == {
+        "error": "LrnDetectError", "message": "need 1 <= n-min <= n-max", "payload": {},
+    }
+
+
+def test_cli_builds_one_parser_per_process(monkeypatch, capsys):
+    import argparse
+
+    from lrn_detect import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["--pipeline", "typicality", "--n-min", "20", "--n-max", "21"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_cli_requires_input(capsys):
     assert main(["--pipeline", "analyze"]) == 1
     assert "error" in capsys.readouterr().err
@@ -335,19 +369,52 @@ def test_reports_stay_strict_json(tmp_path):
 
 
 def _json_dumps_report(obj) -> str:
-    """Oracle: the report text as ``json.dumps`` wrote it after a finitizing walk."""
-    from lrn_detect.io import _json_default
+    """Oracle: the report text as ``json.dumps`` writes it after a strict walk.
 
-    def finitize(x):
-        if isinstance(x, float) and not np.isfinite(x):
+    The walk turns numpy scalars into Python numbers, arrays into lists,
+    complex numbers into ``{re, im}`` and non-finite floats into their
+    ``repr`` strings; ``allow_nan=False`` then refuses any bare NaN or
+    Infinity.
+    """
+
+    def strict(x):
+        if isinstance(x, np.ndarray):
+            return strict(x.tolist())
+        if isinstance(x, (complex, np.complexfloating)):
+            return {"re": strict(x.real), "im": strict(x.imag)}
+        if isinstance(x, (np.floating, np.integer)):
+            return strict(x.item())
+        if isinstance(x, float) and not math.isfinite(x):
             return repr(x)
         if isinstance(x, dict):
-            return {k: finitize(v) for k, v in x.items()}
+            return {k: strict(v) for k, v in x.items()}
         if isinstance(x, (list, tuple)):
-            return [finitize(v) for v in x]
+            return [strict(v) for v in x]
         return x
 
-    return json.dumps(finitize(obj), sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def test_report_writer_is_strict_on_numpy_and_complex_values():
+    def refuse(name):
+        raise AssertionError(f"bare {name} in the report text")
+
+    inf, nan = float("inf"), float("nan")
+    report = {
+        "f64": np.float64(inf),
+        "f32": np.float32(nan),
+        "c": complex(inf, -inf),
+        "arr": np.array([nan, 1.0, -inf]),
+        "carr": np.array([1 + 1j, complex(nan, 0.0)]),
+    }
+    got = json.loads(dump_report(report, None), parse_constant=refuse)
+    assert got == {
+        "f64": "inf",
+        "f32": "nan",
+        "c": {"re": "inf", "im": "-inf"},
+        "arr": ["nan", 1.0, "-inf"],
+        "carr": [{"re": 1.0, "im": 1.0}, {"re": "nan", "im": 0.0}],
+    }
 
 
 @pytest.mark.parametrize("argv", [

@@ -83,6 +83,11 @@ TAU_TOP_WEIGHT = 1e-6
 _SURVIVAL_TOL = 1e-8
 
 
+def _survives(mag: float) -> bool:
+    """Does a block of weight magnitude ``mag`` (at most one) reach the fixed point?"""
+    return mag >= 1.0 - _SURVIVAL_TOL
+
+
 def local_orthogonal(a: MpsTensor, b: MpsTensor) -> bool:
     """True iff the mixed transfer operator vanishes in Frobenius norm.
 
@@ -178,7 +183,7 @@ class CanonicalBlock:
 
     @property
     def surviving(self) -> bool:
-        return abs(abs(self.mu) - 1.0) < _SURVIVAL_TOL
+        return _survives(abs(self.mu))
 
 
 @dataclass(frozen=True)
@@ -236,10 +241,6 @@ class CanonicalForm:
             label: members[0].witness.fixed_point_gauge()[1]
             for label, members in self.surviving_groups().items()
         }
-
-
-def _restrict(t: MpsTensor, basis: np.ndarray) -> MpsTensor:
-    return MpsTensor(np.einsum("ab,ibc,cd->iad", basis.conj().T, t.matrices, basis))
 
 
 def _invariant(t: MpsTensor, basis: np.ndarray) -> bool:
@@ -300,7 +301,7 @@ def _defective_split(t, tn, spectrum, floor):
     for basis, comp in candidates:
         for inner, outer in ((basis, comp), (comp, basis)):
             if _invariant(tn, inner):
-                return _split_all((_restrict(t, b) for b in (inner, outer)), floor)
+                return _split_all((t.gauged(b, b.conj().T) for b in (inner, outer)), floor)
     raise DecompositionFailure(
         "peripheral space is defective and no verified invariant support exists",
         spectrum=spectrum,
@@ -378,7 +379,7 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
                     "candidate invariant subspace leaks outside itself",
                     spectrum=spectrum,
                 )
-            return _split_all((_restrict(t, b) for b in (inner, outer)), floor)
+            return _split_all((t.gauged(b, b.conj().T) for b in (inner, outer)), floor)
 
     if len(ones_idx) == 1:
         k = len(peripheral)
@@ -434,7 +435,7 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
                 spectrum=hev,
             )
     return _split_all(
-        (_restrict(tn_unital, b).scaled(math.sqrt(radius)) for b in bases), floor
+        (tn_unital.gauged(b, b.conj().T).scaled(math.sqrt(radius)) for b in bases), floor
     )
 
 
@@ -499,7 +500,7 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
 
     # Surviving blocks join the first group whose seed (first member) they
     # are gauge-equivalent to, carrying their phase relative to it.
-    surviving = [k for k in range(len(tensors)) if mags[k] >= 1.0 - _SURVIVAL_TOL]
+    surviving = [k for k in range(len(tensors)) if _survives(mags[k])]
     groups: list[list[tuple[int, float]]] = []
     for k in surviving:
         for members in groups:

@@ -7,18 +7,19 @@ and the gates whose cone crosses one of the four region boundaries
 compose into a completely positive trace-preserving boundary channel
 mapping the input state's wedge marginal onto the retained sites.  After
 the reduction, the circuit-evolved, C-traced, locally rotated state
-equals the channel formula applied directly to the input state.
+equals the channel formula applied directly to the input state.  The
+local unitaries and the wedge unitaries behind the channels are gate
+products formed by the dense engine's one gate loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .circuits import BrickworkCircuit
-from .dense import DenseState
+from .dense import DenseState, _apply_gates
 from .errors import GeometryMismatch, PartitionTooSmall
 from .partition import Partition
 
@@ -69,22 +70,17 @@ class CausalConeReduction:
         return [c for c in self.channels.values() if c is not None]
 
 
-def _gate_embed(gate: np.ndarray, pos: int, n_sites: int, d: int) -> np.ndarray:
-    left = np.eye(d**pos)
-    right = np.eye(d ** (n_sites - pos - 2))
-    return reduce(np.kron, (left, gate, right))
-
-
 def _subcircuit_matrix(gates, site_order, n: int, d: int) -> np.ndarray:
-    """Dense product of gates (in application order) on the listed sites."""
+    """Product of gates (in application order) on the listed sites.
+
+    The dense gate loop applies them to the identity, read as a 2w-site
+    array whose last w sites index the columns.
+    """
     index = {q: i for i, q in enumerate(site_order)}
-    total = np.eye(d ** len(site_order), dtype=complex)
-    for _, s, gate in gates:
-        a, b = index[s % n], index[(s + 1) % n]
-        if b != a + 1:
-            raise GeometryMismatch("gate pair is not consecutive in the arc order")
-        total = _gate_embed(gate, a, len(site_order), d) @ total
-    return total
+    w = len(site_order)
+    ops = [(gate, (index[s % n], index[(s + 1) % n])) for _, s, gate in gates]
+    identity = np.eye(d**w, dtype=complex).reshape(-1)
+    return _apply_gates(identity, 2 * w, d, ops).reshape(d**w, d**w)
 
 
 def causal_cone_reduce(circuit: BrickworkCircuit, p: Partition) -> CausalConeReduction:
@@ -166,7 +162,7 @@ def _build_channel(gates, key: str, p: Partition, d: int, depth: int) -> Boundar
     for _, s, _ in gates:
         support.update((s % n, (s + 1) % n))
     keys = sorted((q - anchor) % n for q in support)
-    # Fill to a contiguous arc so gate embeddings stay consecutive.
+    # The wedge is the whole arc its gates span, idle sites included.
     arc = tuple((anchor + k) % n for k in range(keys[0], keys[-1] + 1))
 
     u_w = _subcircuit_matrix(gates, arc, n, d)

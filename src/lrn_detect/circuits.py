@@ -112,4 +112,5 @@ def apply_brickwork(psi: DenseState, circuit: BrickworkCircuit) -> DenseState:
             f"circuit on {circuit.n_sites} sites of dim {circuit.local_dim} "
             f"does not match state on {psi.n_sites} of dim {psi.local_dim}"
         )
-    return DenseState(circuit.n_sites, circuit.local_dim, _apply_gates(psi, circuit.gates))
+    n, d = circuit.n_sites, circuit.local_dim
+    return DenseState(n, d, _apply_gates(psi.amplitudes, n, d, circuit.gates))

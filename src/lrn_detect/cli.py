@@ -56,7 +56,7 @@ from .dense import (
     mutual_information,
     reduced_density,
 )
-from .errors import LrnDetectError
+from .errors import DependentGenerators, LrnDetectError
 from .exact import ExactWeight
 from .experiments import _fixed_point_sweep, invariance_sweep
 from .io import dump_report, json_value, load_tensor, rows_to_csv
@@ -186,12 +186,14 @@ def cmd_stab(args: argparse.Namespace) -> int:
         raw = f.read()
     try:
         obj = json.loads(raw)
-        tableau = StabilizerTableau.from_text(obj["tableau"])
-        region_a = obj.get("region_a")
-        region_b = obj.get("region_b")
-    except json.JSONDecodeError:
-        tableau = StabilizerTableau.from_text(raw)
-        region_a = region_b = None
+    except json.JSONDecodeError:  # plain generator lines
+        obj = {"tableau": raw}
+    if type(obj) is not dict:
+        raise DependentGenerators(
+            f"a tableau request is a JSON object, got {type(obj).__name__}"
+        )
+    tableau = StabilizerTableau.from_text(obj["tableau"])
+    region_a, region_b = obj.get("region_a"), obj.get("region_b")
     canon = tableau.canonicalize()
     report = {
         "input": args.input,
@@ -199,11 +201,11 @@ def cmd_stab(args: argparse.Namespace) -> int:
         "canonical": canon.to_text().split("\n"),
     }
     if region_a is not None:
+        report["entropy_a"] = tableau.entropy(region_a)  # checks the sites first
         report["region_a"] = sorted(region_a)
-        report["entropy_a"] = tableau.entropy(region_a)
         if region_b is not None:
-            report["region_b"] = sorted(region_b)
             report["entropy_b"] = tableau.entropy(region_b)
+            report["region_b"] = sorted(region_b)
             report["mutual_information"] = tableau.mutual_information(
                 region_a, region_b
             )
@@ -243,7 +245,7 @@ def _verify_clifford_quantization(seed: int, trials: int) -> dict:
         amps = np.zeros(2**n, dtype=complex)
         amps[0] = 1.0
         gates = [(CLIFFORD_DENSE[g], targets) for g, targets in circ]
-        psi = DenseState(n, 2, _apply_gates(DenseState(n, 2, amps), gates))
+        psi = DenseState(n, 2, _apply_gates(amps, n, 2, gates))
         qubits = list(rng.permutation(n))
         cut = max(1, n // 3)
         a, b = qubits[:cut], qubits[cut : 2 * cut]
@@ -295,6 +297,7 @@ def _verify_invariance(seed: int, seeds_per_fixture: int, depth: int) -> dict:
 
 def _verify_causal_cone(seed: int, trials: int) -> dict:
     state = families.dense_pattern_state(["0", "1"], [math.sqrt(0.3), math.sqrt(0.7)], 16)
+    amps = state.amplitudes
     part = build_partition(16, 1)
     worst = 0.0
     for k in range(trials):
@@ -306,7 +309,7 @@ def _verify_causal_cone(seed: int, trials: int) -> dict:
         # No name holds the evolved state, so it is freed before the next
         # trial's apply_reduction.
         gates = circ.gates + [(red.u_a, part.a), (red.u_b, part.b)]
-        rho_ab = reduced_density(DenseState(16, 2, _apply_gates(state, gates)), part.a + part.b)
+        rho_ab = reduced_density(DenseState(16, 2, _apply_gates(amps, 16, 2, gates)), part.ab)
         err = float(np.linalg.norm(sigma - rho_ab))
         cptp = max((c.cptp_defect() for c in red.channel_list()), default=0.0)
         worst = max(worst, err, cptp)

@@ -158,12 +158,17 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Base-2 entropy of a density matrix, dropping eigenvalues below ``_EIG_FLOOR``."""
+def _psd_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of the Hermitian part of ``rho``, checked PSD."""
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     if evals[0] < -_PSD_TOL:
         raise NotPSD(f"eigenvalue {evals[0]} below the PSD tolerance")
-    return _entropy(evals)
+    return evals
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Base-2 entropy of a density matrix, dropping eigenvalues below ``_EIG_FLOOR``."""
+    return _entropy(_psd_spectrum(rho))
 
 
 def _smaller_gram(m: np.ndarray) -> np.ndarray:
@@ -273,23 +278,26 @@ def trace_distance_pure(psi: DenseState, phi: DenseState) -> float:
 
 
 def _check_density(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if evals[0] < -_PSD_TOL:
-        raise NotPSD(f"eigenvalue {evals[0]} below the PSD tolerance")
+    """Spectrum of a density matrix, checked PSD and of unit trace."""
+    evals = _psd_spectrum(rho)
     if abs(float(np.sum(evals)) - 1.0) > 1e-8:
         raise NotPSD(f"trace {float(np.sum(evals))} differs from 1")
-    return rho
+    return evals
 
 
-def trace_distance_mixed(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of the difference of two density matrices."""
-    rho = _check_density(rho)
-    sigma = _check_density(sigma)
+def _half_trace_norm(rho: np.ndarray, sigma: np.ndarray) -> float:
     if rho.shape != sigma.shape:
         raise DimensionMismatch("density matrices differ in shape")
     diff = (rho - sigma + (rho - sigma).conj().T) / 2.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def trace_distance_mixed(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Half the trace norm of the difference of two density matrices."""
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    _check_density(rho)
+    _check_density(sigma)
+    return _half_trace_norm(rho, sigma)
 
 
 def binary_entropy(x: float) -> float:
@@ -300,8 +308,9 @@ def binary_entropy(x: float) -> float:
 
 def fannes_check(rho, sigma, n_qubits: int) -> bool:
     """Entropy continuity bound: |S(rho) - S(sigma)| <= d*|R| + H_bin(d)."""
-    delta = trace_distance_mixed(rho, sigma)
-    gap = abs(von_neumann_entropy(rho) - von_neumann_entropy(sigma))
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    gap = abs(_entropy(_check_density(rho)) - _entropy(_check_density(sigma)))
+    delta = _half_trace_norm(rho, sigma)
     return gap <= delta * n_qubits + binary_entropy(delta) + FANNES_SLACK
 
 
@@ -342,7 +351,7 @@ def apply_local_gate(psi: DenseState, gate: np.ndarray, sites) -> DenseState:
         DimensionMismatch: for bad targets or a gate of the wrong shape.
         NotUnitary: if ``gate`` is not unitary within ``UNITARY_TOL``.
     """
-    amps = _apply_gates(psi, [(gate, sites)])
+    amps = _apply_gates(psi.amplitudes, psi.n_sites, psi.local_dim, [(gate, sites)])
     defect = _unitarity_defect(gate)
     if defect > UNITARY_TOL:
         raise NotUnitary(f"gate is {defect:.2e} from unitary (tolerance {UNITARY_TOL})")
@@ -354,12 +363,13 @@ def _unitarity_defect(gate: np.ndarray) -> float:
     return float(np.abs(gate.conj().T @ gate - np.eye(len(gate))).max())
 
 
-def _apply_gates(psi: DenseState, gates) -> np.ndarray:
-    """Amplitudes of ``psi`` after each ``(gate, sites)`` of the list in turn.
+def _apply_gates(amps: np.ndarray, n: int, d: int, gates) -> np.ndarray:
+    """``amps``, ``d**n`` amplitudes on n sites, after each ``(gate, sites)`` in turn.
 
     The one gate loop of the dense engine.  It works on a bare array and
-    never renormalizes; callers wrap the result in one ``DenseState``,
-    whose norm check then covers the whole gate list.  Every gate is
+    never renormalizes: state callers wrap the result in one ``DenseState``,
+    whose norm check then covers the whole gate list, and the causal cone
+    passes an identity to get the product of its gates.  Every gate is
     checked before the first is applied.
 
     The array is kept in a rotating axis order: ``order[i]`` is the site
@@ -371,7 +381,6 @@ def _apply_gates(psi: DenseState, gates) -> np.ndarray:
     current order, otherwise a transpose that moves them to the front.
     One transpose at the end restores site order.
     """
-    n, d = psi.n_sites, psi.local_dim
     gates = list(gates)
     targets = []
     for gate, sites in gates:
@@ -383,7 +392,7 @@ def _apply_gates(psi: DenseState, gates) -> np.ndarray:
         if gate.shape != (d**k, d**k):
             raise DimensionMismatch(f"gate shape {gate.shape} does not fit {k} sites")
         targets.append(t)
-    arr = psi.amplitudes
+    arr = amps
     order = list(range(n))
     for (gate, _), t in zip(gates, targets):
         k = len(t)

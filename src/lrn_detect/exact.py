@@ -115,18 +115,22 @@ class ExactWeight:
 
     @staticmethod
     def from_json(obj) -> "ExactWeight":
-        if isinstance(obj, (int, float)):
-            return ExactWeight.from_float(float(obj))
-        if "float" in obj:
-            return ExactWeight.from_float(float(obj["float"]))
-        if "rat" in obj:
-            p, q = obj["rat"]
-            return ExactWeight.from_rational(int(p), int(q))
-        if "root" in obj:
-            payload = obj["root"]
-            return ExactWeight.from_root(
-                Fraction(*payload["r"]), Fraction(*payload["base"]), int(payload["n"])
-            )
+        """Read a number or a form ``to_json`` writes; anything else is ``OutOfRange``."""
+        try:
+            if isinstance(obj, (int, float)):
+                return ExactWeight.from_float(float(obj))
+            if "float" in obj:
+                return ExactWeight.from_float(float(obj["float"]))
+            if "rat" in obj:
+                p, q = obj["rat"]
+                return ExactWeight.from_rational(int(p), int(q))
+            if "root" in obj:
+                payload = obj["root"]
+                return ExactWeight.from_root(
+                    Fraction(*payload["r"]), Fraction(*payload["base"]), int(payload["n"])
+                )
+        except (TypeError, OverflowError) as exc:
+            raise OutOfRange(f"malformed exact weight {obj!r}: {exc}") from exc
         raise OutOfRange(f"unrecognized exact-weight form: {obj!r}")
 
 

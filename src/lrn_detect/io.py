@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, OutOfRange
 from .exact import ExactWeight
 from .tensor import MpsTensor
 
@@ -47,18 +47,29 @@ def tensor_from_json(obj: dict) -> tuple[MpsTensor, list[ExactWeight] | None]:
     # is allocated, so the array is never larger than the input.
     if d < 1 or chi < 1:
         raise DimensionMismatch(f"d and chi must be at least 1, got {d} and {chi}")
+    if type(raw) is not list:
+        raise DimensionMismatch(f"matrices must be a list, got {type(raw).__name__}")
     if len(raw) != d:
         raise DimensionMismatch(f"expected {d} matrices, got {len(raw)}")
     for i, mat in enumerate(raw):
-        if len(mat) != chi or any(len(row) != chi for row in mat):
+        if type(mat) is not list or len(mat) != chi or any(
+            type(row) is not list or len(row) != chi for row in mat
+        ):
             raise DimensionMismatch(f"matrix {i} is not {chi} x {chi}")
-    mats = np.zeros((d, chi, chi), dtype=complex)
-    for i, mat in enumerate(raw):
-        for r, row in enumerate(mat):
-            for c, val in enumerate(row):
-                mats[i, r, c] = complex(val[0], val[1])
+    for val in (v for mat in raw for row in mat for v in row):
+        # A JSON number and nothing else, as for d and chi: no bool is read as 1.
+        if type(val) is not list or len(val) != 2 or any(type(x) not in (int, float) for x in val):
+            raise DimensionMismatch(f"tensor entry {val!r} is not a [re, im] pair of numbers")
+    try:
+        parts = np.array(raw, dtype=float)
+    except OverflowError as exc:
+        raise DimensionMismatch(f"tensor entry out of float range: {exc}") from exc
+    # Real and imaginary parts keep their bits, signed zeros included.
+    mats = parts.view(complex)[..., 0]
     weights = None
     if obj.get("exact_weights") is not None:
+        if type(obj["exact_weights"]) is not list:
+            raise OutOfRange("exact_weights must be a list")
         weights = [ExactWeight.from_json(w) for w in obj["exact_weights"]]
     return MpsTensor(mats), weights
 

@@ -16,6 +16,7 @@ making every entropy an exact integer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +172,8 @@ class StabilizerTableau:
 
     @staticmethod
     def from_text(text: str) -> "StabilizerTableau":
+        if type(text) is not str:
+            raise DependentGenerators(f"a tableau is text, got {type(text).__name__}")
         paulis = [
             PauliString.from_text(line)
             for line in text.splitlines()
@@ -289,18 +292,19 @@ class StabilizerTableau:
         stabilizers supported inside R; its size is read off the GF(2)
         rank of the generator bits restricted to the complement.
         """
-        region = set(region)
+        try:  # Python ints: 1 << np.int64(64) is 0
+            region = {operator.index(q) for q in region}
+        except TypeError as exc:
+            raise TargetOutOfRange(f"region {region!r} is not a list of integer sites") from exc
+        inside = 0
         for q in region:
             if not 0 <= q < self.n:
                 raise TargetOutOfRange(f"region site {q} outside register")
-        outside = [q for q in range(self.n) if q not in region]
-        rows = []
-        for x, z in zip(self.xs, self.zs):
-            word = 0
-            for k, q in enumerate(outside):
-                word |= (((x >> q) & 1) << (2 * k)) | (((z >> q) & 1) << (2 * k + 1))
-            rows.append(word)
-        rank = _gf2_rank(rows)
+            inside |= 1 << q
+        # Zeroed columns leave the GF(2) rank unchanged, so each row keeps
+        # its X and Z bits on the complement in place.
+        keep = ((1 << self.n) - 1) ^ inside
+        rank = _gf2_rank([((x & keep) << self.n) | (z & keep) for x, z in zip(self.xs, self.zs)])
         return len(region) - (self.n - rank)
 
     def mutual_information(self, region_a, region_b) -> int:

@@ -57,7 +57,10 @@ class MpsTensor:
         return MpsTensor(self.matrices * factor)
 
     def gauged(self, x: np.ndarray, x_inv: np.ndarray | None = None) -> "MpsTensor":
-        """Similarity transform A[i] -> x^-1 A[i] x (same state family)."""
+        """Similarity transform A[i] -> x^-1 A[i] x (same state family).
+
+        With an isometry ``x`` and its adjoint as ``x_inv``, it compresses onto span(x).
+        """
         if x_inv is None:
             x_inv = np.linalg.inv(x)
         return MpsTensor(np.einsum("ab,ibc,cd->iad", x_inv, self.matrices, x))
@@ -74,10 +77,7 @@ def transfer_matrix(a: MpsTensor) -> np.ndarray:
         SizeCap: if chi^2 exceeds ``TRANSFER_CAP``; checked before the
             matrix is formed.
     """
-    mats = a.matrices
-    chi = a.bond_dim
-    _check_transfer_dim(chi * chi)
-    return np.einsum("iab,icd->acbd", mats, mats.conj()).reshape(chi * chi, chi * chi)
+    return mixed_transfer_matrix(a, a)
 
 
 def mixed_transfer_matrix(a: MpsTensor, b: MpsTensor) -> np.ndarray:
@@ -90,18 +90,10 @@ def mixed_transfer_matrix(a: MpsTensor, b: MpsTensor) -> np.ndarray:
         raise DimensionMismatch(
             f"physical dimensions differ: {a.phys_dim} vs {b.phys_dim}"
         )
-    ca, cb = a.bond_dim, b.bond_dim
-    _check_transfer_dim(ca * cb)
-    return np.einsum("iab,icd->acbd", a.matrices, b.matrices.conj()).reshape(
-        ca * cb, ca * cb
-    )
-
-
-def _check_transfer_dim(dim: int) -> None:
+    dim = a.bond_dim * b.bond_dim
     if dim > TRANSFER_CAP:
-        raise SizeCap(
-            f"transfer-operator dimension {dim} exceeds cap {TRANSFER_CAP}"
-        )
+        raise SizeCap(f"transfer-operator dimension {dim} exceeds cap {TRANSFER_CAP}")
+    return np.einsum("iab,icd->acbd", a.matrices, b.matrices.conj()).reshape(dim, dim)
 
 
 def block_tensor(a: MpsTensor, q: int) -> MpsTensor:

@@ -66,7 +66,7 @@ def _dense_from_circuit(n, circuit):
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     gates = [(CLIFFORD_DENSE[gate], targets) for gate, targets in circuit]
-    return DenseState(n, 2, _apply_gates(DenseState(n, 2, amps), gates))
+    return DenseState(n, 2, _apply_gates(amps, n, 2, gates))
 
 
 def test_criterion_1_ghz_family_classification():

@@ -151,6 +151,14 @@ def test_trace_distance_mixed_and_fannes_closed_form():
     assert fannes_check(rho, sigma, n_qubits=1)
 
 
+def test_fannes_check_decomposes_each_density_once(count_linalg):
+    rng = np.random.default_rng(12)
+    rho, sigma = random_density(4, rng), random_density(4, rng)
+    calls = count_linalg("eigvalsh")
+    assert fannes_check(rho, sigma, n_qubits=2)
+    assert calls["eigvalsh"] == [4, 4, 4]  # rho, sigma and their difference
+
+
 def test_fannes_random_sweep():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -450,7 +458,7 @@ def test_gate_loop_matches_kronecker_embedding(d, n, targets):
         step = apply_local_gate(step, gate, t)
         assert np.max(np.abs(step.amplitudes - expect)) < 1e-13, t
     # The whole list in one loop: intermediate layouts stay permuted views.
-    assert np.max(np.abs(_apply_gates(psi, gates) - expect)) < 1e-13
+    assert np.max(np.abs(_apply_gates(psi.amplitudes, n, d, gates) - expect)) < 1e-13
     # Targets are read as numpy reads axes: negative ones count from the end.
     gate = gates[0][0]
     assert np.array_equal(apply_local_gate(psi, gate, (-1, 0)).amplitudes,
@@ -462,7 +470,7 @@ def test_gate_loop_matches_kronecker_embedding(d, n, targets):
     with pytest.raises(DimensionMismatch):
         apply_local_gate(psi, np.eye(d**2), (0, 1, 2))
     with pytest.raises(DimensionMismatch):
-        _apply_gates(psi, [(np.eye(d**2), (0, 1)), (np.eye(d), (0, 1))])
+        _apply_gates(psi.amplitudes, n, d, [(np.eye(d**2), (0, 1)), (np.eye(d), (0, 1))])
 
 
 def _rotating_frame_gates(psi, gates):
@@ -507,7 +515,8 @@ def test_one_site_gates_match_the_rotating_frame(d, n):
             gates.append((haar_gate(d * d, rng), (a, b)))
             if rng.uniform() < 0.5:
                 gates.append((haar_gate(d, rng), (b,)))
-    assert np.max(np.abs(_apply_gates(psi, gates) - _rotating_frame_gates(psi, gates))) < 1e-13
+    got = _apply_gates(psi.amplitudes, n, d, gates)
+    assert np.max(np.abs(got - _rotating_frame_gates(psi, gates))) < 1e-13
 
 
 def _eigvalsh_entropy(m):

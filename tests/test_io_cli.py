@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,25 @@ def test_tensor_from_json_validates():
 
     with pytest.raises(DimensionMismatch):
         tensor_from_json({"d": 2, "chi": 1, "matrices": [[[[0, 0]]]]})
+
+
+@pytest.mark.parametrize("matrices", [5, [5], [[5]]] + [
+    [[[entry]]]
+    for entry in ([1.0], "ab", [1.0, "x"], None, [1.0, 0.0, 5.0], [True, False], [10**400, 0.0])
+], ids=["int", "int-matrix", "int-row", "one-number", "string", "str-part", "null",
+        "three-numbers", "bools", "overflow"])
+def test_tensor_from_json_rejects_malformed_matrices(matrices):
+    from lrn_detect.errors import DimensionMismatch
+
+    with pytest.raises(DimensionMismatch):
+        tensor_from_json({"d": 1, "chi": 1, "matrices": matrices})
+
+
+def test_tensor_from_json_keeps_the_bits_of_each_part():
+    entries = [[-0.0, 0.0], [0.0, -0.0], [1, -2], [0.1, 5e-324]]
+    a, _ = tensor_from_json({"d": 1, "chi": 2, "matrices": [[entries[:2], entries[2:]]]})
+    parts = np.stack([a.matrices.real, a.matrices.imag], axis=-1).reshape(-1, 2)
+    assert parts.tobytes() == np.array(entries, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -679,3 +700,58 @@ def test_cli_error_without_payload_is_json(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "LrnDetectError",
                    "message": "pipeline 'ghz' requires --input", "payload": {}}
+
+
+_GHZ_ENTRIES = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+
+
+@pytest.mark.parametrize("pipeline,content", [
+    ("ghz", None),
+    ("ghz", {"rat": 5}),
+    ("ghz", {"float": None}),
+    ("analyze", {"d": 2, "chi": 2, "matrices": _GHZ_ENTRIES, "exact_weights": [None, 0.5]}),
+    ("analyze", {"d": 2, "chi": 2, "matrices": _GHZ_ENTRIES, "exact_weights": 5}),
+    ("analyze", {"d": 2, "chi": 2, "matrices": 5}),
+    ("stab", {"tableau": 5}),
+    ("stab", [1]),
+    ("stab", {"tableau": "+XX\n+ZZ", "region_a": 0}),
+    ("stab", {"tableau": "+XX\n+ZZ", "region_a": [0.5]}),
+    ("stab", {"tableau": "+XXI\n+ZZI\n+IIZ", "region_a": [0], "region_b": "a"}),
+], ids=["ghz-null", "ghz-rat-int", "ghz-float-null", "weight-null", "weights-int",
+        "matrices-int", "tableau-int", "request-list", "region-int", "region-float",
+        "region-str"])
+def test_cli_malformed_input_is_a_named_error(pipeline, content, tmp_path, capsys):
+    from lrn_detect import errors
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    assert main(["--pipeline", pipeline, "--input", str(path)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    err = json.loads(streams.err)  # exactly one JSON object
+    assert issubclass(getattr(errors, err["error"]), errors.LrnDetectError), err
+
+
+def test_cli_analyze_loads_no_scipy_and_no_numpy_random(fixture_dir, tmp_path):
+    # numpy is the one dependency, and importing numpy.random costs every
+    # process start; a fresh interpreter shows what an analyze run loads.
+    import subprocess
+    import sys
+
+    import lrn_detect
+
+    script = (
+        "import sys\n"
+        "from lrn_detect.cli import main\n"
+        f"main(['--pipeline', 'analyze', '--input', {str(fixture_dir / 'loop.json')!r},"
+        f" '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith('numpy.random')))\n"
+    )
+    src = str(Path(lrn_detect.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert (tmp_path / "r.json").exists()
+    assert done.stdout.strip() == "[]", done.stdout

@@ -1,6 +1,7 @@
 """Ring partitions and the causal-cone reduction."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lrn_detect import (
     random_brickwork,
     reduced_density,
 )
+from lrn_detect import causal
 from lrn_detect.circuits import BrickworkCircuit
 from lrn_detect.errors import GeometryMismatch, PartitionTooSmall
 from lrn_detect.families import dense_pattern_state
@@ -188,3 +190,39 @@ def test_stacked_reduction_matches_branch_by_branch(start):
     assert channel_counts == {0, 4}  # some seeds align with the partition
     with pytest.raises(GeometryMismatch):
         apply_reduction(red, dense_pattern_state(["0", "1"], [0.6, 0.8], 12))
+
+
+def _kronecker_subcircuit(gates, site_order, n, d):
+    """Oracle: each gate embedded as ``kron(1, gate, 1)`` and multiplied in."""
+    index = {q: i for i, q in enumerate(site_order)}
+    w = len(site_order)
+    total = np.eye(d**w, dtype=complex)
+    for _, s, gate in gates:
+        a = index[s % n]
+        assert index[(s + 1) % n] == a + 1  # region and wedge arcs are contiguous
+        total = reduce(np.kron, (np.eye(d**a), gate, np.eye(d ** (w - a - 2)))) @ total
+    return total
+
+
+@pytest.mark.parametrize("depth,start", [(1, 0), (1, 13), (2, 0), (2, 21)],
+                         ids=["d1", "d1-wrapped", "d2", "d2-wrapped"])
+def test_cone_unitaries_match_the_kronecker_oracle(depth, start, monkeypatch):
+    n = 8 * depth + 8
+    p = build_partition(n, depth, start=start)
+    circuits = [random_brickwork(n, depth, seed, first_offset=seed % 2) for seed in range(4)]
+    got = [causal_cone_reduce(c, p) for c in circuits]
+    monkeypatch.setattr(causal, "_subcircuit_matrix", _kronecker_subcircuit)
+    want = [causal_cone_reduce(c, p) for c in circuits]
+    n_channels = 0
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.u_a - w.u_a)) < 1e-13
+        assert np.max(np.abs(g.u_b - w.u_b)) < 1e-13
+        for key, ch in g.channels.items():
+            ref = w.channels[key]
+            if ch is None:
+                assert ref is None
+                continue
+            n_channels += 1
+            assert (ch.input_sites, ch.output_sites) == (ref.input_sites, ref.output_sites)
+            assert np.max(np.abs(np.stack(ch.kraus) - np.stack(ref.kraus))) < 1e-13
+    assert n_channels > 0

@@ -17,7 +17,7 @@ def dense_from_circuit(n, circuit):
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     gates = [(CLIFFORD_DENSE[gate], targets) for gate, targets in circuit]
-    return DenseState(n, 2, _apply_gates(DenseState(n, 2, amps), gates))
+    return DenseState(n, 2, _apply_gates(amps, n, 2, gates))
 
 
 def test_hadamard_takes_z_to_x():
@@ -226,3 +226,12 @@ def test_apply_circuit_rejects_a_bad_gate_anywhere(bad, position):
     circ.insert(position if position >= 0 else len(circ), bad)
     with pytest.raises(TargetOutOfRange):
         StabilizerTableau.zero_state(4).apply_circuit(circ)
+
+
+def test_entropy_reads_numpy_integer_sites_past_bit_63():
+    # A GHZ state on 70 qubits: every nonempty proper region has entropy 1.
+    circuit = [("H", (0,))] + [("CNOT", (q, q + 1)) for q in range(69)]
+    tab = StabilizerTableau.zero_state(70).apply_circuit(circuit)
+    for region in ([64], [3, 66], list(range(60, 70)), list(range(1, 70))):
+        assert tab.entropy(np.array(region, dtype=np.int64)) == tab.entropy(region) == 1
+    assert tab.mutual_information(np.arange(64, 67), np.arange(0, 3)) == 1

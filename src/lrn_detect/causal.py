@@ -9,7 +9,9 @@ mapping the input state's wedge marginal onto the retained sites.  After
 the reduction, the circuit-evolved, C-traced, locally rotated state
 equals the channel formula applied directly to the input state.  The
 local unitaries and the wedge unitaries behind the channels are gate
-products formed by the dense engine's one gate loop.
+products formed by the dense engine's one gate loop.  ``apply_reduction``
+evaluates the channel formula with at most two state-sized work arrays
+beside its input, and checks ``dense.RHO_CAP`` before it allocates.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import BrickworkCircuit
-from .dense import DenseState, _apply_gates
-from .errors import GeometryMismatch, PartitionTooSmall
+from . import dense
+from .dense import DenseState, _apply_gates, _gram
+from .errors import GeometryMismatch, PartitionTooSmall, SizeCap
 from .partition import Partition
 
 _BOUNDARY_OF_PAIR = {
@@ -184,40 +187,51 @@ def _build_channel(gates, key: str, p: Partition, d: int, depth: int) -> Boundar
 def apply_reduction(red: CausalConeReduction, psi: DenseState) -> np.ndarray:
     """Evaluate the channel formula on the input state.
 
-    Carries every Kraus branch of the pure input as one row of a stacked
-    array: each boundary channel multiplies its whole Kraus stack into
-    every branch with one matmul, and one Gram product over all branches
-    traces everything outside A u B.  Returns the density matrix on the
-    sites ``partition.a + partition.b`` in that order.
+    Carries every Kraus branch of the pure input as one axis of a tensor
+    whose axes are labeled by site, or by the channel whose Kraus index
+    they hold.  Each boundary channel gathers its wedge sites to the front
+    (one copy) and multiplies its whole Kraus stack into every branch with
+    one matmul, whose output puts the new Kraus axis and the kept sites
+    first; no axis is moved back.  One Gram product over all branches then
+    traces everything outside A u B.  The previous array is dropped before
+    each product, so at most two state-sized arrays live beside the input.
+    Returns the density matrix on the sites ``partition.a + partition.b``
+    in that order.
+
+    Raises:
+        GeometryMismatch: if the state does not live on the circuit's ring.
+        SizeCap: if that density's dimension exceeds ``dense.RHO_CAP``;
+            checked before anything is allocated.
     """
     p = red.partition
     n, d = psi.n_sites, psi.local_dim
     if (n, d) != (red.circuit.n_sites, red.circuit.local_dim):
         raise GeometryMismatch("state does not match the reduction geometry")
-    sites = list(range(n))
-    branches = psi.amplitudes.reshape(1, -1)  # (branch, amplitudes on ``sites``)
+    target = list(p.a) + list(p.b)
+    if d ** len(target) > dense.RHO_CAP:
+        raise SizeCap(f"reduced density of dimension {d}**{len(target)} exceeds cap")
+    arr = psi.amplitudes.reshape([d] * n)
+    labels = list(range(n))  # axis i holds site labels[i], or a channel's Kraus index
+    branch_axes = []  # Kraus labels in application order, the first most significant
     for key in ("a_left", "a_right", "b_left", "b_right"):
         ch = red.channels[key]
         if ch is None:
             continue
-        rest_sites = [q for q in sites if q not in ch.input_sites]
         kraus = np.stack(ch.kraus)
-        n_kraus, dim_out, dim_in = kraus.shape
-        # (wedge, branch, rest) columns, so one matmul serves every branch.
-        cols = _site_major(branches, sites, ch.input_sites, d).reshape(dim_in, -1)
-        out = kraus.reshape(-1, dim_in) @ cols
-        out = out.reshape(n_kraus, dim_out, len(branches), -1).transpose(2, 0, 1, 3)
-        branches = out.reshape(len(branches) * n_kraus, -1)
-        sites = list(ch.output_sites) + rest_sites
-
-    target = list(p.a) + list(p.b)
-    m = _site_major(branches, sites, target, d).reshape(d ** len(target), -1)
-    return m @ m.conj().T
-
-
-def _site_major(branches: np.ndarray, sites, lead, d: int) -> np.ndarray:
-    """``branches`` as a ``(lead sites, branch, other sites)`` tensor."""
-    t = branches.reshape([branches.shape[0]] + [d] * len(sites))
-    lead_axes = [1 + sites.index(q) for q in lead]
-    rest_axes = [1 + i for i, q in enumerate(sites) if q not in lead]
-    return t.transpose(lead_axes + [0] + rest_axes)
+        n_kraus, _, dim_in = kraus.shape
+        rest = [x for x in labels if x not in ch.input_sites]
+        rest_shape = [arr.shape[labels.index(x)] for x in rest]
+        order = [labels.index(x) for x in list(ch.input_sites) + rest]
+        cols = arr.transpose(order).reshape(dim_in, -1)  # the one gather copy
+        del arr
+        arr = (kraus.reshape(-1, dim_in) @ cols).reshape(
+            [n_kraus] + [d] * len(ch.output_sites) + rest_shape
+        )
+        del cols
+        labels = [key] + list(ch.output_sites) + rest
+        branch_axes.append(key)
+    traced = [x for x in labels if x not in target and x not in branch_axes]
+    order = [labels.index(x) for x in target + branch_axes + traced]
+    m = arr.transpose(order).reshape(d ** len(target), -1)
+    del arr
+    return _gram(m)

@@ -7,6 +7,13 @@ amplitude index, so ``amplitudes.reshape([d] * n)`` puts site i on axis i.
 Entropies come from full Hermitian eigenproblems, except S(A∪B) in
 ``mutual_information``, whose cost follows the rank of the reduced
 density (``_gram_entropy``) within a certified error bound.
+
+Memory: every reduced density is one Gram product ``_gram(m) = m m†``,
+which conjugates at most ``_GRAM_ROWS`` rows of ``m`` at a time, so
+``reduced_density`` holds the input state, one transposed copy of it
+and the density.  ``flatness_check`` forms the Hermitian part of the
+partial transpose in place, and ``_apply_gates`` keeps two state-sized
+arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -26,11 +32,24 @@ from .errors import (
     SizeCap,
     ZeroState,
 )
+from . import tensor
 from .rg import FixedPointState
 from .tensor import MpsTensor
 
 AMP_CAP = 2**24
 RHO_CAP = 2**12
+
+# Largest |norm - 1| of the amplitudes a ``DenseState`` accepts.
+NORM_TOL = 1e-10
+# ``from_amplitudes`` refuses a vector whose norm is below this.
+ZERO_NORM = 1e-12
+# Largest |trace - 1| of a matrix that ``_check_density`` accepts.
+TRACE_TOL = 1e-8
+# Schmidt weights at or below this are outside a block's support when
+# ``_materialize_block`` inverts them.
+SUPPORT_TOL = 1e-14
+# Rows of ``m`` conjugated at a time by ``_gram``.
+_GRAM_ROWS = 64
 
 # Largest entry of g†g - 1 a gate may have and count as unitary.
 UNITARY_TOL = 1e-12
@@ -71,7 +90,7 @@ class DenseState:
                 f"expected {self.local_dim}**{self.n_sites} amplitudes, got {amps.size}"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-10:
+        if abs(nrm - 1.0) > NORM_TOL:
             raise ZeroState(f"amplitudes have norm {nrm}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -90,7 +109,7 @@ class DenseState:
     def from_amplitudes(raw, n_sites: int, local_dim: int) -> "DenseState":
         raw = np.asarray(raw, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(raw)
-        if nrm < 1e-12:
+        if nrm < ZERO_NORM:
             raise ZeroState("state vector has vanishing norm")
         return DenseState(n_sites, local_dim, raw / nrm)
 
@@ -122,24 +141,22 @@ def materialize_mps(a: MpsTensor, n: int) -> DenseState:
             f"{d}**{half} half-ring products of bond dimension {chi} exceed "
             f"the cap {AMP_CAP}"
         )
-    left, right = _word_products(a, half), _word_products(a, n - half)
+    left, right = tensor._word_products(a, half), tensor._word_products(a, n - half)
     # tr(L R) = sum_ab L[a, b] R[b, a], for every pair of half-ring words.
     right_t = right.transpose(0, 2, 1).reshape(len(right), -1)
     amps = left.reshape(len(left), -1) @ right_t.T
     return DenseState.from_amplitudes(amps, n, d)
 
 
-def _word_products(a: MpsTensor, k: int) -> np.ndarray:
-    """Products ``A[i1] ... A[ik]`` for every word, the first site most significant."""
-    chi = a.bond_dim
-    g = np.eye(chi, dtype=complex)[None]
-    for _ in range(k):
-        g = np.einsum("pab,jbc->pjac", g, a.matrices).reshape(-1, chi, chi)
-    return g
-
-
 def reduced_density(psi: DenseState, region) -> np.ndarray:
-    """Partial trace down to ``region`` (row/column order follows ``region``)."""
+    """Partial trace down to ``region`` (row/column order follows ``region``).
+
+    Holds one transposed copy of the state beside the density.
+
+    Raises:
+        SizeCap: if the density's dimension exceeds ``RHO_CAP``; checked
+            before the copy is made.
+    """
     region = tuple(region)
     n, d = psi.n_sites, psi.local_dim
     if len(set(region)) != len(region) or any(not 0 <= r < n for r in region):
@@ -149,7 +166,23 @@ def reduced_density(psi: DenseState, region) -> np.ndarray:
     rest = [q for q in range(n) if q not in region]
     arr = psi.amplitudes.reshape([d] * n).transpose(list(region) + rest)
     m = arr.reshape(d ** len(region), -1)
-    return m @ m.conj().T
+    return _gram(m)
+
+
+def _gram(m: np.ndarray) -> np.ndarray:
+    """``m @ m†``, the one Gram product of the dense engine.
+
+    Column block j of the product is ``m`` times the adjoint of row block
+    j, written in place; so at most ``_GRAM_ROWS`` conjugated rows of
+    ``m`` exist at a time, not a whole conjugate copy.  Each entry is the
+    same BLAS sum as in ``m @ m.conj().T``.
+    """
+    rows = m.shape[0]
+    out = np.empty((rows, rows), dtype=m.dtype)
+    for i in range(0, rows, _GRAM_ROWS):
+        block = slice(i, i + _GRAM_ROWS)
+        np.matmul(m, m[block].conj().T, out=out[:, block])
+    return out
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -179,7 +212,7 @@ def _smaller_gram(m: np.ndarray) -> np.ndarray:
     """
     if m.shape[0] > m.shape[1]:
         m = m.T
-    return m @ m.conj().T
+    return _gram(m)
 
 
 def subsystem_entropy(psi: DenseState, region) -> float:
@@ -280,7 +313,7 @@ def trace_distance_pure(psi: DenseState, phi: DenseState) -> float:
 def _check_density(rho: np.ndarray) -> np.ndarray:
     """Spectrum of a density matrix, checked PSD and of unit trace."""
     evals = _psd_spectrum(rho)
-    if abs(float(np.sum(evals)) - 1.0) > 1e-8:
+    if abs(float(np.sum(evals)) - 1.0) > TRACE_TOL:
         raise NotPSD(f"trace {float(np.sum(evals))} differs from 1")
     return evals
 
@@ -323,7 +356,7 @@ def partial_transpose(rho_ab: np.ndarray, dim_a: int) -> np.ndarray:
         )
     dim_b = dim // dim_a
     t = rho_ab.reshape(dim_a, dim_b, dim_a, dim_b)
-    return np.ascontiguousarray(t.transpose(2, 1, 0, 3)).reshape(dim, dim)
+    return t.transpose(2, 1, 0, 3).copy().reshape(dim, dim)
 
 
 def flatness_check(rho_ab: np.ndarray, dim_a: int) -> bool:
@@ -331,9 +364,14 @@ def flatness_check(rho_ab: np.ndarray, dim_a: int) -> bool:
 
     Equivalent to the proportionality of the squared and fourth powers of
     the partial transpose; holds for every stabilizer-state reduction.
+    The Hermitian part is formed in place in the partial transpose, a
+    fresh array, so only its conjugate is a second density-sized array.
     """
+    rho_ab = np.asarray(rho_ab, dtype=np.result_type(rho_ab, 0.5))  # so pt *= 0.5 fits
     pt = partial_transpose(rho_ab, dim_a)
-    evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
+    pt += pt.conj().T
+    pt *= 0.5
+    evals = np.linalg.eigvalsh(pt)
     mags = np.abs(evals)
     sig = mags[mags > FLATNESS_TAU]
     if sig.size == 0:
@@ -447,7 +485,7 @@ def _materialize_block(block, n: int) -> np.ndarray:
         raise SizeCap("link construction exceeds the amplitude cap")
     # Site isometry: in the CF II gauge the tensor factors as V (1 x sqrt(lam)).
     with np.errstate(divide="ignore"):
-        inv_root = np.where(lam > 1e-14, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
+        inv_root = np.where(lam > SUPPORT_TOL, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
     v = (t.matrices * inv_root[None, None, :]).reshape(d, chi * chi)
 
     omega = np.diag(np.sqrt(lam)).astype(complex)  # link (R_i, L_{i+1})

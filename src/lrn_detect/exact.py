@@ -115,23 +115,45 @@ class ExactWeight:
 
     @staticmethod
     def from_json(obj) -> "ExactWeight":
-        """Read a number or a form ``to_json`` writes; anything else is ``OutOfRange``."""
+        """Read a number or a form ``to_json`` writes; anything else is ``OutOfRange``.
+
+        A bare weight and the ``float`` form are JSON numbers, not bools;
+        ``rat``, ``r`` and ``base`` are pairs of JSON integers and ``n`` is
+        one.  Nothing is truncated or parsed from text.
+        """
         try:
             if isinstance(obj, (int, float)):
-                return ExactWeight.from_float(float(obj))
+                return ExactWeight.from_float(_number(obj))
             if "float" in obj:
-                return ExactWeight.from_float(float(obj["float"]))
+                return ExactWeight.from_float(_number(obj["float"]))
             if "rat" in obj:
                 p, q = obj["rat"]
-                return ExactWeight.from_rational(int(p), int(q))
+                return ExactWeight.from_rational(_integer(p), _integer(q))
             if "root" in obj:
                 payload = obj["root"]
+                (rp, rq), (bp, bq) = payload["r"], payload["base"]
                 return ExactWeight.from_root(
-                    Fraction(*payload["r"]), Fraction(*payload["base"]), int(payload["n"])
+                    Fraction(_integer(rp), _integer(rq)),
+                    Fraction(_integer(bp), _integer(bq)),
+                    _integer(payload["n"]),
                 )
-        except (TypeError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise OutOfRange(f"malformed exact weight {obj!r}: {exc}") from exc
         raise OutOfRange(f"unrecognized exact-weight form: {obj!r}")
+
+
+def _number(x) -> float:
+    """A number (not a bool, not text) as a float; else ``TypeError``."""
+    if isinstance(x, (bool, str)):
+        raise TypeError(f"expected a JSON number, got {x!r}")
+    return float(x)
+
+
+def _integer(x) -> int:
+    """A JSON integer (not a bool); else ``TypeError``."""
+    if type(x) is not int:
+        raise TypeError(f"expected a JSON integer, got {x!r}")
+    return x
 
 
 def radical_parts(w: ExactWeight) -> tuple[Fraction, dict[int, Fraction]]:

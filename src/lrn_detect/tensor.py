@@ -115,11 +115,20 @@ def block_tensor(a: MpsTensor, q: int) -> MpsTensor:
         )
     if q == 1:
         return a
-    mats = a.matrices
+    return MpsTensor(_word_products(a, q))
+
+
+def _word_products(a: MpsTensor, k: int) -> np.ndarray:
+    """Products ``A[i1] ... A[ik]`` for every word, the first site most significant.
+
+    Shape ``(d**k, chi, chi)``; k = 0 gives the identity.  No size cap:
+    callers check theirs first.
+    """
+    mats, chi = a.matrices, a.bond_dim
+    if k == 0:
+        return np.eye(chi, dtype=complex)[None]
     out = mats
-    for _ in range(q - 1):
+    for _ in range(k - 1):
         # out[(... j), a, c] = sum_b out[..., a, b] mats[j, b, c]
-        out = np.einsum("pab,jbc->pjac", out, mats).reshape(
-            -1, a.bond_dim, a.bond_dim
-        )
-    return MpsTensor(out)
+        out = np.einsum("pab,jbc->pjac", out, mats).reshape(-1, chi, chi)
+    return out

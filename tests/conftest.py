@@ -1,7 +1,25 @@
 """Shared test fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+
+def _traced_peak(fn):
+    """``(fn(), peak)``: the result and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """The helper ``fn -> (fn(), peak bytes)`` that traces one call's allocations."""
+    return _traced_peak
 
 
 class _Calls(dict):

@@ -3,7 +3,6 @@
 import functools
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from lrn_detect.dense import (
     _PIVOT_FLOOR,
     RHO_CAP,
     _apply_gates,
+    _gram,
     _gram_entropy,
 )
 from lrn_detect.errors import (
@@ -294,14 +294,9 @@ def test_materialize_mps_matches_trace_products(d, chi, n):
     assert np.max(np.abs(psi.amplitudes - raw / np.linalg.norm(raw))) < 1e-12
 
 
-def test_materialize_mps_peak_memory_is_bounded(monkeypatch):
+def test_materialize_mps_peak_memory_is_bounded(monkeypatch, traced_peak):
     t = random_normal_tensor(2, 8, seed=5)
-    tracemalloc.start()
-    try:
-        psi = materialize_mps(t, 14)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    psi, peak = traced_peak(lambda: materialize_mps(t, 14))
     assert psi.amplitudes.nbytes == 2**14 * 16  # a 0.25 MiB state
     assert peak <= 2 * 2**20
     # The cap covers the half-ring products, not only the amplitudes.
@@ -366,20 +361,57 @@ def test_apply_brickwork_builds_one_state(d, n, monkeypatch):
     assert np.max(np.abs(out.amplitudes - gate_by_gate.amplitudes)) < 1e-13
 
 
-def test_apply_brickwork_peak_memory_is_bounded():
+def test_apply_brickwork_peak_memory_is_bounded(traced_peak):
     # Each gate reads the state and writes one new array; no third copy.
     n = 16
     state = dense_pattern_state(["0", "1"], [0.6, 0.8], n)
     for offset in (0, 1):  # offset 1 adds one axis rotation and the final transpose
         circ = random_brickwork(n, 1, seed=3, first_offset=offset)
-        tracemalloc.start()
-        try:
-            out = apply_brickwork(state, circ)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: apply_brickwork(state, circ))
         assert out.amplitudes.nbytes == 2**20  # a 1 MiB state
         assert peak <= 2 * 2**20 + 64 * 2**10, offset
+
+
+def test_reduced_density_peak_memory_is_bounded(traced_peak):
+    # 8 of 16 sites that do not lead: one transposed copy of the 1 MiB
+    # state, the 1 MiB density and one block of conjugated rows; a whole
+    # conjugate copy would add another 1 MiB.
+    n = 16
+    rng = np.random.default_rng(4)
+    raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    psi = DenseState.from_amplitudes(raw, n, 2)
+    rho, peak = traced_peak(lambda: reduced_density(psi, build_partition(n, 1).ab))
+    assert rho.nbytes == 2**20
+    assert peak <= 2.5 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (16, 4096), (256, 16), (64, 64), (100, 7)])
+def test_gram_matches_the_plain_product(shape):
+    rng = np.random.default_rng(shape[0])
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for arr in (m, m.T):  # the transposed view is what _smaller_gram passes
+        want = arr @ arr.conj().T
+        assert np.max(np.abs(_gram(arr) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_flatness_check_peak_memory_is_bounded(traced_peak):
+    # A 256 x 256 (1 MiB) density: its partial transpose, which takes the
+    # Hermitian part in place, and that array's conjugate; no third copy.
+    rho = random_density(256, np.random.default_rng(6))
+    _, peak = traced_peak(lambda: flatness_check(rho, 16))
+    assert peak <= 2.25 * 2**20
+
+
+@pytest.mark.parametrize("dim_a", [1, 4, 16])
+def test_flatness_check_leaves_its_input_alone(dim_a):
+    # At dim_a = 1 the partial transpose is the identity map: it must still
+    # be a fresh array, since flatness_check writes into it.
+    rho = random_density(16, np.random.default_rng(dim_a))
+    before = rho.copy()
+    rho.setflags(write=False)
+    flatness_check(rho, dim_a)
+    assert np.array_equal(rho, before)
+    assert not np.shares_memory(partial_transpose(rho, dim_a), rho)
 
 
 def test_random_brickwork_matches_per_gate_draws():
@@ -644,7 +676,7 @@ def test_mutual_information_fixed_point_after_brickwork(eigvalsh_sizes):
 
 
 @pytest.mark.parametrize("big", ["a", "b"])
-def test_mutual_information_memory_follows_the_smaller_side(big):
+def test_mutual_information_memory_follows_the_smaller_side(big, traced_peak):
     # One region holds 10 of 14 sites: its own 1024 x 1024 reduced density
     # (or the per-A blocks of B's) would dwarf the 0.25 MiB state.
     rng = np.random.default_rng(8)
@@ -653,11 +685,6 @@ def test_mutual_information_memory_follows_the_smaller_side(big):
     a, b = [0], list(range(1, 11))
     if big == "a":
         a, b = b, a
-    tracemalloc.start()
-    try:
-        got = mutual_information(psi, a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: mutual_information(psi, a, b))
     assert peak <= 2 * 2**20
     assert abs(got - _three_entropy_mi(psi, a, b)) < 1e-12

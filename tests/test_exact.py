@@ -43,6 +43,25 @@ def test_exact_weight_values_and_json():
     assert ExactWeight.from_json(0.5) == ExactWeight.from_float(0.5)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rat": [1, 2.5]},
+        {"rat": [True, 2]},
+        {"root": {"r": [1, 1], "base": [2, 1], "n": 2.7}},
+        True,
+        {"float": "0.5"},
+        {"root": {"r": [], "base": [2, 1], "n": 2}},
+    ],
+    ids=["rat-float", "rat-bool", "root-index-float", "bare-bool", "float-text", "root-r-empty"],
+)
+def test_from_json_rejects_fields_of_the_wrong_type(obj):
+    # Truncated or coerced, they would read as 1/2, 1/2, index 2, 1.0, 0.5
+    # and a zero coefficient.
+    with pytest.raises(OutOfRange):
+        ExactWeight.from_json(obj)
+
+
 def test_root_index_one_collapses_to_rational():
     w = ExactWeight.from_root(Fraction(2, 3), Fraction(5, 7), 1)
     assert w.kind == "rational"

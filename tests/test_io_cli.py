@@ -572,22 +572,18 @@ def test_cli_transfer_cap_is_a_named_error(pipeline, tmp_path, capsys):
     assert json.loads(out.err)["error"] == "SizeCap"
 
 
-def test_tensor_from_json_checks_shape_before_allocating():
-    import tracemalloc
-
+def test_tensor_from_json_checks_shape_before_allocating(traced_peak):
     from lrn_detect.errors import DimensionMismatch
 
-    tracemalloc.start()
-    try:
+    def all_rejected():
         with pytest.raises(DimensionMismatch):
             tensor_from_json({"d": 1, "chi": 10**5, "matrices": []})
         with pytest.raises(DimensionMismatch):
             tensor_from_json({"d": 1, "chi": 10**5, "matrices": [[]]})
         with pytest.raises(DimensionMismatch):
             tensor_from_json({"d": -1, "chi": 2, "matrices": []})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(all_rejected)
     assert peak < 2**20
 
 

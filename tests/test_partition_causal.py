@@ -14,9 +14,9 @@ from lrn_detect import (
     random_brickwork,
     reduced_density,
 )
-from lrn_detect import causal
+from lrn_detect import causal, dense
 from lrn_detect.circuits import BrickworkCircuit
-from lrn_detect.errors import GeometryMismatch, PartitionTooSmall
+from lrn_detect.errors import GeometryMismatch, PartitionTooSmall, SizeCap
 from lrn_detect.families import dense_pattern_state
 from lrn_detect.dense import DenseState
 from lrn_detect.partition import Partition
@@ -190,6 +190,37 @@ def test_stacked_reduction_matches_branch_by_branch(start):
     assert channel_counts == {0, 4}  # some seeds align with the partition
     with pytest.raises(GeometryMismatch):
         apply_reduction(red, dense_pattern_state(["0", "1"], [0.6, 0.8], 12))
+
+
+def _four_channel_case():
+    state = dense_pattern_state(["0", "1"], [math.sqrt(0.3), math.sqrt(0.7)], 16)
+    circ = random_brickwork(16, 1, seed=0, first_offset=1)
+    red = causal_cone_reduce(circ, build_partition(16, 1))
+    assert len(red.channel_list()) == 4
+    return red, state
+
+
+def test_apply_reduction_peak_memory_is_bounded(traced_peak):
+    # Four channels on a 1 MiB state: each costs one gather copy and one
+    # product, the previous array dropped first; then one copy, the 1 MiB
+    # density and a block of conjugated rows.  A third state-sized array
+    # would break the bound.
+    red, state = _four_channel_case()
+    sigma, peak = traced_peak(lambda: apply_reduction(red, state))
+    assert sigma.nbytes == 2**20
+    assert peak <= 2.5 * 2**20
+
+
+def test_apply_reduction_checks_the_density_cap_first(monkeypatch, traced_peak):
+    red, state = _four_channel_case()
+    monkeypatch.setattr(dense, "RHO_CAP", 2**7)  # A u B holds 8 qubits
+
+    def capped():
+        with pytest.raises(SizeCap):
+            apply_reduction(red, state)
+
+    _, peak = traced_peak(capped)
+    assert peak < 64 * 2**10  # nothing state-sized (1 MiB) was allocated
 
 
 def _kronecker_subcircuit(gates, site_order, n, d):

@@ -90,23 +90,20 @@ def test_blocking_exact_chi3_q3():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_transfer_cap_precedes_allocation():
-    import tracemalloc
-
+def test_transfer_cap_precedes_allocation(traced_peak):
     from lrn_detect.tensor import TRANSFER_CAP
 
     rng = np.random.default_rng(65)
     big = MpsTensor(crandn((2, 65, 65), rng))  # chi**2 = 4225 > TRANSFER_CAP
     small = MpsTensor(crandn((2, 64, 64), rng))
     assert 64**2 == TRANSFER_CAP
-    tracemalloc.start()
-    try:
+
+    def both_capped():
         with pytest.raises(SizeCap):
             transfer_matrix(big)
         with pytest.raises(SizeCap):
             mixed_transfer_matrix(big, small)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(both_capped)
     assert peak < 2**20  # the uncapped matrix would take 272 MiB
     assert mixed_transfer_matrix(small, MpsTensor(crandn((2, 1, 1), rng))).shape == (64, 64)

@@ -35,6 +35,7 @@ from .spectral import (
     TAU_SPEC,
     NormalityWitness,
     SpectralData,
+    _checked_norm,
     _peripheral_vectors,
     is_normal,
     normality_witness,
@@ -152,7 +153,7 @@ def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau):
         return None
     phase = float(np.angle(lam))
     chi = a.bond_dim
-    mat = _peripheral_vectors(m, evals, 1)[0][:, 0].reshape(chi, chi)
+    mat = _peripheral_vectors(m, evals, 1, _checked_norm(m))[0][:, 0].reshape(chi, chi)
     x = mat @ np.linalg.inv(right_fp_b)
     # Fix the free scale of x: unit Frobenius density, dominant entry positive.
     x = x * (math.sqrt(chi) / np.linalg.norm(x))
@@ -448,9 +449,13 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
     Raises:
         DecompositionFailure: when block projectors cannot be extracted
             within ``TAU_BLOCK``, a block fails its normality certificate,
-            or the required blocking exceeds ``BLOCKING_CAP``.
+            or the required blocking exceeds ``BLOCKING_CAP``; and when the
+            transfer radius is below ``TAU_ZERO`` or every part is
+            nilpotent, carrying the transfer spectrum it tested.
         SizeCap: when the blocked physical dimension exceeds
             ``tensor.PHYS_DIM_CAP``.
+        ScaleOutOfRange: when the transfer matrix is too large or too small
+            for floating-point spectral work (``spectral.NORM_RANGE``).
     """
     q = 1
     current = a
@@ -461,10 +466,10 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
             input_spectral = spec[1]
         radius = float(abs(spec[0][0]))
         if radius < TAU_ZERO:
-            raise DecompositionFailure("tensor generates the zero family")
+            raise DecompositionFailure("tensor generates the zero family", spectrum=spec[0])
         parts = _split_parts(current, TAU_ZERO * radius, spec)
         if not parts:
-            raise DecompositionFailure("all parts are nilpotent")
+            raise DecompositionFailure("all parts are nilpotent", spectrum=spec[0])
         periods = {p for _, p, _ in parts}
         if periods == {1}:
             break

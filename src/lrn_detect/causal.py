@@ -10,8 +10,9 @@ the reduction, the circuit-evolved, C-traced, locally rotated state
 equals the channel formula applied directly to the input state.  The
 local unitaries and the wedge unitaries behind the channels are gate
 products formed by the dense engine's one gate loop.  ``apply_reduction``
-evaluates the channel formula with at most two state-sized work arrays
-beside its input, and checks ``dense.RHO_CAP`` before it allocates.
+evaluates the channel formula as the Gram product of ``_reduction_factor``,
+with at most two state-sized work arrays beside its input, and checks
+``dense.RHO_CAP`` before it allocates.
 """
 
 from __future__ import annotations
@@ -187,16 +188,29 @@ def _build_channel(gates, key: str, p: Partition, d: int, depth: int) -> Boundar
 def apply_reduction(red: CausalConeReduction, psi: DenseState) -> np.ndarray:
     """Evaluate the channel formula on the input state.
 
+    Returns the density matrix on the sites ``partition.a + partition.b``
+    in that order: ``m m†`` for the factor ``m = _reduction_factor(red,
+    psi)``, by ``dense._gram``.
+
+    Raises:
+        GeometryMismatch, SizeCap: as ``_reduction_factor``.
+    """
+    return _gram(_reduction_factor(red, psi))
+
+
+def _reduction_factor(red: CausalConeReduction, psi: DenseState) -> np.ndarray:
+    """A matrix ``m`` with ``m m†`` the channel formula's density on A ∪ B.
+
     Carries every Kraus branch of the pure input as one axis of a tensor
     whose axes are labeled by site, or by the channel whose Kraus index
     they hold.  Each boundary channel gathers its wedge sites to the front
     (one copy) and multiplies its whole Kraus stack into every branch with
     one matmul, whose output puts the new Kraus axis and the kept sites
-    first; no axis is moved back.  One Gram product over all branches then
-    traces everything outside A u B.  The previous array is dropped before
-    each product, so at most two state-sized arrays live beside the input.
-    Returns the density matrix on the sites ``partition.a + partition.b``
-    in that order.
+    first; no axis is moved back.  The rows of ``m`` are the sites
+    ``partition.a + partition.b``, in that order, and its columns every
+    Kraus branch and traced site, so one Gram product traces everything
+    outside A ∪ B.  The previous array is dropped before each product, so
+    at most two state-sized arrays live beside the input.
 
     Raises:
         GeometryMismatch: if the state does not live on the circuit's ring.
@@ -232,6 +246,4 @@ def apply_reduction(red: CausalConeReduction, psi: DenseState) -> np.ndarray:
         branch_axes.append(key)
     traced = [x for x in labels if x not in target and x not in branch_axes]
     order = [labels.index(x) for x in target + branch_axes + traced]
-    m = arr.transpose(order).reshape(d ** len(target), -1)
-    del arr
-    return _gram(m)
+    return arr.transpose(order).reshape(d ** len(target), -1)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import families
 from .canonical import canonical_decompose
-from .causal import apply_reduction, causal_cone_reduce
+from .causal import _reduction_factor, causal_cone_reduce
 from .circuits import random_brickwork
 from .criteria import (
     EXACT_SRN_EXCLUDED,
@@ -52,6 +52,8 @@ from .criteria import (
 from .dense import (
     DenseState,
     _apply_gates,
+    _gram_gap,
+    _region_factor,
     flatness_check,
     mutual_information,
     reduced_density,
@@ -304,27 +306,35 @@ def _verify_invariance(seed: int, seeds_per_fixture: int, depth: int) -> dict:
 
 def _verify_causal_cone(seed: int, trials: int) -> dict:
     state = families.dense_pattern_state(["0", "1"], [math.sqrt(0.3), math.sqrt(0.7)], 16)
-    amps = state.amplitudes
     part = build_partition(16, 1)
     worst = 0.0
     for k in range(trials):
-        circ = random_brickwork(16, 1, seed + k)
-        red = causal_cone_reduce(circ, part)
-        # The oracle, by linearity of the partial trace: the circuit, then u_a
-        # and u_b as two more gates, gives (u_a ⊗ u_b) rho_ab (u_a ⊗ u_b)†.
-        # It runs first, and no name holds the evolved state, so that state
-        # is freed before apply_reduction forms sigma; the difference is
-        # then taken in rho_ab's own array.
-        gates = circ.gates + [(red.u_a, part.a), (red.u_b, part.b)]
-        rho_ab = reduced_density(DenseState(16, 2, _apply_gates(amps, 16, 2, gates)), part.ab)
-        rho_ab -= apply_reduction(red, state)
-        err = float(np.linalg.norm(rho_ab))
-        cptp = max((c.cptp_defect() for c in red.channel_list()), default=0.0)
+        err, cptp = _cone_trial(state, part, seed + k)
         worst = max(worst, err, cptp)
         if err > _CONE_TOL or cptp > _CPTP_TOL:
             return {"suite": "causal_cone", "passed": False,
                     "replay": {"seed": seed + k}}
     return {"suite": "causal_cone", "passed": True, "trials": trials, "worst": worst}
+
+
+def _cone_trial(state: DenseState, part, seed: int) -> tuple[float, float]:
+    """Distance of the channel formula from its oracle, and the worst CPTP defect.
+
+    Both densities on A∪B are Gram products of factors, and ``_gram_gap``
+    measures their Frobenius distance from the two factors, so neither
+    density is formed.  The oracle, by linearity of the partial trace: the
+    circuit, then u_a and u_b as two more gates, gives
+    (u_a ⊗ u_b) rho_ab (u_a ⊗ u_b)†.  The evolved state is freed once its
+    factor is copied out, and every array of the trial when it returns.
+    """
+    red = causal_cone_reduce(random_brickwork(16, 1, seed), part)
+    sigma_f = _reduction_factor(red, state)
+    gates = red.circuit.gates + [(red.u_a, part.a), (red.u_b, part.b)]
+    evolved = _apply_gates(state.amplitudes, 16, 2, gates)
+    rho_f = _region_factor(DenseState(16, 2, evolved), part.ab)
+    del evolved  # the factor is a copy
+    cptp = max((c.cptp_defect() for c in red.channel_list()), default=0.0)
+    return _gram_gap(rho_f, sigma_f), cptp
 
 
 def _verify_flatness(seed: int, trials: int) -> dict:
@@ -418,8 +428,8 @@ def _check(args: argparse.Namespace) -> None:
 
 
 # Diagnostic attributes an error may carry (spectra, singular values,
-# residuals); each one that is set goes into the stderr payload.
-_PAYLOAD_FIELDS = ("spectrum", "singular_values", "last_residual")
+# residuals, norms); each one that is set goes into the stderr payload.
+_PAYLOAD_FIELDS = ("spectrum", "singular_values", "last_residual", "norm")
 
 
 def _error_json(exc: Exception) -> dict:

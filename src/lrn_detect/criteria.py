@@ -41,6 +41,10 @@ RATIO_TAU = 1e-9
 NORM_TOL = 1e-9
 # Distance from 0, 1/2 and 1 that still labels a cat-family weight.
 GHZ_TOL = 1e-12
+# Round-off a probability may stray outside [0, 1] and still be accepted.
+PROB_RANGE_TOL = 1e-12
+# Relative phases at or below this modulus count as zero: no rotating term.
+ZERO_PHASE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ def shannon_entropy(p) -> float:
 
 def _entropies(p: np.ndarray) -> np.ndarray:
     """Base-2 Shannon entropy of each row of ``p``, after the same checks."""
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+    if np.any(p < -PROB_RANGE_TOL) or np.any(p > 1.0 + PROB_RANGE_TOL):
         raise NotNormalized("probabilities must lie in [0, 1]")
     sums = np.sum(p, axis=-1)
     off = np.abs(sums - 1.0) > NORM_TOL
@@ -105,7 +109,7 @@ def lrn_entropy_check(w: WeightSpectrum, tau_int: float = DEFAULT_TAU_INT) -> Ve
             evidence={"entropy": 0.0, "distance": 0.0, "reason": "single block"},
         )
 
-    phases = [p for p in w.phases() if abs(p) > 1e-15]
+    phases = [p for p in w.phases() if abs(p) > ZERO_PHASE_TOL]
     fracs = [best_rational(p / (2 * math.pi), PHASE_Q_MAX, PHASE_TAU) for p in phases]
 
     s = None  # the weight period, when every phase is commensurate

@@ -8,12 +8,18 @@ Entropies come from full Hermitian eigenproblems, except S(A∪B) in
 ``mutual_information``, whose cost follows the rank of the reduced
 density (``_gram_entropy``) within a certified error bound.
 
-Memory: every reduced density is one Gram product ``_gram(m) = m m†``,
-which conjugates at most ``_GRAM_ROWS`` rows of ``m`` at a time, so
+Memory: a kernel holds its input, its output and at most two
+state-sized work arrays.  Every reduced density is one Gram product
+``_gram(m) = m m†`` of a factor ``m``: it forms the column blocks on and
+below the diagonal, a block of rows of ``m`` (``_block_rows``, about
+``_GRAM_ENTRIES`` entries) conjugated at a time, and mirrors them.  So
 ``reduced_density`` holds the input state, one transposed copy of it
-and the density.  ``flatness_check`` forms the Hermitian part of the
-partial transpose in place, and ``_apply_gates`` keeps two state-sized
-arrays.
+(``_region_factor``) and the density, and ``mutual_information`` one
+transposed copy.  ``_gram_gap`` measures the Frobenius distance of two
+Gram products from their factors without forming either.  ``_hermitize``
+takes a Hermitian part in place, a strip of rows at a time, and
+``_apply_gates`` keeps two state-sized arrays.  ``materialize_fixed_point``
+adds each block into the one output array.
 """
 
 from __future__ import annotations
@@ -46,10 +52,14 @@ ZERO_NORM = 1e-12
 # Largest |trace - 1| of a matrix that ``_check_density`` accepts.
 TRACE_TOL = 1e-8
 # Schmidt weights at or below this are outside a block's support when
-# ``_materialize_block`` inverts them.
+# ``_add_block`` inverts them.
 SUPPORT_TOL = 1e-14
-# Rows of ``m`` conjugated at a time by ``_gram``.
+# Entries of a block of rows that ``_gram``, ``_gram_gap`` and ``_hermitize``
+# copy at a time, and the most rows such a block has.
+_GRAM_ENTRIES = 2**14
 _GRAM_ROWS = 64
+# Rows of the last site's product that ``_add_block`` forms at a time.
+_SITE_ROWS = 2**12
 
 # Largest entry of g†g - 1 a gate may have and count as unitary.
 UNITARY_TOL = 1e-12
@@ -107,11 +117,16 @@ class DenseState:
 
     @staticmethod
     def from_amplitudes(raw, n_sites: int, local_dim: int) -> "DenseState":
-        raw = np.asarray(raw, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(raw)
+        return DenseState._owning(np.array(raw, dtype=complex).reshape(-1), n_sites, local_dim)
+
+    @classmethod
+    def _owning(cls, amps: np.ndarray, n_sites: int, local_dim: int) -> "DenseState":
+        """Normalize ``amps``, a complex vector no one else holds, in place and wrap it."""
+        nrm = np.linalg.norm(amps)
         if nrm < ZERO_NORM:
             raise ZeroState("state vector has vanishing norm")
-        return DenseState(n_sites, local_dim, raw / nrm)
+        amps /= nrm
+        return cls(n_sites, local_dim, amps)
 
     def overlap(self, other: "DenseState") -> complex:
         if (self.n_sites, self.local_dim) != (other.n_sites, other.local_dim):
@@ -145,17 +160,27 @@ def materialize_mps(a: MpsTensor, n: int) -> DenseState:
     # tr(L R) = sum_ab L[a, b] R[b, a], for every pair of half-ring words.
     right_t = right.transpose(0, 2, 1).reshape(len(right), -1)
     amps = left.reshape(len(left), -1) @ right_t.T
-    return DenseState.from_amplitudes(amps, n, d)
+    return DenseState._owning(amps.reshape(-1), n, d)
 
 
 def reduced_density(psi: DenseState, region) -> np.ndarray:
     """Partial trace down to ``region`` (row/column order follows ``region``).
 
-    Holds one transposed copy of the state beside the density.
+    The Gram product of ``_region_factor``: holds one transposed copy of
+    the state beside the density.
 
     Raises:
         SizeCap: if the density's dimension exceeds ``RHO_CAP``; checked
             before the copy is made.
+    """
+    return _gram(_region_factor(psi, region))
+
+
+def _region_factor(psi: DenseState, region) -> np.ndarray:
+    """The state as a (region, rest) matrix ``m``, so that ρ_region = m m†.
+
+    One transposed copy of the amplitudes, or a view when ``region``
+    already leads.  Raises as ``reduced_density``.
     """
     region = tuple(region)
     n, d = psi.n_sites, psi.local_dim
@@ -165,24 +190,94 @@ def reduced_density(psi: DenseState, region) -> np.ndarray:
         raise SizeCap(f"reduced density of dimension {d}**{len(region)} exceeds cap")
     rest = [q for q in range(n) if q not in region]
     arr = psi.amplitudes.reshape([d] * n).transpose(list(region) + rest)
-    m = arr.reshape(d ** len(region), -1)
-    return _gram(m)
+    return arr.reshape(d ** len(region), -1)
+
+
+def _block_rows(cols: int) -> int:
+    """Rows per block for arrays of ``cols`` columns.
+
+    The largest power of two from 4 to ``_GRAM_ROWS`` whose block holds at
+    most ``_GRAM_ENTRIES`` entries, or 4 when none does.  A power of two
+    puts block edges on the edges of the BLAS kernels' tiles, so a block
+    product has the same sums as the whole product.
+    """
+    fit = max(_GRAM_ENTRIES // max(cols, 1), 4)
+    return min(_GRAM_ROWS, 1 << (fit.bit_length() - 1))
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
     """``m @ m†``, the one Gram product of the dense engine.
 
-    Column block j of the product is ``m`` times the adjoint of row block
-    j, written in place; so at most ``_GRAM_ROWS`` conjugated rows of
-    ``m`` exist at a time, not a whole conjugate copy.  Each entry is the
-    same BLAS sum as in ``m @ m.conj().T``.
+    Column block j of the product, from its diagonal block down, is rows
+    ``j:`` of ``m`` times the adjoint of row block j, written in place;
+    the blocks above the diagonal are the conjugate transposes of those
+    below.  So about half the products of ``m @ m.conj().T`` are formed.
+    A block has ``_block_rows`` rows, so at most about ``_GRAM_ENTRIES``
+    conjugated entries exist at a time, even for a wide ``m`` such as the
+    (A, rest) cut of a state; and each entry on or below the diagonal is
+    the same BLAS sum as in ``m @ m.conj().T``.
     """
-    rows = m.shape[0]
+    rows, cols = m.shape
+    step = _block_rows(cols)
     out = np.empty((rows, rows), dtype=m.dtype)
-    for i in range(0, rows, _GRAM_ROWS):
-        block = slice(i, i + _GRAM_ROWS)
-        np.matmul(m, m[block].conj().T, out=out[:, block])
+    for i in range(0, rows, step):
+        block, below = slice(i, i + step), slice(i + step, None)
+        np.matmul(m[i:], m[block].conj().T, out=out[i:, block])
+        np.conjugate(out[below, block].T, out=out[block, below])
     return out
+
+
+def _gram_gap(f: np.ndarray, g: np.ndarray) -> float:
+    """Frobenius norm of ``f f† - g g†``, formed from the factors.
+
+    Neither Gram product is built: the difference is formed one column
+    block at a time, from its diagonal block down as in ``_gram``, and
+    the blocks below the diagonal count twice, for their mirror images.
+    Work arrays are a few blocks of ``_block_rows`` columns.  The sum of
+    squares runs in another order than ``np.linalg.norm(f f† - g g†)``,
+    so the two agree to round-off, not bit for bit.
+
+    Raises:
+        DimensionMismatch: if the factors have different row counts.
+    """
+    rows = f.shape[0]
+    if g.shape[0] != rows:
+        raise DimensionMismatch(f"factors of {rows} and {g.shape[0]} rows")
+    step = _block_rows(max(rows, f.shape[1], g.shape[1]))
+    total = 0.0
+    for i in range(0, rows, step):
+        block = slice(i, i + step)
+        diff = f[i:] @ f[block].conj().T
+        diff -= g[i:] @ g[block].conj().T
+        diag, below = diff[:step], diff[step:]
+        total += np.vdot(diag, diag).real + 2.0 * np.vdot(below, below).real
+        del diff, diag, below  # before the next block is formed
+    return math.sqrt(total)
+
+
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    """Replace the square array ``a`` by its Hermitian part (a + a†)/2, in place.
+
+    Works on one strip of ``_block_rows`` rows and its mirrored columns at
+    a time, so the only work array is one strip; every entry is the same
+    float as in ``(a + a.conj().T) / 2``.  Each step writes a contiguous
+    array or copies between arrays, since a ufunc on the transposed
+    columns would add a buffer of its own.  Returns ``a``.
+    """
+    step = _block_rows(a.shape[0])
+    for i in range(0, a.shape[0], step):
+        block = slice(i, i + step)
+        upper, lower_t = a[block, i:], a[i:, block].T
+        strip = np.array(lower_t, order="C")
+        np.conjugate(strip, out=strip)
+        strip += upper
+        strip *= 0.5  # rows i: of the Hermitian part
+        np.conjugate(strip, out=strip)
+        lower_t[...] = strip
+        np.conjugate(strip, out=strip)
+        upper[...] = strip  # last, so the diagonal block keeps these bits
+        del strip  # before the next strip is allocated
+    return a
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -193,7 +288,7 @@ def _entropy(p: np.ndarray) -> float:
 
 def _psd_spectrum(rho: np.ndarray) -> np.ndarray:
     """Ascending spectrum of the Hermitian part of ``rho``, checked PSD."""
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    evals = np.linalg.eigvalsh(_hermitize(np.array(rho, dtype=np.result_type(rho, 0.5))))
     if evals[0] < -_PSD_TOL:
         raise NotPSD(f"eigenvalue {evals[0]} below the PSD tolerance")
     return evals
@@ -257,7 +352,11 @@ def _gram_entropy(m: np.ndarray) -> float:
     if m.shape[0] > m.shape[1]:
         m = m.T  # m^T m^* has the nonzero spectrum of m m†
     dim = m.shape[0]
-    resid = np.sum(m.real**2 + m.imag**2, axis=1)  # diagonal of S
+    step = _block_rows(m.shape[1])
+    resid = np.empty(dim)  # diagonal of S, summed one block of rows at a time
+    for i in range(0, dim, step):
+        block = m[i : i + step]
+        resid[i : i + step] = np.sum(block.real**2 + block.imag**2, axis=1)
     stop = _PIVOT_FLOOR * resid.sum()
     rows = np.empty((dim // 2 + 1, dim), dtype=complex)  # row k: column k of L
     k = 0
@@ -279,7 +378,9 @@ def mutual_information(psi: DenseState, region_a, region_b) -> float:
     The amplitudes are permuted once to ``(A, B, rest)``.  S(A) and S(B)
     come from partial traces of that array, formed by matrix products on
     the smaller side of each cut; S(A∪B) from ``_gram_entropy``, which pays
-    only for the rank of the reduced density on A∪B.
+    only for the rank of the reduced density on A∪B.  That transposed copy
+    is the one state-sized work array: ρ_B is summed one A slice at a
+    time, and ``_gram`` conjugates one block of rows at a time.
 
     Raises:
         DimensionMismatch: if the regions overlap or name a site off the ring.
@@ -295,7 +396,9 @@ def mutual_information(psi: DenseState, region_a, region_b) -> float:
     da, db, dr = d ** len(a), d ** len(b), d ** len(rest)
     m = psi.amplitudes.reshape([d] * n).transpose(a + b + rest).reshape(da, db, dr)
     if db <= dr:  # trace out A and the rest: sum the (B, rest) Gram blocks over A
-        rho_b = np.matmul(m, m.conj().transpose(0, 2, 1)).sum(axis=0)
+        rho_b = _gram(m[0])
+        for block in m[1:]:
+            rho_b += _gram(block)
     else:  # those blocks would outgrow the state: cut it as (B, A + rest)
         rho_b = _smaller_gram(m.transpose(1, 0, 2).reshape(db, -1))
     return (
@@ -321,7 +424,7 @@ def _check_density(rho: np.ndarray) -> np.ndarray:
 def _half_trace_norm(rho: np.ndarray, sigma: np.ndarray) -> float:
     if rho.shape != sigma.shape:
         raise DimensionMismatch("density matrices differ in shape")
-    diff = (rho - sigma + (rho - sigma).conj().T) / 2.0
+    diff = _hermitize(rho - sigma)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
@@ -365,13 +468,10 @@ def flatness_check(rho_ab: np.ndarray, dim_a: int) -> bool:
     Equivalent to the proportionality of the squared and fourth powers of
     the partial transpose; holds for every stabilizer-state reduction.
     The Hermitian part is formed in place in the partial transpose, a
-    fresh array, so only its conjugate is a second density-sized array.
+    fresh array, by ``_hermitize``: no second density-sized array.
     """
-    rho_ab = np.asarray(rho_ab, dtype=np.result_type(rho_ab, 0.5))  # so pt *= 0.5 fits
-    pt = partial_transpose(rho_ab, dim_a)
-    pt += pt.conj().T
-    pt *= 0.5
-    evals = np.linalg.eigvalsh(pt)
+    rho_ab = np.asarray(rho_ab, dtype=np.result_type(rho_ab, 0.5))  # so the halving fits
+    evals = np.linalg.eigvalsh(_hermitize(partial_transpose(rho_ab, dim_a)))
     mags = np.abs(evals)
     sig = mags[mags > FLATNESS_TAU]
     if sig.size == 0:
@@ -459,6 +559,16 @@ def materialize_fixed_point(f: FixedPointState, n: int) -> DenseState:
     the converged block tensor; blocks are summed with their weights at
     this system size.  This path never multiplies bond matrices, so it is
     an independent oracle for the trace-product materialization.
+
+    The weighted sum is the one state-sized array: ``_add_block`` adds
+    each block into it a chunk of rows at a time, and it is normalized in
+    place.  Beside it live only one block's last link stage, chi²/d times
+    the state's size, and one chunk.
+
+    Raises:
+        ZeroState: if there is no block, or the weighted sum vanishes.
+        DimensionMismatch: if the blocks differ in physical dimension.
+        SizeCap: if the amplitudes or a block's links exceed ``AMP_CAP``.
     """
     if not f.blocks:
         raise ZeroState("fixed point has no surviving blocks")
@@ -473,11 +583,19 @@ def materialize_fixed_point(f: FixedPointState, n: int) -> DenseState:
     alpha = f.weights.amplitudes(n)
     total = np.zeros(d**n, dtype=complex)
     for weight, block in zip(alpha, f.blocks):
-        total += weight * _materialize_block(block, n)
-    return DenseState.from_amplitudes(total, n, d)
+        _add_block(total.reshape(-1, d), weight, block, n)
+    return DenseState._owning(total, n, d)
 
 
-def _materialize_block(block, n: int) -> np.ndarray:
+def _add_block(out: np.ndarray, weight: complex, block, n: int) -> None:
+    """Add ``weight`` times one block's amplitudes to ``out``, (d**(n-1), d).
+
+    Each pass consumes the leading (L_i, R_i) pair of the link tensor as
+    ``arr.reshape(chi**2, -1).T @ v.T``, whose C-contiguous output puts
+    site i last, so the site axes queue up in order and no axis is moved.
+    The last pass is formed ``_SITE_ROWS`` rows at a time, scaled and
+    added into ``out``; so no state-sized copy of the block exists.
+    """
     t = block.tensor
     d, chi = t.phys_dim, t.bond_dim
     lam = np.asarray(block.schmidt_weights, dtype=float)
@@ -499,10 +617,11 @@ def _materialize_block(block, n: int) -> np.ndarray:
         perm.append(2 * i)  # R_i
     arr = full.transpose(perm)
 
-    # Consume one leading (L_i, R_i) pair per pass; finished site axes queue
-    # up at the back, so the final order is (d_0, ..., d_{n-1}).
-    for i in range(n):
-        rest = [chi] * (2 * (n - 1 - i)) + [d] * i
-        out = (v @ arr.reshape(chi * chi, -1)).reshape([d] + rest)
-        arr = np.moveaxis(out, 0, -1)
-    return arr.reshape(-1)
+    for _ in range(n - 1):
+        arr = arr.reshape(chi * chi, -1).T @ v.T
+    cols = arr.reshape(chi * chi, -1)
+    for i in range(0, cols.shape[1], _SITE_ROWS):
+        rows = slice(i, i + _SITE_ROWS)
+        piece = cols[:, rows].T @ v.T
+        piece *= weight
+        out[rows] += piece

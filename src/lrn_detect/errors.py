@@ -32,6 +32,20 @@ class ConvergenceFailure(LrnDetectError):
         self.last_residual = last_residual
 
 
+class ScaleOutOfRange(LrnDetectError):
+    """A matrix is too large or too small for floating-point spectral work.
+
+    Its Frobenius norm, the scale of every residual, over- or underflows,
+    or it has a non-finite entry.  Carries that norm and, when it is
+    known, the spectrum.
+    """
+
+    def __init__(self, message, norm, spectrum):
+        super().__init__(message)
+        self.norm = norm
+        self.spectrum = spectrum
+
+
 class DecompositionFailure(LrnDetectError):
     """Canonical-form block extraction failed.
 

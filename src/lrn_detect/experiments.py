@@ -96,22 +96,23 @@ def invariance_sweep(
 
     ``before`` and the weight entropy depend on the state and the
     partition only, so they are computed once; each circuit costs one
-    evolution and one ``after``.
+    evolution and one ``after``.  No name holds an evolved state, so it is
+    freed before the next circuit runs: beside ``state``, at most one
+    evolved state and the work arrays of one kernel are alive.
     """
     before = mutual_information(state, partition.a, partition.b)
     h = shannon_entropy(np.asarray(probs, dtype=float))
-    reports = []
-    for seed, circuit in circuits:
-        evolved = apply_brickwork(state, circuit)
-        reports.append(
-            InvarianceReport(
-                before=before,
-                after=mutual_information(evolved, partition.a, partition.b),
-                shannon=h,
-                n_sites=state.n_sites,
-                depth=circuit.depth,
-                seed=seed,
-                partition=partition,
-            )
+    return [
+        InvarianceReport(
+            before=before,
+            after=mutual_information(
+                apply_brickwork(state, circuit), partition.a, partition.b
+            ),
+            shannon=h,
+            n_sites=state.n_sites,
+            depth=circuit.depth,
+            seed=seed,
+            partition=partition,
         )
-    return reports
+        for seed, circuit in circuits
+    ]

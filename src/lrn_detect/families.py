@@ -92,7 +92,7 @@ def dense_pattern_state(patterns: list[str], weights, n_sites: int) -> DenseStat
         for i in range(n_sites):
             idx = idx * local_dim + int(pat[i % len(pat)])
         amps[idx] += w
-    return DenseState.from_amplitudes(amps, n_sites, local_dim)
+    return DenseState._owning(amps, n_sites, local_dim)
 
 
 def counterexample_entropy(t: float) -> float:

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DecompositionFailure, NonDiagonalizablePeripheral
+from .errors import (
+    ConvergenceFailure,
+    DecompositionFailure,
+    NonDiagonalizablePeripheral,
+    ScaleOutOfRange,
+)
 from .tensor import MpsTensor, transfer_matrix
 
 # Relative width of the peripheral cut: |lambda| >= radius * (1 - TAU_SPEC).
@@ -29,6 +35,16 @@ _SHIFT = 1e-10
 _RATE = 1e-3
 # Residual, relative to ||E||_F, at which a further sweep cannot help.
 _FLOOR = 1e-14
+# Frobenius norms whose square is a normal float.  numpy sums squares, so
+# outside this range the norm, the scale of every residual, over- or
+# underflows.
+NORM_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+# Least singular value of the unit-column left/right peripheral pairing; a
+# smaller one marks a defective (Jordan) peripheral block.
+TAU_PAIRING = 1e-8
+# Largest residual of a fixed point from its Hermitian fit, relative to its
+# norm, for ``rotate_to_hermitian`` to accept the fit.
+TAU_HERMITIAN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,9 +102,12 @@ def spectral(m: np.ndarray) -> SpectralData:
             exception carries the sorted spectrum.
         ConvergenceFailure: if inverse iteration is still short of
             ``TAU_RESIDUAL`` after ``MAX_SWEEPS`` sweeps.
+        ScaleOutOfRange: if ``m`` is nonzero and its norm is outside
+            ``NORM_RANGE``, or an entry is not finite; carries the norm.
     """
     m = np.asarray(m, dtype=complex)
-    return _spectral_data(m, np.linalg.eigvals(m))
+    scale = _checked_norm(m)
+    return _spectral_data(m, np.linalg.eigvals(m), scale)
 
 
 def transfer_spectral(a: MpsTensor) -> SpectralData:
@@ -106,10 +125,31 @@ def transfer_spectral(a: MpsTensor) -> SpectralData:
 
     Raises:
         SizeCap: if the transfer matrix exceeds ``tensor.TRANSFER_CAP``.
-        NonDiagonalizablePeripheral, ConvergenceFailure: as ``spectral``.
+        NonDiagonalizablePeripheral, ConvergenceFailure, ScaleOutOfRange:
+            as ``spectral``.
     """
     e = transfer_matrix(a)
-    return _spectral_data(e, np.linalg.eigvals(_real_form(e, a.bond_dim)))
+    scale = _checked_norm(e)
+    return _spectral_data(e, np.linalg.eigvals(_real_form(e, a.bond_dim)), scale)
+
+
+def _checked_norm(m: np.ndarray) -> float:
+    """``||m||_F``, checked to lie in ``NORM_RANGE`` unless ``m`` is zero.
+
+    Checked before any eigensolver runs: an entry that overflowed makes
+    ``eigvals`` fail, and a norm that under- or overflows makes every
+    residual measured against it meaningless.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scale = float(np.linalg.norm(m))
+    lo, hi = NORM_RANGE
+    if not lo <= scale <= hi and (scale != 0.0 or np.any(m)):
+        raise ScaleOutOfRange(
+            f"matrix of Frobenius norm {scale:.3g} is outside the range "
+            f"[{lo:.3g}, {hi:.3g}] of floating-point spectral work",
+            norm=scale, spectrum=None,
+        )
+    return scale
 
 
 def _real_form(e: np.ndarray, chi: int) -> np.ndarray:
@@ -154,8 +194,8 @@ def _positions(chi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _spectral_data(m: np.ndarray, evals: np.ndarray) -> SpectralData:
-    """SpectralData of ``m`` given its eigenvalues in any order."""
+def _spectral_data(m: np.ndarray, evals: np.ndarray, scale: float) -> SpectralData:
+    """SpectralData of ``m`` given its eigenvalues in any order and ``||m||_F``."""
     evals = np.asarray(evals, dtype=complex)
     evals = evals[np.argsort(-np.abs(evals), kind="stable")]
     radius = abs(evals[0])
@@ -164,7 +204,7 @@ def _spectral_data(m: np.ndarray, evals: np.ndarray) -> SpectralData:
         return SpectralData(eigenvalues=evals, peripheral=evals[:0],
                             right_vecs=empty, left_vecs=empty)
     k = int(np.sum(np.abs(evals) >= radius * (1.0 - TAU_SPEC)))
-    rvecs, lvecs = _peripheral_vectors(m, evals, k)
+    rvecs, lvecs = _peripheral_vectors(m, evals, k, scale)
 
     r_per = rvecs / np.linalg.norm(rvecs, axis=0)
     l_per = lvecs / np.linalg.norm(lvecs, axis=0)
@@ -172,7 +212,7 @@ def _spectral_data(m: np.ndarray, evals: np.ndarray) -> SpectralData:
     # A defective peripheral block leaves the unit-column pairing singular
     # (the Ritz vectors of a Jordan block are nearly parallel).
     sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] < 1e-8:
+    if sv[-1] < TAU_PAIRING:
         raise NonDiagonalizablePeripheral(
             "peripheral left/right pairing is numerically singular",
             spectrum=evals,
@@ -268,11 +308,11 @@ def _start_block(n: int, c: int) -> np.ndarray:
     return np.exp(2j * math.pi * golden * j * j).reshape(n, c)
 
 
-def _peripheral_vectors(m: np.ndarray, evals: np.ndarray, k: int):
+def _peripheral_vectors(m: np.ndarray, evals: np.ndarray, k: int, scale: float):
     """Right and left eigenvectors of ``m`` for ``evals[:k]``.
 
     ``evals`` is the spectrum of ``m`` sorted by descending modulus, with a
-    nonzero first entry.  Returns ``(right, left)``, one column per
+    nonzero first entry, and ``scale`` is ``||m||_F``.  Returns ``(right, left)``, one column per
     eigenvalue, with ``left^H right`` the identity on every block.
 
     Peripheral eigenvalues within ``TAU_CLUSTER * radius`` of each other
@@ -298,13 +338,15 @@ def _peripheral_vectors(m: np.ndarray, evals: np.ndarray, k: int):
         NonDiagonalizablePeripheral: if a block is defective: its left
             and right vectors pair singularly, or the iteration stalls
             above the bound.
+        ScaleOutOfRange: if applying the resolvent overflows, which a
+            radius far below one makes it do; carries the spectrum and
+            ``scale``.
         ConvergenceFailure: if the residual still halves but misses the
             bound after ``MAX_SWEEPS`` sweeps; carries the last residual
             relative to ``||m||_F``.
     """
     n = m.shape[0]
     radius = abs(evals[0])
-    scale = float(np.linalg.norm(m))
     right = np.empty((n, k), dtype=complex)
     left = np.empty((n, k), dtype=complex)
     for group in _clusters(evals[:k], TAU_CLUSTER * radius):
@@ -318,8 +360,16 @@ def _peripheral_vectors(m: np.ndarray, evals: np.ndarray, k: int):
         v = w = _start_block(n, c)
         residual = math.inf
         for _ in range(MAX_SWEEPS):
-            v = _orthonormal(resolvent @ v)
-            w = _orthonormal((w.conj().T @ resolvent).conj().T)
+            try:  # the resolvent grows as the inverse of the radius
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    v = _orthonormal(resolvent @ v)
+                    w = _orthonormal((w.conj().T @ resolvent).conj().T)
+            except FloatingPointError as exc:
+                raise ScaleOutOfRange(
+                    f"inverse iteration at spectral radius {radius:.3g} left "
+                    f"the floating-point range: {exc}",
+                    norm=scale, spectrum=evals,
+                ) from None
             mv = m @ v
             try:
                 pairing_inv = np.linalg.inv(w.conj().T @ v)
@@ -402,7 +452,7 @@ def rotate_to_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if nh == 0.0:
         return None
     coeff = np.vdot(h, m) / np.vdot(h, h)
-    if np.linalg.norm(m - coeff * h) > 1e-6 * np.linalg.norm(m):
+    if np.linalg.norm(m - coeff * h) > TAU_HERMITIAN * np.linalg.norm(m):
         return None
     ev = np.linalg.eigvalsh(h)
     if ev[0] + ev[-1] < 0.0:

@@ -28,6 +28,10 @@ from .errors import (
     ZeroState,
 )
 
+# ``dense_state`` retries with a fresh vector when the projected one's norm
+# is at or below this.
+PROJECTED_NORM_FLOOR = 1e-9
+
 _ONE_QUBIT_GATES = ("H", "S", "X", "Y", "Z")
 _TWO_QUBIT_GATES = ("CNOT", "CZ")
 # Dense unitaries of the gate set, for cross-checks against the dense oracle.
@@ -333,7 +337,7 @@ class StabilizerTableau:
             for g in self.generators():
                 v = (v + g.dense_apply(v)) / 2.0
             nrm = np.linalg.norm(v)
-            if nrm > 1e-9:
+            if nrm > PROJECTED_NORM_FLOOR:
                 return v / nrm
         raise ZeroState("projector product annihilated every trial vector")
 

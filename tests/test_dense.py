@@ -34,9 +34,12 @@ from lrn_detect.dense import (
     _PIVOT_ENTROPY_BOUND,
     _PIVOT_FLOOR,
     RHO_CAP,
+    SUPPORT_TOL,
     _apply_gates,
     _gram,
     _gram_entropy,
+    _gram_gap,
+    _hermitize,
 )
 from lrn_detect.errors import (
     BadFactorization,
@@ -395,11 +398,12 @@ def test_gram_matches_the_plain_product(shape):
 
 
 def test_flatness_check_peak_memory_is_bounded(traced_peak):
-    # A 256 x 256 (1 MiB) density: its partial transpose, which takes the
-    # Hermitian part in place, and that array's conjugate; no third copy.
+    # A 256 x 256 (1 MiB) density: its partial transpose, whose Hermitian
+    # part is taken in place one strip of rows at a time; a whole conjugate
+    # copy (2.13 MiB in all) would break the bound.
     rho = random_density(256, np.random.default_rng(6))
     _, peak = traced_peak(lambda: flatness_check(rho, 16))
-    assert peak <= 2.25 * 2**20
+    assert peak <= 1.5 * 2**20
 
 
 @pytest.mark.parametrize("dim_a", [1, 4, 16])
@@ -688,3 +692,129 @@ def test_mutual_information_memory_follows_the_smaller_side(big, traced_peak):
     got, peak = traced_peak(lambda: mutual_information(psi, a, b))
     assert peak <= 2 * 2**20
     assert abs(got - _three_entropy_mi(psi, a, b)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape", [(256, 256), (256, 16), (16, 4096), (64, 64), (104, 200), (1, 5)],
+    ids=["square", "tall", "wide", "one-block", "odd", "row"],
+)
+def test_gram_is_the_plain_product_bit_for_bit(shape):
+    # Only the column blocks on and below the diagonal are formed; each is
+    # the same BLAS sum as in the whole product, and the mirror makes the
+    # output exactly Hermitian.  The odd shape's sides are multiples of 8,
+    # so that a threaded BLAS splits the plain product on kernel tile
+    # edges as well; at 100 x 300 two threads split it elsewhere and its
+    # last bits move, while one thread still matches.
+    rng = np.random.default_rng(sum(shape))
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for arr in (m, m.T):
+        got = _gram(arr)
+        assert np.array_equal(got, arr @ arr.conj().T)
+        assert np.array_equal(got, got.conj().T)
+
+
+def test_gram_of_a_wide_factor_conjugates_one_block_of_rows(traced_peak):
+    # S(A)'s 16 x 4096 cut of a 1 MiB state: a few rows are conjugated at a
+    # time, not the whole state, as a fixed 64-row block would.
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((16, 4096)) + 1j * rng.standard_normal((16, 4096))
+    got, peak = traced_peak(lambda: _gram(m))
+    assert np.array_equal(got, m @ m.conj().T)
+    assert peak <= 0.5 * 2**20
+
+
+@pytest.mark.parametrize("rows,cols_f,cols_g",
+                         [(256, 256, 256), (256, 256, 100), (100, 7, 300), (1, 5, 3)])
+def test_gram_gap_matches_the_formed_difference(rows, cols_f, cols_g):
+    rng = np.random.default_rng(rows + cols_g)
+    f = rng.standard_normal((rows, cols_f)) + 1j * rng.standard_normal((rows, cols_f))
+    g = rng.standard_normal((rows, cols_g)) + 1j * rng.standard_normal((rows, cols_g))
+    f_cols = np.asfortranarray(f)  # the same factor, column-major
+    for a, b in ((f, g), (g, f), (f_cols, g)):
+        want = np.linalg.norm(a @ a.conj().T - b @ b.conj().T)
+        assert abs(_gram_gap(a, b) - want) <= 1e-12 * max(want, np.linalg.norm(a) ** 2)
+    assert _gram_gap(f, f) == 0.0
+    with pytest.raises(DimensionMismatch):
+        _gram_gap(f, g[:-1])
+
+
+@pytest.mark.parametrize("dim", [256, 100, 1])
+def test_hermitize_is_the_formed_hermitian_part_in_place(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    want = (a + a.conj().T) / 2
+    assert _hermitize(a) is a
+    assert a.tobytes() == want.tobytes()
+
+
+def test_mutual_information_keeps_one_transposed_copy(traced_peak):
+    # The 16-site fixed point that verify evolves: the (A, B, rest) copy of
+    # the 1 MiB state and blocks.  S(A)'s conjugate copy and the per-A Gram
+    # stack each added another 1 MiB (2.06 MiB in all).
+    n = 16
+    part = build_partition(n, 1)
+    state = materialize_fixed_point(rg_fixed_point(phase_loop_tensor(math.pi / 3)), n)
+    psi = apply_brickwork(state, random_brickwork(n, 1, 0))
+    got, peak = traced_peak(lambda: mutual_information(psi, part.a, part.b))
+    assert abs(got - _three_entropy_mi(psi, part.a, part.b)) < 1e-12
+    assert peak <= 1.75 * 2**20
+
+
+def _old_materialize_fixed_point(f, n):
+    """The accumulate-then-copy materialization this module used to ship."""
+    d = f.blocks[0].tensor.phys_dim
+    if d**n > dense.AMP_CAP:
+        raise SizeCap(f"{d}**{n} amplitudes exceed the cap")
+    total = np.zeros(d**n, dtype=complex)
+    for weight, block in zip(f.weights.amplitudes(n), f.blocks):
+        t = block.tensor
+        chi = t.bond_dim
+        lam = np.asarray(block.schmidt_weights, dtype=float)
+        if (chi * chi) ** n > dense.AMP_CAP:
+            raise SizeCap("link construction exceeds the amplitude cap")
+        with np.errstate(divide="ignore"):
+            inv_root = np.where(lam > SUPPORT_TOL, 1.0 / np.sqrt(np.maximum(lam, 1e-300)), 0.0)
+        v = (t.matrices * inv_root[None, None, :]).reshape(d, chi * chi)
+        omega = np.diag(np.sqrt(lam)).astype(complex)
+        full = omega
+        for _ in range(n - 1):
+            full = np.multiply.outer(full, omega)
+        perm = []
+        for i in range(n):
+            perm.append(2 * n - 1 if i == 0 else 2 * i - 1)
+            perm.append(2 * i)
+        arr = full.transpose(perm)
+        for i in range(n):
+            rest = [chi] * (2 * (n - 1 - i)) + [d] * i
+            out = (v @ arr.reshape(chi * chi, -1)).reshape([d] + rest)
+            arr = np.moveaxis(out, 0, -1)
+        total += weight * arr.reshape(-1)
+    return DenseState.from_amplitudes(total, n, d)
+
+
+@pytest.mark.parametrize("name", ["ghz", "loop", "chi2"])
+def test_materialize_fixed_point_is_the_old_sum_bit_for_bit(name):
+    tensor = {
+        "ghz": ghz_tensor(),
+        "loop": phase_loop_tensor(math.pi / 3),
+        "chi2": random_normal_tensor(2, 2, seed=42),  # one block, d = 4, chi = 2
+    }[name]
+    fp = rg_fixed_point(tensor)
+    for n in range(2, 17):
+        try:
+            want = _old_materialize_fixed_point(fp, n).amplitudes
+        except SizeCap:  # the chi-2 links pass the cap beyond n = 12
+            with pytest.raises(SizeCap):
+                materialize_fixed_point(fp, n)
+            continue
+        assert materialize_fixed_point(fp, n).amplitudes.tobytes() == want.tobytes(), n
+
+
+def test_materialize_fixed_point_peak_memory_is_bounded(traced_peak):
+    # The ghz fixed point at n = 16: the 1 MiB sum, the last link stage
+    # (0.5 MiB) and one chunk; a block copy and its scaled copy beside the
+    # sum (3.02 MiB in all) would break the bound.
+    fp = rg_fixed_point(ghz_tensor())
+    psi, peak = traced_peak(lambda: materialize_fixed_point(fp, 16))
+    assert psi.amplitudes.nbytes == 2**20
+    assert peak <= 2.25 * 2**20

@@ -751,3 +751,87 @@ def test_cli_analyze_loads_no_scipy_and_no_numpy_random(fixture_dir, tmp_path):
                           env=env, timeout=120, check=True)
     assert (tmp_path / "r.json").exists()
     assert done.stdout.strip() == "[]", done.stdout
+
+
+def _analyze_error(path, capsys):
+    """The one stderr JSON object of a failing ``analyze``, checked warning-free."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--pipeline", "analyze", "--input", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and [str(w.message) for w in caught] == []
+    (line,) = out.err.splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-120, 1e-160, 1e154, 1e300])
+def test_cli_analyze_at_extreme_scales_is_a_named_error(scale, tmp_path, capsys):
+    # The transfer matrix of ghz scaled by 1e-100 or 1e-120 has a norm that
+    # underflows to zero (a bare ZeroDivisionError in the residual); at
+    # 1e-160 and 1e154 numpy's "Singular matrix" followed overflow
+    # warnings, and at 1e300 "Array must not contain infs or NaNs".
+    from lrn_detect import errors
+
+    save_tensor(tmp_path / "scaled.json", ghz_tensor().scaled(scale))
+    err = _analyze_error(tmp_path / "scaled.json", capsys)
+    assert err["error"] == "ScaleOutOfRange"
+    assert issubclass(getattr(errors, err["error"]), errors.LrnDetectError)
+    norm = err["payload"]["norm"]
+    assert norm in ("inf", "nan") if scale > 1 else norm == 0.0
+
+
+def test_cli_tiny_radius_is_named_where_the_resolvent_overflows(tmp_path, capsys):
+    # The transfer norm is in range, but the shifted inverse, about
+    # 1e10 / radius, overflows inverse iteration: the error carries the
+    # spectrum it was iterating on as well as the norm.
+    save_tensor(tmp_path / "tiny.json", phase_loop_tensor(math.pi / 3).scaled(1e-76))
+    err = _analyze_error(tmp_path / "tiny.json", capsys)
+    assert err["error"] == "ScaleOutOfRange"
+    assert 0.0 < err["payload"]["norm"] < 1e-140
+    assert all(abs(z["re"]) < 1e-140 for z in err["payload"]["spectrum"])
+
+
+def test_cli_zero_family_carries_the_spectrum_it_tested(tmp_path, capsys):
+    # Radius 1e-26 < TAU_ZERO: the payload holds the transfer spectrum.
+    save_tensor(tmp_path / "small.json", ghz_tensor().scaled(1e-13))
+    err = _analyze_error(tmp_path / "small.json", capsys)
+    assert err["error"] == "DecompositionFailure"
+    assert err["message"] == "tensor generates the zero family"
+    moduli = [math.hypot(z["re"], z["im"]) for z in err["payload"]["spectrum"]]
+    assert moduli == sorted(moduli, reverse=True) and 0.0 < moduli[0] < 1e-24
+
+
+def test_cli_all_nilpotent_parts_carry_the_spectrum_they_tested(fixture_dir, monkeypatch,
+                                                                capsys):
+    # No known tensor splits into parts that are all nilpotent, so the
+    # splitter is made to drop every part.
+    from lrn_detect import canonical
+
+    monkeypatch.setattr(canonical, "_split_parts", lambda *args: [])
+    err = _analyze_error(fixture_dir / "ghz.json", capsys)
+    assert err["message"] == "all parts are nilpotent"
+    spectrum = [complex(z["re"], z["im"]) for z in err["payload"]["spectrum"]]
+    assert np.allclose(spectrum, [1, 1, 0, 0])
+
+
+def test_cli_verify_peak_memory_is_bounded(traced_peak, capsys):
+    # The invariance suite holds a 1 MiB fixed-point state, one evolved
+    # state and one transposed copy; the cone suite its input state and
+    # two 1 MiB factors, or the gate loop's two arrays.  Before, a trial's
+    # evolved state or density outlived it, and ρ_AB and σ were formed
+    # whole: 5.34 MiB.  A first, small run imports what verify imports.
+    assert main(["--pipeline", "verify", "--n-min", "1", "--n-max", "1"]) == 0
+    capsys.readouterr()
+    code, peak = traced_peak(lambda: main(["--pipeline", "verify", "--seed", "0"]))
+    assert code == 0 and json.loads(capsys.readouterr().out)["passed"] is True
+    assert peak <= 4.25 * 2**20
+
+
+def test_cli_causal_cone_suite_peak_memory_is_bounded(traced_peak):
+    from lrn_detect import cli
+
+    suite, peak = traced_peak(lambda: cli._verify_causal_cone(0, 4))
+    assert suite["passed"] is True
+    assert peak <= 4.25 * 2**20  # 5.29 MiB when ρ_AB and σ were both formed

@@ -144,6 +144,30 @@ def test_wrapped_partition_channel_formula(start, seed):
         assert ch.cptp_defect() < 1e-12
 
 
+@pytest.mark.parametrize("start", [0, 13], ids=["plain", "wrapped"])
+def test_blockwise_cone_distance_matches_the_formed_densities(start):
+    # The cone suite's distance, summed block by block from the oracle's
+    # and the channel formula's factors, against the Frobenius norm of the
+    # difference of the two densities formed whole.
+    state = dense_pattern_state(["0", "1"], [math.sqrt(0.3), math.sqrt(0.7)], 16)
+    p = build_partition(16, 1, start=start)
+    for seed in range(10):
+        red = causal_cone_reduce(random_brickwork(16, 1, seed), p)
+        gates = red.circuit.gates + [(red.u_a, p.a), (red.u_b, p.b)]
+        evolved = DenseState(16, 2, dense._apply_gates(state.amplitudes, 16, 2, gates))
+        rho_ab = reduced_density(evolved, p.ab)
+        want = np.linalg.norm(rho_ab - apply_reduction(red, state))
+        got = dense._gram_gap(dense._region_factor(evolved, p.ab),
+                              causal._reduction_factor(red, state))
+        assert abs(got - want) <= 1e-15
+        # Far from zero too: the oracle against the weights swapped.
+        other = dense_pattern_state(["0", "1"], [math.sqrt(0.7), math.sqrt(0.3)], 16)
+        want = np.linalg.norm(rho_ab - reduced_density(other, p.ab))
+        got = dense._gram_gap(dense._region_factor(evolved, p.ab),
+                              dense._region_factor(other, p.ab))
+        assert want > 0.1 and abs(got - want) <= 1e-12 * want
+
+
 def _reduction_branch_by_branch(red, psi):
     """Reference: each Kraus operator applied to each branch in turn."""
     p, n, d = red.partition, psi.n_sites, psi.local_dim

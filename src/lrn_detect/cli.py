@@ -58,7 +58,7 @@ from .dense import (
     mutual_information,
     reduced_density,
 )
-from .errors import DependentGenerators, LrnDetectError
+from .errors import DependentGenerators, LrnDetectError, OutOfRange
 from .exact import ExactWeight
 from .experiments import _fixed_point_sweep, invariance_sweep
 from .io import dump_report, json_value, load_tensor, rows_to_csv
@@ -87,6 +87,10 @@ _CLIFFORD_MI_TOL = 1e-9
 _CONE_TOL = 1e-10
 # Largest entry of sum K†K - 1 the cone suite accepts for a boundary channel.
 _CPTP_TOL = 1e-12
+# Widest N window, n-max - n-min + 1, that typicality and verify accept:
+# typicality builds one row per size and verify runs trials in proportion
+# to the width.  Every finite typicality_log_ratio lies at n <= 1024.
+_WINDOW_CAP = 4096
 
 
 def _emit(args: argparse.Namespace, report: dict, rows: list[dict] | None = None) -> None:
@@ -361,7 +365,10 @@ def _verify_flatness(seed: int, trials: int) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Run the runtime invariant suites; sizes scale with the N window."""
+    """Run the runtime invariant suites; sizes scale with the N window.
+
+    ``_check`` has capped the width at ``_WINDOW_CAP`` before any trial.
+    """
     trials = max(4, args.n_max - args.n_min + 1)
     suites = [
         _verify_clifford_quantization(args.seed, trials * 4),
@@ -423,6 +430,9 @@ def _check(args: argparse.Namespace) -> None:
         )
     if args.n_min < 1 or args.n_max < args.n_min:
         raise LrnDetectError("need 1 <= n-min <= n-max")
+    width = args.n_max - args.n_min + 1
+    if args.pipeline in ("typicality", "verify") and width > _WINDOW_CAP:
+        raise OutOfRange(f"N window of {width} sizes above cap {_WINDOW_CAP}")
     if args.depth < 1:
         raise LrnDetectError(f"--depth must be at least 1, got {args.depth}")
 

@@ -338,7 +338,8 @@ def _gram_entropy(m: np.ndarray) -> float:
     ``_PIVOT_FLOOR * tr(m m†)``; the entropy is then read from the k x k
     matrix ``L†L``, which shares the nonzero spectrum of ``L L† = m m† - S``.
     Once k passes half the dimension, a full ``eigvalsh(m m†)`` is cheaper
-    and is taken instead.
+    and is taken instead.  The rows of L live in a buffer that doubles as
+    pivots are taken, so a rank-r input holds at most 2r of them.
 
     Certified, not silent: S is PSD, so by Weyl no eigenvalue moves by more
     than ``t``, and the Fannes lemma in its Audenaert form bounds the
@@ -352,17 +353,23 @@ def _gram_entropy(m: np.ndarray) -> float:
     if m.shape[0] > m.shape[1]:
         m = m.T  # m^T m^* has the nonzero spectrum of m m†
     dim = m.shape[0]
-    step = _block_rows(m.shape[1])
+    # A block's two squares and their sum are float arrays: blocks of half
+    # the rows keep all three within the bytes of one complex block.
+    step = _block_rows(2 * m.shape[1])
     resid = np.empty(dim)  # diagonal of S, summed one block of rows at a time
     for i in range(0, dim, step):
         block = m[i : i + step]
         resid[i : i + step] = np.sum(block.real**2 + block.imag**2, axis=1)
     stop = _PIVOT_FLOOR * resid.sum()
-    rows = np.empty((dim // 2 + 1, dim), dtype=complex)  # row k: column k of L
+    rows = np.empty((1, dim), dtype=complex)  # row k: column k of L
     k = 0
     while resid.sum() > stop:
         if 2 * k > dim:
             return _entropy(np.linalg.eigvalsh(_smaller_gram(m)))
+        if k == len(rows):  # doubled, so the buffer follows the rank taken
+            grown = np.empty((min(2 * k, dim // 2 + 1), dim), dtype=complex)
+            grown[:k] = rows
+            rows = grown
         j = int(np.argmax(resid))
         col = m @ m[j].conj() - rows[:k, j].conj() @ rows[:k]
         rows[k] = col / math.sqrt(resid[j])

@@ -85,31 +85,47 @@ def save_tensor(path: str, a: MpsTensor, exact_weights=None) -> None:
         f.write("\n")
 
 
+# Pending strings the report writer holds before joining them into one
+# chunk.  Each piece is a token a few bytes long but costs some 50 bytes
+# as an object, so joining them as it goes keeps a report's intermediates
+# near the size of its text.
+_CHUNK_PIECES = 1024
+
+
 def dump_report(obj, path: str | None) -> str:
     """Serialize a report deterministically; write it when a path is given.
 
     The text is that of ``json.dumps(obj, sort_keys=True, indent=2)``,
-    written in one pass by ``_write``, except that non-finite floats and
-    the values JSON has no type for (numpy scalars, complex numbers,
-    arrays) are written as ``json_value`` converts them, so the output
-    stays strict JSON.  Dictionary keys must be strings.
+    except that non-finite floats and the values JSON has no type for
+    (numpy scalars, complex numbers, arrays) are written as ``json_value``
+    converts them, so the output stays strict JSON.  Dictionary keys must
+    be strings.  ``_write`` emits the tokens and, between the members of a
+    container, joins the pending ones into one chunk once there are more
+    than ``_CHUNK_PIECES``, so about that many small strings at most are
+    alive at once.  The chunks are joined once at the end, and that text
+    is written and returned: the writer's peak is about twice the text.
     """
     out: list[str] = []
-    _write(obj, out, "\n")
+    chunks: list[str] = []
+    _write(obj, out, chunks, "\n")
     out.append("\n")
-    text = "".join(out)
+    _join_pieces(out, chunks)
+    text = "".join(chunks)
+    del chunks  # only the text is held while it is written
     if path:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
     return text
 
 
-def _write(obj, out: list[str], pad: str) -> None:
+def _write(obj, out: list[str], chunks: list[str], pad: str) -> None:
     """Append the JSON text of ``obj`` to ``out``.
 
     ``pad`` is a newline plus the indent of the line ``obj`` starts on;
-    the members of a container go one level (two spaces) deeper.  Values
-    JSON has no type for go through ``json_value`` first.
+    the members of a container go one level (two spaces) deeper.  Before
+    each member, ``out`` is joined onto ``chunks`` once it holds more than
+    ``_CHUNK_PIECES`` strings.  Values JSON has no type for go through
+    ``json_value`` first.
     """
     if isinstance(obj, str):
         out.append(_encode_str(obj))
@@ -133,8 +149,10 @@ def _write(obj, out: list[str], pad: str) -> None:
         inner = pad + "  "
         sep = "[" + inner
         for value in obj:
+            if len(out) > _CHUNK_PIECES:
+                _join_pieces(out, chunks)
             out.append(sep)
-            _write(value, out, inner)
+            _write(value, out, chunks, inner)
             sep = "," + inner
         out.append(pad + "]")
     elif isinstance(obj, dict):
@@ -146,14 +164,22 @@ def _write(obj, out: list[str], pad: str) -> None:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {type(key)!r}")
+            if len(out) > _CHUNK_PIECES:
+                _join_pieces(out, chunks)
             out.append(sep)
             out.append(_encode_str(key))
             out.append(": ")
-            _write(obj[key], out, inner)
+            _write(obj[key], out, chunks, inner)
             sep = "," + inner
         out.append(pad + "}")
     else:
-        _write(json_value(obj), out, pad)
+        _write(json_value(obj), out, chunks, pad)
+
+
+def _join_pieces(out: list[str], chunks: list[str]) -> None:
+    """Move the pending strings of ``out`` onto ``chunks`` as one string."""
+    chunks.append("".join(out))
+    out.clear()
 
 
 def json_value(value):

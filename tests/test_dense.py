@@ -36,10 +36,12 @@ from lrn_detect.dense import (
     RHO_CAP,
     SUPPORT_TOL,
     _apply_gates,
+    _entropy,
     _gram,
     _gram_entropy,
     _gram_gap,
     _hermitize,
+    _smaller_gram,
 )
 from lrn_detect.errors import (
     BadFactorization,
@@ -584,7 +586,8 @@ def test_pivot_entropy_bound_is_audenaert_fannes_at_the_cap():
     assert _PIVOT_ENTROPY_BOUND < 1e-13
 
 
-def test_gram_entropy_matches_full_eigvalsh(eigvalsh_sizes):
+def _gram_entropy_cases():
+    """``{name: (m, sizes the helper's one eigenproblem may have)}``."""
     rng = np.random.default_rng(17)
     dim = 256
 
@@ -602,7 +605,7 @@ def test_gram_entropy_matches_full_eigvalsh(eigvalsh_sizes):
     u, v = (np.linalg.qr(gaussian((k, k)))[0][:, :len(spectrum)] for k in (64, 80))
     near_deficient = (u * np.sqrt(spectrum)) @ v.conj().T
 
-    cases = {  # name: (m, sizes the helper's one eigenproblem may have)
+    return {
         "full_rank": (random_factor(dim, dim, dim), {dim}),
         "full_rank_odd": (random_factor(37, 40, 37), {37}),
         "rank_1": (random_factor(dim, dim, 1), {1}),
@@ -617,12 +620,58 @@ def test_gram_entropy_matches_full_eigvalsh(eigvalsh_sizes):
         "near_deficient": (near_deficient, {11, 12}),
         "zero": (np.zeros((8, 5), dtype=complex), {0}),
     }
+
+
+def test_gram_entropy_matches_full_eigvalsh(eigvalsh_sizes):
+    cases = _gram_entropy_cases()
     for name, (m, sizes) in cases.items():
         eigvalsh_sizes.clear()
         got = _gram_entropy(m)
         assert len(eigvalsh_sizes) == 1 and eigvalsh_sizes[0] in sizes, name
         assert abs(got - _eigvalsh_entropy(m)) <= _PIVOT_ENTROPY_BOUND, name
     assert _gram_entropy(cases["zero"][0]) == 0.0
+
+
+def _gram_entropy_full_buffer(m):
+    """Reference: ``_gram_entropy`` with all rows of L allocated before the first pivot."""
+    if m.shape[0] > m.shape[1]:
+        m = m.T
+    dim = m.shape[0]
+    resid = np.sum(m.real**2 + m.imag**2, axis=1)
+    stop = _PIVOT_FLOOR * resid.sum()
+    rows = np.empty((dim // 2 + 1, dim), dtype=complex)
+    k = 0
+    while resid.sum() > stop:
+        if 2 * k > dim:
+            return _entropy(np.linalg.eigvalsh(_smaller_gram(m)))
+        j = int(np.argmax(resid))
+        col = m @ m[j].conj() - rows[:k, j].conj() @ rows[:k]
+        rows[k] = col / math.sqrt(resid[j])
+        resid -= rows[k].real ** 2 + rows[k].imag ** 2
+        resid[j] = 0.0
+        k += 1
+    return _entropy(np.linalg.eigvalsh(rows[:k] @ rows[:k].conj().T))
+
+
+def test_gram_entropy_growing_buffer_is_bit_equal_to_the_full_one():
+    rng = np.random.default_rng(18)
+    cases = {name: m for name, (m, _) in _gram_entropy_cases().items()}
+    for rank in (3, 5, 9, 17):  # one pivot past a power of two
+        g = rng.standard_normal((130, rank)) + 1j * rng.standard_normal((130, rank))
+        cases[f"rank_{rank}"] = g @ rng.standard_normal((rank, 150))
+    for name, m in cases.items():
+        assert _gram_entropy(m) == _gram_entropy_full_buffer(m), name
+
+
+def test_gram_entropy_memory_follows_the_rank(traced_peak):
+    # The rows of L were allocated for half the dimension before the first
+    # pivot: 2.04 MiB here for two pivots, 128 MiB at RHO_CAP.
+    rng = np.random.default_rng(19)
+    m = rng.standard_normal((512, 2)) @ rng.standard_normal((2, 512)) + 0j
+    m /= np.linalg.norm(m)
+    entropy, peak = traced_peak(lambda: _gram_entropy(m))
+    assert entropy == pytest.approx(_eigvalsh_entropy(m), abs=1e-12)
+    assert peak <= 0.25 * 2**20
 
 
 def _three_entropy_mi(psi, region_a, region_b):

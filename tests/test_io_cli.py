@@ -288,6 +288,43 @@ def test_cli_rejects_bad_size_window(window, tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("pipeline, refused", [
+    ("typicality", ["typicality_log_ratio"]),
+    ("verify", ["_verify_clifford_quantization", "_verify_invariance", "_verify_flatness",
+                "_verify_causal_cone"]),
+])
+def test_cli_refuses_a_window_above_the_cap_before_any_work(pipeline, refused, tmp_path,
+                                                           monkeypatch, capsys):
+    from lrn_detect import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row or trial was built for a window above the cap")
+
+    for name in refused:
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "r.json"
+    argv = ["--pipeline", pipeline, "--n-min", "2", "--n-max", str(cli._WINDOW_CAP + 2)]
+    assert main([*argv, "--out", str(out)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == "" and not out.exists()
+    assert json.loads(streams.err) == {
+        "error": "OutOfRange", "payload": {},
+        "message": f"N window of {cli._WINDOW_CAP + 1} sizes above cap {cli._WINDOW_CAP}",
+    }
+
+
+def test_cli_window_cap_admits_its_own_width_and_spares_analyze(fixture_dir, capsys):
+    from lrn_detect import cli
+
+    n_max = cli._WINDOW_CAP + 1  # n = 2 .. n_max is exactly the cap wide
+    assert main(["--pipeline", "typicality", "--n-min", "2", "--n-max", str(n_max)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["sweep"]) == cli._WINDOW_CAP
+    argv = ["--pipeline", "analyze", "--input", str(fixture_dir / "ghz.json"),
+            "--n-min", "1", "--n-max", str(10 * cli._WINDOW_CAP)]
+    assert main(argv) in (0, 2, 3)
+    assert json.loads(capsys.readouterr().out)["canonical_form"]["num_blocks"] == 2
+
+
 def test_cli_builds_one_parser_per_process(monkeypatch, capsys):
     import argparse
 
@@ -449,6 +486,7 @@ def test_report_writer_is_strict_on_numpy_and_complex_values():
     ["--pipeline", "ghz", "--input", "half.json"],
     ["--pipeline", "ghz", "--input", "w03.json"],
     ["--pipeline", "typicality", "--n-min", "20", "--n-max", "24"],
+    ["--pipeline", "typicality", "--n-min", "2", "--n-max", "1024"],  # 14 chunks
     ["--pipeline", "verify", "--n-min", "1", "--n-max", "1"],
 ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
 def test_report_writer_matches_json_dumps(argv, fixture_dir, monkeypatch, capsys):
@@ -498,7 +536,92 @@ _json_trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_trees)
 def test_report_writer_matches_json_dumps_on_trees(tree):
-    assert dump_report(tree, None) == _json_dumps_report(tree)
+    from unittest import mock
+
+    from lrn_detect import io
+
+    expected = _json_dumps_report(tree)
+    assert dump_report(tree, None) == expected
+    # Tiny chunks put a join between nearly every pair of members.
+    for pieces in (0, 1, 2, 5):
+        with mock.patch.object(io, "_CHUNK_PIECES", pieces):
+            assert dump_report(tree, None) == expected
+
+
+def _class_report(classes: int) -> dict:
+    """A report with one evidence dict per residue class, as ``analyze`` writes them."""
+    return {
+        "mode": "periodic",
+        "period": classes,
+        "classes": [
+            {"residue": r, "n": classes + r, "entropy": 1.0 + r / 7.0,
+             "distance": 1.0 / (r + 3)}
+            for r in range(classes)
+        ],
+    }
+
+
+def _boundary_reports():
+    from lrn_detect.io import _CHUNK_PIECES
+
+    inf, nan = float("inf"), float("nan")
+    odd_leaves = [inf, -inf, nan, np.float64(-inf), np.float32(0.5), np.int64(-7),
+                  complex(nan, 1.0), np.complex128(2.0 - 3.0j), np.array([inf, 1.0]), None]
+    return {
+        "classes_1e4": _class_report(10**4),
+        "nested_odd_leaves": [[odd_leaves] * 3, {"deep": [[odd_leaves]] * 200}] * 20,
+        # Every member is empty, so each join is followed by an empty list,
+        # tuple or dict, at four offsets of the piece count.
+        "empty_members": [
+            [[]] * (3 * _CHUNK_PIECES),
+            [()] * (3 * _CHUNK_PIECES + 1),
+            {f"k{i:05d}": {} for i in range(3 * _CHUNK_PIECES + 2)},
+            [[[], {}]] * (2 * _CHUNK_PIECES),
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", ["classes_1e4", "nested_odd_leaves", "empty_members"])
+def test_report_writer_matches_json_dumps_past_chunk_boundaries(name, tmp_path, monkeypatch):
+    from lrn_detect import io
+
+    joins = []
+    join = io._join_pieces
+
+    def counting(out, chunks):
+        joins.append(len(out))
+        join(out, chunks)
+
+    monkeypatch.setattr(io, "_join_pieces", counting)
+    report = _boundary_reports()[name]
+    expected = _json_dumps_report(report)
+    assert dump_report(report, None) == expected
+    assert len(joins) >= 4  # three joins as it goes and the final one
+    assert max(joins) <= io._CHUNK_PIECES + 16  # joined between members
+    path = tmp_path / "report.json"
+    assert dump_report(report, str(path)) == expected
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_report_writer_peak_memory_is_bounded(tmp_path, traced_peak):
+    # Every token was its own string until one final join: 9.6 times the
+    # text, written.  Now at most one chunk of tokens is pending, and the
+    # chunks and their join about double the text.
+    report = _class_report(10**4)
+    text, peak = traced_peak(lambda: dump_report(report, str(tmp_path / "r.json")))
+    assert len(text) > 10**6
+    assert peak <= 3 * len(text)
+
+
+def test_writers_return_the_text_they_write(tmp_path):
+    # The benchmark's tracer counts a written report's bytes as
+    # len(returned text.encode()), so the two must agree byte for byte.
+    report = {"input": "tensör.json", "x": [1.5, float("nan"), {"re": 0.0, "im": -1.0}]}
+    rows = [{"n": 2, "label": "naïve, \"quoted\""}, {"n": 3, "log_ratio": -0.5}]
+    for write, obj in ((dump_report, report), (rows_to_csv, rows)):
+        path = tmp_path / f"{write.__name__}.out"
+        text = write(obj, str(path))
+        assert path.read_bytes() == text.encode()
 
 
 def test_cli_analyze_decaying_block(tmp_path, capsys):

@@ -4,9 +4,10 @@ Decides, from a single site tensor, whether a state family carries
 nonstabilizerness that no shallow local circuit can remove: the tensor is
 decomposed into weighted normal blocks, whose coarse-graining fixed point
 (Schmidt weights of its entangled pairs) is read in closed form from the
-blocks' transfer fixed points, and the resulting weight spectrum is fed to
-an entropy criterion (sufficient for long-range magic) and a weight-ratio
-criterion (necessary for exact short-range magic).  ``rg_fixed_point``
+blocks' transfer fixed points, as is the subleading transfer modulus that
+fixes each block's flow toward it; the resulting weight spectrum is fed
+to an entropy criterion (sufficient for long-range magic) and a
+weight-ratio criterion (necessary for exact short-range magic).  ``rg_fixed_point``
 builds the fixed-point tensors in closed form as well; the iterated RG
 flow (``rg_step``) is the tests' oracle for both.  Exact stabilizer and
 dense engines verify the supporting facts on small instances.

@@ -34,7 +34,6 @@ from .errors import DecompositionFailure, NonDiagonalizablePeripheral, NotNormal
 from .spectral import (
     TAU_SPEC,
     NormalityWitness,
-    SpectralData,
     _checked_norm,
     _peripheral_vectors,
     is_normal,
@@ -193,13 +192,10 @@ class CanonicalForm:
     could be extracted (weights then refer to the blocked family, i.e. to
     system sizes that are multiples of ``blocking``).  Blocks sharing a
     ``group`` are gauge-equivalent and generate a common state family.
-    ``input_spectral`` is the SpectralData of the input's own transfer
-    matrix, None when its peripheral space is defective.
     """
 
     blocks: tuple[CanonicalBlock, ...]
     blocking: int
-    input_spectral: SpectralData | None = field(repr=False)
 
     @property
     def num_groups(self) -> int:
@@ -459,11 +455,8 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
     """
     q = 1
     current = a
-    input_spectral = None
     for _ in range(BLOCKING_CAP + 1):
         spec = _spectrum(current)
-        if q == 1:
-            input_spectral = spec[1]
         radius = float(abs(spec[0][0]))
         if radius < TAU_ZERO:
             raise DecompositionFailure("tensor generates the zero family", spectrum=spec[0])
@@ -538,4 +531,4 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
             next_group += 1
         blocks.append(CanonicalBlock(mu=mu, tensor=tensor_k, group=gi, witness=witnesses[k]))
 
-    return CanonicalForm(blocks=tuple(blocks), blocking=q, input_spectral=input_spectral)
+    return CanonicalForm(blocks=tuple(blocks), blocking=q)

@@ -3,9 +3,8 @@
 One executable, one ``--pipeline`` switch:
 
 * ``analyze``    tensor JSON -> canonical form, fixed-point Schmidt weights
-                 (closed form, read from the canonical blocks), verdicts
-* ``rg``         tensor JSON -> RG fixed point per block, with the analytic
-                 per-step trace of its subleading transfer modulus
+                 and subleading transfer modulus per block (closed form,
+                 read from the canonical blocks), verdicts
 * ``verify``     run the dense-oracle invariant suites
 * ``stab``       tableau request -> exact entropies / mutual information
 * ``ghz``        exact-weight JSON -> family label
@@ -17,14 +16,15 @@ cap and tolerance is a module constant of the layer that owns it.
 
 Exit codes for verdict pipelines: 0 when long-range nonstabilizerness is
 certified, 2 when only the exact-SRN exclusion fires, 3 when
-inconclusive, 1 on errors.  All randomness flows from ``--seed``;
-identical requests produce byte-identical reports at a fixed BLAS thread
-count.  Under another thread count, a composite's blocks and groups,
-which follow the eigensolver's output order, can come reordered, and
-floats can differ in their last bits.  Reports go to stdout or
-``--out``; stderr carries diagnostics only: an error is one JSON object
-with its type, message and diagnostic payload (spectrum, singular values
-or last residual, when the error carries one).
+inconclusive, 1 on errors, a malformed command line included.  All
+randomness flows from ``--seed``; identical requests produce
+byte-identical reports at a fixed BLAS thread count.  Under another
+thread count, a composite's blocks and groups, which follow the
+eigensolver's output order, can come reordered, and floats can differ in
+their last bits.  Reports go to stdout or ``--out``; stderr carries
+diagnostics only: an error is one JSON object with its type, message and
+diagnostic payload (spectrum, singular values or last residual, when the
+error carries one).
 """
 
 from __future__ import annotations
@@ -64,12 +64,11 @@ from .experiments import _fixed_point_sweep, invariance_sweep
 from .io import dump_report, json_value, load_tensor, rows_to_csv
 from .partition import build_partition
 from .rg import rg_fixed_point
-from .spectral import correlation_length
 from .stabilizer import CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
 from .weights import WeightSpectrum
 
 # Pipelines whose report has a table of rows, the only thing CSV can hold.
-CSV_PIPELINES = ("rg", "typicality")
+CSV_PIPELINES = ("typicality",)
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -136,6 +135,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if exact_weights is not None and len(exact_weights) >= 2:
         verdicts["ratio_criterion"] = srn_ratio_check(exact_weights, q_max=args.qmax)
 
+    groups = cf.surviving_groups()
     report = {
         "input": args.input,
         "canonical_form": {
@@ -154,7 +154,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ],
         },
         "fixed_point": [
-            {"label": label, "schmidt_weights": list(map(float, lam))}
+            {
+                "label": label,
+                "lambda2": groups[label][0].witness.lambda2,
+                "schmidt_weights": list(map(float, lam)),
+            }
             for label, lam in cf.schmidt_weights().items()
         ],
         "weight_spectrum": spectrum.to_json(),
@@ -162,36 +166,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     _emit(args, report)
     return _status_exit([v.status for v in verdicts.values()])
-
-
-def cmd_rg(args: argparse.Namespace) -> int:
-    tensor, _ = load_tensor(args.input)
-    fp = rg_fixed_point(tensor)
-    s = fp.canonical.input_spectral
-    multi_block = s is None or s.multi_block  # defective peripheral: degenerate
-    rows = [
-        {"block": b.label, "iteration": it, "lambda2": lam2}
-        for b in fp.blocks
-        for it, lam2 in enumerate(b.history)
-    ]
-    report = {
-        "input": args.input,
-        "multi_block": multi_block,
-        "correlation_length": "multi-block" if multi_block else correlation_length(s),
-        "blocking": fp.canonical.blocking,
-        "trace": rows,
-        "fixed_point": [
-            {
-                "label": b.label,
-                "iterations": b.iterations,
-                "final_lambda2": b.final_lambda2,
-                "schmidt_weights": list(map(float, b.schmidt_weights)),
-            }
-            for b in fp.blocks
-        ],
-    }
-    _emit(args, report, rows=rows)
-    return _EXIT_OK
 
 
 def cmd_stab(args: argparse.Namespace) -> int:
@@ -390,7 +364,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "analyze": cmd_analyze,
-    "rg": cmd_rg,
     "verify": cmd_verify,
     "stab": cmd_stab,
     "ghz": cmd_ghz,
@@ -399,10 +372,17 @@ _COMMANDS = {
 PIPELINES = tuple(_COMMANDS)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a malformed command line raised as an invalid request."""
+
+    def error(self, message):
+        raise LrnDetectError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser: built on first use, then kept for the process."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lrn-detect",
         description="Detect long-range nonstabilizerness of TI MPS families.",
     )
@@ -421,7 +401,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _check(args: argparse.Namespace) -> None:
     """The rules that tie flags together; argparse checks each flag alone."""
-    if args.pipeline in ("analyze", "rg", "stab", "ghz") and not args.input:
+    if args.pipeline in ("analyze", "stab", "ghz") and not args.input:
         raise LrnDetectError(f"pipeline {args.pipeline!r} requires --input")
     if args.format == "csv" and args.pipeline not in CSV_PIPELINES:
         raise LrnDetectError(
@@ -453,8 +433,8 @@ def _error_json(exc: Exception) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _check(args)
         return _COMMANDS[args.pipeline](args)
     except (LrnDetectError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

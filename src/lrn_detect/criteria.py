@@ -100,7 +100,14 @@ def lrn_entropy_check(w: WeightSpectrum, tau_int: float = DEFAULT_TAU_INT) -> Ve
     above ``_MAX_PERIOD`` is not enumerated: the window is swept instead and
     the verdict stays inconclusive, since a partial set of residue classes
     cannot certify.
+
+    Raises:
+        OutOfRange: unless ``0 < tau_int < 0.5``: no integer distance
+            exceeds 0.5, and a tolerance of zero or below would certify an
+            integer entropy.
     """
+    if not 0.0 < tau_int < 0.5:
+        raise OutOfRange(f"tau_int must lie in (0, 0.5), got {tau_int}")
     if w.num_blocks == 0:
         raise OutOfRange("weight spectrum has no blocks")
     if w.num_blocks == 1:

@@ -9,20 +9,23 @@ subleading modulus collapses doubly exponentially toward the fixed point.
 The fixed point of a normal block is known in closed form (a product of
 entangled pairs), so ``rg_fixed_point`` reads it from the canonical form
 rather than iterating ``rg_step``; the iterated flow is the tests' oracle.
+A block's whole flow trace follows from its first subleading modulus
+``lambda2`` (``lambda2**(2**k)`` after ``k`` steps), which ``analyze``
+reports per fixed-point block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalForm, canonical_decompose
+from .canonical import canonical_decompose
 from .errors import DecompositionFailure, RankTolerance
 from .tensor import MpsTensor, block_tensor
 from .weights import WeightSpectrum
 
-# Subleading transfer modulus at which a block counts as converged.
+# Subleading transfer modulus below which a block keeps its own tensor.
 RG_TOL = 1e-12
 # Relative singular value below which a two-site map has no support; values
 # within a decade of it are reported, not rounded into or out of the rank.
@@ -78,21 +81,12 @@ class FixedPointBlock:
 
     ``tensor`` is the fixed-point block tensor gauged so the left fixed
     point is the identity and the right one is the diagonal of
-    ``schmidt_weights`` (descending, unit sum).  ``history`` records the
-    subleading modulus ``lambda2**(2**j)`` after each step ``j``, starting
-    with the input tensor's ``lambda2``.
+    ``schmidt_weights`` (descending, unit sum).
     """
 
     label: str
     schmidt_weights: np.ndarray
     tensor: MpsTensor
-    iterations: int
-    final_lambda2: float
-    history: tuple[float, ...] = field(default=(), repr=False)
-
-    @property
-    def link_dim(self) -> int:
-        return int(self.schmidt_weights.size)
 
 
 @dataclass(frozen=True)
@@ -100,17 +94,10 @@ class FixedPointState:
     """Coarse-grained fixed point of a decomposable tensor.
 
     One block per surviving gauge group, plus the merged weight spectrum.
-    ``site_structure`` lists the (left, right) qudit dimension hosted at
-    each site by every block.
     """
 
     blocks: tuple[FixedPointBlock, ...]
     weights: WeightSpectrum
-    canonical: CanonicalForm = field(repr=False)
-
-    @property
-    def site_structure(self) -> tuple[tuple[int, int], ...]:
-        return tuple((b.link_dim, b.link_dim) for b in self.blocks)
 
 
 def _pair_tensor(lam: np.ndarray) -> MpsTensor:
@@ -132,37 +119,22 @@ def rg_fixed_point(a: MpsTensor) -> FixedPointState:
     """Fixed point of the RG flow of every surviving block, in closed form.
 
     The flow squares the transfer spectrum, so a block with subleading
-    modulus ``lambda2`` reaches ``lambda2**(2**k)`` after ``k`` steps; it
-    takes the least ``k`` that brings this below ``RG_TOL``.  Its limit is the
-    product of entangled pairs whose Schmidt weights are the spectrum of
-    ``sqrt(L) R sqrt(L)``, read from the representative's normality witness
-    (``CanonicalForm.schmidt_weights()``).  A block already at the fixed
-    point keeps its own tensor in the CF II gauge; every other block gets
-    the pair tensor of its weights.  The weight spectrum is inherited from
-    the canonical decomposition (group weights combine block coefficients
-    and gauge phases).  No transfer matrix is factorized beyond those of
-    ``canonical_decompose``.
+    modulus ``lambda2`` reaches ``lambda2**(2**k)`` after ``k`` steps.  Its
+    limit is the product of entangled pairs whose Schmidt weights are the
+    spectrum of ``sqrt(L) R sqrt(L)``, read from the representative's
+    normality witness (``CanonicalForm.schmidt_weights()``).  A block whose
+    ``lambda2`` is already below ``RG_TOL`` keeps its own tensor in the
+    CF II gauge; every other block gets the pair tensor of its weights.
+    The weight spectrum is inherited from the canonical decomposition
+    (group weights combine block coefficients and gauge phases).  No
+    transfer matrix is factorized beyond those of ``canonical_decompose``.
     """
     cf = canonical_decompose(a)
     blocks = []
     for label, members in cf.surviving_groups().items():
         rep = members[0]
         x, lam = rep.witness.fixed_point_gauge()
-        history = [rep.witness.lambda2]
-        # A normal block has lambda2 < 1 - TAU_SPEC (the peripheral cut), so
-        # (1 - 1e-9)**(2**35) < RG_TOL bounds this loop at 35 squarings.
-        while history[-1] >= RG_TOL:
-            history.append(history[-1] ** 2)
         # CF II gauge: L = identity, R = diag(schmidt weights).
-        t = rep.tensor.gauged(x) if len(history) == 1 else _pair_tensor(lam)
-        blocks.append(
-            FixedPointBlock(
-                label=label,
-                schmidt_weights=lam,
-                tensor=t,
-                iterations=len(history) - 1,
-                final_lambda2=history[-1],
-                history=tuple(history),
-            )
-        )
-    return FixedPointState(blocks=tuple(blocks), weights=cf.weight_spectrum, canonical=cf)
+        t = rep.tensor.gauged(x) if rep.witness.lambda2 < RG_TOL else _pair_tensor(lam)
+        blocks.append(FixedPointBlock(label=label, schmidt_weights=lam, tensor=t))
+    return FixedPointState(blocks=tuple(blocks), weights=cf.weight_spectrum)

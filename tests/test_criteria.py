@@ -85,6 +85,16 @@ def test_entropy_check_single_block():
     assert v.evidence["entropy"] == 0.0
 
 
+@pytest.mark.parametrize("tau_int", [-1.0, 0.0, 0.5, math.nan, math.inf])
+@pytest.mark.parametrize("weights", [[1.0, 1.0], [1.0]], ids=["two_blocks", "one_block"])
+def test_entropy_check_refuses_a_tolerance_outside_its_range(tau_int, weights):
+    # Integer distances lie in [0, 0.5]: a tolerance of zero or below would
+    # certify the integer entropy of two equal weights, one of 0.5 or above
+    # could never certify, and NaN would read INCONCLUSIVE without a word.
+    with pytest.raises(OutOfRange):
+        lrn_entropy_check(WeightSpectrum.constant(weights), tau_int=tau_int)
+
+
 def test_entropy_check_commensurate_classes():
     # phases +-pi/2: period 4, odd sizes collapse onto a single block (H = 0)
     w = WeightSpectrum(

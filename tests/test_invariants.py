@@ -17,7 +17,10 @@ from lrn_detect import (
     materialize_mps,
     mixed_transfer_matrix,
     rg_fixed_point,
+    rg_step,
+    spectral,
     trace_distance_mixed,
+    transfer_matrix,
     trace_distance_pure,
     reduced_density,
 )
@@ -100,11 +103,20 @@ def test_fixed_point_blocks_locally_orthogonal():
 
 
 def test_rg_trace_lambda2_squares():
-    t = random_normal_tensor(2, 2, seed=2)
-    fp = rg_fixed_point(t)
-    hist = fp.blocks[0].history
-    for prev, nxt in zip(hist, hist[1:]):
-        assert nxt <= prev**2 + 1e-8
+    # Each flow step squares the subleading modulus, starting from the
+    # lambda2 of the block's normality witness.
+    (block,) = canonical_decompose(random_normal_tensor(2, 2, seed=2)).blocks
+    lam2, t = block.witness.lambda2, block.tensor
+    for _ in range(8):
+        t = rg_step(t).tensor
+        s = spectral(transfer_matrix(t))
+        t = t.scaled(1.0 / math.sqrt(s.radius))
+        nxt = s.subleading_modulus / s.radius
+        assert nxt <= lam2**2 + 1e-8
+        lam2 = nxt
+        if lam2 < 1e-12:
+            break
+    assert lam2 < 1e-12
 
 
 def test_rationality_exhaustive_small_denominators():

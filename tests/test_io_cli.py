@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrn_detect import ExactWeight, causal_cone_reduce
+from lrn_detect import ExactWeight, causal_cone_reduce, rg_fixed_point
 from lrn_detect.cli import main
 from lrn_detect.errors import (
     ConvergenceFailure,
@@ -132,7 +132,10 @@ def test_cli_analyze_report_contents(fixture_dir, tmp_path, capsys):
     v = report["verdicts"]["entropy_criterion"]
     assert v["status"] == "INCONCLUSIVE"
     assert abs(v["evidence"]["classes"][0]["entropy"] - 1.0) < 1e-9
-    assert [set(b) for b in report["fixed_point"]] == [{"label", "schmidt_weights"}] * 2
+    assert [set(b) for b in report["fixed_point"]] == [
+        {"label", "lambda2", "schmidt_weights"}
+    ] * 2
+    assert [b["lambda2"] for b in report["fixed_point"]] == [0.0, 0.0]
 
 
 def test_cli_analyze_counterexample_evidence(fixture_dir, tmp_path):
@@ -171,15 +174,6 @@ def test_cli_stab_pipeline(fixture_dir, capsys):
     assert report["mutual_information"] == 2
 
 
-def test_cli_rg_pipeline_csv(fixture_dir, capsys):
-    assert main(
-        ["--pipeline", "rg", "--input", str(fixture_dir / "ghz.json"), "--format", "csv"]
-    ) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "block,iteration,lambda2"
-    assert len(lines) >= 3  # two blocks, at least one row each
-
-
 def test_cli_typicality_sweep(capsys):
     assert main(["--pipeline", "typicality", "--n-min", "20", "--n-max", "24",
                  "--format", "csv"]) == 0
@@ -195,8 +189,8 @@ def test_cli_typicality_sweep(capsys):
     [("analyze", "ghz.json"), ("verify", None), ("stab", "bell.json"), ("ghz", "half.json")],
 )
 def test_cli_refuses_csv_without_rows(pipeline, input_name, fixture_dir, capsys):
-    # Only rg and typicality reports carry rows; the others must not fall
-    # back to JSON under --format csv.
+    # Only typicality reports carry rows; the others must not fall back to
+    # JSON under --format csv.
     argv = ["--pipeline", pipeline, "--format", "csv"]
     if input_name:
         argv += ["--input", str(fixture_dir / input_name)]
@@ -379,25 +373,19 @@ def test_analyze_report_reingests(fixture_dir, tmp_path):
     assert spectrum.num_blocks == 2
 
 
-def test_cli_rg_json_flags_multi_block(fixture_dir, capsys):
-    assert main(["--pipeline", "rg", "--input", str(fixture_dir / "ghz.json")]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["multi_block"] is True
-    assert report["correlation_length"] == "multi-block"
-    assert report["blocking"] == 1
-    assert {b["label"] for b in report["fixed_point"]} == {"group0", "group1"}
-
-
-def test_cli_rg_defective_peripheral_is_multi_block(tmp_path, capsys):
+def test_cli_analyze_defective_peripheral_is_one_group(tmp_path, capsys):
+    # A Jordan block on level 0 leaves the peripheral space defective; the
+    # junk drops out, and one product block is left at its fixed point.
     from lrn_detect import MpsTensor
 
     jordan = np.zeros((2, 2, 2), dtype=complex)
     jordan[0] = [[1.0, 1.0], [0.0, 1.0]]
     save_tensor(tmp_path / "jordan.json", MpsTensor(jordan))
-    assert main(["--pipeline", "rg", "--input", str(tmp_path / "jordan.json")]) == 0
+    assert main(["--pipeline", "analyze", "--input", str(tmp_path / "jordan.json")]) == 3
     report = json.loads(capsys.readouterr().out)
-    assert report["multi_block"] is True
-    assert report["correlation_length"] == "multi-block"
+    assert report["fixed_point"] == [
+        {"label": "group0", "lambda2": 0.0, "schmidt_weights": [1.0]}
+    ]
 
 
 def test_cli_stab_raw_text_input(tmp_path, capsys):
@@ -480,8 +468,6 @@ def test_report_writer_is_strict_on_numpy_and_complex_values():
         "ghz03.json", "ghz.json", "counter.json", "loop.json", "loop_irrational.json",
         "loop_7_997.json", "alternating.json", "product.json", "counter_plain.json",
     )],
-    ["--pipeline", "rg", "--input", "loop.json"],
-    ["--pipeline", "rg", "--input", "ghz.json"],
     ["--pipeline", "stab", "--input", "bell.json"],
     ["--pipeline", "ghz", "--input", "half.json"],
     ["--pipeline", "ghz", "--input", "w03.json"],
@@ -665,24 +651,7 @@ def test_cli_analyze_chi12_normal(tmp_path, capsys):
     assert np.all(lam > 0) and np.all(np.diff(lam) <= 0)
 
 
-def test_cli_rg_chi12_normal(tmp_path, count_linalg, capsys):
-    # The fixed point is built in closed form, so no flow step caps the bond
-    # dimension, and the input's transfer matrix is factorized once: one
-    # eigvals of canonical_decompose is the whole cost.
-    save_tensor(tmp_path / "chi12.json", random_normal_tensor(2, 12, seed=7))
-    calls = count_linalg()
-    assert main(["--pipeline", "rg", "--input", str(tmp_path / "chi12.json")]) == 0
-    assert calls == {"eig": [], "eigvals": [144]}
-    report = json.loads(capsys.readouterr().out)
-    assert report["multi_block"] is False
-    assert report["correlation_length"] > 0
-    (entry,) = report["fixed_point"]
-    assert len(entry["schmidt_weights"]) == 12
-    assert entry["iterations"] == len(report["trace"]) - 1 > 0
-    assert entry["final_lambda2"] == report["trace"][-1]["lambda2"] < 1e-12
-
-
-@pytest.mark.parametrize("pipeline", ["analyze", "rg"])
+@pytest.mark.parametrize("pipeline", ["analyze"])
 def test_cli_transfer_cap_is_a_named_error(pipeline, tmp_path, capsys):
     # chi = 65 puts the transfer matrix past its cap (chi**2 <= 4096).
     from lrn_detect import MpsTensor
@@ -738,16 +707,22 @@ def test_cli_analyze_composite_with_chi10_block(tmp_path, capsys):
 
 @pytest.mark.parametrize("name,eigvals_sizes,eig_sizes", [
     ("chi8", [64], []),
+    ("chi12", [144], []),
     ("ghz", [1, 1, 1, 4], [2, 2]),
-], ids=["chi8", "ghz"])
+], ids=["chi8", "chi12", "ghz"])
 def test_cli_analyze_reuses_canonical_factorizations(
     name, eigvals_sizes, eig_sizes, tmp_path, count_linalg
 ):
     # The fixed point is read from the blocks' normality witnesses, so
     # analyze factorizes no matrix beyond canonical_decompose: one eigvals
     # per transfer matrix, and eig only on the 2 x 2 Ritz matrix of ghz's
-    # degenerate peripheral cluster, once per inverse-iteration sweep.
-    tensor = random_normal_tensor(2, 8, seed=8) if name == "chi8" else ghz_tensor()
+    # degenerate peripheral cluster, once per inverse-iteration sweep.  No
+    # flow step caps the bond dimension.
+    tensor = {
+        "chi8": lambda: random_normal_tensor(2, 8, seed=8),
+        "chi12": lambda: random_normal_tensor(2, 12, seed=7),
+        "ghz": ghz_tensor,
+    }[name]()
     save_tensor(tmp_path / "t.json", tensor)
     calls = count_linalg()
     out = tmp_path / "r.json"
@@ -757,15 +732,17 @@ def test_cli_analyze_reuses_canonical_factorizations(
     assert calls["eig"] == eig_sizes
 
 
-@pytest.mark.parametrize("pipeline", ["analyze", "rg"])
+@pytest.mark.parametrize("route", ["analyze", "rg"])
 @pytest.mark.parametrize("name", [
     "ghz", "loop_pi3", "loop_7_997", "alternating", "counterexample", "chi6", "copy_composite",
 ])
 def test_cli_runs_no_eig_on_a_transfer_matrix(
-    name, pipeline, tmp_path, count_linalg, copy_composite, capsys
+    name, route, tmp_path, count_linalg, copy_composite, capsys
 ):
     # Spectra come from eigvals; eig only ever sees a peripheral block's
     # Ritz matrix, which is smaller than any transfer matrix of the input.
+    # The routes: the analyze pipeline, and rg_fixed_point, which verify's
+    # invariance suite runs.
     tensor = {
         "ghz": ghz_tensor,
         "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
@@ -777,7 +754,10 @@ def test_cli_runs_no_eig_on_a_transfer_matrix(
     }[name]()
     save_tensor(tmp_path / "t.json", tensor)
     calls = count_linalg()
-    assert main(["--pipeline", pipeline, "--input", str(tmp_path / "t.json")]) in (0, 2, 3)
+    if route == "analyze":
+        assert main(["--pipeline", "analyze", "--input", str(tmp_path / "t.json")]) in (0, 2, 3)
+    else:
+        assert rg_fixed_point(tensor).blocks
     assert tensor.bond_dim ** 2 in calls["eigvals"]
     assert all(size < tensor.bond_dim ** 2 for size in calls["eig"])
 
@@ -812,6 +792,42 @@ def test_cli_error_payload_on_stderr(make_error, field, expect, fixture_dir, tmp
     err = json.loads(streams.err)
     assert err == {"error": type(exc).__name__, "message": str(exc),
                    "payload": {field: expect}}
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--pipeline", "nope"],
+    ["--pipeline", "typicality", "--seed", "abc"],
+    ["--bogus"],
+    ["--pipeline", "rg", "--input", "ghz.json"],
+], ids=["no-pipeline", "unknown-pipeline", "bad-int", "unknown-flag", "removed-rg"])
+def test_cli_malformed_command_line_is_an_invalid_request(argv, capsys):
+    # argparse's own exit code, 2, is that of EXACT_SRN_EXCLUDED; a
+    # malformed command line is an error like any other invalid request.
+    assert main(argv) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    (line,) = streams.err.splitlines()
+    assert json.loads(line)["error"] == "LrnDetectError"
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert "--pipeline" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "0.5", "nan", "inf"])
+def test_cli_tol_int_outside_its_range_is_refused(tol, fixture_dir, capsys):
+    # ghz's entropy is exactly 1, so a tolerance of zero or below would certify it.
+    argv = ["--pipeline", "analyze", "--input", str(fixture_dir / "ghz.json")]
+    assert main(argv) == 3
+    capsys.readouterr()
+    assert main([*argv, "--tol-int", tol]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert json.loads(streams.err)["error"] == "OutOfRange"
 
 
 def test_cli_error_without_payload_is_json(capsys):

@@ -1,5 +1,7 @@
 """Coarse-graining step and fixed-point extraction."""
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from lrn_detect import (
     transfer_matrix,
 )
 from lrn_detect import rg
+from lrn_detect.cli import main
 from lrn_detect.errors import RankTolerance, SizeCap
 from lrn_detect.families import (
     ghz_tensor,
@@ -26,6 +29,7 @@ from lrn_detect.families import (
     product_tensor,
     random_normal_tensor,
 )
+from lrn_detect.io import save_tensor
 from lrn_detect.spectral import normality_witness
 
 
@@ -99,9 +103,8 @@ def test_fixed_point_ghz():
     assert len(fp.blocks) == 2
     for b in fp.blocks:
         assert np.allclose(b.schmidt_weights, [1.0])
-        assert b.iterations == 0
+        assert b.tensor.phys_dim == 2  # lambda2 = 0: each block keeps its tensor
     assert np.allclose(evaluate_weights(fp.weights, 12), [0.5, 0.5])
-    assert fp.site_structure == ((1, 1), (1, 1))
 
 
 def test_fixed_point_random_normal_schmidt():
@@ -112,7 +115,7 @@ def test_fixed_point_random_normal_schmidt():
     assert abs(float(np.sum(lam)) - 1.0) < 1e-12
     assert np.all(lam > 0)
     assert np.all(np.diff(lam) <= 1e-15)  # descending
-    assert fp.blocks[0].final_lambda2 < 1e-12
+    assert fp.blocks[0].tensor.phys_dim == lam.size**2  # the pair tensor
     # the converged tensor satisfies the fixed-point gauge: L = I, R = diag(lam)
     from lrn_detect import is_normal
 
@@ -222,49 +225,62 @@ def _flow_oracle(rep, tol=1e-12, max_steps=60):
     return t.gauged(x), lam, history
 
 
-def _oracle_of(fp, block):
-    return _flow_oracle(fp.canonical.surviving_groups()[block.label][0])
+def _oracle_of(t, block):
+    """The flow oracle on the representative of ``block``'s group in ``t``."""
+    return _flow_oracle(canonical_decompose(t).surviving_groups()[block.label][0])
 
 
 @pytest.mark.parametrize("case", sorted(_CLOSED_FORM_CASES))
 def test_closed_form_schmidt_weights_match_flow(case):
     # The flow, iterated here, is the oracle for the closed-form weights.
-    fp = rg_fixed_point(_CLOSED_FORM_CASES[case]())
-    assert [b.label for b in fp.blocks] == list(fp.canonical.surviving_groups())
+    t = _CLOSED_FORM_CASES[case]()
+    fp = rg_fixed_point(t)
+    groups = canonical_decompose(t).surviving_groups()
+    assert [b.label for b in fp.blocks] == list(groups)
     for b in fp.blocks:
-        _, lam, _ = _oracle_of(fp, b)
+        _, lam, _ = _flow_oracle(groups[b.label][0])
         assert lam.shape == b.schmidt_weights.shape
         assert np.max(np.abs(lam - b.schmidt_weights)) < 1e-12
 
 
 @pytest.mark.parametrize("chi,seed", [(2, 21), (2, 9), (3, 7), (3, 4), (4, 3), (4, 7)])
-def test_pair_tensor_matches_flow_limit(chi, seed, monkeypatch):
+def test_pair_tensor_matches_flow_limit(chi, seed, monkeypatch, tmp_path, capsys):
     tol = 1e-12
     monkeypatch.setattr(rg, "RG_TOL", tol)
-    fp = rg_fixed_point(random_normal_tensor(2, chi, seed=seed))
+    t = random_normal_tensor(2, chi, seed=seed)
+    fp = rg_fixed_point(t)
     (b,) = fp.blocks
-    limit, _, measured = _oracle_of(fp, b)
-    assert b.iterations > 0 and b.tensor.phys_dim == chi * chi
+    (rep,) = canonical_decompose(t).surviving_groups()[b.label]
+    limit, _, measured = _flow_oracle(rep)
+    # The analytic trace squares the first lambda2 at every step, to the
+    # least step count that brings it below tol; the flow measures it.
+    lam2 = rep.witness.lambda2
+    steps = next(k for k in itertools.count() if lam2 ** (2**k) < tol)
+    trace = [lam2 ** (2**j) for j in range(steps + 1)]
+    assert steps > 0 and b.tensor.phys_dim == chi * chi
     # Same transfer matrix |R)(L| as the flow's converged tensor.
     e_pair = transfer_matrix(b.tensor)
     e_flow = transfer_matrix(limit)
     assert np.max(np.abs(e_pair - e_flow)) < 1e-12
-    # The analytic trace squares the first lambda2; the flow measures it.
-    assert all(nxt == prev**2 for prev, nxt in zip(b.history, b.history[1:]))
-    for analytic, seen in zip(b.history, measured):
+    for analytic, seen in zip(trace, measured):
         assert abs(analytic - seen) < 1e-10
     # Step counts agree unless a value sits too close to tol to call.
-    if not any(tol / 10 < v < 10 * tol for v in b.history):
-        assert b.iterations == len(measured) - 1
-    assert b.final_lambda2 == b.history[-1] < tol
+    if not any(tol / 10 < v < 10 * tol for v in trace):
+        assert steps == len(measured) - 1
+    # analyze reports the lambda2 the whole trace follows from.
+    save_tensor(tmp_path / "t.json", t)
+    assert main(["--pipeline", "analyze", "--input", str(tmp_path / "t.json")]) == 3
+    (entry,) = json.loads(capsys.readouterr().out)["fixed_point"]
+    assert abs(entry["lambda2"] - measured[0]) < 1e-10
 
 
 @pytest.mark.parametrize("chi,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
 def test_materialized_pair_fixed_point_matches_flow_limit(chi, n):
-    fp = rg_fixed_point(random_normal_tensor(2, chi, seed=40 + chi))
+    t = random_normal_tensor(2, chi, seed=40 + chi)
+    fp = rg_fixed_point(t)
     (b,) = fp.blocks
-    assert b.iterations > 0
-    limit, _, _ = _oracle_of(fp, b)
+    assert b.tensor.phys_dim == chi * chi  # the pair tensor
+    limit, _, _ = _oracle_of(t, b)
     link = materialize_fixed_point(fp, n)
     trace = materialize_mps(limit, n)
     # The physical bases differ by a unitary on each site, which leaves
@@ -293,7 +309,7 @@ def test_flow_reads_first_lambda2_from_witness(name, eigvals_sizes, eig_sizes, c
         "chi4": lambda: random_normal_tensor(2, 4, seed=3),
     }[name]()
     calls = count_linalg()
-    canonical_decompose(tensor)
+    groups = canonical_decompose(tensor).surviving_groups()
     assert sorted(calls["eigvals"]) == eigvals_sizes
     assert calls["eig"] == eig_sizes
     calls["eigvals"].clear()
@@ -301,6 +317,9 @@ def test_flow_reads_first_lambda2_from_witness(name, eigvals_sizes, eig_sizes, c
     fp = rg_fixed_point(tensor)
     assert sorted(calls["eigvals"]) == eigvals_sizes
     assert calls["eig"] == eig_sizes
-    groups = fp.canonical.surviving_groups()
+    # A block keeps its own tensor exactly when its witness's lambda2 is
+    # below RG_TOL; otherwise it gets the pair tensor of its weights.
     for b in fp.blocks:
-        assert b.history[0] == groups[b.label][0].witness.lambda2
+        rep = groups[b.label][0]
+        own = rep.witness.lambda2 < rg.RG_TOL
+        assert b.tensor.phys_dim == (rep.tensor.phys_dim if own else b.schmidt_weights.size**2)

@@ -40,7 +40,6 @@ ALLOWED = {
     "exact.ExactWeight.__init__(coeff)": "record field",
     "exact.ExactWeight.__init__(base)": "record field",
     "exact.ExactWeight.__init__(index)": "record field",
-    "rg.FixedPointBlock.__init__(history)": "record field",
     "spectral.NormalityWitness.__init__(right_fixed_point)": "record field",
     "spectral.NormalityWitness.__init__(left_fixed_point)": "record field",
     "weights.WeightSpectrum.__init__(labels)": "record field",

@@ -53,8 +53,7 @@ from .dense import (
 from .exact import ExactWeight, best_rational, squared_ratio
 from .experiments import (
     InvarianceReport,
-    fixed_point_invariance_experiment,
-    invariance_experiment,
+    fixed_point_sweep,
     invariance_sweep,
 )
 from .partition import Partition, build_partition
@@ -109,12 +108,11 @@ __all__ = [
     "correlation_length",
     "evaluate_weights",
     "fannes_check",
-    "fixed_point_invariance_experiment",
+    "fixed_point_sweep",
     "flatness_check",
     "gauge_equivalent",
     "ghz_classify",
     "haar_gate",
-    "invariance_experiment",
     "invariance_sweep",
     "is_normal",
     "local_orthogonal",

@@ -5,14 +5,16 @@ One executable, one ``--pipeline`` switch:
 * ``analyze``    tensor JSON -> canonical form, fixed-point Schmidt weights
                  and subleading transfer modulus per block (closed form,
                  read from the canonical blocks), verdicts
-* ``verify``     run the dense-oracle invariant suites
+* ``verify``     run the dense-oracle invariant suites, in one
+                 configuration: depth-1 circuits on a 16-site ring
 * ``stab``       tableau request -> exact entropies / mutual information
 * ``ghz``        exact-weight JSON -> family label
 * ``typicality`` counting estimate sweep over system sizes
 
 The flags are the whole request: each command reads argparse's namespace,
-after ``_check`` applies the rules that tie flags together.  Every other
-cap and tolerance is a module constant of the layer that owns it.
+after ``_check`` applies the rules that tie flags together and names every
+unknown flag.  Every other cap and tolerance is a module constant of the
+layer that owns it.
 
 Exit codes for verdict pipelines: 0 when long-range nonstabilizerness is
 certified, 2 when only the exact-SRN exclusion fires, 3 when
@@ -60,7 +62,7 @@ from .dense import (
 )
 from .errors import DependentGenerators, LrnDetectError, OutOfRange
 from .exact import ExactWeight
-from .experiments import _fixed_point_sweep, invariance_sweep
+from .experiments import fixed_point_sweep, invariance_sweep
 from .io import dump_report, json_value, load_tensor, rows_to_csv
 from .partition import build_partition
 from .rg import rg_fixed_point
@@ -75,10 +77,10 @@ _EXIT_ERROR = 1
 _EXIT_EXCLUDED = 2
 _EXIT_INCONCLUSIVE = 3
 
-# Largest dense state the invariance suite builds.  Depth 1 (n = 16) fits;
-# depth 2 (n = 24) would hold gigabytes and run for minutes, so it is
-# reported as skipped before any state is formed.
-_VERIFY_AMP_CAP = 2**20
+# (sites, circuit depth) of the invariance and causal-cone suites: the
+# least ring hosting four regions of 2 * depth + 2 sites at depth 1.
+# Depth 2 (24 sites, 2**24 amplitudes) runs under ``pytest -m slow``.
+_VERIFY_RING = (16, 1)
 # Largest |I_tableau - I_dense| the Clifford suite accepts, in bits.
 _CLIFFORD_MI_TOL = 1e-9
 # Largest Frobenius distance between the cone suite's channel formula and
@@ -119,6 +121,7 @@ def _status_exit(statuses: list[str]) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     tensor, exact_weights = load_tensor(args.input)
     cf = canonical_decompose(tensor)
+    groups = cf.surviving_groups()
 
     spectrum = cf.weight_spectrum
     if exact_weights is not None:
@@ -126,6 +129,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise LrnDetectError(
                 f"{len(exact_weights)} exact weights for {spectrum.num_blocks} "
                 "surviving block groups"
+            )
+        # A constant weight per group holds only for a group of one block; a
+        # group of gauge copies has a weight that moves with N.
+        sizes = [len(members) for members in groups.values()]
+        if any(k != 1 for k in sizes):
+            raise LrnDetectError(
+                "exact weights need one block per surviving group, got group "
+                f"sizes {sizes}"
             )
         spectrum = WeightSpectrum.constant(
             [math.sqrt(max(w.value(), 0.0)) for w in exact_weights]
@@ -135,7 +146,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if exact_weights is not None and len(exact_weights) >= 2:
         verdicts["ratio_criterion"] = srn_ratio_check(exact_weights, q_max=args.qmax)
 
-    groups = cf.surviving_groups()
     report = {
         "input": args.input,
         "canonical_form": {
@@ -250,41 +260,34 @@ def _verify_clifford_quantization(seed: int, trials: int) -> dict:
             "worst_deviation": worst}
 
 
-def _verify_invariance(seed: int, seeds_per_fixture: int, depth: int) -> dict:
-    n = 8 * depth + 8  # smallest ring hosting four regions of 2*depth + 2
-    if 2**n > _VERIFY_AMP_CAP:  # every fixture lives on qubits
-        return {"suite": "invariance", "passed": True, "depth": depth,
-                "skipped": f"{2**n} amplitudes above cap {_VERIFY_AMP_CAP}"}
-    fixtures = [("ghz_half", families.ghz_tensor())]
-    if depth == 1:
-        fixtures.append(("phase_loop_pi3", families.phase_loop_tensor(math.pi / 3)))
+def _verify_invariance(seed: int, seeds_per_fixture: int) -> dict:
+    n, depth = _VERIFY_RING
+    fixtures = [
+        ("ghz_half", families.ghz_tensor()),
+        ("phase_loop_pi3", families.phase_loop_tensor(math.pi / 3)),
+    ]
     seeds = range(seed, seed + seeds_per_fixture)
     results = []
     for name, tensor in fixtures:
-        for rep in _fixed_point_sweep(rg_fixed_point(tensor), n, depth, seeds):
+        for rep in fixed_point_sweep(rg_fixed_point(tensor), n, depth, seeds):
             results.append({"fixture": name, "seed": rep.seed, **rep.to_json()})
-    if depth == 1:
-        t_star = families.counterexample_t_star()
-        probs = families.counterexample_probs(t_star)
-        state = families.dense_pattern_state(
-            ["00", "01", "10", "11"], np.sqrt(probs), n
-        )
-        part = build_partition(n, depth)
-        circuits = ((s, random_brickwork(n, depth, s)) for s in seeds)
-        for rep in invariance_sweep(state, probs, part, circuits):
-            results.append(
-                {"fixture": "four_component", "seed": rep.seed, **rep.to_json()}
-            )
+    probs = families.counterexample_probs(families.counterexample_t_star())
+    state = families.dense_pattern_state(["00", "01", "10", "11"], np.sqrt(probs), n)
+    part = build_partition(n, depth)
+    circuits = ((s, random_brickwork(n, depth, s)) for s in seeds)
+    for rep in invariance_sweep(state, probs, part, circuits):
+        results.append({"fixture": "four_component", "seed": rep.seed, **rep.to_json()})
     passed = all(r["passed"] for r in results)
-    out = {"suite": "invariance", "passed": passed, "depth": depth, "cases": results}
+    out = {"suite": "invariance", "passed": passed, "cases": results}
     if not passed:
         out["replay"] = next(r for r in results if not r["passed"])
     return out
 
 
 def _verify_causal_cone(seed: int, trials: int) -> dict:
-    state = families.dense_pattern_state(["0", "1"], [math.sqrt(0.3), math.sqrt(0.7)], 16)
-    part = build_partition(16, 1)
+    n, depth = _VERIFY_RING
+    state = families.dense_pattern_state(["0", "1"], [math.sqrt(0.3), math.sqrt(0.7)], n)
+    part = build_partition(n, depth)
     worst = 0.0
     for k in range(trials):
         err, cptp = _cone_trial(state, part, seed + k)
@@ -305,11 +308,12 @@ def _cone_trial(state: DenseState, part, seed: int) -> tuple[float, float]:
     (u_a ⊗ u_b) rho_ab (u_a ⊗ u_b)†.  The evolved state is freed once its
     factor is copied out, and every array of the trial when it returns.
     """
-    red = causal_cone_reduce(random_brickwork(16, 1, seed), part)
+    n, depth = _VERIFY_RING
+    red = causal_cone_reduce(random_brickwork(n, depth, seed), part)
     sigma_f = _reduction_factor(red, state)
     gates = red.circuit.gates + [(red.u_a, part.a), (red.u_b, part.b)]
-    evolved = _apply_gates(state.amplitudes, 16, 2, gates)
-    rho_f = _region_factor(DenseState(16, 2, evolved), part.ab)
+    evolved = _apply_gates(state.amplitudes, n, 2, gates)
+    rho_f = _region_factor(DenseState(n, 2, evolved), part.ab)
     del evolved  # the factor is a copy
     cptp = max((c.cptp_defect() for c in red.channel_list()), default=0.0)
     return _gram_gap(rho_f, sigma_f), cptp
@@ -346,18 +350,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trials = max(4, args.n_max - args.n_min + 1)
     suites = [
         _verify_clifford_quantization(args.seed, trials * 4),
-        _verify_invariance(args.seed, max(2, trials // 4), args.depth),
+        _verify_invariance(args.seed, max(2, trials // 4)),
         _verify_flatness(args.seed, trials),
+        _verify_causal_cone(args.seed, trials),
     ]
-    if args.depth == 1:
-        suites.append(_verify_causal_cone(args.seed, trials))
-    else:
-        # The dense channel comparison is desk-capped at depth 1; deeper
-        # circuits are exercised through the invariance suite only.
-        suites.append({"suite": "causal_cone", "passed": True,
-                       "skipped": f"dense comparison capped at depth 1 (got {args.depth})"})
     passed = all(s["passed"] for s in suites)
-    report = {"passed": passed, "suites": suites, "seed": args.seed, "depth": args.depth}
+    report = {"passed": passed, "suites": suites, "seed": args.seed}
     _emit(args, report)
     return _EXIT_OK if passed else _EXIT_ERROR
 
@@ -386,21 +384,31 @@ def _parser() -> argparse.ArgumentParser:
         prog="lrn-detect",
         description="Detect long-range nonstabilizerness of TI MPS families.",
     )
-    p.add_argument("--pipeline", required=True, choices=PIPELINES)
+    p.add_argument("--pipeline", choices=PIPELINES)
     p.add_argument("--input", help="tensor / weight / tableau input file")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-min", type=int, default=20)
     p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--depth", type=int, default=1)
     p.add_argument("--tol-int", type=float, default=1e-6)
     p.add_argument("--qmax", type=int, default=10**6)
     return p
 
 
-def _check(args: argparse.Namespace) -> None:
-    """The rules that tie flags together; argparse checks each flag alone."""
+def _check(args: argparse.Namespace, unknown: list[str]) -> None:
+    """The rules that tie flags together; argparse checks each flag alone.
+
+    ``unknown`` holds what argparse did not recognize; it is reported with
+    a missing ``--pipeline`` in one error, so neither hides the other.
+    """
+    problems = []
+    if unknown:
+        problems.append(f"unrecognized arguments: {' '.join(unknown)}")
+    if args.pipeline is None:
+        problems.append("the following arguments are required: --pipeline")
+    if problems:
+        raise LrnDetectError("; ".join(problems))
     if args.pipeline in ("analyze", "stab", "ghz") and not args.input:
         raise LrnDetectError(f"pipeline {args.pipeline!r} requires --input")
     if args.format == "csv" and args.pipeline not in CSV_PIPELINES:
@@ -413,8 +421,9 @@ def _check(args: argparse.Namespace) -> None:
     width = args.n_max - args.n_min + 1
     if args.pipeline in ("typicality", "verify") and width > _WINDOW_CAP:
         raise OutOfRange(f"N window of {width} sizes above cap {_WINDOW_CAP}")
-    if args.depth < 1:
-        raise LrnDetectError(f"--depth must be at least 1, got {args.depth}")
+    # lrn_entropy_check refuses it too, but only after the decomposition.
+    if args.pipeline == "analyze" and not 0.0 < args.tol_int < 0.5:
+        raise OutOfRange(f"--tol-int must lie in (0, 0.5), got {args.tol_int}")
 
 
 # Diagnostic attributes an error may carry (spectra, singular values,
@@ -434,8 +443,8 @@ def _error_json(exc: Exception) -> dict:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        _check(args)
+        args, unknown = _parser().parse_known_args(argv)
+        _check(args, unknown)
         return _COMMANDS[args.pipeline](args)
     except (LrnDetectError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(json.dumps(_error_json(exc)), file=sys.stderr)

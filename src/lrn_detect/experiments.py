@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import BrickworkCircuit, apply_brickwork, random_brickwork
+from .circuits import apply_brickwork, random_brickwork
 from .dense import DenseState, materialize_fixed_point, mutual_information
 from .criteria import shannon_entropy
 from .partition import Partition, build_partition
@@ -30,7 +30,6 @@ class InvarianceReport:
     before: float
     after: float
     shannon: float
-    n_sites: int
     depth: int
     seed: int
     partition: Partition
@@ -55,31 +54,13 @@ class InvarianceReport:
         }
 
 
-def invariance_experiment(
-    state: DenseState,
-    probs,
-    partition: Partition,
-    circuit: BrickworkCircuit,
-    seed: int = 0,
-) -> InvarianceReport:
-    """Compare I(A:B) before and after a circuit with the weight entropy."""
-    return invariance_sweep(state, probs, partition, [(seed, circuit)])[0]
+def fixed_point_sweep(f: FixedPointState, n: int, depth: int, seeds) -> list[InvarianceReport]:
+    """Materialize a fixed point once, hit it with a random shallow circuit per seed.
 
-
-def fixed_point_invariance_experiment(
-    f: FixedPointState, n: int, depth: int, seed: int
-) -> InvarianceReport:
-    """Materialize a fixed point, hit it with a random shallow circuit.
-
-    The partition satisfies the depth-matched size constraints; the random
-    circuit's layer alignment is drawn from the seed so sweeps cover both
+    The partition satisfies the depth-matched size constraints; each random
+    circuit's layer alignment is drawn from its seed so sweeps cover both
     brick offsets.
     """
-    return _fixed_point_sweep(f, n, depth, [seed])[0]
-
-
-def _fixed_point_sweep(f: FixedPointState, n: int, depth: int, seeds) -> list[InvarianceReport]:
-    """``fixed_point_invariance_experiment`` for each seed, one state for all."""
     state = materialize_fixed_point(f, n)
     probs = evaluate_weights(f.weights, n)
     partition = build_partition(n, depth)
@@ -92,7 +73,7 @@ def _fixed_point_sweep(f: FixedPointState, n: int, depth: int, seeds) -> list[In
 def invariance_sweep(
     state: DenseState, probs, partition: Partition, circuits
 ) -> list[InvarianceReport]:
-    """``invariance_experiment`` for each ``(seed, circuit)`` pair, in order.
+    """I(A:B) before and after each ``(seed, circuit)``, against the weight entropy.
 
     ``before`` and the weight entropy depend on the state and the
     partition only, so they are computed once; each circuit costs one
@@ -109,7 +90,6 @@ def invariance_sweep(
                 apply_brickwork(state, circuit), partition.a, partition.b
             ),
             shannon=h,
-            n_sites=state.n_sites,
             depth=circuit.depth,
             seed=seed,
             partition=partition,

@@ -7,7 +7,7 @@ with ``pytest -m slow``.
 import numpy as np
 import pytest
 
-from lrn_detect import build_partition, invariance_experiment, random_brickwork
+from lrn_detect import build_partition, invariance_sweep, random_brickwork
 from lrn_detect.families import dense_pattern_state
 
 
@@ -20,6 +20,6 @@ def test_depth2_invariance_n24():
     assert 4 * depth + 4 <= len(partition.ab) <= 8 * depth
     assert partition.min_region() >= 2 * depth + 2
     circ = random_brickwork(n, depth, seed=1)
-    rep = invariance_experiment(state, probs, partition, circ, seed=1)
+    (rep,) = invariance_sweep(state, probs, partition, [(1, circ)])
     assert rep.passed
     assert abs(rep.before - rep.shannon) < 1e-8

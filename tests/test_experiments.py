@@ -6,8 +6,7 @@ import numpy as np
 
 from lrn_detect import (
     build_partition,
-    fixed_point_invariance_experiment,
-    invariance_experiment,
+    fixed_point_sweep,
     invariance_sweep,
     random_brickwork,
     rg_fixed_point,
@@ -24,7 +23,7 @@ from lrn_detect.families import (
 
 def test_ghz_invariance_i_equals_one():
     fp = rg_fixed_point(ghz_tensor())
-    rep = fixed_point_invariance_experiment(fp, 16, 1, seed=5)
+    (rep,) = fixed_point_sweep(fp, 16, 1, [5])
     assert abs(rep.before - 1.0) < 1e-10
     assert abs(rep.after - 1.0) < 1e-8
     assert abs(rep.shannon - 1.0) < 1e-12
@@ -34,8 +33,8 @@ def test_ghz_invariance_i_equals_one():
 def test_ghz_family_generic_weight():
     probs = [0.3, 0.7]
     state = dense_pattern_state(["0", "1"], np.sqrt(probs), 16)
-    rep = invariance_experiment(
-        state, probs, build_partition(16, 1), random_brickwork(16, 1, 3), seed=3
+    (rep,) = invariance_sweep(
+        state, probs, build_partition(16, 1), [(3, random_brickwork(16, 1, 3))]
     )
     assert abs(rep.before - rep.shannon) < 1e-10
     assert rep.passed
@@ -44,7 +43,7 @@ def test_ghz_family_generic_weight():
 
 def test_single_block_zero_mutual_information():
     fp = rg_fixed_point(product_tensor())
-    rep = fixed_point_invariance_experiment(fp, 16, 1, seed=1)
+    (rep,) = fixed_point_sweep(fp, 16, 1, [1])
     assert abs(rep.before) < 1e-10
     assert abs(rep.after) < 1e-8
     assert rep.shannon == 0.0
@@ -53,8 +52,7 @@ def test_single_block_zero_mutual_information():
 
 def test_phase_loop_invariance():
     fp = rg_fixed_point(phase_loop_tensor(math.pi / 2))
-    for seed in (0, 1):
-        rep = fixed_point_invariance_experiment(fp, 16, 1, seed=seed)
+    for rep in fixed_point_sweep(fp, 16, 1, [0, 1]):
         assert rep.passed
         assert abs(rep.shannon - rep.before) < 1e-10
 
@@ -63,8 +61,8 @@ def test_counterexample_invariance_integer_mi():
     t = counterexample_t_star()
     probs = counterexample_probs(t)
     state = dense_pattern_state(["00", "01", "10", "11"], np.sqrt(probs), 16)
-    rep = invariance_experiment(
-        state, probs, build_partition(16, 1), random_brickwork(16, 1, 9), seed=9
+    (rep,) = invariance_sweep(
+        state, probs, build_partition(16, 1), [(9, random_brickwork(16, 1, 9))]
     )
     assert rep.passed
     assert abs(rep.before - 1.0) < 1e-6  # tuned to integer entropy
@@ -72,31 +70,30 @@ def test_counterexample_invariance_integer_mi():
 
 def test_report_json_fields():
     fp = rg_fixed_point(ghz_tensor())
-    rep = fixed_point_invariance_experiment(fp, 16, 1, seed=2)
+    (rep,) = fixed_point_sweep(fp, 16, 1, [2])
     obj = rep.to_json()
     assert set(obj) == {"before", "after", "shannon", "partition", "seed", "depth", "passed"}
     assert obj["depth"] == 1 and obj["seed"] == 2
 
 
 def test_invariance_sweep_matches_single_seed_experiments():
-    # The sweep shares the state, the partition and ``before`` across seeds;
-    # every per-seed report must still equal the single-seed experiment.
-    from lrn_detect.experiments import _fixed_point_sweep
-
+    # A sweep shares the state, the partition and ``before`` across seeds;
+    # every per-seed report of a multi-seed sweep must still equal the
+    # report of a one-seed sweep.
     for tensor in (ghz_tensor(), phase_loop_tensor(math.pi / 3)):
         fp = rg_fixed_point(tensor)
         seeds = [4, 5, 6, 7]
-        swept = _fixed_point_sweep(fp, 16, 1, seeds)
+        swept = fixed_point_sweep(fp, 16, 1, seeds)
         assert [rep.seed for rep in swept] == seeds
         for rep in swept:
-            assert rep == fixed_point_invariance_experiment(fp, 16, 1, rep.seed)
+            assert [rep] == fixed_point_sweep(fp, 16, 1, [rep.seed])
     probs = counterexample_probs(counterexample_t_star())
     state = dense_pattern_state(["00", "01", "10", "11"], np.sqrt(probs), 16)
     part = build_partition(16, 1)
     circuits = [(s, random_brickwork(16, 1, s)) for s in (0, 1, 2)]
     swept = invariance_sweep(state, probs, part, circuits)
-    for (s, circ), rep in zip(circuits, swept):
-        assert rep == invariance_experiment(state, probs, part, circ, seed=s)
+    for pair, rep in zip(circuits, swept):
+        assert [rep] == invariance_sweep(state, probs, part, [pair])
 
 
 def test_cli_verify_builds_each_fixture_state_once(monkeypatch, capsys):

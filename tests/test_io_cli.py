@@ -210,21 +210,9 @@ def test_cli_verify_small(capsys):
     assert {s["suite"] for s in report["suites"]} == {
         "clifford_quantization", "invariance", "causal_cone", "flatness",
     }
-
-
-def test_cli_verify_depth2_skips_invariance(monkeypatch, capsys):
-    import lrn_detect.experiments
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("materialize_fixed_point called above the amplitude cap")
-
-    monkeypatch.setattr(lrn_detect.experiments, "materialize_fixed_point", refuse)
-    code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4", "--depth", "2"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0
-    suite = next(s for s in report["suites"] if s["suite"] == "invariance")
-    assert suite == {"suite": "invariance", "passed": True, "depth": 2,
-                     "skipped": f"{2**24} amplitudes above cap {2**20}"}
+    # verify runs one configuration: every suite runs, none is skipped.
+    assert "depth" not in report
+    assert not any("skipped" in s or "depth" in s for s in report["suites"])
 
 
 def test_cli_verify_catches_a_wrong_causal_cone_reduction(monkeypatch, capsys):
@@ -252,12 +240,12 @@ def test_cli_verify_catches_a_wrong_causal_cone_reduction(monkeypatch, capsys):
     assert suite["replay"] == {"seed": 0}
 
 
-@pytest.mark.parametrize("depth", [0, -1])
-def test_cli_verify_rejects_depth_below_one(depth, monkeypatch, capsys):
+@pytest.mark.parametrize("depth", [-1, 0, 1, 2])
+def test_cli_verify_depth_is_an_unknown_flag(depth, monkeypatch, capsys):
     from lrn_detect.dense import DenseState
 
     def refuse(self):
-        raise AssertionError("a dense state was built for an invalid depth")
+        raise AssertionError("a dense state was built for a malformed command line")
 
     monkeypatch.setattr(DenseState, "__post_init__", refuse)
     code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4",
@@ -403,6 +391,25 @@ def test_cli_analyze_weight_count_mismatch(tmp_path, capsys):
     save_tensor(tmp_path / "bad.json", ghz_tensor(), [ExactWeight.from_float(1.0)])
     assert main(["--pipeline", "analyze", "--input", str(tmp_path / "bad.json")]) == 1
     assert "exact weights" in capsys.readouterr().err
+
+
+def test_cli_analyze_refuses_exact_weights_for_a_group_of_gauge_copies(tmp_path, capsys):
+    # The π/2 loop has a singleton group and a group of two gauge copies,
+    # whose weight |2 cos(πN/2)|² vanishes at every odd N.  Constant
+    # weights 3/10 and 7/10 would certify it, where the tensor alone reads
+    # INCONCLUSIVE.
+    plain, annotated = tmp_path / "plain.json", tmp_path / "annotated.json"
+    save_tensor(plain, phase_loop_tensor(math.pi / 2))
+    save_tensor(annotated, phase_loop_tensor(math.pi / 2),
+                [ExactWeight.from_rational(3, 10), ExactWeight.from_rational(7, 10)])
+    assert main(["--pipeline", "analyze", "--input", str(plain)]) == 3
+    capsys.readouterr()
+    assert main(["--pipeline", "analyze", "--input", str(annotated)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    err = json.loads(streams.err)
+    assert err["error"] == "LrnDetectError"
+    assert "group sizes [1, 2]" in err["message"]
 
 
 def test_reports_stay_strict_json(tmp_path):
@@ -794,21 +801,24 @@ def test_cli_error_payload_on_stderr(make_error, field, expect, fixture_dir, tmp
                    "payload": {field: expect}}
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["--pipeline", "nope"],
-    ["--pipeline", "typicality", "--seed", "abc"],
-    ["--bogus"],
-    ["--pipeline", "rg", "--input", "ghz.json"],
+@pytest.mark.parametrize("argv, named", [
+    ([], ["--pipeline"]),
+    (["--pipeline", "nope"], ["nope"]),
+    (["--pipeline", "typicality", "--seed", "abc"], ["--seed"]),
+    (["--bogus"], ["--bogus", "--pipeline"]),
+    (["--pipeline", "rg", "--input", "ghz.json"], ["rg"]),
 ], ids=["no-pipeline", "unknown-pipeline", "bad-int", "unknown-flag", "removed-rg"])
-def test_cli_malformed_command_line_is_an_invalid_request(argv, capsys):
+def test_cli_malformed_command_line_is_an_invalid_request(argv, named, capsys):
     # argparse's own exit code, 2, is that of EXACT_SRN_EXCLUDED; a
     # malformed command line is an error like any other invalid request.
+    # An unknown flag and a missing --pipeline are named in one message.
     assert main(argv) == 1
     streams = capsys.readouterr()
     assert streams.out == ""
     (line,) = streams.err.splitlines()
-    assert json.loads(line)["error"] == "LrnDetectError"
+    err = json.loads(line)
+    assert err["error"] == "LrnDetectError"
+    assert all(name in err["message"] for name in named), err["message"]
 
 
 def test_cli_help_exits_zero(capsys):
@@ -819,15 +829,24 @@ def test_cli_help_exits_zero(capsys):
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "0.5", "nan", "inf"])
-def test_cli_tol_int_outside_its_range_is_refused(tol, fixture_dir, capsys):
+def test_cli_tol_int_outside_its_range_is_refused(tol, fixture_dir, monkeypatch, capsys):
     # ghz's entropy is exactly 1, so a tolerance of zero or below would certify it.
+    # The tolerance is refused before the tensor is decomposed.
+    from lrn_detect import cli
+
     argv = ["--pipeline", "analyze", "--input", str(fixture_dir / "ghz.json")]
     assert main(argv) == 3
     capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tensor was decomposed for an invalid --tol-int")
+
+    monkeypatch.setattr(cli, "canonical_decompose", refuse)
     assert main([*argv, "--tol-int", tol]) == 1
     streams = capsys.readouterr()
     assert streams.out == ""
-    assert json.loads(streams.err)["error"] == "OutOfRange"
+    err = json.loads(streams.err)
+    assert err["error"] == "OutOfRange" and "--tol-int" in err["message"]
 
 
 def test_cli_error_without_payload_is_json(capsys):

@@ -29,7 +29,6 @@ ALLOWED = {
     "families.product_tensor(level)": "which product state",
     "families.product_tensor(d)": "its site dimension",
     "families.counterexample_exact_weights(t)": "family parameter; None takes t*",
-    "experiments.invariance_experiment(seed)": "label copied into the report",
     "io.tensor_to_json(exact_weights)": "optional annotation of the file",
     "io.save_tensor(exact_weights)": "optional annotation of the file",
     # Fields of result records and the diagnostics an error carries.

@@ -46,8 +46,6 @@ from .weights import WeightSpectrum, wrap_phase
 # Largest leak of an invariant-subspace candidate, relative to the entry
 # scale and the bond dimension, for it to count as exactly invariant.
 TAU_BLOCK = 1e-10
-# Largest number of sites grouped to resolve a periodic piece.
-BLOCKING_CAP = 8
 # Frobenius norm below which a mixed transfer operator counts as zero.
 TAU_ORTHOGONAL = 1e-10
 # Distance of the mixed transfer radius from one that still detects a gauge.
@@ -247,7 +245,7 @@ def _invariant(t: MpsTensor, basis: np.ndarray) -> bool:
     """
     chi = t.bond_dim
     p = basis @ basis.conj().T
-    outside = np.einsum("ab,ibc,cd->iad", np.eye(chi) - p, t.matrices, p)
+    outside = (np.eye(chi) - p) @ t.matrices @ p
     scale = max(float(np.max(np.abs(t.matrices))), 1.0)
     return float(np.max(np.abs(outside))) <= TAU_BLOCK * scale * chi
 
@@ -437,25 +435,26 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
 def canonical_decompose(a: MpsTensor) -> CanonicalForm:
     """Extract the canonical form of a TI MPS tensor.
 
-    Blocks sites as needed (up to ``BLOCKING_CAP`` sites), splits the bond
-    space into certified-normal blocks with weights ``mu_k``
-    (``|mu_k| <= 1``, the largest exactly one), and groups gauge-equivalent
-    blocks.
+    Splits the bond space into certified-normal blocks with weights
+    ``mu_k`` (``|mu_k| <= 1``, the largest exactly one), and groups
+    gauge-equivalent blocks.  When parts are periodic, it groups as many
+    sites as the least common multiple of their periods, once, and
+    decomposes the blocked tensor again.
 
     Raises:
         DecompositionFailure: when block projectors cannot be extracted
             within ``TAU_BLOCK``, a block fails its normality certificate,
-            or the required blocking exceeds ``BLOCKING_CAP``; and when the
+            or a part of the blocked tensor is still periodic; and when the
             transfer radius is below ``TAU_ZERO`` or every part is
             nilpotent, carrying the transfer spectrum it tested.
         SizeCap: when the blocked physical dimension exceeds
-            ``tensor.PHYS_DIM_CAP``.
+            ``tensor.PHYS_DIM_CAP``, which bounds the blocking for d >= 2.
         ScaleOutOfRange: when the transfer matrix is too large or too small
             for floating-point spectral work (``spectral.NORM_RANGE``).
     """
     q = 1
-    current = a
-    for _ in range(BLOCKING_CAP + 1):
+    while True:
+        current = block_tensor(a, q)
         spec = _spectrum(current)
         radius = float(abs(spec[0][0]))
         if radius < TAU_ZERO:
@@ -463,18 +462,14 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
         parts = _split_parts(current, TAU_ZERO * radius, spec)
         if not parts:
             raise DecompositionFailure("all parts are nilpotent", spectrum=spec[0])
-        periods = {p for _, p, _ in parts}
-        if periods == {1}:
+        period = math.lcm(*(p for _, p, _ in parts))
+        if period == 1:
             break
-        q_new = q * math.lcm(*periods)
-        if q_new > BLOCKING_CAP:
+        if q > 1:
             raise DecompositionFailure(
-                f"blocking order {q_new} exceeds the cap {BLOCKING_CAP}"
+                f"a part still has period {period} after grouping {q} sites"
             )
-        q = q_new
-        current = block_tensor(a, q)
-    else:
-        raise DecompositionFailure("blocking did not stabilize the decomposition")
+        q = period
 
     # Normalize each part to spectral radius one and record its weight.
     tensors = [part.scaled(1.0 / math.sqrt(s.radius)) for part, _, s in parts]

@@ -25,8 +25,8 @@ thread count, a composite's blocks and groups, which follow the
 eigensolver's output order, can come reordered, and floats can differ in
 their last bits.  Reports go to stdout or ``--out``; stderr carries
 diagnostics only: an error is one JSON object with its type, message and
-diagnostic payload (spectrum, singular values or last residual, when the
-error carries one).
+diagnostic payload, the keywords it was raised with (a spectrum, singular
+values, a last residual, a norm).
 """
 
 from __future__ import annotations
@@ -418,6 +418,9 @@ def _check(args: argparse.Namespace, unknown: list[str]) -> None:
         )
     if args.n_min < 1 or args.n_max < args.n_min:
         raise LrnDetectError("need 1 <= n-min <= n-max")
+    # typicality_log_ratio counts states of at least two qubits.
+    if args.pipeline == "typicality" and args.n_min < 2:
+        raise OutOfRange(f"typicality needs n-min >= 2, got {args.n_min}", n_min=args.n_min)
     width = args.n_max - args.n_min + 1
     if args.pipeline in ("typicality", "verify") and width > _WINDOW_CAP:
         raise OutOfRange(f"N window of {width} sizes above cap {_WINDOW_CAP}")
@@ -426,18 +429,9 @@ def _check(args: argparse.Namespace, unknown: list[str]) -> None:
         raise OutOfRange(f"--tol-int must lie in (0, 0.5), got {args.tol_int}")
 
 
-# Diagnostic attributes an error may carry (spectra, singular values,
-# residuals, norms); each one that is set goes into the stderr payload.
-_PAYLOAD_FIELDS = ("spectrum", "singular_values", "last_residual", "norm")
-
-
 def _error_json(exc: Exception) -> dict:
     """One stderr object: error type, message and diagnostic payload."""
-    payload = {
-        name: json_value(getattr(exc, name))
-        for name in _PAYLOAD_FIELDS
-        if getattr(exc, name, None) is not None
-    }
+    payload = {k: json_value(v) for k, v in getattr(exc, "payload", {}).items()}
     return {"error": type(exc).__name__, "message": str(exc), "payload": payload}
 
 

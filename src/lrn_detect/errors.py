@@ -1,12 +1,24 @@
 """Exception hierarchy.
 
 Every failure mode is reported through a named exception so callers can
-branch on the cause; nothing is silently regularized.
+branch on the cause; nothing is silently regularized.  An error carries
+the numbers behind it as keyword arguments of its raise, which the CLI
+writes to stderr as its payload.
 """
 
 
 class LrnDetectError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Each keyword argument is diagnostic payload (a spectrum, singular
+    values, a residual, a norm): it becomes an attribute of the error, and
+    ``payload`` keeps the ones that are not None, in the order given.
+    """
+
+    def __init__(self, message, **payload):
+        super().__init__(message)
+        vars(self).update(payload)
+        self.payload = {k: v for k, v in payload.items() if v is not None}
 
 
 # --- MPS / spectral ---------------------------------------------------------
@@ -19,17 +31,12 @@ class NonDiagonalizablePeripheral(LrnDetectError):
     Carries the transfer spectrum, sorted by descending modulus.
     """
 
-    def __init__(self, message, spectrum=None):
-        super().__init__(message)
-        self.spectrum = spectrum
-
 
 class ConvergenceFailure(LrnDetectError):
-    """An iterative procedure did not converge within its budget."""
+    """An iterative procedure did not converge within its budget.
 
-    def __init__(self, message, last_residual=None):
-        super().__init__(message)
-        self.last_residual = last_residual
+    Carries the last residual.
+    """
 
 
 class ScaleOutOfRange(LrnDetectError):
@@ -40,11 +47,6 @@ class ScaleOutOfRange(LrnDetectError):
     known, the spectrum.
     """
 
-    def __init__(self, message, norm, spectrum):
-        super().__init__(message)
-        self.norm = norm
-        self.spectrum = spectrum
-
 
 class DecompositionFailure(LrnDetectError):
     """Canonical-form block extraction failed.
@@ -52,17 +54,12 @@ class DecompositionFailure(LrnDetectError):
     Carries the peripheral fixed-point spectrum that defeated the splitter.
     """
 
-    def __init__(self, message, spectrum=None):
-        super().__init__(message)
-        self.spectrum = spectrum
-
 
 class RankTolerance(LrnDetectError):
-    """Singular values cluster at the rank cutoff; rank is ambiguous."""
+    """Singular values cluster at the rank cutoff; rank is ambiguous.
 
-    def __init__(self, message, singular_values=None):
-        super().__init__(message)
-        self.singular_values = singular_values
+    Carries the singular values.
+    """
 
 
 class DimensionMismatch(LrnDetectError):

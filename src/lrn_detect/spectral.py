@@ -368,7 +368,7 @@ def _peripheral_vectors(m: np.ndarray, evals: np.ndarray, k: int, scale: float):
                 raise ScaleOutOfRange(
                     f"inverse iteration at spectral radius {radius:.3g} left "
                     f"the floating-point range: {exc}",
-                    norm=scale, spectrum=evals,
+                    spectrum=evals, norm=scale,
                 ) from None
             mv = m @ v
             try:

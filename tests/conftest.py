@@ -154,3 +154,37 @@ def composite_draw():
         return _copy_composite(rng, d, chis, np.exp(2j * np.pi / q))
 
     return draw
+
+
+def _dressed_tensor(a, u1, u2):
+    """Site tensor of U2 U1 |psi>, one site per two sites of the family |psi> of ``a``.
+
+    Blocks two sites of ``a`` (physical dimension d**2, the first site most
+    significant), applies the two-site gate ``u1`` inside each block, and
+    splits ``u2``, which acts across each block boundary, by an
+    operator-Schmidt SVD ``u2 = sum_s L_s ⊗ R_s``: the first site of a
+    block takes ``R_s`` of the gate on its left boundary, the second takes
+    ``L_s'`` of the gate on its right one, and the bond carries ``(alpha,
+    s)``, so the bond dimension grows from chi to chi * d**2.  Gates are
+    ``d**2 x d**2`` matrices on (left site, right site), the left site
+    most significant.
+    """
+    from lrn_detect import MpsTensor
+
+    d, chi = a.phys_dim, a.bond_dim
+    pairs = np.einsum("iab,jbc->ijac", a.matrices, a.matrices).reshape(d * d, chi, chi)
+    pairs = np.einsum("kl,lab->kab", u1, pairs).reshape(d, d, chi, chi)
+    # u2[(a, b), (c, e)] regrouped as M[(a, c), (b, e)]: left site, then right site.
+    m = u2.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    u, sv, vh = np.linalg.svd(m)
+    left = (u * np.sqrt(sv)).T.reshape(-1, d, d)  # L_s[a, c]
+    right = (np.sqrt(sv)[:, None] * vh).reshape(-1, d, d)  # R_s[b, e]
+    r = len(sv)
+    mats = np.einsum("sxj,tyk,jkab->xyasbt", right, left, pairs)
+    return MpsTensor(mats.reshape(d * d, chi * r, chi * r))
+
+
+@pytest.fixture
+def dressed_tensor():
+    """The builder ``(a, u1, u2) -> MpsTensor`` of circuit-dressed tensors."""
+    return _dressed_tensor

@@ -12,10 +12,12 @@ from lrn_detect import (
     canonical_decompose,
     gauge_equivalent,
     local_orthogonal,
+    lrn_entropy_check,
     materialize_mps,
     spectral,
     transfer_matrix,
 )
+from lrn_detect.criteria import LRN_CERTIFIED
 from lrn_detect.errors import DecompositionFailure, NotNormalInput
 from lrn_detect.families import (
     alternating_tensor,
@@ -163,6 +165,31 @@ def test_decompose_alternating_needs_blocking():
     assert cf.blocking == 2
     assert len(cf.blocks) == 2
     assert all(b.tensor.bond_dim == 1 for b in cf.blocks)
+
+
+@pytest.mark.parametrize("p", [9, 11])
+def test_decompose_groups_as_many_sites_as_a_long_period(p):
+    # Cyclic shift on p bond states, level r mod 2 on the bond r -> r + 1:
+    # p translates of one product state, so the entropy is log2(p).
+    mats = np.zeros((2, p, p), dtype=complex)
+    for r in range(p):
+        mats[r % 2, r, (r + 1) % p] = 1.0
+    cf = canonical_decompose(MpsTensor(mats))
+    assert cf.blocking == p
+    assert len(cf.blocks) == p
+    assert lrn_entropy_check(cf.weight_spectrum).status == LRN_CERTIFIED
+
+
+def test_decompose_blocks_once(monkeypatch):
+    # A part still periodic after blocking is a named failure, not a second blocking.
+    split = canonical._split_parts
+
+    def always_periodic(*args):
+        return [(t, 2, s) for t, _, s in split(*args)]
+
+    monkeypatch.setattr(canonical, "_split_parts", always_periodic)
+    with pytest.raises(DecompositionFailure, match="period 2 after grouping 2 sites"):
+        canonical_decompose(alternating_tensor())
 
 
 def test_decompose_drops_decaying_block():

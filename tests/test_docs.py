@@ -1,5 +1,6 @@
-"""The README and the CLI docstring name exactly the pipelines and flags the CLI has."""
+"""README and the CLI docstring name exactly the pipelines, flags and names the code has."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -32,3 +33,15 @@ def test_readme_flags_line_names_every_option_and_no_other():
         if s.startswith("--")
     }
     assert named == options
+
+
+def test_readme_module_names_resolve():
+    # A constant renamed or deleted in the code but left in the docs fails here.
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)`", text))
+    assert named
+    missing = [
+        f"{module}.{name}" for module, name in sorted(named)
+        if not hasattr(importlib.import_module(f"lrn_detect.{module}"), name)
+    ]
+    assert missing == []

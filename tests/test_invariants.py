@@ -5,13 +5,17 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from lrn_detect import (
     MpsTensor,
     best_rational,
+    block_tensor,
     canonical_decompose,
+    evaluate_weights,
     gauge_equivalent,
     ghz_classify,
+    haar_gate,
     local_orthogonal,
     lrn_entropy_check,
     materialize_mps,
@@ -25,7 +29,7 @@ from lrn_detect import (
     reduced_density,
 )
 from lrn_detect.criteria import LRN_CERTIFIED
-from lrn_detect.dense import DenseState
+from lrn_detect.dense import DenseState, _apply_gates
 from lrn_detect.families import (
     ghz_family_weights,
     ghz_tensor,
@@ -258,3 +262,41 @@ def test_gauge_equivalent_bond2_pair_grouped():
     for n in (3, 6, 9):
         amp = spectrum.amplitudes(n)[0]
         assert abs(abs(amp) - abs(1 + cmath.exp(1j * phi0 * n))) < 1e-7
+
+
+def test_dressed_tensor_generates_the_dressed_state(dressed_tensor):
+    # Four blocks are eight sites: U1 on (0,1), (2,3), ..., then U2 on
+    # (1,2), ..., (7,0) around the ring, applied to the undressed state.
+    a = phase_loop_tensor(2 * math.pi / 5)
+    rng = np.random.default_rng(0)
+    u1, u2 = haar_gate(4, rng), haar_gate(4, rng)
+    dressed = materialize_mps(dressed_tensor(a, u1, u2), 4).amplitudes
+    gates = [(u1, (k, k + 1)) for k in range(0, 8, 2)]
+    gates += [(u2, (k, (k + 1) % 8)) for k in range(1, 8, 2)]
+    expected = _apply_gates(materialize_mps(a, 8).amplitudes, 8, 2, gates)
+    assert abs(abs(np.vdot(dressed, expected)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["ghz", "loop_2pi5", "loop_pi3"])
+def test_dressing_keeps_weights_and_verdict(name, seed, dressed_tensor):
+    # A shallow circuit maps the orthogonal components of the family to
+    # orthogonal components, so the weights and the verdict of the blocked
+    # tensor survive the dressing (chi 2 -> 8 and 3 -> 12).
+    a = {
+        "ghz": ghz_tensor,
+        "loop_2pi5": lambda: phase_loop_tensor(2 * math.pi / 5),
+        "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
+    }[name]()
+    rng = np.random.default_rng(seed)
+    dressed = dressed_tensor(a, haar_gate(4, rng), haar_gate(4, rng))
+    sizes = np.arange(8, 24)
+    results = []
+    for t in (block_tensor(a, 2), dressed):
+        spectrum = canonical_decompose(t).weight_spectrum
+        weights = np.sort(evaluate_weights(spectrum, sizes), axis=-1)
+        results.append((weights, lrn_entropy_check(spectrum).status))
+    (w_blocked, v_blocked), (w_dressed, v_dressed) = results
+    assert w_dressed.shape == w_blocked.shape
+    assert np.max(np.abs(w_dressed - w_blocked)) <= 1e-12
+    assert v_dressed == v_blocked

@@ -16,7 +16,9 @@ from lrn_detect.errors import (
     ConvergenceFailure,
     DecompositionFailure,
     NonDiagonalizablePeripheral,
+    OutOfRange,
     RankTolerance,
+    ScaleOutOfRange,
 )
 from lrn_detect.families import (
     alternating_tensor,
@@ -267,6 +269,25 @@ def test_cli_rejects_bad_size_window(window, tmp_path, capsys):
     assert streams.out == "" and not out.exists()
     assert json.loads(streams.err) == {
         "error": "LrnDetectError", "message": "need 1 <= n-min <= n-max", "payload": {},
+    }
+
+
+def test_cli_typicality_refuses_n_min_below_two_before_any_row(tmp_path, monkeypatch,
+                                                               capsys):
+    from lrn_detect import cli
+
+    def refuse(n):
+        raise AssertionError("a row was built for n-min 1")
+
+    monkeypatch.setattr(cli, "typicality_log_ratio", refuse)
+    out = tmp_path / "r.json"
+    argv = ["--pipeline", "typicality", "--n-min", "1", "--n-max", "3", "--out", str(out)]
+    assert main(argv) == 1
+    streams = capsys.readouterr()
+    assert streams.out == "" and not out.exists()
+    assert json.loads(streams.err) == {
+        "error": "OutOfRange", "message": "typicality needs n-min >= 2, got 1",
+        "payload": {"n_min": 1},
     }
 
 
@@ -778,6 +799,10 @@ def test_cli_runs_no_eig_on_a_transfer_matrix(
      "singular_values", [1.0, 1e-5]),
     (lambda: ConvergenceFailure("stuck", last_residual=np.float64(0.25)),
      "last_residual", 0.25),
+    # A keyword passed as None is left out.
+    (lambda: ScaleOutOfRange("underflow", norm=1e-170, spectrum=None), "norm", 1e-170),
+    # Any keyword of the raise is payload, not only the ones above.
+    (lambda: OutOfRange("x", margin=np.float64(0.5)), "margin", 0.5),
 ])
 def test_cli_error_payload_on_stderr(make_error, field, expect, fixture_dir, tmp_path,
                                      monkeypatch, capsys):
@@ -947,6 +972,7 @@ def test_cli_tiny_radius_is_named_where_the_resolvent_overflows(tmp_path, capsys
     save_tensor(tmp_path / "tiny.json", phase_loop_tensor(math.pi / 3).scaled(1e-76))
     err = _analyze_error(tmp_path / "tiny.json", capsys)
     assert err["error"] == "ScaleOutOfRange"
+    assert list(err["payload"]) == ["spectrum", "norm"]  # in the order of the raise
     assert 0.0 < err["payload"]["norm"] < 1e-140
     assert all(abs(z["re"]) < 1e-140 for z in err["payload"]["spectrum"])
 

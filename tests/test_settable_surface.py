@@ -31,7 +31,7 @@ ALLOWED = {
     "families.counterexample_exact_weights(t)": "family parameter; None takes t*",
     "io.tensor_to_json(exact_weights)": "optional annotation of the file",
     "io.save_tensor(exact_weights)": "optional annotation of the file",
-    # Fields of result records and the diagnostics an error carries.
+    # Fields of result records.
     "criteria.Verdict.__init__(evidence)": "record field",
     "criteria.Verdict.__init__(residue_class)": "record field",
     "exact.ExactWeight.__init__(float_value)": "record field",
@@ -42,10 +42,6 @@ ALLOWED = {
     "spectral.NormalityWitness.__init__(right_fixed_point)": "record field",
     "spectral.NormalityWitness.__init__(left_fixed_point)": "record field",
     "weights.WeightSpectrum.__init__(labels)": "record field",
-    "errors.NonDiagonalizablePeripheral.__init__(spectrum)": "diagnostic payload",
-    "errors.ConvergenceFailure.__init__(last_residual)": "diagnostic payload",
-    "errors.DecompositionFailure.__init__(spectrum)": "diagnostic payload",
-    "errors.RankTolerance.__init__(singular_values)": "diagnostic payload",
 }
 
 

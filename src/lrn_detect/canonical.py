@@ -1,7 +1,10 @@
 """Decomposition of a TI MPS tensor into weighted normal blocks.
 
 The decomposition peels invariant subspaces off the bond space, read from
-positive fixed points of the transfer channel:
+positive fixed points of the transfer channel.  Each part is first offered
+to its normality witness: a part the witness certifies normal (one
+peripheral eigenvalue, full-support fixed points) has nothing to cut and is
+a block as it stands, carrying that witness.  The others are split:
 
 * a rank-deficient right (left) fixed point exposes a subspace mapped into
   itself by the site matrices, splitting the tensor triangularly;
@@ -12,8 +15,9 @@ positive fixed points of the transfer channel:
 * an irreducible piece whose peripheral spectrum is a nontrivial group of
   roots of unity is periodic and is resolved by grouping that many sites.
 
-Every split is accepted only once ``_invariant`` confirms, within
-``TAU_BLOCK``, that the site matrices map the candidate subspace into itself.
+Every split is accepted only once ``_leak`` confirms, within ``TAU_BLOCK``,
+that the site matrices map the candidate subspace into itself; a refused
+split raises with the leak and its threshold.
 The parts keep no record of where they sat in the bond space: each reader of
 the form needs only the blocks, their weights and their normality witnesses.
 
@@ -35,6 +39,7 @@ from .spectral import (
     TAU_SPEC,
     NormalityWitness,
     _checked_norm,
+    _eigvals,
     _peripheral_vectors,
     is_normal,
     normality_witness,
@@ -143,20 +148,24 @@ def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau):
     m = mixed_transfer_matrix(
         a.scaled(1.0 / math.sqrt(r_a)), b.scaled(1.0 / math.sqrt(r_b))
     )
-    evals = np.linalg.eigvals(m)
+    evals = _eigvals(m)
     evals = evals[np.argsort(-np.abs(evals), kind="stable")]
     lam = evals[0]
     if abs(lam) < 1.0 - TAU_GAUGE_DETECT:
         return None
     phase = float(np.angle(lam))
     chi = a.bond_dim
-    mat = _peripheral_vectors(m, evals, 1, _checked_norm(m))[0][:, 0].reshape(chi, chi)
-    x = mat @ np.linalg.inv(right_fp_b)
-    # Fix the free scale of x: unit Frobenius density, dominant entry positive.
-    x = x * (math.sqrt(chi) / np.linalg.norm(x))
-    pivot = x.flat[int(np.argmax(np.abs(x)))]
-    x = x * (abs(pivot) / pivot)
-    recon = cmath.exp(1j * phase) * b.gauged(np.linalg.inv(x), x).matrices
+    if chi == 1:  # scalars: the only gauge is the number one
+        x = np.ones((1, 1), dtype=complex)
+        recon = cmath.exp(1j * phase) * b.matrices
+    else:
+        mat = _peripheral_vectors(m, evals, 1, _checked_norm(m))[0][:, 0].reshape(chi, chi)
+        x = mat @ np.linalg.inv(right_fp_b)
+        # Fix the free scale of x: unit Frobenius density, dominant entry positive.
+        x = x * (math.sqrt(chi) / np.linalg.norm(x))
+        pivot = x.flat[int(np.argmax(np.abs(x)))]
+        x = x * (abs(pivot) / pivot)
+        recon = cmath.exp(1j * phase) * b.gauged(np.linalg.inv(x), x).matrices
     scale = max(float(np.max(np.abs(a.matrices))), 1.0)
     if np.max(np.abs(a.matrices - recon)) > tau * scale:
         return None
@@ -236,18 +245,20 @@ class CanonicalForm:
         }
 
 
-def _invariant(t: MpsTensor, basis: np.ndarray) -> bool:
-    """True iff the site matrices map span(basis) into itself.
+def _leak(t: MpsTensor, basis: np.ndarray) -> tuple[float, float]:
+    """How far the site matrices map span(basis) out of itself, and the bound.
 
-    The mass they map out of the span (the leak) may be at most
-    ``TAU_BLOCK`` times the entry scale of ``t`` (its largest entry, at
-    least one) times the bond dimension.
+    Returns ``(leak, threshold)``: the largest entry of the part of the
+    span that the matrices map outside it, and ``TAU_BLOCK`` times the
+    entry scale of ``t`` (its largest entry, at least one) times the bond
+    dimension.  The span counts as invariant iff the leak is at most the
+    threshold.
     """
     chi = t.bond_dim
     p = basis @ basis.conj().T
     outside = (np.eye(chi) - p) @ t.matrices @ p
     scale = max(float(np.max(np.abs(t.matrices))), 1.0)
-    return float(np.max(np.abs(outside))) <= TAU_BLOCK * scale * chi
+    return float(np.max(np.abs(outside))), TAU_BLOCK * scale * chi
 
 
 def _split_all(subs, floor: float):
@@ -293,7 +304,8 @@ def _defective_split(t, tn, spectrum, floor):
                     )
     for basis, comp in candidates:
         for inner, outer in ((basis, comp), (comp, basis)):
-            if _invariant(tn, inner):
+            leak, threshold = _leak(tn, inner)
+            if leak <= threshold:
                 return _split_all((t.gauged(b, b.conj().T) for b in (inner, outer)), floor)
     raise DecompositionFailure(
         "peripheral space is defective and no verified invariant support exists",
@@ -304,27 +316,27 @@ def _defective_split(t, tn, spectrum, floor):
 def _split_parts(t: MpsTensor, floor: float, spec=None):
     """Recursively split ``t`` into irreducible parts.
 
-    Returns ``[(tensor, period, data)]``; ``period > 1`` marks a piece
-    whose peripheral spectrum is a cyclic group and which needs blocking,
-    and ``data`` is the SpectralData of the part's transfer matrix.
-    Parts keep the scale they inherit from ``t``; pieces whose transfer
-    radius is below ``floor`` are dropped.  ``spec`` is ``_spectrum(t)``
-    when the caller already has it.
+    Returns ``[(tensor, period, data, witness)]``; ``period > 1`` marks a
+    piece whose peripheral spectrum is a cyclic group and which needs
+    blocking, ``data`` is the SpectralData of the part's transfer matrix
+    and ``witness`` its normality witness.  A part whose witness certifies
+    it normal is returned as it stands: the one-sided fixed-point ``eigh``
+    calls and the splits below run only on parts the witness does not
+    certify.  Parts keep the scale they inherit from ``t``; pieces whose
+    transfer radius is below ``floor`` are dropped.  ``spec`` is
+    ``_spectrum(t)`` when the caller already has it.
     """
     chi = t.bond_dim
     spectrum, s = spec or _spectrum(t)
     radius = float(abs(spectrum[0]))
     if radius < floor:
         return []  # nilpotent piece: generates the zero state for N >= chi
-    tn = t.scaled(1.0 / math.sqrt(radius))
-    spectrum = spectrum / radius  # the transfer spectrum of tn
+    spectrum = spectrum / radius  # the transfer spectrum of t at radius one
     if s is None:
         # Triangular junk can leave the peripheral space defective while a
         # canonical form still exists; peel off an exactly verified
         # invariant support read from the true fixed points.
-        return _defective_split(t, tn, spectrum, floor)
-    if chi == 1:
-        return [(t, 1, s)]
+        return _defective_split(t, t.scaled(1.0 / math.sqrt(radius)), spectrum, floor)
     peripheral = s.peripheral / radius
     ones_idx = [
         j for j, lam in enumerate(peripheral) if abs(lam - 1.0) <= 10 * TAU_SPEC
@@ -334,6 +346,10 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
             "spectral radius is not an eigenvalue of the transfer channel",
             spectrum=spectrum,
         )
+    witness = normality_witness(s)
+    if witness:
+        return [(t, 1, s, witness)]  # certified normal: there is nothing to cut
+    tn = t.scaled(1.0 / math.sqrt(radius))
     vec_id = np.eye(chi, dtype=complex).reshape(-1)
 
     # Support/kernel splits from the two one-sided fixed points.
@@ -367,17 +383,18 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
             # Left fixed point: matrices map ker(Y) into itself.
             inner = drop if adjoint else keep
             outer = keep if adjoint else drop
-            if not _invariant(tn, inner):
+            leak, threshold = _leak(tn, inner)
+            if not leak <= threshold:
                 raise DecompositionFailure(
                     "candidate invariant subspace leaks outside itself",
-                    spectrum=spectrum,
+                    spectrum=spectrum, leak=leak, threshold=threshold,
                 )
             return _split_all((t.gauged(b, b.conj().T) for b in (inner, outer)), floor)
 
     if len(ones_idx) == 1:
         k = len(peripheral)
         if k == 1:
-            return [(t, 1, s)]
+            return [(t, 1, s, witness)]
         # Irreducible but periodic: peripheral phases must be k-th roots of unity.
         args = [float(np.angle(lam)) for lam in peripheral]
         expected = [wrap_phase(2.0 * math.pi * j / k) for j in range(k)]
@@ -388,7 +405,7 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
                 "irreducible piece has peripheral phases that are not roots of unity",
                 spectrum=peripheral,
             )
-        return [(t, k, s)]
+        return [(t, k, s, witness)]
 
     # Both fixed points have full support and the fixed space is degenerate:
     # gauge to a unital channel, whose fixed points form a *-algebra, and cut
@@ -422,10 +439,13 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
     bases = [hvec[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     for lo, hi, basis in zip(bounds[:-1], bounds[1:], bases):
         comp = np.concatenate([hvec[:, :lo], hvec[:, hi:]], axis=1)
-        if not (_invariant(tn_unital, basis) and _invariant(tn_unital, comp)):
+        leak, threshold = _leak(tn_unital, basis)
+        if leak <= threshold:
+            leak = _leak(tn_unital, comp)[0]
+        if not leak <= threshold:
             raise DecompositionFailure(
                 "fixed-point algebra projector fails to reduce the matrices",
-                spectrum=hev,
+                spectrum=hev, leak=leak, threshold=threshold,
             )
     return _split_all(
         (tn_unital.gauged(b, b.conj().T).scaled(math.sqrt(radius)) for b in bases), floor
@@ -462,18 +482,19 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
         parts = _split_parts(current, TAU_ZERO * radius, spec)
         if not parts:
             raise DecompositionFailure("all parts are nilpotent", spectrum=spec[0])
-        period = math.lcm(*(p for _, p, _ in parts))
+        period = math.lcm(*(p for _, p, *_ in parts))
         if period == 1:
             break
         if q > 1:
             raise DecompositionFailure(
-                f"a part still has period {period} after grouping {q} sites"
+                f"a part still has period {period} after grouping {q} sites",
+                period=period, sites=q,
             )
         q = period
 
     # Normalize each part to spectral radius one and record its weight.
-    tensors = [part.scaled(1.0 / math.sqrt(s.radius)) for part, _, s in parts]
-    mags = np.array([math.sqrt(s.radius / radius) for *_, s in parts])
+    tensors = [part.scaled(1.0 / math.sqrt(s.radius)) for part, _, s, _ in parts]
+    mags = np.array([math.sqrt(s.radius / radius) for _, _, s, _ in parts])
     top = float(np.max(mags))
     if abs(top - 1.0) > TAU_TOP_WEIGHT:
         raise DecompositionFailure(
@@ -481,7 +502,7 @@ def canonical_decompose(a: MpsTensor) -> CanonicalForm:
         )
     mags = mags / top
 
-    witnesses = [normality_witness(s) for *_, s in parts]
+    witnesses = [w for *_, w in parts]
     for w in witnesses:
         if not w:
             raise DecompositionFailure(

@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotNormalized, OutOfRange
+from .errors import DegenerateNormalization, NotNormalized, OutOfRange
 from .exact import ExactWeight, best_rational, squared_ratio
-from .weights import WeightSpectrum, evaluate_weights
+from .weights import _NORM_FLOOR, WeightSpectrum, evaluate_weights
 
 LRN_CERTIFIED = "LRN_CERTIFIED"
 EXACT_SRN_EXCLUDED = "EXACT_SRN_EXCLUDED"
@@ -92,10 +92,13 @@ def lrn_entropy_check(w: WeightSpectrum, tau_int: float = DEFAULT_TAU_INT) -> Ve
     When all phases are commensurate with 2*pi the weights cycle with a
     finite period ``s`` and the entropy is evaluated exactly on every
     residue class; certification requires every class to clear the
-    integer-distance tolerance.  With incommensurate phases no limit
-    exists; the entropy is swept over ``N_WINDOW`` and certification is
-    granted only when the whole window clears the tolerance (a
-    deliberately conservative reading).  Classes clearing the gap are
+    integer-distance tolerance.  A residue at which every weight vanishes
+    (below ``weights._NORM_FLOOR``) holds no state of the family: it is
+    left out of the classes and listed under ``empty_residues``.  With
+    incommensurate phases no limit exists; the entropy is swept over
+    ``N_WINDOW`` and certification is granted only when the whole window
+    clears the tolerance (a deliberately conservative reading).  Classes
+    clearing the gap are
     reported either way, as subsequence metadata.  A commensurate period
     above ``_MAX_PERIOD`` is not enumerated: the window is swept instead and
     the verdict stays inconclusive, since a partial set of residue classes
@@ -105,6 +108,9 @@ def lrn_entropy_check(w: WeightSpectrum, tau_int: float = DEFAULT_TAU_INT) -> Ve
         OutOfRange: unless ``0 < tau_int < 0.5``: no integer distance
             exceeds 0.5, and a tolerance of zero or below would certify an
             integer entropy.
+        DegenerateNormalization: if every residue of a commensurate
+            period is empty, or, in the window sweep, at the first size
+            where every weight vanishes; carries the period or names the size.
     """
     if not 0.0 < tau_int < 0.5:
         raise OutOfRange(f"tau_int must lie in (0, 0.5), got {tau_int}")
@@ -128,11 +134,20 @@ def lrn_entropy_check(w: WeightSpectrum, tau_int: float = DEFAULT_TAU_INT) -> Ve
     if s is not None and s <= _MAX_PERIOD:
         reps = np.arange(s)
         reps[0] = s  # residue 0 is represented by N = s
-        h = _entropies(evaluate_weights(w, reps))
-        rows = zip(reps.tolist(), h.tolist(), _integer_distance(h).tolist())
+        # A residue where every weight vanishes holds no state of the family.
+        empty = np.all(np.abs(w.amplitudes(reps)) < _NORM_FLOOR, axis=-1)
+        if np.all(empty):
+            raise DegenerateNormalization(
+                f"all block weights vanish at every residue mod {s}; "
+                "the family has no state", period=s,
+            )
+        residues = np.flatnonzero(~empty)
+        h = _entropies(evaluate_weights(w, reps[residues]))
+        rows = zip(residues.tolist(), reps[residues].tolist(), h.tolist(),
+                   _integer_distance(h).tolist())
         classes = [
             {"residue": r, "n": n_rep, "entropy": e, "distance": d}
-            for r, (n_rep, e, d) in enumerate(rows)
+            for r, n_rep, e, d in rows
         ]
         min_dist = min(c["distance"] for c in classes)
         best = max(classes, key=lambda c: c["distance"])
@@ -142,6 +157,8 @@ def lrn_entropy_check(w: WeightSpectrum, tau_int: float = DEFAULT_TAU_INT) -> Ve
             "classes": classes,
             "min_distance": min_dist,
         }
+        if residues.size < s:
+            evidence["empty_residues"] = np.flatnonzero(empty).tolist()
         status = LRN_CERTIFIED if min_dist > tau_int else INCONCLUSIVE
         qualifier = (s, int(best["residue"])) if s > 1 else None
         return Verdict(status=status, evidence=evidence, residue_class=qualifier)

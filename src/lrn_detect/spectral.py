@@ -90,8 +90,10 @@ def spectral(m: np.ndarray) -> SpectralData:
     ``radius * (1 - TAU_SPEC)``, a cut relative to the spectral radius.  Its
     right and left eigenvectors come from shifted inverse iteration
     (``_peripheral_vectors``), so the matrix is factorized once per group of
-    nearby peripheral eigenvalues rather than diagonalized twice.  A zero
-    spectral radius leaves no peripheral cluster.  This is the generic path
+    nearby peripheral eigenvalues rather than diagonalized twice.  A 1 x 1
+    matrix needs neither: its entry is its spectrum and one is both of its
+    eigenvectors.  A zero spectral radius leaves no peripheral cluster.
+    This is the generic path
     for any square matrix; ``transfer_spectral`` is the same for the
     transfer matrix of a tensor, with its eigenvalues taken in real form.
 
@@ -107,7 +109,7 @@ def spectral(m: np.ndarray) -> SpectralData:
     """
     m = np.asarray(m, dtype=complex)
     scale = _checked_norm(m)
-    return _spectral_data(m, np.linalg.eigvals(m), scale)
+    return _spectral_data(m, _eigvals(m), scale)
 
 
 def transfer_spectral(a: MpsTensor) -> SpectralData:
@@ -130,7 +132,12 @@ def transfer_spectral(a: MpsTensor) -> SpectralData:
     """
     e = transfer_matrix(a)
     scale = _checked_norm(e)
-    return _spectral_data(e, np.linalg.eigvals(_real_form(e, a.bond_dim)), scale)
+    return _spectral_data(e, _eigvals(_real_form(e, a.bond_dim)), scale)
+
+
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``m``; a 1 x 1 matrix is its own spectrum, with no solver."""
+    return m.reshape(1) if m.shape[0] == 1 else np.linalg.eigvals(m)
 
 
 def _checked_norm(m: np.ndarray) -> float:
@@ -165,8 +172,11 @@ def _real_form(e: np.ndarray, chi: int) -> np.ndarray:
     mirrored positions, and the halving is exact: the entries of a
     diagonal ``e`` reach the result unrounded, where the orthonormal basis
     would scale them by ``sqrt(1/2)**2``, which is not exactly 1/2.  The
-    imaginary round-off of the product is dropped.
+    imaginary round-off of the product is dropped.  For chi 1 that leaves
+    the real part of the one entry.
     """
+    if chi == 1:
+        return e.real
     diag, upper, lower = _positions(chi)
     v = np.empty_like(e)
     eu, el = e[:, upper], e[:, lower]
@@ -204,6 +214,10 @@ def _spectral_data(m: np.ndarray, evals: np.ndarray, scale: float) -> SpectralDa
         return SpectralData(eigenvalues=evals, peripheral=evals[:0],
                             right_vecs=empty, left_vecs=empty)
     k = int(np.sum(np.abs(evals) >= radius * (1.0 - TAU_SPEC)))
+    if m.shape[0] == 1:  # a scalar is its own eigenvector on both sides
+        one = np.ones((1, 1), dtype=complex)
+        return SpectralData(eigenvalues=evals, peripheral=evals, right_vecs=one,
+                            left_vecs=one)
     rvecs, lvecs = _peripheral_vectors(m, evals, k, scale)
 
     r_per = rvecs / np.linalg.norm(rvecs, axis=0)
@@ -499,6 +513,8 @@ class NormalityWitness:
                 f"fixed-point gauge needs a normal tensor: {self.reason}",
                 spectrum=self.peripheral,
             )
+        if self.left_fixed_point.shape[0] == 1:  # a scalar needs no gauge
+            return np.ones((1, 1), dtype=complex), np.ones(1)
         lev, lvec = np.linalg.eigh(self.left_fixed_point)
         l_isqrt = lvec @ np.diag(1.0 / np.sqrt(lev)) @ lvec.conj().T
         l_sqrt = lvec @ np.diag(np.sqrt(lev)) @ lvec.conj().T
@@ -514,7 +530,12 @@ def normality_witness(s: SpectralData) -> NormalityWitness:
     """Normality verdict read from the spectral data of a transfer matrix.
 
     The verdict is that of ``is_normal`` on any tensor whose transfer
-    matrix ``s`` describes, at any positive scale.
+    matrix ``s`` describes, at any positive scale.  A unique peripheral
+    eigenvalue is required; the fixed points are then the peripheral
+    eigenvectors stripped of their phase, and each needs a full-support
+    positive spectrum (one ``eigvalsh`` each).  A chi-1 tensor with a
+    nonzero transfer radius is normal by arithmetic: its fixed points are
+    ``[[1]]`` and ``lambda2`` is 0, and no eigensolver runs.
     """
     if s.radius == 0.0:
         return NormalityWitness(False, "zero spectral radius", s.peripheral, 0.0)
@@ -527,23 +548,26 @@ def normality_witness(s: SpectralData) -> NormalityWitness:
             lam2,
         )
     chi = math.isqrt(s.right_vecs.shape[0])
-    fps = []
-    for vec in (s.right_vecs[:, 0], s.left_vecs[:, 0]):
-        rotated = rotate_to_hermitian(vec.reshape(chi, chi))
-        if rotated is None:
-            return NormalityWitness(
-                False, "fixed point not proportional to a Hermitian matrix",
-                s.peripheral, lam2,
-            )
-        h, ev = rotated
-        if ev[0] < -TAU_SPEC * max(abs(ev[-1]), 1.0):
-            return NormalityWitness(False, "fixed point indefinite", s.peripheral, lam2)
-        if ev[0] <= TAU_SPEC * abs(ev[-1]):
-            return NormalityWitness(
-                False, "fixed point lacks full support", s.peripheral, lam2,
-                right_fixed_point=h if len(fps) == 0 else fps[0],
-            )
-        fps.append(h / np.trace(h).real)
+    if chi == 1:  # a nonzero scalar: both fixed points are the number one
+        fps = [np.ones((1, 1), dtype=complex)] * 2
+    else:
+        fps = []
+        for vec in (s.right_vecs[:, 0], s.left_vecs[:, 0]):
+            rotated = rotate_to_hermitian(vec.reshape(chi, chi))
+            if rotated is None:
+                return NormalityWitness(
+                    False, "fixed point not proportional to a Hermitian matrix",
+                    s.peripheral, lam2,
+                )
+            h, ev = rotated
+            if ev[0] < -TAU_SPEC * max(abs(ev[-1]), 1.0):
+                return NormalityWitness(False, "fixed point indefinite", s.peripheral, lam2)
+            if ev[0] <= TAU_SPEC * abs(ev[-1]):
+                return NormalityWitness(
+                    False, "fixed point lacks full support", s.peripheral, lam2,
+                    right_fixed_point=h if len(fps) == 0 else fps[0],
+                )
+            fps.append(h / np.trace(h).real)
     return NormalityWitness(
         True, "unique peripheral eigenvalue, full-support fixed points",
         s.peripheral, lam2, right_fixed_point=fps[0], left_fixed_point=fps[1],

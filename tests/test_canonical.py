@@ -100,20 +100,20 @@ def test_decompose_factorizes_a_normal_block_once(count_linalg):
 
 def test_decompose_decomposes_each_fixed_point_once(count_linalg):
     # ghz: one eigh per one-sided fixed point, the right one reused for the
-    # unital gauge, and one for the fixed-point algebra cut.  Each block's
-    # witness takes the eigenvalues of its two fixed points from their
-    # Hermitian rotation, one eigvalsh each.  No gauge is assembled, so no
-    # condition number is taken.
+    # unital gauge, and one for the fixed-point algebra cut.  Its two parts
+    # are scalars, whose spectra, fixed points and witnesses are arithmetic.
+    # A normal tensor's witness takes the eigenvalues of its two fixed points
+    # from their Hermitian rotation, one eigvalsh each, and certifies it
+    # before any split is tried, so it runs no eigh.  No gauge is assembled,
+    # so no condition number is taken.
     ghz = ghz_tensor()
     normal = random_normal_tensor(2, 8, seed=8)
-    calls = count_linalg("eigh", "eigvalsh", "cond")
+    calls = count_linalg("eigvals", "eigh", "eigvalsh", "cond")
     canonical_decompose(ghz)
-    assert {name: len(sizes) for name, sizes in calls.items()} == {
-        "eigh": 3, "eigvalsh": 4, "cond": 0,
-    }
-    calls = count_linalg("eigvalsh")
+    assert calls == {"eigvals": [4], "eigh": [2, 2, 2], "eigvalsh": [], "cond": []}
+    calls = count_linalg("eigvals", "eigh", "eigvalsh", "cond")
     canonical_decompose(normal)
-    assert len(calls["eigvalsh"]) == 2
+    assert calls == {"eigvals": [64], "eigh": [], "eigvalsh": [8, 8], "cond": []}
 
 
 def test_decompose_ghz():
@@ -185,7 +185,7 @@ def test_decompose_blocks_once(monkeypatch):
     split = canonical._split_parts
 
     def always_periodic(*args):
-        return [(t, 2, s) for t, _, s in split(*args)]
+        return [(t, 2, *rest) for t, _, *rest in split(*args)]
 
     monkeypatch.setattr(canonical, "_split_parts", always_periodic)
     with pytest.raises(DecompositionFailure, match="period 2 after grouping 2 sites"):
@@ -286,20 +286,21 @@ def test_decompose_matches_complex_eigvals_oracle_on_composites(
 def test_transfer_eigvals_are_real_and_mixed_ones_complex(
     name, count_linalg, composite_draw, monkeypatch
 ):
-    # Each transfer spectrum takes one real eigvals; each gauge test takes
-    # one complex eigvals of its mixed transfer matrix.
+    # Each transfer spectrum of a tensor with chi > 1 takes one real
+    # eigvals; each gauge test of two such tensors takes one complex eigvals
+    # of its mixed transfer matrix.  A scalar operator is its own spectrum.
     tensor = composite_draw(0) if name == "composite" else _REAL_FORM_CASES[name]()
     spectra, mixed = [], []
     for attr, log in (("transfer_spectral", spectra), ("mixed_transfer_matrix", mixed)):
         original = getattr(canonical, attr)
-        monkeypatch.setattr(canonical, attr,
-                            lambda *args, _f=original, _log=log: _log.append(1) or _f(*args))
+        monkeypatch.setattr(canonical, attr, lambda *args, _f=original, _log=log:
+                            _log.append(args[0].bond_dim) or _f(*args))
     calls = count_linalg("eigvals")
     canonical_decompose(tensor)
     dtypes = calls.dtypes["eigvals"]
-    assert dtypes.count(np.dtype(np.float64)) == len(spectra) > 0
-    assert dtypes.count(np.dtype(complex)) == len(mixed)
-    assert len(dtypes) == len(spectra) + len(mixed)
+    assert sorted(calls["eigvals"]) == sorted(chi * chi for chi in spectra + mixed if chi > 1)
+    assert dtypes.count(np.dtype(np.float64)) == sum(chi > 1 for chi in spectra) > 0
+    assert dtypes.count(np.dtype(complex)) == sum(chi > 1 for chi in mixed)
 
 
 # --- robustness sweep -----------------------------------------------------------

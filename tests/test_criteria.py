@@ -141,9 +141,22 @@ def test_entropy_check_caps_the_period():
 
 
 def test_entropy_check_propagates_degenerate():
-    w = WeightSpectrum(terms=(((1.0, 0.0), (1.0, math.pi)), ((0.0, 0.0),)))
-    with pytest.raises(DegenerateNormalization):
+    # Every weight vanishes at every size: there is no residue to evaluate.
+    w = WeightSpectrum(terms=(((1.0, math.pi), (-1.0, math.pi)), ((0.0, 0.0),)))
+    with pytest.raises(DegenerateNormalization, match="every residue mod 2") as info:
         lrn_entropy_check(w)
+    assert info.value.payload == {"period": 2}
+
+
+def test_entropy_check_skips_empty_residues():
+    # 1 + (-1)^N vanishes at odd N, where the family has no state: residue 1
+    # is listed as empty, not read as an error or as entropy 0.
+    w = WeightSpectrum(terms=(((1.0, 0.0), (1.0, math.pi)), ((0.0, 0.0),)))
+    v = lrn_entropy_check(w)
+    assert v.status == INCONCLUSIVE
+    assert v.evidence["empty_residues"] == [1]
+    assert [(c["residue"], c["n"], c["entropy"]) for c in v.evidence["classes"]] == [(0, 2, 0.0)]
+    assert v.residue_class == (2, 0)
 
 
 def test_ratio_check_counterexample_excluded():
@@ -287,7 +300,7 @@ def test_entropy_sweeps_match_per_size_reference(monkeypatch):
 def test_weight_sweep_names_the_first_vanishing_size():
     w = WeightSpectrum(terms=(((1.0, 0.0), (1.0, math.pi)), ((0.0, 0.0),)))
     with pytest.raises(DegenerateNormalization, match="at N=1;"):
-        lrn_entropy_check(w)  # residues are visited as N = 2, 1
+        evaluate_weights(w, np.array([2, 1]))
     with pytest.raises(DegenerateNormalization, match="at N=3;"):
         evaluate_weights(w, np.array([4, 6, 3, 5]))
     rows = evaluate_weights(w, np.array([2, 4, 6]))

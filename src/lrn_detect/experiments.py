@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import apply_brickwork, random_brickwork
+from .circuits import apply_brickwork
 from .dense import DenseState, materialize_fixed_point, mutual_information
 from .criteria import shannon_entropy
-from .partition import Partition, build_partition
+from .partition import Partition
 from .rg import FixedPointState
 from .weights import evaluate_weights
 
@@ -54,19 +54,17 @@ class InvarianceReport:
         }
 
 
-def fixed_point_sweep(f: FixedPointState, n: int, depth: int, seeds) -> list[InvarianceReport]:
-    """Materialize a fixed point once, hit it with a random shallow circuit per seed.
+def fixed_point_sweep(
+    f: FixedPointState, partition: Partition, circuits
+) -> list[InvarianceReport]:
+    """Materialize a fixed point once on the partition's ring, then sweep it.
 
-    The partition satisfies the depth-matched size constraints; each random
-    circuit's layer alignment is drawn from its seed so sweeps cover both
-    brick offsets.
+    ``circuits`` are ``(seed, circuit)`` pairs, as ``invariance_sweep``
+    takes them, so a caller that sweeps several states builds each circuit
+    once.
     """
-    state = materialize_fixed_point(f, n)
-    probs = evaluate_weights(f.weights, n)
-    partition = build_partition(n, depth)
-    circuits = (
-        (s, random_brickwork(n, depth, s, local_dim=state.local_dim)) for s in seeds
-    )
+    state = materialize_fixed_point(f, partition.n_sites)
+    probs = evaluate_weights(f.weights, partition.n_sites)
     return invariance_sweep(state, probs, partition, circuits)
 
 

@@ -21,9 +21,15 @@ from lrn_detect.families import (
 )
 
 
+def _sweep(fp, seeds):
+    """``fixed_point_sweep`` on the 16-site, depth-1 ring, one circuit per seed."""
+    circuits = [(s, random_brickwork(16, 1, s)) for s in seeds]
+    return fixed_point_sweep(fp, build_partition(16, 1), circuits)
+
+
 def test_ghz_invariance_i_equals_one():
     fp = rg_fixed_point(ghz_tensor())
-    (rep,) = fixed_point_sweep(fp, 16, 1, [5])
+    (rep,) = _sweep(fp, [5])
     assert abs(rep.before - 1.0) < 1e-10
     assert abs(rep.after - 1.0) < 1e-8
     assert abs(rep.shannon - 1.0) < 1e-12
@@ -43,7 +49,7 @@ def test_ghz_family_generic_weight():
 
 def test_single_block_zero_mutual_information():
     fp = rg_fixed_point(product_tensor())
-    (rep,) = fixed_point_sweep(fp, 16, 1, [1])
+    (rep,) = _sweep(fp, [1])
     assert abs(rep.before) < 1e-10
     assert abs(rep.after) < 1e-8
     assert rep.shannon == 0.0
@@ -52,7 +58,7 @@ def test_single_block_zero_mutual_information():
 
 def test_phase_loop_invariance():
     fp = rg_fixed_point(phase_loop_tensor(math.pi / 2))
-    for rep in fixed_point_sweep(fp, 16, 1, [0, 1]):
+    for rep in _sweep(fp, [0, 1]):
         assert rep.passed
         assert abs(rep.shannon - rep.before) < 1e-10
 
@@ -70,7 +76,7 @@ def test_counterexample_invariance_integer_mi():
 
 def test_report_json_fields():
     fp = rg_fixed_point(ghz_tensor())
-    (rep,) = fixed_point_sweep(fp, 16, 1, [2])
+    (rep,) = _sweep(fp, [2])
     obj = rep.to_json()
     assert set(obj) == {"before", "after", "shannon", "partition", "seed", "depth", "passed"}
     assert obj["depth"] == 1 and obj["seed"] == 2
@@ -83,10 +89,10 @@ def test_invariance_sweep_matches_single_seed_experiments():
     for tensor in (ghz_tensor(), phase_loop_tensor(math.pi / 3)):
         fp = rg_fixed_point(tensor)
         seeds = [4, 5, 6, 7]
-        swept = fixed_point_sweep(fp, 16, 1, seeds)
+        swept = _sweep(fp, seeds)
         assert [rep.seed for rep in swept] == seeds
         for rep in swept:
-            assert [rep] == fixed_point_sweep(fp, 16, 1, [rep.seed])
+            assert [rep] == _sweep(fp, [rep.seed])
     probs = counterexample_probs(counterexample_t_star())
     state = dense_pattern_state(["00", "01", "10", "11"], np.sqrt(probs), 16)
     part = build_partition(16, 1)

@@ -223,7 +223,7 @@ def test_cli_verify_catches_a_wrong_causal_cone_reduction(monkeypatch, capsys):
     # channel formula no longer equals the evolved state rotated by u_a ⊗ u_b.
     import dataclasses
 
-    from lrn_detect import cli
+    from lrn_detect import verify
 
     def swapped(circuit, partition):
         red = causal_cone_reduce(circuit, partition)
@@ -234,7 +234,7 @@ def test_cli_verify_catches_a_wrong_causal_cone_reduction(monkeypatch, capsys):
         u_a = u.transpose(axes).reshape(red.u_a.shape)
         return dataclasses.replace(red, u_a=u_a)
 
-    monkeypatch.setattr(cli, "causal_cone_reduce", swapped)
+    monkeypatch.setattr(verify, "causal_cone_reduce", swapped)
     code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["passed"] is False
@@ -293,9 +293,9 @@ def test_cli_typicality_refuses_n_min_below_two_before_any_row(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("pipeline, refused", [
-    ("typicality", ["typicality_log_ratio"]),
-    ("verify", ["_verify_clifford_quantization", "_verify_invariance", "_verify_flatness",
-                "_verify_causal_cone"]),
+    ("typicality", ["cli.typicality_log_ratio"]),
+    ("verify", ["verify._verify_clifford_quantization", "verify._verify_invariance",
+                "verify._verify_flatness", "verify._verify_causal_cone"]),
 ])
 def test_cli_refuses_a_window_above_the_cap_before_any_work(pipeline, refused, tmp_path,
                                                            monkeypatch, capsys):
@@ -305,7 +305,7 @@ def test_cli_refuses_a_window_above_the_cap_before_any_work(pipeline, refused, t
         raise AssertionError("a row or trial was built for a window above the cap")
 
     for name in refused:
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(f"lrn_detect.{name}", refuse)
     out = tmp_path / "r.json"
     argv = ["--pipeline", pipeline, "--n-min", "2", "--n-max", str(cli._WINDOW_CAP + 2)]
     assert main([*argv, "--out", str(out)]) == 1
@@ -973,6 +973,63 @@ def test_cli_analyze_loads_no_scipy_and_no_numpy_random(fixture_dir, tmp_path):
     assert done.stdout.strip() == "[]", done.stdout
 
 
+def test_each_pipeline_loads_only_its_own_modules(fixture_dir, tmp_path):
+    # A fresh interpreter runs analyze, ghz and typicality, then verify, and
+    # lists the package's modules after each stage; the package namespace is
+    # checked last, once every name may resolve.
+    import subprocess
+    import sys
+    import textwrap
+
+    import lrn_detect
+
+    script = textwrap.dedent("""
+        import importlib, json, sys
+        import lrn_detect
+        from lrn_detect.cli import main
+
+        def loaded():
+            return sorted(m.split(".")[1] for m in sys.modules if m.startswith("lrn_detect."))
+
+        ghz, half, out = sys.argv[1:]
+        listed = dir(lrn_detect)
+        codes = [main(["--pipeline", "analyze", "--input", ghz, "--out", out]),
+                 main(["--pipeline", "ghz", "--input", half, "--out", out]),
+                 main(["--pipeline", "typicality", "--out", out])]
+        before_verify = loaded()
+        codes.append(main(["--pipeline", "verify", "--n-min", "1", "--n-max", "1",
+                           "--out", out]))
+        after_verify = loaded()
+        unresolved = [n for n in lrn_detect.__all__ if getattr(lrn_detect, n) is not getattr(
+            importlib.import_module("lrn_detect." + lrn_detect._MODULE_OF[n]), n)]
+        star = {}
+        exec("from lrn_detect import *", star)
+        print(json.dumps({
+            "codes": codes, "before_verify": before_verify, "after_verify": after_verify,
+            "unresolved": unresolved,
+            "unlisted": sorted(set(lrn_detect.__all__) - set(listed)),
+            "unbound": sorted(set(lrn_detect.__all__) - set(star)),
+            "unknown_resolves": hasattr(lrn_detect, "no_such_name"),  # AttributeError only
+        }))
+    """)
+    src = str(Path(lrn_detect.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [str(fixture_dir / "ghz.json"), str(fixture_dir / "half.json"),
+            str(tmp_path / "r.json")]
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    result = json.loads(done.stdout)
+    verify_only = {"dense", "rg", "circuits", "causal", "partition", "stabilizer",
+                   "experiments", "families", "verify"}
+    assert result["codes"] == [3, 3, 0, 0]
+    assert verify_only.isdisjoint(result["before_verify"]), result["before_verify"]
+    assert verify_only <= set(result["after_verify"])
+    assert result["unresolved"] == []
+    assert result["unlisted"] == []
+    assert result["unbound"] == []
+    assert result["unknown_resolves"] is False
+
+
 def _analyze_error(path, capsys):
     """The one stderr JSON object of a failing ``analyze``, checked warning-free."""
     import warnings
@@ -1115,8 +1172,9 @@ def test_cli_verify_peak_memory_is_bounded(traced_peak, capsys):
 
 
 def test_cli_causal_cone_suite_peak_memory_is_bounded(traced_peak):
-    from lrn_detect import cli
+    from lrn_detect import verify
 
-    suite, peak = traced_peak(lambda: cli._verify_causal_cone(0, 4))
+    suite, peak = traced_peak(
+        lambda: verify._verify_causal_cone(map(verify._ring_circuit, range(4))))
     assert suite["passed"] is True
     assert peak <= 4.25 * 2**20  # 5.29 MiB when ρ_AB and σ were both formed

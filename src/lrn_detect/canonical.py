@@ -34,14 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecompositionFailure, NonDiagonalizablePeripheral, NotNormalInput
+from .errors import DecompositionFailure, NonDiagonalizablePeripheral
 from .spectral import (
     TAU_SPEC,
     NormalityWitness,
     _checked_norm,
     _eigvals,
     _peripheral_vectors,
-    is_normal,
     normality_witness,
     transfer_spectral,
 )
@@ -51,18 +50,13 @@ from .weights import WeightSpectrum, wrap_phase
 # Largest leak of an invariant-subspace candidate, relative to the entry
 # scale and the bond dimension, for it to count as exactly invariant.
 TAU_BLOCK = 1e-10
-# Frobenius norm below which a mixed transfer operator counts as zero.
-TAU_ORTHOGONAL = 1e-10
 # Distance of the mixed transfer radius from one that still detects a gauge.
 TAU_GAUGE_DETECT = 1e-6
 # Largest entrywise miss of the reconstruction ``exp(i phase) x b inv(x)``,
-# relative to the entry scale of ``a``, for ``gauge_equivalent`` to accept.
-TAU_GAUGE = 1e-8
-# The same bound when grouping the blocks of one decomposition.  It is looser
-# because an extracted block is exact only up to the leak its split accepted
-# (``TAU_BLOCK`` times the entry scale and bond dimension), which the gauges
-# relating two copies can amplify; a tensor handed in directly has no such
-# error.
+# relative to the entry scale of ``a``, for two blocks of one decomposition
+# to group.  It is loose because an extracted block is exact only up to the
+# leak its split accepted (``TAU_BLOCK`` times the entry scale and bond
+# dimension), which the gauges relating two copies can amplify.
 TAU_GROUP = 1e-7
 # Singular values of E - 1 below this (relative) span a defective piece's fixed points.
 TAU_NULL = 1e-9
@@ -91,16 +85,6 @@ def _survives(mag: float) -> bool:
     return mag >= 1.0 - _SURVIVAL_TOL
 
 
-def local_orthogonal(a: MpsTensor, b: MpsTensor) -> bool:
-    """True iff the mixed transfer operator vanishes in Frobenius norm.
-
-    Local orthogonality of two site tensors makes the generated states
-    orthogonal at every system size.
-    """
-    m = mixed_transfer_matrix(a, b)
-    return float(np.linalg.norm(m)) < TAU_ORTHOGONAL
-
-
 @dataclass(frozen=True)
 class GaugeRelation:
     """Witness that two normal tensors generate the same family up to phase.
@@ -113,32 +97,13 @@ class GaugeRelation:
     x: np.ndarray
 
 
-def gauge_equivalent(a: MpsTensor, b: MpsTensor) -> GaugeRelation | None:
-    """Detect gauge equivalence of two normal tensors.
-
-    The mixed transfer operator of two radius-one normal tensors has
-    spectral radius one exactly when the tensors are related by a gauge
-    transform with a phase; the top eigenvector then factors as
-    ``x @ r_b`` with ``r_b`` the right fixed point of ``b``.
-
-    Returns the phase and gauge matrix, or None when the families are
-    inequivalent (or the reconstruction misses ``TAU_GAUGE``).
-    """
-    wit_a, wit_b = is_normal(a), is_normal(b)
-    if not (wit_a and wit_b):
-        raise NotNormalInput("gauge equivalence is defined for normal tensors only")
-    # A normal tensor's unique peripheral eigenvalue sits on the radius.
-    return _gauge_relation(
-        a, b, abs(wit_a.peripheral[0]), abs(wit_b.peripheral[0]),
-        wit_b.right_fixed_point, TAU_GAUGE,
-    )
-
-
 def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau):
-    """``gauge_equivalent`` for tensors already certified normal.
+    """The gauge relating two tensors already certified normal, or None.
 
     ``r_a``/``r_b`` are their transfer spectral radii and ``right_fp_b``
-    the right fixed point of ``b``.
+    the right fixed point of ``b``.  The top eigenvector of the mixed
+    transfer operator factors as ``x @ right_fp_b``.  None when the tensors
+    are inequivalent or the reconstruction misses ``tau``.
     """
     if a.bond_dim != b.bond_dim:
         return None

@@ -9,10 +9,10 @@ mapping the input state's wedge marginal onto the retained sites.  After
 the reduction, the circuit-evolved, C-traced, locally rotated state
 equals the channel formula applied directly to the input state.  The
 local unitaries and the wedge unitaries behind the channels are gate
-products formed by the dense engine's one gate loop.  ``apply_reduction``
-evaluates the channel formula as the Gram product of ``_reduction_factor``,
-with at most two state-sized work arrays beside its input, and checks
-``dense.RHO_CAP`` before it allocates.
+products formed by the dense engine's one gate loop.  The channel formula's
+density on A ∪ B is the Gram product ``dense._gram`` of
+``_reduction_factor``, which holds at most two state-sized work arrays
+beside its input and checks ``dense.RHO_CAP`` before it allocates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuits import BrickworkCircuit
 from . import dense
-from .dense import DenseState, _apply_gates, _gram
+from .dense import DenseState, _apply_gates
 from .errors import GeometryMismatch, PartitionTooSmall, SizeCap
 from .partition import Partition
 
@@ -183,19 +183,6 @@ def _build_channel(gates, key: str, p: Partition, d: int, depth: int) -> Boundar
         output_sites=tuple(q for q in arc if q in kept_region),
         kraus=kraus,
     )
-
-
-def apply_reduction(red: CausalConeReduction, psi: DenseState) -> np.ndarray:
-    """Evaluate the channel formula on the input state.
-
-    Returns the density matrix on the sites ``partition.a + partition.b``
-    in that order: ``m m†`` for the factor ``m = _reduction_factor(red,
-    psi)``, by ``dense._gram``.
-
-    Raises:
-        GeometryMismatch, SizeCap: as ``_reduction_factor``.
-    """
-    return _gram(_reduction_factor(red, psi))
 
 
 def _reduction_factor(red: CausalConeReduction, psi: DenseState) -> np.ndarray:

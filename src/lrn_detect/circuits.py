@@ -51,27 +51,13 @@ class BrickworkCircuit:
         n = self.n_sites
         return [(gate, (s, (s + 1) % n)) for layer in self.layers for s, gate in layer]
 
-    def adjoint(self) -> "BrickworkCircuit":
-        return BrickworkCircuit(
-            n_sites=self.n_sites,
-            local_dim=self.local_dim,
-            layers=tuple(
-                tuple((s, g.conj().T) for s, g in layer)
-                for layer in reversed(self.layers)
-            ),
-        )
-
-
-def haar_gate(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-like unitary: QR of a complex Gaussian with fixed phases."""
-    return _haar_gates(1, dim, rng)[0]
-
 
 def _haar_gates(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar-like unitaries from one draw and one stacked QR.
 
+    Each gate is the QR factor of a complex Gaussian with its phases fixed.
     Gate i takes its real part, then its imaginary part, from the stream
-    in turn, so the stack equals ``count`` successive ``haar_gate`` calls.
+    in turn, so the stack equals ``count`` successive calls with ``count`` 1.
     """
     z = rng.standard_normal((count, 2, dim, dim))
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])

@@ -221,8 +221,8 @@ def srn_ratio_check(
                 if not dec.rational and offender is None:
                     offender = entry
             else:
-                x = (w_i.value() ** 2) / (w_j.value() ** 2)
-                approx = best_rational(x, q_max, RATIO_TAU)
+                x = _squared_ratio_float(w_i.value(), w_j.value())
+                approx = best_rational(x, q_max, RATIO_TAU) if math.isfinite(x) else None
                 entry = {
                     "pair": [i, j],
                     "method": "heuristic",
@@ -237,6 +237,20 @@ def srn_ratio_check(
         evidence["offending_pair"] = offender
         return Verdict(status=EXACT_SRN_EXCLUDED, evidence=evidence)
     return Verdict(status=INCONCLUSIVE, evidence=evidence)
+
+
+def _squared_ratio_float(a: float, b: float) -> float:
+    """``a**2 / b**2`` for nonzero floats; ``inf`` past the float range.
+
+    A square that leaves the range is read from the square of the quotient.
+    """
+    try:
+        return (a**2) / (b**2)
+    except (OverflowError, ZeroDivisionError):
+        try:
+            return (a / b) ** 2
+        except OverflowError:
+            return math.inf
 
 
 def ghz_classify(alpha_sq) -> str:

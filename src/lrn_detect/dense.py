@@ -1,4 +1,4 @@
-"""Exact small-system reference engine.
+"""Exact small-system engine of ``verify``'s invariant suites.
 
 Everything here is brute force on explicit amplitude vectors and density
 matrices, capped at desk scale (2**24 amplitudes, 2**12-dimensional
@@ -33,24 +33,18 @@ import numpy as np
 from .errors import (
     BadFactorization,
     DimensionMismatch,
-    NotPSD,
-    NotUnitary,
     SizeCap,
     ZeroState,
 )
-from . import tensor
 from .rg import FixedPointState
-from .tensor import MpsTensor
 
 AMP_CAP = 2**24
 RHO_CAP = 2**12
 
 # Largest |norm - 1| of the amplitudes a ``DenseState`` accepts.
 NORM_TOL = 1e-10
-# ``from_amplitudes`` refuses a vector whose norm is below this.
+# ``_owning`` refuses a vector whose norm is below this.
 ZERO_NORM = 1e-12
-# Largest |trace - 1| of a matrix that ``_check_density`` accepts.
-TRACE_TOL = 1e-8
 # Schmidt weights at or below this are outside a block's support when
 # ``_add_block`` inverts them.
 SUPPORT_TOL = 1e-14
@@ -65,10 +59,7 @@ _SITE_ROWS = 2**12
 UNITARY_TOL = 1e-12
 
 _EIG_FLOOR = 1e-12
-_PSD_TOL = 1e-9
 
-# Round-off allowance added to the right side of the Fannes bound.
-FANNES_SLACK = 1e-12
 # Partial-transpose eigenvalues above this modulus count as significant,
 # and flat means their moduli spread by at most this much.
 FLATNESS_TAU = 1e-9
@@ -106,20 +97,6 @@ class DenseState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def _normalized(cls, n_sites: int, local_dim: int, amps: np.ndarray) -> "DenseState":
-        """Wrap amplitudes known to be normalized, skipping the norm check."""
-        amps.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "n_sites", n_sites)
-        object.__setattr__(out, "local_dim", local_dim)
-        object.__setattr__(out, "amplitudes", amps)
-        return out
-
-    @staticmethod
-    def from_amplitudes(raw, n_sites: int, local_dim: int) -> "DenseState":
-        return DenseState._owning(np.array(raw, dtype=complex).reshape(-1), n_sites, local_dim)
-
-    @classmethod
     def _owning(cls, amps: np.ndarray, n_sites: int, local_dim: int) -> "DenseState":
         """Normalize ``amps``, a complex vector no one else holds, in place and wrap it."""
         nrm = np.linalg.norm(amps)
@@ -127,40 +104,6 @@ class DenseState:
             raise ZeroState("state vector has vanishing norm")
         amps /= nrm
         return cls(n_sites, local_dim, amps)
-
-    def overlap(self, other: "DenseState") -> complex:
-        if (self.n_sites, self.local_dim) != (other.n_sites, other.local_dim):
-            raise DimensionMismatch("states live on different lattices")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def materialize_mps(a: MpsTensor, n: int) -> DenseState:
-    """Amplitudes ``tr(A[i1] ... A[iN])``, normalized.
-
-    The ring is cut into two halves whose bond-matrix products are traced
-    against each other, so the largest intermediate holds
-    ``d**ceil(N/2) * chi**2`` entries rather than ``d**N * chi**2``.
-
-    Raises:
-        SizeCap: if the amplitude count or a half's products exceed ``AMP_CAP``.
-        ZeroState: if every trace vanishes at this N.
-    """
-    if n < 1:
-        raise DimensionMismatch("need at least one site")
-    d, chi = a.phys_dim, a.bond_dim
-    if d**n > AMP_CAP:
-        raise SizeCap(f"{d}**{n} amplitudes exceed the cap {AMP_CAP}")
-    half = (n + 1) // 2
-    if d**half * chi * chi > AMP_CAP:
-        raise SizeCap(
-            f"{d}**{half} half-ring products of bond dimension {chi} exceed "
-            f"the cap {AMP_CAP}"
-        )
-    left, right = tensor._word_products(a, half), tensor._word_products(a, n - half)
-    # tr(L R) = sum_ab L[a, b] R[b, a], for every pair of half-ring words.
-    right_t = right.transpose(0, 2, 1).reshape(len(right), -1)
-    amps = left.reshape(len(left), -1) @ right_t.T
-    return DenseState._owning(amps.reshape(-1), n, d)
 
 
 def reduced_density(psi: DenseState, region) -> np.ndarray:
@@ -286,19 +229,6 @@ def _entropy(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
-def _psd_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of the Hermitian part of ``rho``, checked PSD."""
-    evals = np.linalg.eigvalsh(_hermitize(np.array(rho, dtype=np.result_type(rho, 0.5))))
-    if evals[0] < -_PSD_TOL:
-        raise NotPSD(f"eigenvalue {evals[0]} below the PSD tolerance")
-    return evals
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Base-2 entropy of a density matrix, dropping eigenvalues below ``_EIG_FLOOR``."""
-    return _entropy(_psd_spectrum(rho))
-
-
 def _smaller_gram(m: np.ndarray) -> np.ndarray:
     """``m m†`` or ``m^T m^*``, whichever is smaller.
 
@@ -308,24 +238,6 @@ def _smaller_gram(m: np.ndarray) -> np.ndarray:
     if m.shape[0] > m.shape[1]:
         m = m.T
     return _gram(m)
-
-
-def subsystem_entropy(psi: DenseState, region) -> float:
-    """Entanglement entropy of a region of a pure state.
-
-    Computed from the eigenvalues of the reduced density ``m @ m†`` of the
-    smaller side, where ``m`` is the bipartition matrix (pure states have
-    equal entropy on both sides of a cut).  They are the squared singular
-    values of ``m``, at the cost of a small Hermitian eigenproblem.
-    """
-    region = tuple(sorted(set(region)))
-    n, d = psi.n_sites, psi.local_dim
-    if any(not 0 <= r < n for r in region):
-        raise DimensionMismatch(f"bad region {region}")
-    rest = [q for q in range(n) if q not in region]
-    arr = psi.amplitudes.reshape([d] * n).transpose(list(region) + rest)
-    m = arr.reshape(d ** len(region), -1)
-    return _entropy(np.linalg.eigvalsh(_smaller_gram(m)))
 
 
 def _gram_entropy(m: np.ndarray) -> float:
@@ -415,48 +327,6 @@ def mutual_information(psi: DenseState, region_a, region_b) -> float:
     )
 
 
-def trace_distance_pure(psi: DenseState, phi: DenseState) -> float:
-    ov = abs(psi.overlap(phi))
-    return math.sqrt(max(0.0, 1.0 - min(ov, 1.0) ** 2))
-
-
-def _check_density(rho: np.ndarray) -> np.ndarray:
-    """Spectrum of a density matrix, checked PSD and of unit trace."""
-    evals = _psd_spectrum(rho)
-    if abs(float(np.sum(evals)) - 1.0) > TRACE_TOL:
-        raise NotPSD(f"trace {float(np.sum(evals))} differs from 1")
-    return evals
-
-
-def _half_trace_norm(rho: np.ndarray, sigma: np.ndarray) -> float:
-    if rho.shape != sigma.shape:
-        raise DimensionMismatch("density matrices differ in shape")
-    diff = _hermitize(rho - sigma)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
-def trace_distance_mixed(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of the difference of two density matrices."""
-    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
-    _check_density(rho)
-    _check_density(sigma)
-    return _half_trace_norm(rho, sigma)
-
-
-def binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
-
-
-def fannes_check(rho, sigma, n_qubits: int) -> bool:
-    """Entropy continuity bound: |S(rho) - S(sigma)| <= d*|R| + H_bin(d)."""
-    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
-    gap = abs(_entropy(_check_density(rho)) - _entropy(_check_density(sigma)))
-    delta = _half_trace_norm(rho, sigma)
-    return gap <= delta * n_qubits + binary_entropy(delta) + FANNES_SLACK
-
-
 def partial_transpose(rho_ab: np.ndarray, dim_a: int) -> np.ndarray:
     """Transpose the A factor of a bipartite density matrix."""
     dim = rho_ab.shape[0]
@@ -484,23 +354,6 @@ def flatness_check(rho_ab: np.ndarray, dim_a: int) -> bool:
     if sig.size == 0:
         return True
     return float(np.max(sig) - np.min(sig)) <= FLATNESS_TAU
-
-
-def apply_local_gate(psi: DenseState, gate: np.ndarray, sites) -> DenseState:
-    """Apply a unitary acting on the listed sites (in the given order).
-
-    The gate's unitarity is checked once, within ``UNITARY_TOL``; a
-    unitary keeps the input's norm, so the output is not re-normed.
-
-    Raises:
-        DimensionMismatch: for bad targets or a gate of the wrong shape.
-        NotUnitary: if ``gate`` is not unitary within ``UNITARY_TOL``.
-    """
-    amps = _apply_gates(psi.amplitudes, psi.n_sites, psi.local_dim, [(gate, sites)])
-    defect = _unitarity_defect(gate)
-    if defect > UNITARY_TOL:
-        raise NotUnitary(f"gate is {defect:.2e} from unitary (tolerance {UNITARY_TOL})")
-    return DenseState._normalized(psi.n_sites, psi.local_dim, amps)
 
 
 def _unitarity_defect(gate: np.ndarray) -> float:

@@ -10,6 +10,7 @@ irrationality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,7 +120,9 @@ class ExactWeight:
 
         A bare weight and the ``float`` form are JSON numbers, not bools;
         ``rat``, ``r`` and ``base`` are pairs of JSON integers and ``n`` is
-        one.  Nothing is truncated or parsed from text.
+        one.  Nothing is truncated or parsed from text.  Both criteria read
+        a weight's float ``value``, so an exact form whose value is not a
+        finite float is refused too, with the form as payload.
         """
         try:
             if isinstance(obj, (int, float)):
@@ -128,18 +131,27 @@ class ExactWeight:
                 return ExactWeight.from_float(_number(obj["float"]))
             if "rat" in obj:
                 p, q = obj["rat"]
-                return ExactWeight.from_rational(_integer(p), _integer(q))
-            if "root" in obj:
+                w = ExactWeight.from_rational(_integer(p), _integer(q))
+            elif "root" in obj:
                 payload = obj["root"]
                 (rp, rq), (bp, bq) = payload["r"], payload["base"]
-                return ExactWeight.from_root(
+                w = ExactWeight.from_root(
                     Fraction(_integer(rp), _integer(rq)),
                     Fraction(_integer(bp), _integer(bq)),
                     _integer(payload["n"]),
                 )
+            else:
+                raise OutOfRange(f"unrecognized exact-weight form: {obj!r}")
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise OutOfRange(f"malformed exact weight {obj!r}: {exc}") from exc
-        raise OutOfRange(f"unrecognized exact-weight form: {obj!r}")
+        try:
+            finite = math.isfinite(w.value())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise OutOfRange(f"{w.kind} exact weight has no finite float value",
+                             form=w.to_json())
+        return w
 
 
 def _number(x) -> float:
@@ -195,7 +207,11 @@ class RatioDecision:
     radical: dict[int, Fraction]
 
     def value(self) -> float:
-        x = float(self.coeff)
+        """The ratio as a float; ``inf`` past the float range."""
+        try:
+            x = float(self.coeff)
+        except OverflowError:  # the decision stays exact; only its float is out of range
+            return math.inf
         for p, e in self.radical.items():
             x *= p ** float(e)
         return x

@@ -1,7 +1,8 @@
 """Hand-built tensor and state families used as fixtures and demos.
 
 These are the concrete families the detection criteria are exercised on:
-product states, the two-component cat family, a bond-dimension-3 loop
+pattern tensors (one physical level per block, so one block is a product
+state), the two-component cat family, a bond-dimension-3 loop
 whose second weight oscillates as 2*cos(phi*N), a period-2 pattern
 tensor, and the four-component counterexample whose entropy is tuned to
 an exact integer while a weight ratio stays irrational.
@@ -9,7 +10,6 @@ an exact integer while a weight ratio stays irrational.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,20 +20,12 @@ from .errors import OutOfRange
 from .exact import ExactWeight
 from .spectral import is_normal
 from .tensor import MpsTensor
-from .weights import WeightSpectrum
 
 ROOT3_INV_QUARTER = 3.0 ** (-0.25)
 # Bracket width at which the bisection for the counterexample's t* stops.
 T_STAR_TOL = 1e-13
 # Draws tried before random_normal_tensor gives up.
 MAX_DRAWS = 20
-
-
-def product_tensor(level: int = 0, d: int = 2) -> MpsTensor:
-    """Bond-dimension-1 tensor of the product state |level, level, ...>."""
-    mats = np.zeros((d, 1, 1), dtype=complex)
-    mats[level, 0, 0] = 1.0
-    return MpsTensor(mats)
 
 
 def ghz_tensor() -> MpsTensor:
@@ -150,13 +142,6 @@ def counterexample_tensor() -> MpsTensor:
     through the exact-weight annotation, not the tensor.
     """
     return pattern_tensor([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0], d=4)
-
-
-def ghz_family_weights(alpha_sq: float):
-    """Constant weight pair (sqrt(a), sqrt(1 - a)) for the cat family."""
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise OutOfRange("weight must lie in [0, 1]")
-    return WeightSpectrum.constant([math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)])
 
 
 def random_normal_tensor(d: int, chi: int, seed) -> MpsTensor:

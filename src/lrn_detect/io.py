@@ -187,13 +187,15 @@ def json_value(value):
 
     Arrays become nested lists, numpy scalars Python numbers, complex
     numbers ``{"re": ..., "im": ...}`` and non-finite floats the strings
-    "inf", "-inf" and "nan" (their ``float.__repr__``).  Lists are
-    converted entry by entry.
+    "inf", "-inf" and "nan" (their ``float.__repr__``).  Lists, and dicts
+    with string keys, are converted entry by entry.
     """
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, list):
         return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
     if isinstance(value, (complex, np.complexfloating)):
         return {"re": json_value(value.real), "im": json_value(value.imag)}
     if isinstance(value, (float, np.floating)):

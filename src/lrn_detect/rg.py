@@ -1,14 +1,11 @@
-"""Real-space renormalization of TI MPS tensors and their fixed points.
+"""Fixed points of the real-space RG flow of TI MPS tensors, in closed form.
 
-One step groups two sites and splits the two-site tensor ``M`` (a map from
-bond-pair space to physical-pair space) as ``M = V C`` with ``V`` an
-isometry onto the image and ``C`` the positive factor expressed in its own
-right-singular basis.  The flow squares the transfer spectrum, so the
-subleading modulus collapses doubly exponentially toward the fixed point.
-
-The fixed point of a normal block is known in closed form (a product of
-entangled pairs), so ``rg_fixed_point`` reads it from the canonical form
-rather than iterating ``rg_step``; the iterated flow is the tests' oracle.
+One RG step groups two sites and keeps the support of the two-site map, so
+the flow squares the transfer spectrum and the subleading modulus collapses
+doubly exponentially toward the fixed point.  The fixed point of a normal
+block is known in closed form (a product of entangled pairs), so
+``rg_fixed_point`` reads it from the canonical form; no step is iterated
+here (the tests iterate one as their oracle).
 A block's whole flow trace follows from its first subleading modulus
 ``lambda2`` (``lambda2**(2**k)`` after ``k`` steps), which ``analyze``
 reports per fixed-point block.
@@ -21,58 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import canonical_decompose
-from .errors import DecompositionFailure, RankTolerance
-from .tensor import MpsTensor, block_tensor
+from .tensor import MpsTensor
 from .weights import WeightSpectrum
 
 # Subleading transfer modulus below which a block keeps its own tensor.
 RG_TOL = 1e-12
-# Relative singular value below which a two-site map has no support; values
-# within a decade of it are reported, not rounded into or out of the rank.
-TAU_RANK = 1e-10
-
-
-@dataclass(frozen=True)
-class RgStep:
-    """Result of one coarse-graining step.
-
-    ``isometry`` maps the effective site into the two-site space
-    (``isometry.conj().T @ isometry == I``); ``tensor`` is the positive
-    factor reshaped to a site tensor with physical dimension equal to the
-    rank of the two-site map.
-    """
-
-    isometry: np.ndarray
-    tensor: MpsTensor
-
-
-def rg_step(a: MpsTensor) -> RgStep:
-    """Block two sites and polar-split the result.
-
-    Raises:
-        RankTolerance: when singular values cluster at the rank cutoff
-            ``TAU_RANK``, so the effective dimension would be a coin flip.
-            Reported, never guessed.
-        SizeCap: when the doubled physical dimension exceeds
-            ``tensor.PHYS_DIM_CAP``.
-    """
-    d, chi = a.phys_dim, a.bond_dim
-    two_site = block_tensor(a, 2)
-    m = two_site.matrices.reshape(d * d, chi * chi)
-    u, sv, vh = np.linalg.svd(m, full_matrices=False)
-    if sv[0] <= 0.0:
-        raise DecompositionFailure("two-site tensor vanishes identically")
-    rel = sv / sv[0]
-    in_band = (rel > TAU_RANK * 0.1) & (rel < TAU_RANK * 10.0)
-    if np.any(in_band):
-        raise RankTolerance(
-            "singular values cluster at the rank cutoff",
-            singular_values=sv,
-        )
-    rank = int(np.sum(rel > TAU_RANK))
-    v = u[:, :rank]
-    a_prime = (sv[:rank, None] * vh[:rank]).reshape(rank, chi, chi)
-    return RgStep(isometry=v, tensor=MpsTensor(a_prime))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Spectra of transfer operators: peripheral data, normality, correlation length."""
+"""Spectra of transfer operators: peripheral data and normality certificates."""
 
 from __future__ import annotations
 
@@ -83,52 +83,36 @@ class SpectralData:
         return len(self.peripheral) > 1
 
 
-def spectral(m: np.ndarray) -> SpectralData:
-    """Spectrum of ``m`` by one ``eigvals``, biorthonormal peripheral eigenvectors.
+def transfer_spectral(a: MpsTensor) -> SpectralData:
+    """Spectrum of the transfer matrix of ``a`` and its peripheral eigenvectors.
+
+    The eigenvalues come from one real ``eigvals``.  The transfer channel
+    ``X -> sum_i A[i] X A[i]^H`` maps Hermitian matrices to Hermitian
+    matrices, so in a basis of Hermitian matrices (``_real_form``) it is a
+    real matrix similar to the transfer matrix.  A real ``eigvals`` is two
+    to three times cheaper than the complex one at chi 5-16, and returns
+    exact conjugate pairs.  A 1 x 1 transfer matrix needs no solver: its
+    entry is its spectrum and one is both of its eigenvectors.
 
     The peripheral cluster is every eigenvalue of modulus at least
-    ``radius * (1 - TAU_SPEC)``, a cut relative to the spectral radius.  Its
-    right and left eigenvectors come from shifted inverse iteration
-    (``_peripheral_vectors``), so the matrix is factorized once per group of
-    nearby peripheral eigenvalues rather than diagonalized twice.  A 1 x 1
-    matrix needs neither: its entry is its spectrum and one is both of its
-    eigenvectors.  A zero spectral radius leaves no peripheral cluster.
-    This is the generic path
-    for any square matrix; ``transfer_spectral`` is the same for the
-    transfer matrix of a tensor, with its eigenvalues taken in real form.
+    ``radius * (1 - TAU_SPEC)``, a cut relative to the spectral radius; a
+    zero radius leaves none.  Its right and left eigenvectors come from
+    shifted inverse iteration on the complex transfer matrix
+    (``_peripheral_vectors``), which factorizes it once per group of nearby
+    peripheral eigenvalues rather than diagonalizing it twice: a real
+    iteration would resolve a degenerate peripheral space in another basis.
 
     Raises:
+        SizeCap: if the transfer matrix exceeds ``tensor.TRANSFER_CAP``.
         NonDiagonalizablePeripheral: if the peripheral space carries a
             nontrivial Jordan block (left/right pairing is singular, or
             inverse iteration stalls above ``TAU_RESIDUAL``).  The
             exception carries the sorted spectrum.
         ConvergenceFailure: if inverse iteration is still short of
             ``TAU_RESIDUAL`` after ``MAX_SWEEPS`` sweeps.
-        ScaleOutOfRange: if ``m`` is nonzero and its norm is outside
-            ``NORM_RANGE``, or an entry is not finite; carries the norm.
-    """
-    m = np.asarray(m, dtype=complex)
-    scale = _checked_norm(m)
-    return _spectral_data(m, _eigvals(m), scale)
-
-
-def transfer_spectral(a: MpsTensor) -> SpectralData:
-    """``spectral(transfer_matrix(a))``, with the eigenvalues from the real form.
-
-    The transfer channel ``X -> sum_i A[i] X A[i]^H`` maps Hermitian
-    matrices to Hermitian matrices, so in a basis of Hermitian matrices
-    (``_real_form``) it is a real matrix similar to the transfer matrix.
-    Its eigenvalues come from a real ``eigvals``, two to three times
-    cheaper than the complex one at chi 5-16, which returns exact
-    conjugate pairs.
-    The peripheral eigenvectors still come from inverse iteration on the
-    complex transfer matrix (``_peripheral_vectors``): a real iteration
-    would resolve a degenerate peripheral space in another basis.
-
-    Raises:
-        SizeCap: if the transfer matrix exceeds ``tensor.TRANSFER_CAP``.
-        NonDiagonalizablePeripheral, ConvergenceFailure, ScaleOutOfRange:
-            as ``spectral``.
+        ScaleOutOfRange: if the transfer matrix is nonzero and its norm is
+            outside ``NORM_RANGE``, or an entry is not finite; carries the
+            norm.
     """
     e = transfer_matrix(a)
     scale = _checked_norm(e)
@@ -430,21 +414,6 @@ def _peripheral_vectors(m: np.ndarray, evals: np.ndarray, k: int, scale: float):
         right[:, wanted] = r
         left[:, wanted] = l
     return right, left
-
-
-def correlation_length(s: SpectralData) -> float:
-    """Decay length set by the subleading transfer eigenvalue.
-
-    Returns 0 when there is no subleading eigenvalue, a finite length for
-    a unique peripheral eigenvalue, and ``inf`` for a degenerate peripheral
-    space (multi-block tensor; the caller should report it as such).
-    """
-    if s.multi_block:
-        return math.inf
-    lam2 = s.subleading_modulus / s.radius if s.radius > 0 else 0.0
-    if lam2 <= 0.0:
-        return 0.0
-    return -1.0 / math.log(lam2)
 
 
 def rotate_to_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

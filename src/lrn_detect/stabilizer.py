@@ -296,14 +296,9 @@ class StabilizerTableau:
         stabilizers supported inside R; its size is read off the GF(2)
         rank of the generator bits restricted to the complement.
         """
-        try:  # Python ints: 1 << np.int64(64) is 0
-            region = {operator.index(q) for q in region}
-        except TypeError as exc:
-            raise TargetOutOfRange(f"region {region!r} is not a list of integer sites") from exc
+        region = self._sites(region)
         inside = 0
         for q in region:
-            if not 0 <= q < self.n:
-                raise TargetOutOfRange(f"region site {q} outside register")
             inside |= 1 << q
         # Zeroed columns leave the GF(2) rank unchanged, so each row keeps
         # its X and Z bits on the complement in place.
@@ -311,8 +306,23 @@ class StabilizerTableau:
         rank = _gf2_rank([((x & keep) << self.n) | (z & keep) for x, z in zip(self.xs, self.zs)])
         return len(region) - (self.n - rank)
 
+    def _sites(self, region) -> set[int]:
+        """``region`` as a set of Python ints in the register; a bool names no site."""
+        sites = set()
+        try:
+            for q in region:
+                if isinstance(q, bool):
+                    raise TypeError(f"{q!r} is not a site")
+                sites.add(operator.index(q))  # Python ints: 1 << np.int64(64) is 0
+        except TypeError as exc:
+            raise TargetOutOfRange(f"region {region!r} is not a list of integer sites") from exc
+        for q in sites:
+            if not 0 <= q < self.n:
+                raise TargetOutOfRange(f"region site {q} outside register")
+        return sites
+
     def mutual_information(self, region_a, region_b) -> int:
-        a, b = set(region_a), set(region_b)
+        a, b = self._sites(region_a), self._sites(region_b)
         if a & b:
             raise OverlappingRegions("regions must be disjoint")
         if not a or not b or len(a | b) >= self.n:

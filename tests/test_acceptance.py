@@ -15,24 +15,20 @@ from lrn_detect import (
     LRN_CERTIFIED,
     DenseState,
     MpsTensor,
+    WeightSpectrum,
     apply_brickwork,
-    apply_reduction,
     block_tensor,
     build_partition,
     causal_cone_reduce,
-    fannes_check,
     flatness_check,
     ghz_classify,
     invariance_sweep,
     lrn_entropy_check,
     materialize_fixed_point,
-    materialize_mps,
     random_brickwork,
     reduced_density,
     rg_fixed_point,
-    rg_step,
     srn_ratio_check,
-    subsystem_entropy,
     transfer_matrix,
     typicality_log_ratio,
 )
@@ -43,15 +39,16 @@ from lrn_detect.families import (
     counterexample_t_star,
     counterexample_tensor,
     dense_pattern_state,
-    ghz_family_weights,
     ghz_tensor,
+    pattern_tensor,
     phase_loop_tensor,
-    product_tensor,
     random_normal_tensor,
 )
 from lrn_detect import dense, experiments
-from lrn_detect.dense import _apply_gates
+from lrn_detect.causal import _reduction_factor
+from lrn_detect.dense import _apply_gates, _gram
 from lrn_detect.stabilizer import CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
+from oracles import FANNES_SLACK, fannes_check, materialize_mps, rg_step, subsystem_entropy
 
 PHASES = (math.pi / 2, math.pi / 3, 2 * math.pi / 5)
 
@@ -76,7 +73,9 @@ def test_criterion_1_ghz_family_classification():
     for k in range(101):
         alpha_sq = k / 100.0
         label = ghz_classify(alpha_sq)
-        verdict = lrn_entropy_check(ghz_family_weights(alpha_sq), tau_int=1e-6)
+        verdict = lrn_entropy_check(
+            WeightSpectrum.constant([math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)]),
+            tau_int=1e-6)
         expect_lrn = k not in special
         if (label == "LRN") != expect_lrn:
             ok = False
@@ -201,7 +200,7 @@ def test_criterion_5_causal_cone_reduction():
     for seed in range(10):
         circ = random_brickwork(n, depth, seed)
         red = causal_cone_reduce(circ, partition)
-        sigma = apply_reduction(red, state)
+        sigma = _gram(_reduction_factor(red, state))
         rho_ab = reduced_density(apply_brickwork(state, circ), partition.a + partition.b)
         u = np.kron(red.u_a, red.u_b)
         worst_frob = max(
@@ -246,7 +245,7 @@ def test_criterion_6_mps_structure():
             remaining.pop(j)
     ok &= worst_square < 1e-8
 
-    fixtures = [ghz_tensor(), product_tensor()]
+    fixtures = [ghz_tensor(), pattern_tensor([0], [1.0], 2)]
     fixtures += [phase_loop_tensor(phi) for phi in PHASES]
     fixtures.append(counterexample_tensor())
     worst_overlap = 1.0
@@ -256,7 +255,7 @@ def test_criterion_6_mps_structure():
         for n in sizes:
             link = materialize_fixed_point(fp, n)
             trace = materialize_mps(t, n)
-            worst_overlap = min(worst_overlap, abs(link.overlap(trace)))
+            worst_overlap = min(worst_overlap, abs(np.vdot(link.amplitudes, trace.amplitudes)))
     ok &= worst_overlap >= 1.0 - 1e-8
 
     worst_ratio = 0.0
@@ -280,7 +279,7 @@ def test_criterion_7_fannes_inequality():
     """Continuity bound never violated on random density pairs."""
     rng = np.random.default_rng(77)
     violations = 0
-    assert dense.FANNES_SLACK == 1e-12
+    assert FANNES_SLACK == 1e-12
     for _ in range(1000):
         k = int(rng.integers(1, 4))
         dim = 2**k

@@ -10,11 +10,7 @@ from lrn_detect import (
     MpsTensor,
     canonical,
     canonical_decompose,
-    gauge_equivalent,
-    local_orthogonal,
     lrn_entropy_check,
-    materialize_mps,
-    spectral,
     transfer_matrix,
 )
 from lrn_detect.criteria import LRN_CERTIFIED
@@ -25,13 +21,13 @@ from lrn_detect.families import (
     ghz_tensor,
     pattern_tensor,
     phase_loop_tensor,
-    product_tensor,
     random_normal_tensor,
 )
+from oracles import complex_spectral, gauge_equivalent, local_orthogonal, materialize_mps
 
 
 def test_local_orthogonal_levels():
-    zero, one = product_tensor(level=0), product_tensor(level=1)
+    zero, one = pattern_tensor([0], [1.0], 2), pattern_tensor([1], [1.0], 2)
     assert local_orthogonal(zero, one)
     assert not local_orthogonal(zero, zero)
 
@@ -71,7 +67,8 @@ def test_gauge_equivalent_conjugation_recovered():
 
 
 def test_gauge_equivalent_none_for_orthogonal():
-    assert gauge_equivalent(product_tensor(0), product_tensor(1)) is None
+    zero, one = pattern_tensor([0], [1.0], 2), pattern_tensor([1], [1.0], 2)
+    assert gauge_equivalent(zero, one) is None
 
 
 def test_gauge_equivalent_requires_normal():
@@ -157,7 +154,7 @@ def test_decompose_scrambled_ghz():
     for n in (3, 5):
         a = materialize_mps(scr, n)
         b = materialize_mps(ghz_tensor(), n)
-        assert abs(abs(a.overlap(b)) - 1.0) < 1e-9
+        assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) < 1e-9
 
 
 def test_decompose_alternating_needs_blocking():
@@ -212,7 +209,8 @@ def test_decompose_triangular_junk_same_family():
     assert len(cf.blocks) == 2
     clean = ghz_tensor()
     for n in (2, 4, 6):
-        assert abs(abs(materialize_mps(t, n).overlap(materialize_mps(clean, n))) - 1) < 1e-9
+        a, b = materialize_mps(t, n), materialize_mps(clean, n)
+        assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1) < 1e-9
 
 
 def test_decompose_equal_copies_merge():
@@ -250,7 +248,7 @@ def test_decompose_scrambled_alternating():
 
 _REAL_FORM_CASES = {
     "ghz": ghz_tensor,
-    "product": product_tensor,
+    "product": lambda: pattern_tensor([0], [1.0], 2),
     "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
     "loop_incommensurate": lambda: phase_loop_tensor(math.sqrt(2.0)),
     "loop_7_997": lambda: phase_loop_tensor(2 * math.pi * 7 / 997),
@@ -265,7 +263,8 @@ def _assert_matches_complex_oracle(tensor, monkeypatch, same_canonical):
     cf = canonical_decompose(tensor)
     with monkeypatch.context() as m:
         # The oracle takes the transfer eigenvalues from a complex eigvals.
-        m.setattr(canonical, "transfer_spectral", lambda t: spectral(transfer_matrix(t)))
+        m.setattr(canonical, "transfer_spectral",
+                  lambda t: complex_spectral(transfer_matrix(t)))
         oracle = canonical_decompose(tensor)
     same_canonical(cf, oracle)
 

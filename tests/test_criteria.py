@@ -27,7 +27,6 @@ from lrn_detect.families import (
     counterexample_entropy,
     counterexample_exact_weights,
     counterexample_t_star,
-    ghz_family_weights,
 )
 
 
@@ -69,13 +68,13 @@ def test_counterexample_root_is_near_paper_value():
 
 
 def test_entropy_check_ghz_03_certifies():
-    v = lrn_entropy_check(ghz_family_weights(0.3))
+    v = lrn_entropy_check(WeightSpectrum.constant([math.sqrt(0.3), math.sqrt(0.7)]))
     assert v.status == LRN_CERTIFIED
     assert abs(v.evidence["classes"][0]["entropy"] - 0.8812908992306927) < 1e-9
 
 
 def test_entropy_check_ghz_half_inconclusive():
-    v = lrn_entropy_check(ghz_family_weights(0.5))
+    v = lrn_entropy_check(WeightSpectrum.constant([math.sqrt(0.5), math.sqrt(0.5)]))
     assert v.status == INCONCLUSIVE
 
 
@@ -209,7 +208,8 @@ def test_ghz_classify_agrees_with_entropy_check():
     for k in range(0, 101, 7):
         a = k / 100.0
         label = ghz_classify(a)
-        status = lrn_entropy_check(ghz_family_weights(a)).status
+        weights = WeightSpectrum.constant([math.sqrt(a), math.sqrt(1.0 - a)])
+        status = lrn_entropy_check(weights).status
         assert (label == "LRN") == (status == LRN_CERTIFIED)
 
 

@@ -10,26 +10,17 @@ import pytest
 from lrn_detect import (
     DenseState,
     apply_brickwork,
-    apply_local_gate,
-    binary_entropy,
     build_partition,
-    fannes_check,
     flatness_check,
     materialize_fixed_point,
-    materialize_mps,
     mutual_information,
     partial_transpose,
     random_brickwork,
     reduced_density,
     rg_fixed_point,
-    subsystem_entropy,
-    trace_distance_mixed,
-    trace_distance_pure,
-    von_neumann_entropy,
 )
 from lrn_detect import dense
-from lrn_detect.circuits import BrickworkCircuit
-from lrn_detect.circuits import haar_gate
+from lrn_detect.circuits import BrickworkCircuit, _haar_gates
 from lrn_detect.dense import (
     _PIVOT_ENTROPY_BOUND,
     _PIVOT_FLOOR,
@@ -48,7 +39,6 @@ from lrn_detect.errors import (
     DimensionMismatch,
     GeometryMismatch,
     NotPSD,
-    NotUnitary,
     SizeCap,
     ZeroState,
 )
@@ -57,9 +47,19 @@ from lrn_detect.families import (
     counterexample_t_star,
     dense_pattern_state,
     ghz_tensor,
+    pattern_tensor,
     phase_loop_tensor,
-    product_tensor,
     random_normal_tensor,
+)
+from oracles import (
+    adjoint,
+    binary_entropy,
+    fannes_check,
+    materialize_mps,
+    subsystem_entropy,
+    trace_distance_mixed,
+    trace_distance_pure,
+    von_neumann_entropy,
 )
 
 
@@ -70,7 +70,7 @@ def random_density(dim, rng):
 
 
 def test_materialize_product_state():
-    psi = materialize_mps(product_tensor(), 5)
+    psi = materialize_mps(pattern_tensor([0], [1.0], 2), 5)
     expect = np.zeros(32)
     expect[0] = 1.0
     assert np.allclose(psi.amplitudes, expect)
@@ -94,10 +94,8 @@ def test_materialize_phase_loop_n3():
 
 def test_materialize_caps_and_zero():
     with pytest.raises(SizeCap):
-        materialize_mps(product_tensor(), 40)
+        materialize_mps(pattern_tensor([0], [1.0], 2), 40)
     # phase pair that cancels at odd sizes: zero state
-    from lrn_detect.families import pattern_tensor
-
     t = pattern_tensor([0, 0], [1.0, -1.0], d=2)
     with pytest.raises(ZeroState):
         materialize_mps(t, 3)
@@ -108,7 +106,7 @@ def test_reduced_density_ghz():
     rho = reduced_density(psi, (0, 1))
     assert np.allclose(rho, np.diag([0.5, 0, 0, 0.5]))
     # product state: rank-1 projector
-    rho_p = reduced_density(materialize_mps(product_tensor(), 4), (1, 2))
+    rho_p = reduced_density(materialize_mps(pattern_tensor([0], [1.0], 2), 4), (1, 2))
     assert abs(np.trace(rho_p @ rho_p).real - 1.0) < 1e-12
 
 
@@ -177,8 +175,8 @@ def test_contractivity_of_partial_trace():
     for _ in range(50):
         a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        psi = DenseState.from_amplitudes(a, 4, 2)
-        phi = DenseState.from_amplitudes(b, 4, 2)
+        psi = DenseState._owning(a, 4, 2)
+        phi = DenseState._owning(b, 4, 2)
         full = trace_distance_pure(psi, phi)
         red = trace_distance_mixed(
             reduced_density(psi, (0, 1)), reduced_density(phi, (0, 1))
@@ -237,13 +235,13 @@ def test_brickwork_identity_and_inverse():
     assert np.allclose(out.amplitudes, state.amplitudes)
     # CNOT-like permutation layer on |0...0>
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    zeros = materialize_mps(product_tensor(), 8)
+    zeros = materialize_mps(pattern_tensor([0], [1.0], 2), 8)
     perm_layers = (((0, cnot), (2, cnot), (4, cnot), (6, cnot)),)
     out = apply_brickwork(zeros, BrickworkCircuit(8, 2, perm_layers))
     assert np.allclose(out.amplitudes, zeros.amplitudes)
     # random circuit then its adjoint
     circ = random_brickwork(8, 3, seed=2)
-    back = apply_brickwork(apply_brickwork(state, circ), circ.adjoint())
+    back = apply_brickwork(apply_brickwork(state, circ), adjoint(circ))
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-10
 
 
@@ -255,14 +253,13 @@ def test_brickwork_geometry_checks():
         BrickworkCircuit(4, 2, (((0, np.eye(4) * 2.0),),))  # not unitary
 
 
-def test_apply_local_gate_wraps_ring():
+def test_gate_loop_wraps_ring():
     # swap across the ring boundary (sites 7, 0)
     swap = np.eye(4)[[0, 2, 1, 3]].astype(complex)
     amps = np.zeros(2**8, dtype=complex)
     amps[1] = 1.0  # site 7 set to |1>
-    psi = DenseState(8, 2, amps)
-    out = apply_local_gate(psi, swap, (7, 0))
-    idx = np.argmax(np.abs(out.amplitudes))
+    out = _apply_gates(amps, 8, 2, [(swap, (7, 0))])
+    idx = np.argmax(np.abs(out))
     assert idx == 2**7  # now site 0 carries the excitation
 
 
@@ -273,7 +270,7 @@ def test_qudit_brickwork_and_mi():
     circ = random_brickwork(6, 2, seed=4, local_dim=3)
     out = apply_brickwork(state, circ)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-    back = apply_brickwork(out, circ.adjoint())
+    back = apply_brickwork(out, adjoint(circ))
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-10
     mi = mutual_information(state, {0}, {3})
     assert abs(mi - binary_entropy(0.36)) < 1e-12
@@ -328,10 +325,8 @@ def test_subsystem_entropy_matches_svd_oracle(d):
     raw = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
     sites = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)]
     states = {
-        "random": DenseState.from_amplitudes(raw, n, d),
-        "product": DenseState.from_amplitudes(
-            functools.reduce(np.kron, sites), n, d
-        ),
+        "random": DenseState._owning(raw, n, d),
+        "product": DenseState._owning(functools.reduce(np.kron, sites), n, d),
         "ghz": dense_pattern_state(["0", str(d - 1)], [1.0, 1.0], n),
     }
     assert states["ghz"].local_dim == d
@@ -352,7 +347,8 @@ def test_apply_brickwork_builds_one_state(d, n, monkeypatch):
     gate_by_gate = state
     for layer in circ.layers:
         for s, gate in layer:
-            gate_by_gate = apply_local_gate(gate_by_gate, gate, (s, (s + 1) % n))
+            amps = _apply_gates(gate_by_gate.amplitudes, n, d, [(gate, (s, (s + 1) % n))])
+            gate_by_gate = DenseState(n, d, amps)
     built = {"n": 0}
     original = DenseState.__post_init__
 
@@ -384,7 +380,7 @@ def test_reduced_density_peak_memory_is_bounded(traced_peak):
     n = 16
     rng = np.random.default_rng(4)
     raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    psi = DenseState.from_amplitudes(raw, n, 2)
+    psi = DenseState._owning(raw, n, 2)
     rho, peak = traced_peak(lambda: reduced_density(psi, build_partition(n, 1).ab))
     assert rho.nbytes == 2**20
     assert peak <= 2.5 * 2**20
@@ -448,25 +444,6 @@ def test_random_brickwork_matches_per_gate_draws():
                 assert s == t and np.array_equal(gate, oracle), (n, depth, d, seed)
 
 
-def test_apply_local_gate_checks_the_gate_not_the_state(monkeypatch):
-    psi = dense_pattern_state(["0"], [1.0], 4)  # |0000>
-    # Keeps this state's norm, but is not unitary: a named error all the same.
-    for bad in (np.diag([1.0, 2.0]), np.diag([1.0, 1.0, 1.0, 1.0 + 1e-11])):
-        sites = (2,) if len(bad) == 2 else (1, 3)
-        with pytest.raises(NotUnitary):
-            apply_local_gate(psi, bad, sites)
-    # A unitary gate builds its output without re-norming the amplitudes.
-    def refuse(self):
-        raise AssertionError("apply_local_gate re-checked the state's norm")
-
-    monkeypatch.setattr(DenseState, "__post_init__", refuse)
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    out = apply_local_gate(psi, hadamard, (2,))
-    assert (out.n_sites, out.local_dim) == (4, 2)
-    assert np.allclose(out.amplitudes[[0, 2]], [1 / math.sqrt(2.0)] * 2)
-    assert not out.amplitudes.flags.writeable
-
-
 def _embedded_unitary(gate, sites, n, d):
     """``gate ⊗ 1`` on ``sites`` (in their order) as a d**n matrix.
 
@@ -487,26 +464,26 @@ def _embedded_unitary(gate, sites, n, d):
 def test_gate_loop_matches_kronecker_embedding(d, n, targets):
     rng = np.random.default_rng(10 * d + n)
     raw = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
-    psi = DenseState.from_amplitudes(raw, n, d)
-    gates = [(haar_gate(d ** len(t), rng), t) for t in targets]
+    psi = DenseState._owning(raw, n, d)
+    gates = [(_haar_gates(1, d ** len(t), rng)[0], t) for t in targets]
     expect = psi.amplitudes
     step = psi
     for gate, t in gates:
         expect = _embedded_unitary(gate, t, n, d) @ expect
-        step = apply_local_gate(step, gate, t)
+        step = DenseState(n, d, _apply_gates(step.amplitudes, n, d, [(gate, t)]))
         assert np.max(np.abs(step.amplitudes - expect)) < 1e-13, t
     # The whole list in one loop: intermediate layouts stay permuted views.
     assert np.max(np.abs(_apply_gates(psi.amplitudes, n, d, gates) - expect)) < 1e-13
     # Targets are read as numpy reads axes: negative ones count from the end.
     gate = gates[0][0]
-    assert np.array_equal(apply_local_gate(psi, gate, (-1, 0)).amplitudes,
-                          apply_local_gate(psi, gate, (n - 1, 0)).amplitudes)
+    assert np.array_equal(_apply_gates(psi.amplitudes, n, d, [(gate, (-1, 0))]),
+                          _apply_gates(psi.amplitudes, n, d, [(gate, (n - 1, 0))]))
     # Out-of-range and repeated targets are named errors, not numpy's.
     for bad in [(0, n), (1, 1), (-n - 1, 0), (0, -n)]:
         with pytest.raises(DimensionMismatch):
-            apply_local_gate(psi, gate, bad)
+            _apply_gates(psi.amplitudes, n, d, [(gate, bad)])
     with pytest.raises(DimensionMismatch):
-        apply_local_gate(psi, np.eye(d**2), (0, 1, 2))
+        _apply_gates(psi.amplitudes, n, d, [(np.eye(d**2), (0, 1, 2))])
     with pytest.raises(DimensionMismatch):
         _apply_gates(psi.amplitudes, n, d, [(np.eye(d**2), (0, 1)), (np.eye(d), (0, 1))])
 
@@ -542,17 +519,17 @@ def test_one_site_gates_match_the_rotating_frame(d, n):
     # on random sites and on the second target of a two-site gate.
     rng = np.random.default_rng(100 * d + n)
     raw = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
-    psi = DenseState.from_amplitudes(raw, n, d)
-    gates = [(haar_gate(d, rng), (q,)) for q in range(n)]
+    psi = DenseState._owning(raw, n, d)
+    gates = [(_haar_gates(1, d, rng)[0], (q,)) for q in range(n)]
     for _ in range(24):
         if rng.uniform() < 0.5:
-            gates.append((haar_gate(d, rng), (int(rng.integers(n)),)))
+            gates.append((_haar_gates(1, d, rng)[0], (int(rng.integers(n)),)))
         else:
             a = int(rng.integers(n))
             b = (a + 1 + int(rng.integers(n - 1)) * (rng.uniform() < 0.3)) % n
-            gates.append((haar_gate(d * d, rng), (a, b)))
+            gates.append((_haar_gates(1, d * d, rng)[0], (a, b)))
             if rng.uniform() < 0.5:
-                gates.append((haar_gate(d, rng), (b,)))
+                gates.append((_haar_gates(1, d, rng)[0], (b,)))
     got = _apply_gates(psi.amplitudes, n, d, gates)
     assert np.max(np.abs(got - _rotating_frame_gates(psi, gates))) < 1e-13
 
@@ -688,8 +665,8 @@ def test_mutual_information_matches_three_entropy_oracle(d):
     raw = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
     sites = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)]
     states = {
-        "random": DenseState.from_amplitudes(raw, n, d),
-        "product": DenseState.from_amplitudes(functools.reduce(np.kron, sites), n, d),
+        "random": DenseState._owning(raw, n, d),
+        "product": DenseState._owning(functools.reduce(np.kron, sites), n, d),
         "ghz": dense_pattern_state(["0", str(d - 1)], [1.0, 1.0], n),
     }
     # Every assignment of each site to A, B or neither: empty regions,
@@ -734,7 +711,7 @@ def test_mutual_information_memory_follows_the_smaller_side(big, traced_peak):
     # (or the per-A blocks of B's) would dwarf the 0.25 MiB state.
     rng = np.random.default_rng(8)
     raw = rng.standard_normal(2**14) + 1j * rng.standard_normal(2**14)
-    psi = DenseState.from_amplitudes(raw, 14, 2)
+    psi = DenseState._owning(raw, 14, 2)
     a, b = [0], list(range(1, 11))
     if big == "a":
         a, b = b, a
@@ -838,7 +815,7 @@ def _old_materialize_fixed_point(f, n):
             out = (v @ arr.reshape(chi * chi, -1)).reshape([d] + rest)
             arr = np.moveaxis(out, 0, -1)
         total += weight * arr.reshape(-1)
-    return DenseState.from_amplitudes(total, n, d)
+    return DenseState._owning(total, n, d)
 
 
 @pytest.mark.parametrize("name", ["ghz", "loop", "chi2"])

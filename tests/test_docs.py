@@ -16,6 +16,13 @@ def _cli_block() -> str:
     return section.split("```sh\n", 1)[1].split("```", 1)[0]
 
 
+def test_readme_library_quick_start_runs():
+    # A name the README imports but the package no longer exports fails here.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Quick start (library)", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+
+
 def test_docs_name_every_pipeline_and_no_other():
     usage = set(re.findall(r"^lrn-detect --pipeline (\S+)", _cli_block(), re.MULTILINE))
     assert usage == set(cli.PIPELINES)

@@ -16,8 +16,8 @@ from lrn_detect.families import (
     counterexample_t_star,
     dense_pattern_state,
     ghz_tensor,
+    pattern_tensor,
     phase_loop_tensor,
-    product_tensor,
 )
 
 
@@ -48,7 +48,7 @@ def test_ghz_family_generic_weight():
 
 
 def test_single_block_zero_mutual_information():
-    fp = rg_fixed_point(product_tensor())
+    fp = rg_fixed_point(pattern_tensor([0], [1.0], 2))
     (rep,) = _sweep(fp, [1])
     assert abs(rep.before) < 1e-10
     assert abs(rep.after) < 1e-8

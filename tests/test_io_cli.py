@@ -506,12 +506,12 @@ def test_report_writer_is_strict_on_numpy_and_complex_values():
 ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
 def test_report_writer_matches_json_dumps(argv, fixture_dir, monkeypatch, capsys):
     from lrn_detect import cli
-    from lrn_detect.families import product_tensor
+    from lrn_detect.families import pattern_tensor
 
     save_tensor(fixture_dir / "loop_irrational.json", phase_loop_tensor(math.sqrt(2.0)))
     save_tensor(fixture_dir / "loop_7_997.json", phase_loop_tensor(2 * math.pi * 7 / 997))
     save_tensor(fixture_dir / "alternating.json", alternating_tensor())
-    save_tensor(fixture_dir / "product.json", product_tensor())
+    save_tensor(fixture_dir / "product.json", pattern_tensor([0], [1.0], 2))
     save_tensor(fixture_dir / "counter_plain.json", counterexample_tensor())
     argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
     reports = []
@@ -709,7 +709,7 @@ def test_tensor_from_json_checks_shape_before_allocating(traced_peak):
 
 
 def test_cli_analyze_composite_with_chi10_block(tmp_path, capsys):
-    from lrn_detect import MpsTensor, spectral, transfer_matrix
+    from lrn_detect import MpsTensor, transfer_spectral
 
     specs = [(10, 1.0), (2, -1.0), (2, 0.5)]  # the last block decays
     dim = sum(chi for chi, _ in specs)
@@ -717,7 +717,7 @@ def test_cli_analyze_composite_with_chi10_block(tmp_path, capsys):
     off = 0
     for k, (chi, mu) in enumerate(specs):
         t = random_normal_tensor(2, chi, seed=40 + k)
-        t = t.scaled(mu / math.sqrt(spectral(transfer_matrix(t)).radius))
+        t = t.scaled(mu / math.sqrt(transfer_spectral(t).radius))
         mats[:, off : off + chi, off : off + chi] = t.matrices
         off += chi
     rng = np.random.default_rng(10)
@@ -934,9 +934,17 @@ _GHZ_ENTRIES = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
     ("stab", {"tableau": "+XX\n+ZZ", "region_a": 0}),
     ("stab", {"tableau": "+XX\n+ZZ", "region_a": [0.5]}),
     ("stab", {"tableau": "+XXI\n+ZZI\n+IIZ", "region_a": [0], "region_b": "a"}),
+    ("stab", {"tableau": "XX\nZZ", "region_a": [True]}),
+    # Exact forms whose float value overflows.
+    ("ghz", {"rat": [10**400, 1]}),
+    ("ghz", {"root": {"r": [10**400, 1], "base": [2, 1], "n": 2}}),
+    ("ghz", {"root": {"r": [1, 1], "base": [10**400, 1], "n": 2}}),
+    ("analyze", {"d": 2, "chi": 2, "matrices": _GHZ_ENTRIES,
+                 "exact_weights": [{"rat": [10**400, 1]}, {"rat": [1, 2]}]}),
 ], ids=["ghz-null", "ghz-rat-int", "ghz-float-null", "weight-null", "weights-int",
         "matrices-int", "tableau-int", "request-list", "region-int", "region-float",
-        "region-str"])
+        "region-str", "region-bool", "ghz-rat-huge", "ghz-root-r-huge", "ghz-root-base-huge",
+        "weight-rat-huge"])
 def test_cli_malformed_input_is_a_named_error(pipeline, content, tmp_path, capsys):
     from lrn_detect import errors
 
@@ -947,6 +955,25 @@ def test_cli_malformed_input_is_a_named_error(pipeline, content, tmp_path, capsy
     assert streams.out == ""
     err = json.loads(streams.err)  # exactly one JSON object
     assert issubclass(getattr(errors, err["error"]), errors.LrnDetectError), err
+
+
+@pytest.mark.parametrize("weights,pair", [
+    ([1e200, 0.5], {"method": "heuristic", "rational": None, "value": "inf"}),
+    ([0.5, 1e-200], {"method": "heuristic", "rational": None, "value": "inf"}),
+    ([{"rat": [10**300, 1]}, {"rat": [1, 10**300]}],
+     {"method": "symbolic", "rational": True, "value": "inf"}),
+], ids=["float-square-overflows", "float-square-underflows", "symbolic-value-overflows"])
+def test_cli_analyze_ratio_beyond_the_float_range_is_a_report(weights, pair, tmp_path, capsys):
+    # Each weight is a finite float, but the squared ratio of the pair is
+    # not: the float pairs are recorded without a rational guess, and the
+    # symbolic pair keeps its exact decision.
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"d": 2, "chi": 2, "matrices": _GHZ_ENTRIES,
+                                "exact_weights": weights}))
+    assert main(["--pipeline", "analyze", "--input", str(path)]) == 3
+    (got,) = json.loads(capsys.readouterr().out)["verdicts"]["ratio_criterion"][
+        "evidence"]["pairs"]
+    assert {k: got[k] for k in pair} == pair
 
 
 def test_cli_analyze_loads_no_scipy_and_no_numpy_random(fixture_dir, tmp_path):
@@ -986,10 +1013,12 @@ def test_each_pipeline_loads_only_its_own_modules(fixture_dir, tmp_path):
     script = textwrap.dedent("""
         import importlib, json, sys
         import lrn_detect
-        from lrn_detect.cli import main
 
         def loaded():
             return sorted(m.split(".")[1] for m in sys.modules if m.startswith("lrn_detect."))
+
+        at_import = loaded()
+        from lrn_detect.cli import main
 
         ghz, half, out = sys.argv[1:]
         listed = dir(lrn_detect)
@@ -1005,7 +1034,8 @@ def test_each_pipeline_loads_only_its_own_modules(fixture_dir, tmp_path):
         star = {}
         exec("from lrn_detect import *", star)
         print(json.dumps({
-            "codes": codes, "before_verify": before_verify, "after_verify": after_verify,
+            "codes": codes, "at_import": at_import, "before_verify": before_verify,
+            "after_verify": after_verify,
             "unresolved": unresolved,
             "unlisted": sorted(set(lrn_detect.__all__) - set(listed)),
             "unbound": sorted(set(lrn_detect.__all__) - set(star)),
@@ -1022,6 +1052,7 @@ def test_each_pipeline_loads_only_its_own_modules(fixture_dir, tmp_path):
     verify_only = {"dense", "rg", "circuits", "causal", "partition", "stabilizer",
                    "experiments", "families", "verify"}
     assert result["codes"] == [3, 3, 0, 0]
+    assert result["at_import"] == []
     assert verify_only.isdisjoint(result["before_verify"]), result["before_verify"]
     assert verify_only <= set(result["after_verify"])
     assert result["unresolved"] == []

@@ -8,7 +8,6 @@ import pytest
 
 from lrn_detect import (
     apply_brickwork,
-    apply_reduction,
     build_partition,
     causal_cone_reduce,
     random_brickwork,
@@ -64,7 +63,7 @@ def test_depth0_reduction_is_plain_reduction():
     red = causal_cone_reduce(circ, p)
     assert all(c is None for c in red.channels.values())
     assert np.allclose(red.u_a, np.eye(2 ** len(p.a)))
-    sigma = apply_reduction(red, state)
+    sigma = dense._gram(causal._reduction_factor(red, state))
     assert np.allclose(sigma, reduced_density(state, p.a + p.b))
 
 
@@ -74,7 +73,7 @@ def test_depth1_channel_formula_matches_direct(seed):
     circ = random_brickwork(16, 1, seed)
     p = build_partition(16, 1)
     red = causal_cone_reduce(circ, p)
-    sigma = apply_reduction(red, state)
+    sigma = dense._gram(causal._reduction_factor(red, state))
     rho_ab = reduced_density(apply_brickwork(state, circ), p.a + p.b)
     u = np.kron(red.u_a, red.u_b)
     assert np.linalg.norm(sigma - u @ rho_ab @ u.conj().T) < 1e-10
@@ -136,7 +135,7 @@ def test_wrapped_partition_channel_formula(start, seed):
     p = build_partition(16, 1, start=start)
     circ = random_brickwork(16, 1, seed)
     red = causal_cone_reduce(circ, p)
-    sigma = apply_reduction(red, state)
+    sigma = dense._gram(causal._reduction_factor(red, state))
     rho_ab = reduced_density(apply_brickwork(state, circ), p.a + p.b)
     u = np.kron(red.u_a, red.u_b)
     assert np.linalg.norm(sigma - u @ rho_ab @ u.conj().T) < 1e-10
@@ -156,7 +155,8 @@ def test_blockwise_cone_distance_matches_the_formed_densities(start):
         gates = red.circuit.gates + [(red.u_a, p.a), (red.u_b, p.b)]
         evolved = DenseState(16, 2, dense._apply_gates(state.amplitudes, 16, 2, gates))
         rho_ab = reduced_density(evolved, p.ab)
-        want = np.linalg.norm(rho_ab - apply_reduction(red, state))
+        sigma = dense._gram(causal._reduction_factor(red, state))
+        want = np.linalg.norm(rho_ab - sigma)
         got = dense._gram_gap(dense._region_factor(evolved, p.ab),
                               causal._reduction_factor(red, state))
         assert abs(got - want) <= 1e-15
@@ -200,20 +200,21 @@ def _reduction_branch_by_branch(red, psi):
 def test_stacked_reduction_matches_branch_by_branch(start):
     p = build_partition(16, 1, start=start)
     rng = np.random.default_rng(start)
-    psi = DenseState.from_amplitudes(
+    psi = DenseState._owning(
         rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16), 16, 2
     )
     channel_counts = set()
     for seed in range(10):
         red = causal_cone_reduce(random_brickwork(16, 1, seed), p)
         channel_counts.add(len(red.channel_list()))
-        sigma = apply_reduction(red, psi)
+        sigma = dense._gram(causal._reduction_factor(red, psi))
         assert np.max(np.abs(sigma - _reduction_branch_by_branch(red, psi))) <= 1e-14
         for ch in red.channel_list():
             assert ch.cptp_defect() < 1e-12
     assert channel_counts == {0, 4}  # some seeds align with the partition
+    small = dense_pattern_state(["0", "1"], [0.6, 0.8], 12)
     with pytest.raises(GeometryMismatch):
-        apply_reduction(red, dense_pattern_state(["0", "1"], [0.6, 0.8], 12))
+        dense._gram(causal._reduction_factor(red, small))
 
 
 def _four_channel_case():
@@ -230,7 +231,7 @@ def test_apply_reduction_peak_memory_is_bounded(traced_peak):
     # density and a block of conjugated rows.  A third state-sized array
     # would break the bound.
     red, state = _four_channel_case()
-    sigma, peak = traced_peak(lambda: apply_reduction(red, state))
+    sigma, peak = traced_peak(lambda: dense._gram(causal._reduction_factor(red, state)))
     assert sigma.nbytes == 2**20
     assert peak <= 2.5 * 2**20
 
@@ -241,7 +242,7 @@ def test_apply_reduction_checks_the_density_cap_first(monkeypatch, traced_peak):
 
     def capped():
         with pytest.raises(SizeCap):
-            apply_reduction(red, state)
+            dense._gram(causal._reduction_factor(red, state))
 
     _, peak = traced_peak(capped)
     assert peak < 64 * 2**10  # nothing state-sized (1 MiB) was allocated

@@ -12,12 +12,9 @@ from lrn_detect import (
     canonical_decompose,
     evaluate_weights,
     materialize_fixed_point,
-    materialize_mps,
     rg_fixed_point,
-    rg_step,
-    spectral,
-    subsystem_entropy,
     transfer_matrix,
+    transfer_spectral,
 )
 from lrn_detect import rg
 from lrn_detect.cli import main
@@ -26,15 +23,15 @@ from lrn_detect.families import (
     ghz_tensor,
     pattern_tensor,
     phase_loop_tensor,
-    product_tensor,
     random_normal_tensor,
 )
 from lrn_detect.io import save_tensor
 from lrn_detect.spectral import normality_witness
+from oracles import materialize_mps, rg_step, subsystem_entropy
 
 
 def test_rg_step_product_tensor():
-    step = rg_step(product_tensor())
+    step = rg_step(pattern_tensor([0], [1.0], 2))
     assert step.tensor.phys_dim == 1
     assert np.allclose(step.tensor.matrices, [[[1.0]]])
     assert np.allclose(step.isometry.conj().T @ step.isometry, np.eye(1))
@@ -51,7 +48,7 @@ def test_rg_step_ghz_is_fixed():
     for n in (2, 3, 4):
         a = materialize_mps(step.tensor, n)
         b = materialize_mps(ghz_tensor(), n)
-        assert abs(abs(a.overlap(b)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) - 1.0) < 1e-12
 
 
 def assert_multiset_close(xs, ys, atol):
@@ -73,12 +70,12 @@ def test_rg_step_transfer_squares():
 
 def test_rg_iteration_kills_correlations():
     t = random_normal_tensor(2, 2, seed=9)
-    t = t.scaled(1.0 / math.sqrt(spectral(transfer_matrix(t)).radius))
-    lam2 = spectral(transfer_matrix(t)).subleading_modulus
+    t = t.scaled(1.0 / math.sqrt(transfer_spectral(t).radius))
+    lam2 = transfer_spectral(t).subleading_modulus
     for _ in range(20):
         t = rg_step(t).tensor
-        t = t.scaled(1.0 / math.sqrt(spectral(transfer_matrix(t)).radius))
-        new = spectral(transfer_matrix(t)).subleading_modulus
+        t = t.scaled(1.0 / math.sqrt(transfer_spectral(t).radius))
+        new = transfer_spectral(t).subleading_modulus
         assert new <= lam2**2 + 1e-8
         lam2 = new
         if lam2 == 0.0:
@@ -95,7 +92,7 @@ def test_rg_step_rank_tolerance():
 
 def test_rg_step_phys_cap():
     with pytest.raises(SizeCap):
-        rg_step(product_tensor(d=70))
+        rg_step(pattern_tensor([0], [1.0], 70))
 
 
 def test_fixed_point_ghz():
@@ -139,7 +136,7 @@ def test_fixed_point_phase_loop_weight_terms():
 @pytest.mark.parametrize("builder,arg", [
     (lambda: ghz_tensor(), None),
     (lambda: phase_loop_tensor(math.pi / 3), None),
-    (lambda: product_tensor(), None),
+    (lambda: pattern_tensor([0], [1.0], 2), None),
 ])
 def test_fixed_point_materialization_matches_trace_route(builder, arg):
     t = builder()
@@ -147,7 +144,7 @@ def test_fixed_point_materialization_matches_trace_route(builder, arg):
     for n in (3, 6, 8):
         link = materialize_fixed_point(fp, n)
         trace = materialize_mps(t, n)
-        assert abs(abs(link.overlap(trace)) - 1.0) < 1e-10
+        assert abs(abs(np.vdot(link.amplitudes, trace.amplitudes)) - 1.0) < 1e-10
 
 
 def test_materialize_fixed_point_rejects_mixed_dims():
@@ -159,7 +156,7 @@ def test_materialize_fixed_point_rejects_mixed_dims():
     from lrn_detect.errors import DimensionMismatch
 
     corr = random_normal_tensor(2, 2, seed=9)
-    corr = corr.scaled(1.0 / math.sqrt(spectral(transfer_matrix(corr)).radius))
+    corr = corr.scaled(1.0 / math.sqrt(transfer_spectral(corr).radius))
     mats = np.zeros((2, 3, 3), dtype=complex)
     mats[:, :2, :2] = corr.matrices
     mats[0, 2, 2] = cmath.exp(0.4j)
@@ -181,7 +178,7 @@ def _scrambled_composite(seed, specs):
     off = 0
     for _, chi, mu in specs:
         t = random_normal_tensor(d, chi, seed=int(rng.integers(2**31)))
-        t = t.scaled(mu / math.sqrt(spectral(transfer_matrix(t)).radius))
+        t = t.scaled(mu / math.sqrt(transfer_spectral(t).radius))
         mats[:, off : off + chi, off : off + chi] = t.matrices
         off += chi
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -214,7 +211,7 @@ def _flow_oracle(rep, tol=1e-12, max_steps=60):
     t = rep.tensor.gauged(x)
     history = []
     while True:
-        s = spectral(transfer_matrix(t))
+        s = transfer_spectral(t)
         t = t.scaled(1.0 / math.sqrt(s.radius))
         history.append(s.subleading_modulus / s.radius)
         if history[-1] < tol:

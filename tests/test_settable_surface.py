@@ -26,8 +26,6 @@ ALLOWED = {
     "partition.build_partition(start)": "where the regions start on the ring",
     "partition.build_partition(ab_size)": "size of A∪B; None takes the least, 4 * depth + 4",
     "tensor.MpsTensor.gauged(x_inv)": "a known inverse of the gauge; None inverts it",
-    "families.product_tensor(level)": "which product state",
-    "families.product_tensor(d)": "its site dimension",
     "families.counterexample_exact_weights(t)": "family parameter; None takes t*",
     "io.tensor_to_json(exact_weights)": "optional annotation of the file",
     "io.save_tensor(exact_weights)": "optional annotation of the file",

@@ -5,20 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from lrn_detect import (
-    MpsTensor,
-    correlation_length,
-    is_normal,
-    spectral,
-    transfer_matrix,
-)
+from lrn_detect import MpsTensor, is_normal, transfer_matrix
 from lrn_detect.errors import NonDiagonalizablePeripheral
 from lrn_detect.families import (
     alternating_tensor,
     counterexample_tensor,
     ghz_tensor,
+    pattern_tensor,
     phase_loop_tensor,
-    product_tensor,
     random_normal_tensor,
 )
 from lrn_detect.spectral import (
@@ -27,10 +21,11 @@ from lrn_detect.spectral import (
     rotate_to_hermitian,
     transfer_spectral,
 )
+from oracles import complex_spectral, correlation_length
 
 
 def test_ghz_peripheral_pair():
-    s = spectral(transfer_matrix(ghz_tensor()))
+    s = transfer_spectral(ghz_tensor())
     assert len(s.peripheral) == 2
     assert np.allclose(s.peripheral, [1.0, 1.0])
     assert s.multi_block
@@ -62,7 +57,7 @@ def _scrambled_gauge_pair():
 )
 def test_biorthonormal_pairing(make, k):
     e = transfer_matrix(make())
-    s = spectral(e)
+    s = complex_spectral(e)
     assert len(s.peripheral) == k
     gram = s.left_vecs.conj().T @ s.right_vecs
     assert np.allclose(gram, np.eye(k), atol=1e-9)
@@ -74,31 +69,31 @@ def test_biorthonormal_pairing(make, k):
 
 def test_normal_tensor_unique_peripheral():
     t = random_normal_tensor(2, 3, seed=5)
-    s = spectral(transfer_matrix(t))
+    s = transfer_spectral(t)
     assert len(s.peripheral) == 1
 
 
 def test_correlation_length_values():
     # No subleading eigenvalue at all.
-    assert correlation_length(spectral(transfer_matrix(product_tensor()))) == 0.0
+    assert correlation_length(transfer_spectral(pattern_tensor([0], [1.0], 2))) == 0.0
     # Second block decaying with weight exp(-1/2): transfer eigenvalue exp(-1).
     mats = np.zeros((2, 2, 2), dtype=complex)
     mats[0] = np.diag([1.0, 0.0])
     mats[1] = np.diag([0.0, math.exp(-0.5)])
-    xi = correlation_length(spectral(transfer_matrix(MpsTensor(mats))))
+    xi = correlation_length(transfer_spectral(MpsTensor(mats)))
     assert abs(xi - 1.0) < 1e-12
     # Degenerate peripheral space: infinite, flagged multi-block.
-    assert correlation_length(spectral(transfer_matrix(ghz_tensor()))) == math.inf
+    assert correlation_length(transfer_spectral(ghz_tensor())) == math.inf
 
 
 def test_defective_peripheral_rejected():
     jordan = np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
     with pytest.raises(NonDiagonalizablePeripheral):
-        spectral(transfer_matrix(MpsTensor(jordan)))
+        transfer_spectral(MpsTensor(jordan))
 
 
 def test_is_normal_product():
-    wit = is_normal(product_tensor())
+    wit = is_normal(pattern_tensor([0], [1.0], 2))
     assert wit
     assert np.allclose(wit.right_fixed_point, [[1.0]])
 
@@ -155,7 +150,7 @@ def _oracle_peripheral(e):
 
 _ORACLE_CASES = {
     "ghz": ghz_tensor,
-    "product": product_tensor,
+    "product": lambda: pattern_tensor([0], [1.0], 2),
     "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
     "loop_incommensurate": lambda: phase_loop_tensor(math.sqrt(2.0)),
     "loop_7_997": lambda: phase_loop_tensor(2 * math.pi * 7 / 997),
@@ -168,7 +163,7 @@ _ORACLE_CASES = {
 
 
 def _assert_matches_oracle(e):
-    s = spectral(e)
+    s = complex_spectral(e)
     expected = _oracle_peripheral(e)
     k = len(expected)
     assert len(s.peripheral) == k
@@ -202,7 +197,7 @@ def test_inverse_iteration_matches_dense_eig_on_composites(seed, copy_composite)
 
 
 def test_close_phase_pair_is_one_resolved_cluster():
-    s = spectral(transfer_matrix(_close_phase_pair()))
+    s = transfer_spectral(_close_phase_pair())
     phases = np.sort(np.angle(s.peripheral))
     assert np.allclose(phases, [-1e-6, 0.0, 0.0, 1e-6], atol=1e-12)
 
@@ -230,11 +225,11 @@ def _jordan_beside(neighbour, coupled):
 def test_jordan_block_beside_a_non_peripheral_eigenvalue():
     inside = 1.0 - 3 * TAU_SPEC  # non-peripheral, but near enough to join the block
     with pytest.raises(NonDiagonalizablePeripheral):
-        spectral(_jordan_beside(inside, coupled=True))
+        complex_spectral(_jordan_beside(inside, coupled=True))
     # The same spectrum without the Jordan coupling resolves: the neighbour
     # shares the block but stays outside the peripheral set.
     e = _jordan_beside(inside, coupled=False)
-    s = spectral(e)
+    s = complex_spectral(e)
     assert np.allclose(s.peripheral, [1.0, 1.0, 1.0], atol=1e-9)
     assert np.allclose(s.left_vecs.conj().T @ s.right_vecs, np.eye(3), atol=1e-9)
     bound = TAU_RESIDUAL * np.linalg.norm(e)
@@ -254,7 +249,7 @@ def test_lone_peripheral_eigenvalue_beside_slow_modes():
 
 
 def test_zero_tensor_has_no_peripheral_cluster():
-    s = spectral(transfer_matrix(MpsTensor(np.zeros((2, 3, 3)))))
+    s = transfer_spectral(MpsTensor(np.zeros((2, 3, 3))))
     assert s.radius == 0.0
     assert s.peripheral.size == 0
     assert s.right_vecs.shape == s.left_vecs.shape == (9, 0)
@@ -310,7 +305,7 @@ def _assert_real_form_spectrum(tensor):
     # A real matrix has exact conjugate pairs.
     assert np.array_equal(np.sort_complex(s.eigenvalues), np.sort_complex(s.eigenvalues.conj()))
     # The peripheral cut is the generic path's.
-    assert len(s.peripheral) == len(spectral(e).peripheral)
+    assert len(s.peripheral) == len(complex_spectral(e).peripheral)
 
 
 @pytest.mark.parametrize("name", list(_real_form_cases()))

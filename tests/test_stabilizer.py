@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from lrn_detect import DenseState, PauliString, StabilizerTableau
-from lrn_detect.dense import _apply_gates, subsystem_entropy
+from lrn_detect.dense import _apply_gates
 from lrn_detect.errors import (
     DependentGenerators,
     OverlappingRegions,
     TargetOutOfRange,
 )
 from lrn_detect.stabilizer import CLIFFORD_DENSE, random_clifford_circuit
+from oracles import subsystem_entropy
 
 
 def dense_from_circuit(n, circuit):

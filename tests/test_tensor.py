@@ -5,7 +5,7 @@ import pytest
 
 from lrn_detect import MpsTensor, block_tensor, mixed_transfer_matrix, transfer_matrix
 from lrn_detect.errors import DimensionMismatch, SizeCap
-from lrn_detect.families import ghz_tensor, phase_loop_tensor, product_tensor
+from lrn_detect.families import ghz_tensor, pattern_tensor, phase_loop_tensor
 
 
 def crandn(shape, rng):
@@ -17,12 +17,12 @@ def test_tensor_validation():
         MpsTensor(np.zeros((2, 2, 3)))
     with pytest.raises(DimensionMismatch):
         MpsTensor(np.array([[[np.inf]]]))
-    t = product_tensor()
+    t = pattern_tensor([0], [1.0], 2)
     assert t.phys_dim == 2 and t.bond_dim == 1
 
 
 def test_transfer_product_state_is_scalar_one():
-    t = product_tensor()
+    t = pattern_tensor([0], [1.0], 2)
     assert np.allclose(transfer_matrix(t), [[1.0]])
 
 

@@ -206,10 +206,15 @@ def srn_ratio_check(
     for i in range(len(weights)):
         for j in range(i + 1, len(weights)):
             w_i, w_j = weights[i], weights[j]
-            if w_i.value() == 0.0 or w_j.value() == 0.0:
+            exact = w_i.is_exact and w_j.is_exact
+            if exact:  # zero in its exact form: a float value can underflow
+                vanishing = w_i.is_zero or w_j.is_zero
+            else:
+                vanishing = w_i.value() == 0.0 or w_j.value() == 0.0
+            if vanishing:
                 pairs.append({"pair": [i, j], "skipped": "vanishing weight"})
                 continue
-            if w_i.is_exact and w_j.is_exact:
+            if exact:
                 dec = squared_ratio(w_i, w_j)
                 entry = {
                     "pair": [i, j],

@@ -55,19 +55,8 @@ class DecompositionFailure(LrnDetectError):
     """
 
 
-class RankTolerance(LrnDetectError):
-    """Singular values cluster at the rank cutoff; rank is ambiguous.
-
-    Carries the singular values.
-    """
-
-
 class DimensionMismatch(LrnDetectError):
     """Operands have incompatible dimensions."""
-
-
-class NotNormalInput(LrnDetectError):
-    """Operation requires normal tensors."""
 
 
 class DegenerateNormalization(LrnDetectError):
@@ -109,14 +98,6 @@ class SizeCap(LrnDetectError):
 
 class ZeroState(LrnDetectError):
     """State vector has vanishing norm."""
-
-
-class NotPSD(LrnDetectError):
-    """Matrix has an eigenvalue below the PSD tolerance."""
-
-
-class NotUnitary(LrnDetectError):
-    """Gate is not unitary within the tolerance."""
 
 
 class GeometryMismatch(LrnDetectError):

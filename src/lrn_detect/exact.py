@@ -94,6 +94,15 @@ class ExactWeight:
     def is_exact(self) -> bool:
         return self.kind != "float"
 
+    @property
+    def is_zero(self) -> bool:
+        """Zero in its exact form; a float form is zero when its value is."""
+        if self.kind == "rational":
+            return self.rational == 0
+        if self.kind == "root":
+            return self.coeff == 0
+        return self.float_value == 0.0
+
     def value(self) -> float:
         if self.kind == "float":
             return self.float_value

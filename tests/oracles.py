@@ -16,9 +16,7 @@ from lrn_detect import dense, tensor
 from lrn_detect.canonical import GaugeRelation, _gauge_relation
 from lrn_detect.circuits import BrickworkCircuit
 from lrn_detect.dense import DenseState, _entropy, _hermitize, _smaller_gram
-from lrn_detect.errors import (
-    DecompositionFailure, DimensionMismatch, NotNormalInput, NotPSD, RankTolerance, SizeCap,
-)
+from lrn_detect.errors import DecompositionFailure, DimensionMismatch, LrnDetectError, SizeCap
 from lrn_detect.spectral import SpectralData, _checked_norm, _spectral_data, is_normal
 from lrn_detect.tensor import MpsTensor, block_tensor, mixed_transfer_matrix
 
@@ -35,6 +33,21 @@ TRACE_TOL = 1e-8
 _PSD_TOL = 1e-9
 # Round-off allowance added to the right side of the Fannes bound.
 FANNES_SLACK = 1e-12
+
+
+class RankTolerance(LrnDetectError):
+    """Singular values cluster at the rank cutoff; rank is ambiguous.
+
+    Carries the singular values.
+    """
+
+
+class NotNormalInput(LrnDetectError):
+    """Operation requires normal tensors."""
+
+
+class NotPSD(LrnDetectError):
+    """Matrix has an eigenvalue below the PSD tolerance."""
 
 
 def materialize_mps(a: MpsTensor, n: int) -> DenseState:

@@ -14,7 +14,7 @@ from lrn_detect import (
     transfer_matrix,
 )
 from lrn_detect.criteria import LRN_CERTIFIED
-from lrn_detect.errors import DecompositionFailure, NotNormalInput
+from lrn_detect.errors import DecompositionFailure
 from lrn_detect.families import (
     alternating_tensor,
     counterexample_tensor,
@@ -23,7 +23,13 @@ from lrn_detect.families import (
     phase_loop_tensor,
     random_normal_tensor,
 )
-from oracles import complex_spectral, gauge_equivalent, local_orthogonal, materialize_mps
+from oracles import (
+    NotNormalInput,
+    complex_spectral,
+    gauge_equivalent,
+    local_orthogonal,
+    materialize_mps,
+)
 
 
 def test_local_orthogonal_levels():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,6 +187,17 @@ def test_ratio_check_floats_never_certify():
     )
     assert v.status == INCONCLUSIVE
     assert v.evidence["pairs"][0]["method"] == "heuristic"
+
+
+@pytest.mark.parametrize("zero", [
+    ExactWeight.from_rational(0, 1),
+    ExactWeight.from_root(Fraction(0), Fraction(2), 4),
+    ExactWeight.from_float(0.0),
+], ids=["rat", "root", "float"])
+def test_ratio_check_skips_a_weight_that_is_zero(zero):
+    v = srn_ratio_check([zero, ExactWeight.from_rational(1, 2)])
+    assert v.status == INCONCLUSIVE
+    assert v.evidence["pairs"] == [{"pair": [0, 1], "skipped": "vanishing weight"}]
 
 
 def test_ratio_check_needs_two_blocks():

@@ -38,7 +38,6 @@ from lrn_detect.errors import (
     BadFactorization,
     DimensionMismatch,
     GeometryMismatch,
-    NotPSD,
     SizeCap,
     ZeroState,
 )
@@ -52,6 +51,7 @@ from lrn_detect.families import (
     random_normal_tensor,
 )
 from oracles import (
+    NotPSD,
     adjoint,
     binary_entropy,
     fannes_check,

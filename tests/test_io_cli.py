@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -16,10 +17,11 @@ from lrn_detect.cli import main
 from lrn_detect.errors import (
     ConvergenceFailure,
     DecompositionFailure,
+    LrnDetectError,
     NonDiagonalizablePeripheral,
     OutOfRange,
-    RankTolerance,
     ScaleOutOfRange,
+    SizeCap,
 )
 from lrn_detect.families import (
     alternating_tensor,
@@ -241,6 +243,99 @@ def test_cli_verify_catches_a_wrong_causal_cone_reduction(monkeypatch, capsys):
     suite = next(s for s in report["suites"] if s["suite"] == "causal_cone")
     assert suite["passed"] is False
     assert suite["replay"] == {"seed": 0}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_split_suites_equal_the_in_process_composition(seed):
+    # The cone suite runs in a forked child; its report, and the three the
+    # parent runs, equal those of every suite run here over the same circuits.
+    import itertools
+
+    from lrn_detect import families, verify
+
+    trials = 4
+    shared = [verify._ring_circuit(s) for s in range(seed, seed + max(2, trials // 4))]
+    rest = map(verify._ring_circuit, range(seed + len(shared), seed + trials))
+    probs = families.counterexample_probs(families.counterexample_t_star())
+    expected = [
+        verify._verify_clifford_quantization(seed, trials * 4),
+        verify._verify_invariance(shared, probs),
+        verify._verify_flatness(seed, trials, probs),
+        verify._verify_causal_cone(itertools.chain(shared, rest)),
+    ]
+    assert verify.suites(seed, trials) == expected
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_suites_run_one_blas_thread_and_restore_the_count(monkeypatch):
+    # Parent and child each at one BLAS thread: two pools as wide as the
+    # machine stall each other.  The caller's count is back afterwards.
+    from lrn_detect import verify
+
+    calls = verify._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    set_threads, get_threads = calls
+    flatness = verify._verify_flatness
+
+    def counted_flatness(*args):
+        return {**flatness(*args), "threads": get_threads()}
+
+    monkeypatch.setattr(verify, "_verify_flatness", counted_flatness)
+    monkeypatch.setattr(verify, "_verify_causal_cone", lambda circuits: {"threads": get_threads()})
+    before = get_threads()
+    set_threads(2)
+    try:
+        reports = verify.suites(0, 4)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert [r["threads"] for r in reports[2:]] == [1, 1]
+
+
+def _raise(exc):
+    def raising(*args):
+        raise exc
+    return raising
+
+
+def _exit_nine(*args):
+    os._exit(9)
+
+
+@pytest.mark.parametrize("patches, expect", [
+    # The child's error reaches stderr as an in-process raise would.
+    ({"_verify_causal_cone": _raise(SizeCap("cone", cap=1))},
+     {"error": "SizeCap", "message": "cone", "payload": {"cap": 1}}),
+    # A parent suite's error; the child is killed.
+    ({"_verify_flatness": _raise(OutOfRange("flat", trial=3))},
+     {"error": "OutOfRange", "message": "flat", "payload": {"trial": 3}}),
+    # Both fail: the parent's suite comes first in report order.
+    ({"_verify_flatness": _raise(OutOfRange("flat", trial=3)),
+      "_verify_causal_cone": _raise(SizeCap("cone", cap=1))},
+     {"error": "OutOfRange", "message": "flat", "payload": {"trial": 3}}),
+    # The child dies without a word: a named error with its exit code.
+    ({"_verify_causal_cone": _exit_nine},
+     {"error": "LrnDetectError",
+      "message": "the causal-cone suite's process ended without a result",
+      "payload": {"exitcode": 9}}),
+])
+def test_cli_verify_suite_errors_leave_no_process(patches, expect, monkeypatch, capsys):
+    from lrn_detect import verify
+
+    for name, fn in patches.items():
+        monkeypatch.setattr(verify, name, fn)
+    code = main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4"])
+    streams = capsys.readouterr()
+    assert code == 1 and streams.out == ""
+    assert json.loads(streams.err) == expect  # one JSON object, no traceback
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_verify_passing_run_leaves_no_process(capsys):
+    assert main(["--pipeline", "verify", "--n-min", "1", "--n-max", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("depth", [-1, 0, 1, 2])
@@ -832,7 +927,7 @@ def test_cli_analyze_reports_are_byte_stable(name, tmp_path, monkeypatch, capsys
      "spectrum", [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.5}]),
     (lambda: NonDiagonalizablePeripheral("defective", spectrum=np.array([1.0 + 0j, -1.0])),
      "spectrum", [{"re": 1.0, "im": 0.0}, {"re": -1.0, "im": 0.0}]),
-    (lambda: RankTolerance("clustered", singular_values=np.array([1.0, 1e-5])),
+    (lambda: LrnDetectError("clustered", singular_values=np.array([1.0, 1e-5])),
      "singular_values", [1.0, 1e-5]),
     (lambda: ConvergenceFailure("stuck", last_residual=np.float64(0.25)),
      "last_residual", 0.25),
@@ -974,6 +1069,24 @@ def test_cli_analyze_ratio_beyond_the_float_range_is_a_report(weights, pair, tmp
     (got,) = json.loads(capsys.readouterr().out)["verdicts"]["ratio_criterion"][
         "evidence"]["pairs"]
     assert {k: got[k] for k in pair} == pair
+
+
+@pytest.mark.parametrize("tiny,code,rational", [
+    ({"rat": [1, 10**400]}, 3, True),
+    ({"root": {"r": [1, 10**400], "base": [2, 1], "n": 4}}, 2, False),
+], ids=["rat", "root"])
+def test_cli_analyze_decides_an_exact_weight_whose_float_underflows(tiny, code, rational,
+                                                                    tmp_path, capsys):
+    # The weight's float value is 0.0, but its exact form is not zero: the
+    # pair is decided symbolically, not skipped as vanishing.
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"d": 2, "chi": 2, "matrices": _GHZ_ENTRIES,
+                                "exact_weights": [tiny, {"rat": [1, 2]}]}))
+    assert main(["--pipeline", "analyze", "--input", str(path)]) == code
+    ratio = json.loads(capsys.readouterr().out)["verdicts"]["ratio_criterion"]
+    (got,) = ratio["evidence"]["pairs"]
+    assert (got["method"], got["rational"]) == ("symbolic", rational)
+    assert ratio["status"] == ("INCONCLUSIVE" if rational else "EXACT_SRN_EXCLUDED")
 
 
 def test_cli_analyze_loads_no_scipy_and_no_numpy_random(fixture_dir, tmp_path):
@@ -1191,10 +1304,11 @@ def test_cli_analyze_skips_sizes_where_a_cyclic_shift_has_no_state(p, tmp_path, 
 
 def test_cli_verify_peak_memory_is_bounded(traced_peak, capsys):
     # The invariance suite holds a 1 MiB fixed-point state, one evolved
-    # state and one transposed copy; the cone suite its input state and
-    # two 1 MiB factors, or the gate loop's two arrays.  Before, a trial's
-    # evolved state or density outlived it, and ρ_AB and σ were formed
-    # whole: 5.34 MiB.  A first, small run imports what verify imports.
+    # state and one transposed copy.  The bound covers the parent only: the
+    # cone suite runs in a forked child, which tracemalloc does not see, and
+    # the next test pins it in-process.  Before, a trial's evolved state or
+    # density outlived it, and ρ_AB and σ were formed whole: 5.34 MiB.  A
+    # first, small run imports what verify imports.
     assert main(["--pipeline", "verify", "--n-min", "1", "--n-max", "1"]) == 0
     capsys.readouterr()
     code, peak = traced_peak(lambda: main(["--pipeline", "verify", "--seed", "0"]))
@@ -1203,6 +1317,8 @@ def test_cli_verify_peak_memory_is_bounded(traced_peak, capsys):
 
 
 def test_cli_causal_cone_suite_peak_memory_is_bounded(traced_peak):
+    # The suite's input state and two 1 MiB factors, or the gate loop's two
+    # arrays.  It runs here in-process, as in verify's forked child.
     from lrn_detect import verify
 
     suite, peak = traced_peak(

@@ -18,7 +18,7 @@ from lrn_detect import (
 )
 from lrn_detect import rg
 from lrn_detect.cli import main
-from lrn_detect.errors import RankTolerance, SizeCap
+from lrn_detect.errors import SizeCap
 from lrn_detect.families import (
     ghz_tensor,
     pattern_tensor,
@@ -27,7 +27,7 @@ from lrn_detect.families import (
 )
 from lrn_detect.io import save_tensor
 from lrn_detect.spectral import normality_witness
-from oracles import materialize_mps, rg_step, subsystem_entropy
+from oracles import RankTolerance, materialize_mps, rg_step, subsystem_entropy
 
 
 def test_rg_step_product_tensor():

@@ -18,6 +18,8 @@ names it exports, and the first use of a name imports its module.  So a
 process loads only the engines it runs: ``import lrn_detect`` loads no
 submodule, and ``lrn_detect.cli`` loads the RG, dense, circuit,
 causal-cone and tableau engines only when ``verify`` or ``stab`` runs.
+The ``verify`` suites, with their invariance sweep and its tolerance, live
+in ``lrn_detect.verify`` and are not exported here.
 """
 
 import importlib
@@ -40,7 +42,6 @@ _EXPORTS = {
         "partial_transpose", "reduced_density",
     ),
     "exact": ("ExactWeight", "best_rational", "squared_ratio"),
-    "experiments": ("InvarianceReport", "fixed_point_sweep", "invariance_sweep"),
     "partition": ("Partition", "build_partition"),
     "rg": ("FixedPointBlock", "FixedPointState", "rg_fixed_point"),
     "spectral": ("NormalityWitness", "SpectralData", "is_normal", "transfer_spectral"),

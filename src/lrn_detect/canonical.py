@@ -130,9 +130,12 @@ def _gauge_relation(a, b, r_a, r_b, right_fp_b, tau):
         x = x * (math.sqrt(chi) / np.linalg.norm(x))
         pivot = x.flat[int(np.argmax(np.abs(x)))]
         x = x * (abs(pivot) / pivot)
-        recon = cmath.exp(1j * phase) * b.gauged(np.linalg.inv(x), x).matrices
+        recon = cmath.exp(1j * phase) * np.einsum(
+            "ab,ibc,cd->iad", x, b.matrices, np.linalg.inv(x)
+        )
     scale = max(float(np.max(np.abs(a.matrices))), 1.0)
-    if np.max(np.abs(a.matrices - recon)) > tau * scale:
+    miss = float(np.max(np.abs(a.matrices - recon)))
+    if not miss <= tau * scale:  # a NaN reconstruction fails closed
         return None
     return GaugeRelation(phase=phase, x=x)
 

@@ -78,7 +78,7 @@ def _entropies(p: np.ndarray) -> np.ndarray:
     if np.any(off):
         raise NotNormalized(f"probabilities sum to {float(sums[off].flat[0])}, not 1")
     logs = np.log2(np.where(p > 0.0, p, 1.0))  # log 1 = 0 drops the empty entries
-    return -np.sum(p * logs, axis=-1)
+    return 0.0 - np.sum(p * logs, axis=-1)  # a one-point row gives 0.0, not -0.0
 
 
 def _integer_distance(h: np.ndarray) -> np.ndarray:

@@ -62,7 +62,7 @@ def _pair_tensor(lam: np.ndarray) -> MpsTensor:
     a, b = np.divmod(np.arange(chi * chi), chi)
     mats = np.zeros((chi * chi, chi, chi), dtype=complex)
     mats[a * chi + b, a, b] = np.sqrt(lam)[a]
-    return MpsTensor(mats)
+    return MpsTensor._derived(mats)
 
 
 def rg_fixed_point(a: MpsTensor) -> FixedPointState:

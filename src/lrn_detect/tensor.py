@@ -45,6 +45,22 @@ class MpsTensor:
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
+    @classmethod
+    def _derived(cls, mats: np.ndarray) -> "MpsTensor":
+        """A tensor the package computed from checked ones: no conversion, no scan.
+
+        ``mats`` is a fresh complex ``(d, chi, chi)`` array with d, chi >= 1;
+        it is marked read-only.  Finite inputs can still overflow a product:
+        ``transfer_spectral`` refuses a non-finite transfer matrix with
+        ``ScaleOutOfRange`` before any eigensolver runs, and a finite
+        transfer matrix implies finite entries, since its entry
+        ``((a, a), (b, b))`` is ``sum_i |A[i][a, b]|**2``.
+        """
+        mats.setflags(write=False)
+        t = object.__new__(cls)
+        object.__setattr__(t, "matrices", mats)
+        return t
+
     @property
     def phys_dim(self) -> int:
         return self.matrices.shape[0]
@@ -54,7 +70,9 @@ class MpsTensor:
         return self.matrices.shape[1]
 
     def scaled(self, factor: complex) -> "MpsTensor":
-        return MpsTensor(self.matrices * factor)
+        if not np.isfinite(factor):
+            raise DimensionMismatch(f"scale factor must be finite, got {factor!r}")
+        return MpsTensor._derived(self.matrices * factor)
 
     def gauged(self, x: np.ndarray, x_inv: np.ndarray | None = None) -> "MpsTensor":
         """Similarity transform A[i] -> x^-1 A[i] x (same state family).
@@ -63,7 +81,12 @@ class MpsTensor:
         """
         if x_inv is None:
             x_inv = np.linalg.inv(x)
-        return MpsTensor(np.einsum("ab,ibc,cd->iad", x_inv, self.matrices, x))
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x_inv))):
+            raise DimensionMismatch("gauge matrices must be finite")
+        mats = np.einsum("ab,ibc,cd->iad", x_inv, self.matrices, x)
+        if mats.shape[1] != mats.shape[2] or mats.shape[1] < 1:
+            raise DimensionMismatch(f"gauge maps onto shape {mats.shape[1:]}, not (k, k)")
+        return MpsTensor._derived(mats)
 
 
 def transfer_matrix(a: MpsTensor) -> np.ndarray:
@@ -115,7 +138,7 @@ def block_tensor(a: MpsTensor, q: int) -> MpsTensor:
         )
     if q == 1:
         return a
-    return MpsTensor(_word_products(a, q))
+    return MpsTensor._derived(_word_products(a, q))
 
 
 def _word_products(a: MpsTensor, k: int) -> np.ndarray:

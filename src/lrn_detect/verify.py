@@ -10,6 +10,10 @@
 * ``causal_cone``            the boundary-channel formula equals the
                              circuit-evolved state
 
+``invariance_sweep`` is the invariance suite's one measurement, and the
+tests sweep their own states with it: I(A:B) before and after each
+circuit against the weight entropy, within ``INVARIANCE_TOL``.
+
 The suites share nothing but their inputs, so ``suites`` runs the
 causal-cone suite in one forked child process while the parent runs the
 other three.  The split follows the suites' times: per ``verify`` at the
@@ -38,26 +42,31 @@ import numpy as np
 
 from . import families
 from .causal import _reduction_factor, causal_cone_reduce
-from .circuits import random_brickwork
+from .circuits import apply_brickwork, random_brickwork
+from .criteria import shannon_entropy
 from .dense import (
     DenseState,
     _apply_gates,
     _gram_gap,
     _region_factor,
     flatness_check,
+    materialize_fixed_point,
     mutual_information,
     reduced_density,
 )
 from .errors import LrnDetectError
-from .experiments import fixed_point_sweep, invariance_sweep
-from .partition import build_partition
+from .partition import Partition, build_partition
 from .rg import rg_fixed_point
 from .stabilizer import CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
+from .weights import evaluate_weights
 
 # (sites, circuit depth) of the invariance and causal-cone suites: the
 # least ring hosting four regions of 2 * depth + 2 sites at depth 1.
 # Depth 2 (24 sites, 2**24 amplitudes) runs under ``pytest -m slow``.
 _VERIFY_RING = (16, 1)
+# Largest deviation of I(A:B) from its value before the circuit and from the
+# weight entropy for an invariance case to pass.
+INVARIANCE_TOL = 1e-8
 # Largest |I_tableau - I_dense| the Clifford suite accepts, in bits.
 _CLIFFORD_MI_TOL = 1e-9
 # Largest Frobenius distance between the cone suite's channel formula and
@@ -212,16 +221,50 @@ def _verify_invariance(circuits: list, probs: list[float]) -> dict:
     part = build_partition(n, depth)
     results = []
     for name, tensor in fixtures:
-        for rep in fixed_point_sweep(rg_fixed_point(tensor), part, circuits):
-            results.append({"fixture": name, "seed": rep.seed, **rep.to_json()})
+        f = rg_fixed_point(tensor)
+        # The fixed point's state is an argument only, so it is freed before
+        # the next fixture's is materialized.
+        cases = invariance_sweep(materialize_fixed_point(f, n),
+                                 evaluate_weights(f.weights, n), part, circuits)
+        results += [{"fixture": name, **case} for case in cases]
     state = families.dense_pattern_state(["00", "01", "10", "11"], np.sqrt(probs), n)
-    for rep in invariance_sweep(state, probs, part, circuits):
-        results.append({"fixture": "four_component", "seed": rep.seed, **rep.to_json()})
+    cases = invariance_sweep(state, probs, part, circuits)
+    results += [{"fixture": "four_component", **case} for case in cases]
     passed = all(r["passed"] for r in results)
     out = {"suite": "invariance", "passed": passed, "cases": results}
     if not passed:
         out["replay"] = next(r for r in results if not r["passed"])
     return out
+
+
+def invariance_sweep(state: DenseState, probs, partition: Partition, circuits) -> list[dict]:
+    """I(A:B) before and after each ``(seed, circuit)``, against the weight entropy.
+
+    One case per circuit, with the keys ``before``, ``after``, ``shannon``,
+    ``partition``, ``seed``, ``depth`` and ``passed``: a case passes when
+    ``after`` and the weight entropy ``shannon`` both lie within
+    ``INVARIANCE_TOL`` of ``before``.  ``before`` and the weight entropy
+    depend on the state and the partition only, so they are computed once;
+    each circuit costs one evolution and one ``after``.  No name holds an
+    evolved state, so it is freed before the next circuit runs: beside
+    ``state``, at most one evolved state and the work arrays of one kernel
+    are alive.
+    """
+    before = mutual_information(state, partition.a, partition.b)
+    h = shannon_entropy(probs)
+    cases = []
+    for seed, circuit in circuits:
+        after = mutual_information(apply_brickwork(state, circuit), partition.a, partition.b)
+        cases.append({
+            "before": before,
+            "after": after,
+            "shannon": h,
+            "partition": partition.to_json(),
+            "seed": seed,
+            "depth": circuit.depth,
+            "passed": max(abs(before - after), abs(before - h)) < INVARIANCE_TOL,
+        })
+    return cases
 
 
 def _verify_causal_cone(circuits) -> dict:

@@ -22,7 +22,6 @@ from lrn_detect import (
     causal_cone_reduce,
     flatness_check,
     ghz_classify,
-    invariance_sweep,
     lrn_entropy_check,
     materialize_fixed_point,
     random_brickwork,
@@ -44,7 +43,7 @@ from lrn_detect.families import (
     phase_loop_tensor,
     random_normal_tensor,
 )
-from lrn_detect import dense, experiments
+from lrn_detect import dense, verify
 from lrn_detect.causal import _reduction_factor
 from lrn_detect.dense import _apply_gates, _gram
 from lrn_detect.stabilizer import CLIFFORD_DENSE, StabilizerTableau, random_clifford_circuit
@@ -149,7 +148,7 @@ def test_criterion_3_stabilizer_quantization():
 def test_criterion_4_shallow_circuit_invariance():
     """I(A:B) equals the weight entropy and survives depth-1 circuits."""
     n, depth = 16, 1
-    assert experiments.INVARIANCE_TOL == 1e-8
+    assert verify.INVARIANCE_TOL == 1e-8
     cases = []
     for k in range(21):
         alpha_sq = k / 20.0
@@ -179,9 +178,10 @@ def test_criterion_4_shallow_circuit_invariance():
     for name, state, probs in cases:
         # One ``before`` per state, one ``after`` per seed.
         circuits = [(seed, random_brickwork(n, depth, seed)) for seed in range(20)]
-        for rep in invariance_sweep(state, probs, partition, circuits):
-            worst = max(worst, rep.max_deviation)
-            if not rep.passed:
+        for rep in verify.invariance_sweep(state, probs, partition, circuits):
+            dev = max(abs(rep["before"] - rep["after"]), abs(rep["before"] - rep["shannon"]))
+            worst = max(worst, dev)
+            if not rep["passed"]:
                 failures += 1
     _report(
         "4 shallow-circuit-invariance",

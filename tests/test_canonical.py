@@ -332,3 +332,19 @@ def test_copy_composites_decompose_robustly(copy_composite):
         if (len(cf.blocks), cf.num_groups, cf.blocking) != (blocks, groups, 1):
             failures.append((seed, f"{len(cf.blocks)} blocks, {cf.num_groups} groups"))
     assert len(failures) <= 1, failures
+
+
+def test_gauge_relation_fails_closed_on_a_nan_reconstruction():
+    # A NaN right fixed point makes the gauge, and so the reconstruction,
+    # NaN; no tensor scan stands in the way, so the miss must compare false
+    # with the threshold and keep the two tensors apart.
+    from lrn_detect.spectral import transfer_spectral
+
+    t = random_normal_tensor(2, 2, seed=7)
+    t = t.scaled(1.0 / math.sqrt(transfer_spectral(t).radius))
+    r = canonical.normality_witness(transfer_spectral(t)).right_fixed_point
+    assert canonical._gauge_relation(t, t, 1.0, 1.0, r, canonical.TAU_GROUP) is not None
+    r = r.copy()
+    r[0, 1] = np.nan
+    with np.errstate(invalid="ignore"):  # the NaN pivot's phase
+        assert canonical._gauge_relation(t, t, 1.0, 1.0, r, canonical.TAU_GROUP) is None

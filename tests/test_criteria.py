@@ -319,3 +319,9 @@ def test_weight_sweep_names_the_first_vanishing_size():
     assert rows.shape == (3, 2)
     for n, row in zip((2, 4, 6), rows):
         assert np.array_equal(row, evaluate_weights(w, n))
+
+
+def test_entropy_of_a_one_point_distribution_is_a_true_zero():
+    h = criteria._entropies(np.array([[1.0, 0.0]]))
+    assert h.tolist() == [0.0] and not np.signbit(h).any()
+    assert math.copysign(1.0, shannon_entropy([0.0, 1.0])) == 1.0

@@ -170,16 +170,18 @@ def test_fannes_random_sweep():
         assert fannes_check(rho, sigma, n_qubits=k)
 
 
-def test_contractivity_of_partial_trace():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
+@pytest.mark.parametrize("seed, pairs, region", [(5, 50, (0, 1)), (15, 1000, (1, 2))],
+                         ids=["seed5", "seed15"])
+def test_contractivity_of_partial_trace(seed, pairs, region):
+    rng = np.random.default_rng(seed)
+    for _ in range(pairs):
         a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         psi = DenseState._owning(a, 4, 2)
         phi = DenseState._owning(b, 4, 2)
         full = trace_distance_pure(psi, phi)
         red = trace_distance_mixed(
-            reduced_density(psi, (0, 1)), reduced_density(phi, (0, 1))
+            reduced_density(psi, region), reduced_density(phi, region)
         )
         assert red <= full + 1e-10
 

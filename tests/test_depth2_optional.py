@@ -7,8 +7,9 @@ with ``pytest -m slow``.
 import numpy as np
 import pytest
 
-from lrn_detect import build_partition, invariance_sweep, random_brickwork
+from lrn_detect import build_partition, random_brickwork
 from lrn_detect.families import dense_pattern_state
+from lrn_detect.verify import invariance_sweep
 
 
 @pytest.mark.slow
@@ -21,5 +22,5 @@ def test_depth2_invariance_n24():
     assert partition.min_region() >= 2 * depth + 2
     circ = random_brickwork(n, depth, seed=1)
     (rep,) = invariance_sweep(state, probs, partition, [(1, circ)])
-    assert rep.passed
-    assert abs(rep.before - rep.shannon) < 1e-8
+    assert rep["passed"]
+    assert abs(rep["before"] - rep["shannon"]) < 1e-8

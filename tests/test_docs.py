@@ -52,3 +52,13 @@ def test_readme_module_names_resolve():
         if not hasattr(importlib.import_module(f"lrn_detect.{module}"), name)
     ]
     assert missing == []
+
+
+def test_readme_layout_block_names_every_module_and_no_other():
+    # A module added, deleted or renamed under src/lrn_detect but not in the
+    # README's layout block fails here.
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Package layout", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    named = re.findall(r"^  (\S+\.py) ", block, re.MULTILINE)
+    package = Path(cli.__file__).parent
+    assert sorted(named) == sorted(p.name for p in package.glob("*.py"))

@@ -20,11 +20,10 @@ from lrn_detect import (
     rg_fixed_point,
     transfer_matrix,
     transfer_spectral,
-    reduced_density,
 )
 from lrn_detect.circuits import _haar_gates
 from lrn_detect.criteria import LRN_CERTIFIED
-from lrn_detect.dense import DenseState, _apply_gates
+from lrn_detect.dense import _apply_gates
 from lrn_detect.errors import LrnDetectError
 from lrn_detect.families import (
     ghz_tensor,
@@ -37,8 +36,6 @@ from oracles import (
     local_orthogonal,
     materialize_mps,
     rg_step,
-    trace_distance_mixed,
-    trace_distance_pure,
 )
 
 
@@ -150,20 +147,6 @@ def test_ghz_grid_thousand_points():
         weights = WeightSpectrum.constant([math.sqrt(a), math.sqrt(1.0 - a)])
         status = lrn_entropy_check(weights).status
         assert (status == LRN_CERTIFIED) == expect_lrn
-
-
-def test_contractivity_thousand_pairs():
-    rng = np.random.default_rng(15)
-    for _ in range(1000):
-        a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        psi = DenseState._owning(a, 4, 2)
-        phi = DenseState._owning(b, 4, 2)
-        full = trace_distance_pure(psi, phi)
-        red = trace_distance_mixed(
-            reduced_density(psi, (1, 2)), reduced_density(phi, (1, 2))
-        )
-        assert red <= full + 1e-10
 
 
 def test_decaying_block_abandoned_by_flow():

@@ -1089,6 +1089,20 @@ def test_cli_analyze_decides_an_exact_weight_whose_float_underflows(tiny, code, 
     assert ratio["status"] == ("INCONCLUSIVE" if rational else "EXACT_SRN_EXCLUDED")
 
 
+def test_cli_analyze_reports_a_zero_entropy_without_a_sign(tmp_path, capsys):
+    # The float weights are (0, 1/2): one point after normalization, whose
+    # entropy is a true zero, not -0.0.
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"d": 2, "chi": 2, "matrices": _GHZ_ENTRIES,
+                                "exact_weights": [{"rat": [1, 10**400]}, {"rat": [1, 2]}]}))
+    assert main(["--pipeline", "analyze", "--input", str(path)]) == 3
+    text = capsys.readouterr().out
+    classes = json.loads(text)["verdicts"]["entropy_criterion"]["evidence"]["classes"]
+    assert [c["entropy"] for c in classes] == [0.0]
+    assert [math.copysign(1.0, c["entropy"]) for c in classes] == [1.0]
+    assert "-0.0" not in text
+
+
 def test_cli_analyze_loads_no_scipy_and_no_numpy_random(fixture_dir, tmp_path):
     # numpy is the one dependency, and importing numpy.random costs every
     # process start; a fresh interpreter shows what an analyze run loads.
@@ -1163,7 +1177,7 @@ def test_each_pipeline_loads_only_its_own_modules(fixture_dir, tmp_path):
                           text=True, env=env, timeout=120, check=True)
     result = json.loads(done.stdout)
     verify_only = {"dense", "rg", "circuits", "causal", "partition", "stabilizer",
-                   "experiments", "families", "verify"}
+                   "families", "verify"}
     assert result["codes"] == [3, 3, 0, 0]
     assert result["at_import"] == []
     assert verify_only.isdisjoint(result["before_verify"]), result["before_verify"]
@@ -1300,6 +1314,24 @@ def test_cli_analyze_skips_sizes_where_a_cyclic_shift_has_no_state(p, tmp_path, 
         residues = sorted(evidence["empty_residues"] + [c["residue"] for c in evidence["classes"]])
         assert residues == list(range(evidence["period"]))
         assert entropies == pytest.approx([1.0] * len(entropies), abs=1e-12)
+
+
+@pytest.mark.parametrize("p, scale", [(5, 1e70), (7, 1e50), (5, 1e60)])
+def test_cli_overflowing_blocked_words_are_out_of_scale(p, scale, tmp_path, capsys):
+    # A scaled cyclic shift is blocked p sites at a time.  Every input entry
+    # is finite, but at 1e70 (p = 5) and 1e50 (p = 7) the blocked words
+    # overflow to inf, and at 1e60 (p = 5) only their transfer matrix does.
+    # All three are one failure, a scale outside floating-point spectral
+    # work, named with the transfer norm that left the range.
+    from lrn_detect import MpsTensor
+
+    mats = np.zeros((2, p, p), dtype=complex)
+    for r in range(p):
+        mats[r % 2, r, (r + 1) % p] = scale
+    save_tensor(tmp_path / "t.json", MpsTensor(mats))
+    err = _analyze_error(tmp_path / "t.json", capsys)
+    assert err["error"] == "ScaleOutOfRange"
+    assert err["payload"]["norm"] in ("inf", "nan")
 
 
 def test_cli_verify_peak_memory_is_bounded(traced_peak, capsys):

@@ -107,3 +107,44 @@ def test_transfer_cap_precedes_allocation(traced_peak):
     _, peak = traced_peak(both_capped)
     assert peak < 2**20  # the uncapped matrix would take 272 MiB
     assert mixed_transfer_matrix(small, MpsTensor(crandn((2, 1, 1), rng))).shape == (64, 64)
+
+
+@pytest.mark.parametrize("make", [ghz_tensor, lambda: phase_loop_tensor(1.0)],
+                         ids=["ghz", "phase_loop_1"])
+def test_decomposition_builds_no_checked_tensor(make, monkeypatch):
+    # The input is checked once, where it is built; the tensors the
+    # decomposition derives from it are not converted or scanned again.
+    from lrn_detect import canonical_decompose
+
+    t = make()
+    scans = []
+    check = MpsTensor.__post_init__
+
+    def counted(self):
+        scans.append(self)
+        check(self)
+
+    monkeypatch.setattr(MpsTensor, "__post_init__", counted)
+    canonical_decompose(t)
+    assert len(scans) == 0
+    MpsTensor(t.matrices)
+    assert len(scans) == 1  # the counter sees the public constructor
+
+
+def test_scaled_and_gauged_refuse_non_finite_caller_input():
+    t = phase_loop_tensor(1.0)
+    x = np.eye(t.bond_dim, dtype=complex)
+    x[0, -1] = np.nan
+    with pytest.raises(DimensionMismatch):
+        t.scaled(np.nan)
+    with pytest.raises(DimensionMismatch):
+        t.scaled(complex(1.0, np.inf))
+    with pytest.raises(DimensionMismatch):
+        t.gauged(x)
+    with pytest.raises(DimensionMismatch):
+        t.gauged(np.eye(t.bond_dim), x)
+    with pytest.raises(DimensionMismatch):
+        t.gauged(np.ones((t.bond_dim, 2)), np.ones((1, t.bond_dim)))
+    derived = t.gauged(np.eye(t.bond_dim)).scaled(2.0)
+    assert np.array_equal(derived.matrices, 2.0 * t.matrices)
+    assert not derived.matrices.flags.writeable

@@ -5,7 +5,8 @@ cone: gates whose cone stays inside A (or B) are undone by a local
 unitary, gates whose cone stays inside C cancel under the partial trace,
 and the gates whose cone crosses one of the four region boundaries
 compose into a completely positive trace-preserving boundary channel
-mapping the input state's wedge marginal onto the retained sites.  After
+mapping the input state's wedge marginal onto the retained sites.  A
+boundary that no gate straddles gets no channel.  After
 the reduction, the circuit-evolved, C-traced, locally rotated state
 equals the channel formula applied directly to the input state.  The
 local unitaries and the wedge unitaries behind the channels are gate
@@ -55,23 +56,21 @@ class BoundaryChannel:
             acc += k.conj().T @ k
         return float(np.max(np.abs(acc - np.eye(dim_in))))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
-
 
 @dataclass(frozen=True)
 class CausalConeReduction:
-    """Local unitaries, boundary channels, and the refined region split."""
+    """Local unitaries and boundary channels.
+
+    ``channels`` maps each boundary that some gate straddles to its
+    channel, in boundary order: ``a_left``, ``a_right``, ``b_left``,
+    ``b_right``.
+    """
 
     partition: Partition
     circuit: BrickworkCircuit
     u_a: np.ndarray
     u_b: np.ndarray
-    channels: dict
-    cores: dict
-
-    def channel_list(self) -> list[BoundaryChannel]:
-        return [c for c in self.channels.values() if c is not None]
+    channels: dict[str, BoundaryChannel]
 
 
 def _subcircuit_matrix(gates, site_order, n: int, d: int) -> np.ndarray:
@@ -129,25 +128,13 @@ def causal_cone_reduce(circuit: BrickworkCircuit, p: Partition) -> CausalConeRed
     u_a = _subcircuit_matrix(sorted(buckets["A"]), p.a, n, d).conj().T
     u_b = _subcircuit_matrix(sorted(buckets["B"]), p.b, n, d).conj().T
 
-    channels = {}
-    wedge_sites_all = set()
-    for key, gates in wedges.items():
-        if not gates:
-            channels[key] = None
-            continue
-        channels[key] = _build_channel(sorted(gates), key, p, d, depth)
-        wedge_sites_all.update(channels[key].input_sites)
-
-    cores = {
-        "a_core": tuple(q for q in p.a if q not in wedge_sites_all),
-        "b_core": tuple(q for q in p.b if q not in wedge_sites_all),
-        "c1_core": tuple(q for q in p.c1 if q not in wedge_sites_all),
-        "c2_core": tuple(q for q in p.c2 if q not in wedge_sites_all),
+    channels = {
+        key: _build_channel(sorted(gates), key, p, d, depth)
+        for key, gates in wedges.items()
+        if gates
     }
-    return CausalConeReduction(
-        partition=p, circuit=circuit, u_a=u_a, u_b=u_b,
-        channels=channels, cores=cores,
-    )
+    return CausalConeReduction(partition=p, circuit=circuit, u_a=u_a, u_b=u_b,
+                               channels=channels)
 
 
 def _build_channel(gates, key: str, p: Partition, d: int, depth: int) -> BoundaryChannel:
@@ -214,10 +201,7 @@ def _reduction_factor(red: CausalConeReduction, psi: DenseState) -> np.ndarray:
     arr = psi.amplitudes.reshape([d] * n)
     labels = list(range(n))  # axis i holds site labels[i], or a channel's Kraus index
     branch_axes = []  # Kraus labels in application order, the first most significant
-    for key in ("a_left", "a_right", "b_left", "b_right"):
-        ch = red.channels[key]
-        if ch is None:
-            continue
+    for key, ch in red.channels.items():
         kraus = np.stack(ch.kraus)
         n_kraus, _, dim_in = kraus.shape
         rest = [x for x in labels if x not in ch.input_sites]

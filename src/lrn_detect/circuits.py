@@ -2,7 +2,9 @@
 
 A depth-D circuit is D layers of two-site gates on disjoint neighbor
 pairs; consecutive layers alternate the pairing offset.  Gates are
-arbitrary unitaries (no gate-set restriction).
+arbitrary unitaries (no gate-set restriction).  A random circuit draws
+its first layer's offset from its seed, so a sweep over seeds meets a
+fixed partition in both alignments.
 """
 
 from __future__ import annotations
@@ -65,22 +67,14 @@ def _haar_gates(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (ph / np.abs(ph))[:, None, :]
 
 
-def random_brickwork(
-    n: int,
-    depth: int,
-    seed,
-    local_dim: int = 2,
-    first_offset: int | None = None,
-) -> BrickworkCircuit:
+def random_brickwork(n: int, depth: int, seed, local_dim: int = 2) -> BrickworkCircuit:
     """Reproducible random brickwork circuit.
 
-    ``first_offset`` fixes the pairing offset of the first layer (0 or 1);
-    when None it is drawn from the seed, so sweeps over seeds exercise
-    both alignments against any fixed partition.
+    The seed draws the pairing offset of the first layer (0 or 1), then
+    the gates layer by layer.
     """
     rng = np.random.default_rng(seed)
-    if first_offset is None:
-        first_offset = int(rng.integers(0, 2))
+    first_offset = int(rng.integers(0, 2))
     layers = []
     for layer_idx in range(depth):
         offset = (first_offset + layer_idx) % 2

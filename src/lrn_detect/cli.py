@@ -52,7 +52,7 @@ from .criteria import (
     srn_ratio_check,
     typicality_log_ratio,
 )
-from .errors import DependentGenerators, LrnDetectError, OutOfRange
+from .errors import DependentGenerators, LrnDetectError, OutOfRange, OverlappingRegions
 from .exact import ExactWeight
 from .io import dump_report, json_value, load_tensor, rows_to_csv
 from .weights import WeightSpectrum
@@ -168,8 +168,12 @@ def cmd_stab(args: argparse.Namespace) -> int:
         raise DependentGenerators(
             f"a tableau request is a JSON object, got {type(obj).__name__}"
         )
+    if "tableau" not in obj:
+        raise DependentGenerators('a tableau request needs a "tableau" entry')
     tableau = StabilizerTableau.from_text(obj["tableau"])
     region_a, region_b = obj.get("region_a"), obj.get("region_b")
+    if region_b is not None and region_a is None:
+        raise OverlappingRegions("region_b needs region_a: mutual information takes two regions")
     canon = tableau.canonicalize()
     report = {
         "input": args.input,
@@ -288,9 +292,12 @@ def _check(args: argparse.Namespace, unknown: list[str]) -> None:
     width = args.n_max - args.n_min + 1
     if args.pipeline in ("typicality", "verify") and width > _WINDOW_CAP:
         raise OutOfRange(f"N window of {width} sizes above cap {_WINDOW_CAP}")
-    # lrn_entropy_check refuses it too, but only after the decomposition.
+    # lrn_entropy_check and srn_ratio_check refuse these too, but only after
+    # the decomposition.
     if args.pipeline == "analyze" and not 0.0 < args.tol_int < 0.5:
         raise OutOfRange(f"--tol-int must lie in (0, 0.5), got {args.tol_int}")
+    if args.pipeline == "analyze" and args.qmax < 1:
+        raise OutOfRange(f"--qmax must be at least 1, got {args.qmax}", qmax=args.qmax)
 
 
 def _error_json(exc: Exception) -> dict:

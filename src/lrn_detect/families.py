@@ -118,15 +118,13 @@ def counterexample_t_star() -> float:
     return 0.5 * (lo + hi)
 
 
-def counterexample_exact_weights(t: float | None = None) -> list[ExactWeight]:
-    """Squared weights of the counterexample as exact forms.
+def counterexample_exact_weights() -> list[ExactWeight]:
+    """Squared weights of the counterexample at t* as exact forms.
 
     The first two components are exact (rational and scaled root); the
     tuned component and the remainder stay floats.
     """
-    if t is None:
-        t = counterexample_t_star()
-    probs = counterexample_probs(t)
+    probs = counterexample_probs(counterexample_t_star())
     return [
         ExactWeight.from_rational(1, 10),
         ExactWeight.from_root(Fraction(1, 10), Fraction(1, 3), 4),

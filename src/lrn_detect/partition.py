@@ -1,10 +1,11 @@
 """Ring tripartitions A | C1 | B | C2 sized for a circuit depth.
 
 The separated intervals A and B carry the mutual information; the two
-arcs of C = C1 u C2 isolate them.  For depth D the builder enforces
-equal |A| = |B| with 4D+4 <= |A u B| <= 8D and every region at least
-2D+2 sites, which keeps boundary effects of a depth-D brickwork circuit
-from reaching across any region.
+arcs of C = C1 u C2 isolate them.  For depth D the builder starts A at
+site 0 and gives A and B 2D+2 sites each, and C1 and C2 the rest, each
+at least 2D+2 sites: enough that boundary effects of a depth-D brickwork
+circuit reach across no region.  ``Partition`` itself accepts any four
+contiguous arcs in order.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class Partition:
     def ab(self) -> tuple[int, ...]:
         return self.a + self.b
 
-    def region_sizes(self) -> dict[str, int]:
-        return {"a": len(self.a), "c1": len(self.c1), "b": len(self.b), "c2": len(self.c2)}
-
     def min_region(self) -> int:
         return min(len(self.a), len(self.c1), len(self.b), len(self.c2))
 
@@ -50,50 +48,28 @@ class Partition:
         return {"a": list(self.a), "c1": list(self.c1), "b": list(self.b), "c2": list(self.c2)}
 
 
-def build_partition(
-    n: int,
-    depth: int,
-    start: int = 0,
-    ab_size: int | None = None,
-) -> Partition:
-    """Partition sized for a depth-``depth`` circuit, starting A at ``start``.
+def build_partition(n: int, depth: int) -> Partition:
+    """The least partition of an ``n``-site ring for a depth-``depth`` circuit.
 
-    ``ab_size`` defaults to the smallest admissible value 4*depth + 4 and
-    must be even (A and B share it equally) and within [4D+4, 8D] for
-    D >= 1.  C gets the remaining sites split symmetrically; C1 takes the
-    odd one out.  Every region must reach 2*depth + 2 sites.
+    A starts at site 0, and |A| = |B| = 2 * depth + 2.  C gets the remaining
+    sites split symmetrically; C1 takes the odd one out.  Every region must
+    reach 2 * depth + 2 sites.
 
     Raises:
         PartitionTooSmall: if the ring cannot host four big-enough regions.
     """
     if depth < 0:
         raise PartitionTooSmall("depth must be nonnegative")
-    min_region = 2 * depth + 2
-    if ab_size is None:
-        ab_size = max(4 * depth + 4, 2 * min_region)
-    if ab_size % 2 != 0:
-        raise PartitionTooSmall("|A u B| must be even so that |A| = |B|")
-    if depth >= 1 and not (4 * depth + 4 <= ab_size <= 8 * depth):
-        raise PartitionTooSmall(
-            f"|A u B| = {ab_size} outside [{4 * depth + 4}, {8 * depth}] for depth {depth}"
-        )
-    half = ab_size // 2
-    rem = n - ab_size
+    half = 2 * depth + 2
+    rem = n - 2 * half
     c1 = (rem + 1) // 2
     c2 = rem - c1
-    if half < min_region or c1 < min_region or c2 < min_region:
-        raise PartitionTooSmall(
-            f"n={n} cannot host four regions of at least {min_region} sites "
-            f"with |A u B|={ab_size}"
-        )
-
-    def arc(offset: int, length: int) -> tuple[int, ...]:
-        return tuple((start + offset + k) % n for k in range(length))
-
+    if c2 < half:  # C2 is the smaller arc of C
+        raise PartitionTooSmall(f"n={n} cannot host four regions of at least {half} sites")
     return Partition(
         n_sites=n,
-        a=arc(0, half),
-        c1=arc(half, c1),
-        b=arc(half + c1, half),
-        c2=arc(ab_size + c1, c2),
+        a=tuple(range(half)),
+        c1=tuple(range(half, half + c1)),
+        b=tuple(range(half + c1, 2 * half + c1)),
+        c2=tuple(range(2 * half + c1, n)),
     )

@@ -106,7 +106,7 @@ class PauliString:
                 z |= 1 << q
                 ys += 1
             elif ch != "I":
-                raise ValueError(f"unexpected Pauli letter {ch!r}")
+                raise DependentGenerators(f"unexpected Pauli letter {ch!r}")
         return PauliString(n=len(s), x=x, z=z, phase=(sign_exp + ys) % 4)
 
     def dense_apply(self, vec: np.ndarray) -> np.ndarray:

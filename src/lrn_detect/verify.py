@@ -301,7 +301,7 @@ def _cone_trial(state: DenseState, part, circuit) -> tuple[float, float]:
     evolved = _apply_gates(state.amplitudes, n, 2, gates)
     rho_f = _region_factor(DenseState(n, 2, evolved), part.ab)
     del evolved  # the factor is a copy
-    cptp = max((c.cptp_defect() for c in red.channel_list()), default=0.0)
+    cptp = max((c.cptp_defect() for c in red.channels.values()), default=0.0)
     return _gram_gap(rho_f, sigma_f), cptp
 
 

@@ -89,14 +89,6 @@ class WeightSpectrum:
             ],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "WeightSpectrum":
-        terms = tuple(
-            tuple((complex(t["re"], t["im"]), float(t["phase"])) for t in block)
-            for block in obj["terms"]
-        )
-        return WeightSpectrum(terms=terms, labels=tuple(obj.get("labels", ())))
-
 
 def evaluate_weights(w: WeightSpectrum, n) -> np.ndarray:
     """Probabilities p_k(N), normalizing by the root-sum-square of weights.

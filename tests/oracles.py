@@ -2,7 +2,8 @@
 
 No pipeline runs these: trace-product states and entropies, the iterated RG
 flow, gauge detection of two given tensors, spectra by a complex ``eigvals``,
-and trace distances with the Fannes continuity bound.
+trace distances with the Fannes continuity bound, and a weight spectrum read
+back from its report JSON.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from lrn_detect.dense import DenseState, _entropy, _hermitize, _smaller_gram
 from lrn_detect.errors import DecompositionFailure, DimensionMismatch, LrnDetectError, SizeCap
 from lrn_detect.spectral import SpectralData, _checked_norm, _spectral_data, is_normal
 from lrn_detect.tensor import MpsTensor, block_tensor, mixed_transfer_matrix
+from lrn_detect.weights import WeightSpectrum
 
 # Relative singular value below which a two-site map has no support; values
 # within a decade of it are reported, not rounded into or out of the rank.
@@ -262,3 +264,12 @@ def fannes_check(rho, sigma, n_qubits: int) -> bool:
     gap = abs(_entropy(_check_density(rho)) - _entropy(_check_density(sigma)))
     delta = _half_trace_norm(rho, sigma)
     return gap <= delta * n_qubits + binary_entropy(delta) + FANNES_SLACK
+
+
+def weight_spectrum_from_json(obj: dict) -> WeightSpectrum:
+    """The spectrum that ``WeightSpectrum.to_json`` wrote."""
+    terms = tuple(
+        tuple((complex(t["re"], t["im"]), float(t["phase"])) for t in block)
+        for block in obj["terms"]
+    )
+    return WeightSpectrum(terms=terms, labels=tuple(obj.get("labels", ())))

@@ -89,7 +89,7 @@ def test_criterion_2_counterexample():
     ok = abs(t_star - 0.023) < 1e-3
     ok &= abs(counterexample_entropy(t_star) - 1.0) < 1e-6
 
-    verdict = srn_ratio_check(counterexample_exact_weights(t_star))
+    verdict = srn_ratio_check(counterexample_exact_weights())
     ok &= verdict.status == EXACT_SRN_EXCLUDED
     off = verdict.evidence.get("offending_pair", {})
     ok &= off.get("ratio") == "3^(1/2)"
@@ -207,7 +207,7 @@ def test_criterion_5_causal_cone_reduction():
             worst_frob, float(np.linalg.norm(sigma - u @ rho_ab @ u.conj().T))
         )
         worst_cptp = max(
-            worst_cptp, max((c.cptp_defect() for c in red.channel_list()), default=0.0)
+            worst_cptp, max((c.cptp_defect() for c in red.channels.values()), default=0.0)
         )
     _report(
         "5 causal-cone-reduction",

@@ -368,11 +368,13 @@ def test_apply_brickwork_peak_memory_is_bounded(traced_peak):
     # Each gate reads the state and writes one new array; no third copy.
     n = 16
     state = dense_pattern_state(["0", "1"], [0.6, 0.8], n)
-    for offset in (0, 1):  # offset 1 adds one axis rotation and the final transpose
-        circ = random_brickwork(n, 1, seed=3, first_offset=offset)
+    # Seed 1 draws first-layer offset 0 and seed 3 offset 1, which adds one
+    # axis rotation and the final transpose.
+    for seed in (1, 3):
+        circ = random_brickwork(n, 1, seed)
         out, peak = traced_peak(lambda: apply_brickwork(state, circ))
         assert out.amplitudes.nbytes == 2**20  # a 1 MiB state
-        assert peak <= 2 * 2**20 + 64 * 2**10, offset
+        assert peak <= 2 * 2**20 + 64 * 2**10, seed
 
 
 def test_reduced_density_peak_memory_is_bounded(traced_peak):

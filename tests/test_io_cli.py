@@ -32,6 +32,7 @@ from lrn_detect.families import (
     random_normal_tensor,
 )
 from lrn_detect.io import dump_report, load_tensor, rows_to_csv, save_tensor, tensor_from_json
+from oracles import weight_spectrum_from_json
 
 
 @pytest.fixture
@@ -468,13 +469,11 @@ def test_cli_stab_corrupted_tableau(tmp_path, capsys):
 
 
 def test_analyze_report_reingests(fixture_dir, tmp_path):
-    from lrn_detect import WeightSpectrum
-
     out = tmp_path / "r.json"
     main(["--pipeline", "analyze", "--input", str(fixture_dir / "loop.json"),
           "--out", str(out)])
     report = json.loads(out.read_text())
-    spectrum = WeightSpectrum.from_json(report["weight_spectrum"])
+    spectrum = weight_spectrum_from_json(report["weight_spectrum"])
     assert spectrum.num_blocks == 2
 
 
@@ -1004,6 +1003,40 @@ def test_cli_tol_int_outside_its_range_is_refused(tol, fixture_dir, monkeypatch,
     assert streams.out == ""
     err = json.loads(streams.err)
     assert err["error"] == "OutOfRange" and "--tol-int" in err["message"]
+
+
+@pytest.mark.parametrize("qmax", ["0", "-5"])
+def test_cli_qmax_below_one_is_refused(qmax, fixture_dir, monkeypatch, capsys):
+    # The bound is refused before the tensor is decomposed, whether or not
+    # the input carries the exact weights that the ratio check reads.
+    from lrn_detect import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tensor was decomposed for an invalid --qmax")
+
+    monkeypatch.setattr(cli, "canonical_decompose", refuse)
+    for name in ("ghz.json", "ghz03.json"):
+        assert main(["--pipeline", "analyze", "--input", str(fixture_dir / name),
+                     "--qmax", qmax]) == 1
+        streams = capsys.readouterr()
+        assert streams.out == ""
+        err = json.loads(streams.err)
+        assert err["error"] == "OutOfRange" and "--qmax" in err["message"]
+        assert err["payload"] == {"qmax": int(qmax)}
+
+
+@pytest.mark.parametrize("content,error", [
+    ({"region_a": [0]}, "DependentGenerators"),
+    ({"tableau": "+XQ\n+ZZ"}, "DependentGenerators"),
+    ({"tableau": "+XXI\n+ZZI\n+IIZ", "region_b": [2]}, "OverlappingRegions"),
+], ids=["no-tableau", "unknown-letter", "region-b-alone"])
+def test_cli_stab_malformed_request_is_refused(content, error, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    assert main(["--pipeline", "stab", "--input", str(path)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert json.loads(streams.err)["error"] == error
 
 
 def test_cli_error_without_payload_is_json(capsys):

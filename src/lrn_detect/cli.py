@@ -12,8 +12,9 @@ One executable, one ``--pipeline`` switch:
 * ``typicality`` counting estimate sweep over system sizes
 
 Each pipeline imports its engines when it runs.  This module loads only
-what ``analyze``, ``ghz`` and ``typicality`` run: the canonical, spectral,
-tensor, weight, criteria, exact-weight, io and error layers.  ``verify``
+what ``analyze``, ``ghz`` and ``typicality`` run: the BLAS-thread,
+canonical, spectral, tensor, weight, criteria, exact-weight, io and error
+layers.  ``verify``
 imports its suites from ``lrn_detect.verify``, and ``stab`` the tableau
 engine, on first use.
 
@@ -26,10 +27,12 @@ Exit codes for verdict pipelines: 0 when long-range nonstabilizerness is
 certified, 2 when only the exact-SRN exclusion fires, 3 when
 inconclusive, 1 on errors, a malformed command line included.  All
 randomness flows from ``--seed``; identical requests produce
-byte-identical reports at a fixed BLAS thread count.  Under another
-thread count, a composite's blocks and groups, which follow the
-eigensolver's output order, can come reordered, and floats can differ in
-their last bits.  Reports go to stdout or ``--out``; stderr carries
+byte-identical reports.  Every command runs with numpy's OpenBLAS at one
+thread (``blas.one_thread``), and the caller's count is restored after,
+so a report does not depend on the caller's thread count: under another
+one, a composite's blocks and groups, which follow the eigensolver's
+output order, could come reordered, and floats could differ in their last
+bits.  Reports go to stdout or ``--out``; stderr carries
 diagnostics only: an error is one JSON object with its type, message and
 diagnostic payload, the keywords it was raised with (a spectrum, singular
 values, a last residual, a norm).
@@ -43,6 +46,7 @@ import json
 import math
 import sys
 
+from .blas import one_thread
 from .canonical import canonical_decompose
 from .criteria import (
     EXACT_SRN_EXCLUDED,
@@ -310,7 +314,8 @@ def main(argv=None) -> int:
     try:
         args, unknown = _parser().parse_known_args(argv)
         _check(args, unknown)
-        return _COMMANDS[args.pipeline](args)
+        with one_thread():
+            return _COMMANDS[args.pipeline](args)
     except (LrnDetectError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(json.dumps(_error_json(exc)), file=sys.stderr)
         return _EXIT_ERROR

@@ -19,6 +19,8 @@ from .errors import DimensionMismatch, SizeCap
 PHYS_DIM_CAP = 4096
 # Largest transfer-operator dimension (chi**2 <= 4096, i.e. chi <= 64): a
 # dense transfer matrix then holds at most 2**24 complex entries (256 MiB).
+# ``canonical_decompose`` forms one per component of the input's support
+# graph, so the cap bounds the largest component, not the input's chi.
 TRANSFER_CAP = 4096
 
 

@@ -31,9 +31,6 @@ or tableau engines.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import itertools
 import math
 import multiprocessing
@@ -41,6 +38,7 @@ import multiprocessing
 import numpy as np
 
 from . import families
+from .blas import one_thread
 from .causal import _reduction_factor, causal_cone_reduce
 from .circuits import apply_brickwork, random_brickwork
 from .criteria import shannon_entropy
@@ -74,9 +72,6 @@ _CLIFFORD_MI_TOL = 1e-9
 _CONE_TOL = 1e-10
 # Largest entry of sum K†K - 1 the cone suite accepts for a boundary channel.
 _CPTP_TOL = 1e-12
-# The thread-count setter and getter of the OpenBLAS that numpy's wheels bundle.
-_BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
-_BLAS_GET_THREADS = "scipy_openblas_get_num_threads64_"
 
 
 def suites(seed: int, trials: int) -> list[dict]:
@@ -92,16 +87,17 @@ def suites(seed: int, trials: int) -> list[dict]:
     The cone suite, the slowest, runs in one forked child from the shared
     circuits on; the parent runs the other three meanwhile, then waits for
     the child's report.  Both run BLAS at one thread until the child is
-    joined (``_one_blas_thread``).  An error raised by a parent suite comes
-    first, and the child is killed; an error of the child's suite is raised
-    here as it was raised there.  No child outlives the call.
+    joined (``blas.one_thread``): ``cli.main`` already runs at one thread,
+    but a library caller forks here too.  An error raised by a parent suite
+    comes first, and the child is killed; an error of the child's suite is
+    raised here as it was raised there.  No child outlives the call.
     """
     shared = [_ring_circuit(s) for s in range(seed, seed + max(2, trials // 4))]
     rest = map(_ring_circuit, range(seed + len(shared), seed + trials))
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_cone_child, args=(send, itertools.chain(shared, rest)))
-    with _one_blas_thread():
+    with one_thread():
         child.start()
         send.close()  # the child holds the only write end: its exit ends the pipe
         try:
@@ -121,40 +117,6 @@ def suites(seed: int, trials: int) -> list[dict]:
     if not ok:
         raise cone
     return reports + [cone]
-
-
-@functools.cache
-def _blas_thread_calls():
-    """numpy's OpenBLAS ``(set, get)`` thread-count calls; None under another BLAS."""
-    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # searches its libraries too
-    if not hasattr(lib, _BLAS_SET_THREADS):
-        return None
-    set_threads, get_threads = getattr(lib, _BLAS_SET_THREADS), getattr(lib, _BLAS_GET_THREADS)
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return set_threads, get_threads
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS at one thread, then restore its count.
-
-    Two processes, each with a BLAS pool as wide as the machine, stall each
-    other's spin-waiting workers: on two cores with two BLAS threads, a
-    ``verify`` whose child and parent kept them took 4.8 s instead of 0.25 s.
-    Under another BLAS the block runs as it is.
-    """
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
-        return
-    set_threads, get_threads = calls
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
 
 
 def _cone_child(send, circuits) -> None:

@@ -107,6 +107,25 @@ def _random_gauge(rng, chi):
     return q1 @ np.diag(rng.uniform(0.5, 2.0, chi)) @ q2
 
 
+def _unitary_gauged(tensor):
+    """``U^H A[i] U`` for a fixed random unitary U: the same family, written densely.
+
+    A dense gauge leaves no exact zero, so the support graph is strongly
+    connected and ``canonical_decompose`` takes its one-component path, as
+    for an input given in a scrambled basis.
+    """
+    rng = np.random.default_rng(2718)
+    chi = tensor.bond_dim
+    u = np.linalg.qr(rng.standard_normal((chi, chi)) + 1j * rng.standard_normal((chi, chi)))[0]
+    return tensor.gauged(u, u.conj().T)
+
+
+@pytest.fixture
+def unitary_gauged():
+    """The map ``tensor -> U^H A[i] U`` of a fixed random unitary U."""
+    return _unitary_gauged
+
+
 def _copy_composite(rng, d, chis, copy_phase):
     """Gauge-scrambled direct sum of random normal blocks, the first doubled.
 

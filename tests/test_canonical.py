@@ -12,9 +12,10 @@ from lrn_detect import (
     canonical_decompose,
     lrn_entropy_check,
     transfer_matrix,
+    transfer_spectral,
 )
-from lrn_detect.criteria import LRN_CERTIFIED
-from lrn_detect.errors import DecompositionFailure
+from lrn_detect.criteria import INCONCLUSIVE, LRN_CERTIFIED
+from lrn_detect.errors import DecompositionFailure, SizeCap
 from lrn_detect.families import (
     alternating_tensor,
     counterexample_tensor,
@@ -101,15 +102,15 @@ def test_decompose_factorizes_a_normal_block_once(count_linalg):
     assert calls == {"eig": [], "eigvals": [64]}
 
 
-def test_decompose_decomposes_each_fixed_point_once(count_linalg):
-    # ghz: one eigh per one-sided fixed point, the right one reused for the
-    # unital gauge, and one for the fixed-point algebra cut.  Its two parts
-    # are scalars, whose spectra, fixed points and witnesses are arithmetic.
-    # A normal tensor's witness takes the eigenvalues of its two fixed points
-    # from their Hermitian rotation, one eigvalsh each, and certifies it
-    # before any split is tried, so it runs no eigh.  No gauge is assembled,
-    # so no condition number is taken.
-    ghz = ghz_tensor()
+def test_decompose_decomposes_each_fixed_point_once(count_linalg, unitary_gauged):
+    # ghz in a dense unitary gauge: one eigh per one-sided fixed point, the
+    # right one reused for the unital gauge, and one for the fixed-point
+    # algebra cut.  Its two parts are scalars, whose spectra, fixed points and
+    # witnesses are arithmetic.  A normal tensor's witness takes the
+    # eigenvalues of its two fixed points from their Hermitian rotation, one
+    # eigvalsh each, and certifies it before any split is tried, so it runs
+    # no eigh.  No gauge is assembled, so no condition number is taken.
+    ghz = unitary_gauged(ghz_tensor())
     normal = random_normal_tensor(2, 8, seed=8)
     calls = count_linalg("eigvals", "eigh", "eigvalsh", "cond")
     canonical_decompose(ghz)
@@ -117,6 +118,19 @@ def test_decompose_decomposes_each_fixed_point_once(count_linalg):
     calls = count_linalg("eigvals", "eigh", "eigvalsh", "cond")
     canonical_decompose(normal)
     assert calls == {"eigvals": [64], "eigh": [], "eigvalsh": [8, 8], "cond": []}
+
+
+@pytest.mark.parametrize("name", ["ghz", "loop_pi3", "loop_7_997", "counterexample"])
+def test_decompose_splits_a_diagonal_fixture_with_no_eigensolver(name, count_linalg):
+    # Written diagonally, each fixture's support graph has one component per
+    # bond index: every part is a scalar, read by arithmetic, and so is the
+    # gauge test of two scalars.  No spectrum, fixed point or gauge is solved.
+    names = ("eig", "eigvals", "eigh", "eigvalsh", "svd")
+    tensor = _REAL_FORM_CASES[name]()
+    calls = count_linalg(*names)
+    cf = canonical_decompose(tensor)
+    assert calls == {name: [] for name in names}
+    assert [b.tensor.bond_dim for b in cf.blocks] == [1] * tensor.bond_dim
 
 
 def test_decompose_ghz():
@@ -249,6 +263,150 @@ def test_decompose_scrambled_alternating():
     assert {round(abs(b.mu), 9) for b in cf.blocks} == {1.0}
 
 
+# --- the support-graph split ----------------------------------------------------
+
+
+def _direct_sum(tensors, junk=0.0, seed=0):
+    """Block-diagonal tensor of ``tensors``, in order, with ``junk`` above the blocks.
+
+    ``junk`` scales Gaussian entries placed in every block above the
+    diagonal, which leave the family unchanged.
+    """
+    rng = np.random.default_rng(seed)
+    offsets = np.cumsum([0] + [t.bond_dim for t in tensors])
+    chi = int(offsets[-1])
+    mats = np.zeros((tensors[0].phys_dim, chi, chi), dtype=complex)
+    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        mats[:, lo:hi, lo:hi] = t.matrices
+        mats[:, lo:hi, hi:] = junk * rng.standard_normal((t.phys_dim, hi - lo, chi - hi))
+    return MpsTensor(mats)
+
+
+def _ladder(k, unit=True):
+    """k blocks ``random_normal_tensor(2, 4, seed=s)``, s < k, on the diagonal.
+
+    With ``unit``, each block is scaled to transfer radius one, so all k
+    weights are equal; as drawn, the blocks' radii differ.
+    """
+    blocks = [random_normal_tensor(2, 4, seed=s) for s in range(k)]
+    if unit:
+        blocks = [b.scaled(1.0 / math.sqrt(transfer_spectral(b).radius)) for b in blocks]
+    return _direct_sum(blocks)
+
+
+@pytest.mark.parametrize("k, status", [
+    (2, INCONCLUSIVE), (3, LRN_CERTIFIED), (4, INCONCLUSIVE), (5, LRN_CERTIFIED),
+    (6, LRN_CERTIFIED), (12, LRN_CERTIFIED), (17, LRN_CERTIFIED),
+])
+def test_block_diagonal_ladder_reads_k_equal_weights(k, status, count_linalg):
+    # k equal weights give the entropy log2 k, an integer only for k = 2 and
+    # 4.  Each block is solved on its own: no transfer matrix, plain or
+    # mixed, is larger than one block's 16 x 16, so chi = 68 is no SizeCap.
+    tensor = _ladder(k)
+    calls = count_linalg()
+    cf = canonical_decompose(tensor)
+    assert set(calls["eigvals"]) == {16}
+    assert [b.tensor.bond_dim for b in cf.blocks] == [4] * k
+    assert all(b.surviving for b in cf.blocks) and cf.num_groups == k
+    verdict = lrn_entropy_check(cf.weight_spectrum)
+    assert verdict.status == status
+    assert abs(verdict.evidence["classes"][0]["entropy"] - math.log2(k)) < 1e-9
+
+
+@pytest.mark.parametrize("k", [3, 17])
+def test_block_diagonal_ladder_of_unscaled_draws_keeps_one_block(k):
+    # As drawn, one block has the largest transfer radius; the others decay.
+    cf = canonical_decompose(_ladder(k, unit=False))
+    assert len(cf.blocks) == k and sum(b.surviving for b in cf.blocks) == 1
+    verdict = lrn_entropy_check(cf.weight_spectrum)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.evidence["reason"] == "single block"
+
+
+_PERMUTED_CASES = {
+    "ghz": ghz_tensor,
+    "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
+    "alternating": alternating_tensor,
+    "counterexample": counterexample_tensor,
+    "ladder5": lambda: _ladder(5),
+}
+
+
+@pytest.mark.parametrize("name", [*_PERMUTED_CASES, "composite"])
+def test_decompose_is_blind_to_a_permuted_bond_basis(name, composite_draw, same_canonical):
+    # P A[i] P^T relabels the bond indices, and so the support graph's
+    # nodes: the ladder's components then interleave.  Blocks, weights and
+    # the verdict stay.
+    tensor = composite_draw(0) if name == "composite" else _PERMUTED_CASES[name]()
+    perm = np.random.default_rng(5).permutation(tensor.bond_dim)
+    permuted = MpsTensor(tensor.matrices[:, perm][:, :, perm])
+    cf, cf_p = canonical_decompose(tensor), canonical_decompose(permuted)
+    same_canonical(cf, cf_p)
+    assert (lrn_entropy_check(cf.weight_spectrum).status
+            == lrn_entropy_check(cf_p.weight_spectrum).status)
+
+
+@pytest.mark.parametrize("blocks", [
+    lambda: [pattern_tensor([0], [1.0], 2), pattern_tensor([1], [1.0], 2)],
+    lambda: [_ladder(1), _ladder(1).scaled(0.5), random_normal_tensor(2, 3, seed=9)],
+], ids=["ghz", "ladder"])
+def test_block_triangular_junk_drops_out_exactly(blocks, same_canonical):
+    # Nonzero entries above the diagonal blocks change no trace of any
+    # word: the decomposition equals that of the blocks alone.
+    parts = blocks()
+    same_canonical(canonical_decompose(_direct_sum(parts, junk=0.7)),
+                   canonical_decompose(_direct_sum(parts)))
+
+
+@pytest.mark.parametrize("tiny", [1e-30, 1e-100])
+def test_decompose_drops_a_negligible_component_unsolved(tiny):
+    # Levels diag(1, 0) and diag(0, tiny): the second component's transfer
+    # radius is tiny**2 times the first's, under TAU_ZERO, so it generates
+    # nothing and is dropped, as the unsplit tensor's part was.  It is
+    # dropped before its spectrum is solved: alone, its transfer matrix at
+    # tiny = 1e-100 is below the range of spectral work.
+    cf = canonical_decompose(MpsTensor(np.array([[[1, 0], [0, 0]], [[0, 0], [0, tiny]]])))
+    assert [(b.tensor.bond_dim, b.mu) for b in cf.blocks] == [(1, 1.0)]
+
+
+def test_components_keep_a_strongly_connected_tensor_whole():
+    # One component: the tensor itself goes on, so dense and gauged inputs
+    # take the unsplit path with unchanged bytes.
+    for tensor in (random_normal_tensor(2, 5, seed=1), alternating_tensor()):
+        (whole,) = canonical._components(tensor)
+        assert whole is tensor
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_strong_components_partition_and_order_the_graph(seed):
+    # Oracle: a and b share a component iff each reaches the other, read
+    # from the transitive closure.  In the returned order every edge runs
+    # forward or inside a component, so the matrices are block upper
+    # triangular.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    adj = rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.4)
+    reach = np.eye(n, dtype=bool) | adj
+    for _ in range(n):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    comps = canonical._strong_components(adj)
+    label = np.empty(n, dtype=int)
+    for c, members in enumerate(comps):
+        label[members] = c
+    assert sorted(v for members in comps for v in members) == list(range(n))
+    assert np.array_equal(label[:, None] == label[None, :], reach & reach.T)
+    rows, cols = np.nonzero(adj)
+    assert np.all(label[rows] <= label[cols])
+
+
+def test_decompose_dense_chi65_is_a_size_cap():
+    # A strongly connected chi = 65 tensor is one component whose transfer
+    # matrix, 4225 x 4225, is over TRANSFER_CAP.
+    rng = np.random.default_rng(65)
+    with pytest.raises(SizeCap):
+        canonical_decompose(MpsTensor(rng.standard_normal((2, 65, 65))))
+
+
 # --- eigenvalues from the real form ---------------------------------------------
 
 
@@ -289,12 +447,16 @@ def test_decompose_matches_complex_eigvals_oracle_on_composites(
 
 @pytest.mark.parametrize("name", ["ghz", "loop_pi3", "alternating", "normal_d3_chi8", "composite"])
 def test_transfer_eigvals_are_real_and_mixed_ones_complex(
-    name, count_linalg, composite_draw, monkeypatch
+    name, count_linalg, composite_draw, monkeypatch, unitary_gauged
 ):
     # Each transfer spectrum of a tensor with chi > 1 takes one real
     # eigvals; each gauge test of two such tensors takes one complex eigvals
     # of its mixed transfer matrix.  A scalar operator is its own spectrum.
+    # The diagonal fixtures go in a dense gauge: as written, they split into
+    # scalar components and take no eigvals at all.
     tensor = composite_draw(0) if name == "composite" else _REAL_FORM_CASES[name]()
+    if name in ("ghz", "loop_pi3"):
+        tensor = unitary_gauged(tensor)
     spectra, mixed = [], []
     for attr, log in (("transfer_spectral", spectra), ("mixed_transfer_matrix", mixed)):
         original = getattr(canonical, attr)

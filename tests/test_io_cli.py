@@ -269,10 +269,11 @@ def test_verify_split_suites_equal_the_in_process_composition(seed):
 
 def test_verify_suites_run_one_blas_thread_and_restore_the_count(monkeypatch):
     # Parent and child each at one BLAS thread: two pools as wide as the
-    # machine stall each other.  The caller's count is back afterwards.
-    from lrn_detect import verify
+    # machine stall each other.  A library caller gets this as well as the
+    # command line.  The caller's count is back afterwards.
+    from lrn_detect import blas, verify
 
-    calls = verify._blas_thread_calls()
+    calls = blas.thread_calls()
     if calls is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
     set_threads, get_threads = calls
@@ -291,6 +292,53 @@ def test_verify_suites_run_one_blas_thread_and_restore_the_count(monkeypatch):
     finally:
         set_threads(before)
     assert [r["threads"] for r in reports[2:]] == [1, 1]
+
+
+@pytest.mark.parametrize("pipeline", ["analyze", "verify"])
+def test_cli_pipelines_run_one_blas_thread_and_restore_the_count(
+    pipeline, fixture_dir, monkeypatch, capsys
+):
+    # Every command runs at one BLAS thread, whatever the caller's count,
+    # and the caller's count is back afterwards.  verify's parent and forked
+    # child report the count their suites ran at.
+    from lrn_detect import blas, cli, verify
+
+    calls = blas.thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    set_threads, get_threads = calls
+    seen = []
+    decompose, flatness = cli.canonical_decompose, verify._verify_flatness
+
+    def counted_decompose(tensor):
+        seen.append(get_threads())
+        return decompose(tensor)
+
+    def counted_flatness(*args):
+        seen.append(get_threads())
+        return flatness(*args)
+
+    def counted_cone(circuits):
+        return {"suite": "causal_cone", "passed": True, "threads": get_threads()}
+
+    monkeypatch.setattr(cli, "canonical_decompose", counted_decompose)
+    monkeypatch.setattr(verify, "_verify_flatness", counted_flatness)
+    monkeypatch.setattr(verify, "_verify_causal_cone", counted_cone)
+    argv = {
+        "analyze": ["--pipeline", "analyze", "--input", str(fixture_dir / "ghz.json")],
+        "verify": ["--pipeline", "verify", "--n-min", "1", "--n-max", "4"],
+    }[pipeline]
+    before = get_threads()
+    set_threads(2)
+    try:
+        assert main(argv) in (0, 3)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    report = json.loads(capsys.readouterr().out)
+    if pipeline == "verify":
+        seen.append(report["suites"][-1]["threads"])
+    assert seen == {"analyze": [1], "verify": [1, 1]}[pipeline]
 
 
 def _raise(exc):
@@ -833,18 +881,18 @@ def test_cli_analyze_composite_with_chi10_block(tmp_path, capsys):
     ("ghz", [4], [2, 2]),
 ], ids=["chi8", "chi12", "ghz"])
 def test_cli_analyze_reuses_canonical_factorizations(
-    name, eigvals_sizes, eig_sizes, tmp_path, count_linalg
+    name, eigvals_sizes, eig_sizes, tmp_path, count_linalg, unitary_gauged
 ):
     # The fixed point is read from the blocks' normality witnesses, so
     # analyze factorizes no matrix beyond canonical_decompose: one eigvals
     # per transfer matrix of chi > 1 (ghz's two scalar blocks need none), and
     # eig only on the 2 x 2 Ritz matrix of ghz's degenerate peripheral
-    # cluster, once per inverse-iteration sweep.  No flow step caps the bond
-    # dimension.
+    # cluster, once per inverse-iteration sweep.  ghz goes in a dense gauge,
+    # so that it is one component.  No flow step caps the bond dimension.
     tensor = {
         "chi8": lambda: random_normal_tensor(2, 8, seed=8),
         "chi12": lambda: random_normal_tensor(2, 12, seed=7),
-        "ghz": ghz_tensor,
+        "ghz": lambda: unitary_gauged(ghz_tensor()),
     }[name]()
     save_tensor(tmp_path / "t.json", tensor)
     calls = count_linalg()
@@ -860,18 +908,19 @@ def test_cli_analyze_reuses_canonical_factorizations(
     "ghz", "loop_pi3", "loop_7_997", "alternating", "counterexample", "chi6", "copy_composite",
 ])
 def test_cli_runs_no_eig_on_a_transfer_matrix(
-    name, route, tmp_path, count_linalg, copy_composite, capsys
+    name, route, tmp_path, count_linalg, copy_composite, capsys, unitary_gauged
 ):
     # Spectra come from eigvals; eig only ever sees a peripheral block's
     # Ritz matrix, which is smaller than any transfer matrix of the input.
     # The routes: the analyze pipeline, and rg_fixed_point, which verify's
-    # invariance suite runs.
+    # invariance suite runs.  The diagonal fixtures go in a dense gauge, so
+    # that each is one component with a transfer matrix to solve.
     tensor = {
-        "ghz": ghz_tensor,
-        "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
-        "loop_7_997": lambda: phase_loop_tensor(2 * math.pi * 7 / 997),
+        "ghz": lambda: unitary_gauged(ghz_tensor()),
+        "loop_pi3": lambda: unitary_gauged(phase_loop_tensor(math.pi / 3)),
+        "loop_7_997": lambda: unitary_gauged(phase_loop_tensor(2 * math.pi * 7 / 997)),
         "alternating": alternating_tensor,
-        "counterexample": counterexample_tensor,
+        "counterexample": lambda: unitary_gauged(counterexample_tensor()),
         "chi6": lambda: random_normal_tensor(3, 6, seed=6),
         "copy_composite": lambda: copy_composite(np.random.default_rng(3), 2, [3, 2], np.exp(0.4j)),
     }[name]()
@@ -1245,55 +1294,101 @@ def _analyze_error(path, capsys):
     return json.loads(line)
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e-120, 1e-160, 1e154, 1e300])
-def test_cli_analyze_at_extreme_scales_is_a_named_error(scale, tmp_path, capsys):
-    # The transfer matrix of ghz scaled by 1e-100 or 1e-120 has a norm that
-    # underflows to zero (a bare ZeroDivisionError in the residual); at
-    # 1e-160 and 1e154 numpy's "Singular matrix" followed overflow
-    # warnings, and at 1e300 "Array must not contain infs or NaNs".
-    from lrn_detect import errors
+def _cyclic_shift(p, scale=1.0):
+    """The p-site cyclic shift, its entries ``scale`` and levels alternating: period p."""
+    from lrn_detect import MpsTensor
 
-    save_tensor(tmp_path / "scaled.json", ghz_tensor().scaled(scale))
-    err = _analyze_error(tmp_path / "scaled.json", capsys)
-    assert err["error"] == "ScaleOutOfRange"
-    assert issubclass(getattr(errors, err["error"]), errors.LrnDetectError)
-    norm = err["payload"]["norm"]
-    assert norm in ("inf", "nan") if scale > 1 else norm == 0.0
+    mats = np.zeros((2, p, p), dtype=complex)
+    for r in range(p):
+        mats[r % 2, r, (r + 1) % p] = scale
+    return MpsTensor(mats)
+
+
+_SCALED_INPUTS = {
+    "ghz": ghz_tensor,
+    "alternating": alternating_tensor,
+    "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
+    "shift5": lambda: _cyclic_shift(5),
+    "shift7": lambda: _cyclic_shift(7),
+}
+
+
+@pytest.mark.parametrize("name, scale", [
+    # The transfer radius scales as the square of the entries, and as their
+    # 2p-th power once a period p is blocked.  Before the input was brought
+    # to unit scale, ghz at 1e-13 and alternating at 2**-20 fell under the
+    # absolute TAU_ZERO and read as the zero family; ghz at 1e-100 to 1e-160
+    # and 1e154 to 1e300, loop_pi3 at 1e-76 and the shifts' blocked words
+    # left the range of spectral work, a ScaleOutOfRange.
+    ("ghz", 1e-13), ("ghz", 1e-100), ("ghz", 1e-120), ("ghz", 1e-160), ("ghz", 1e154),
+    ("ghz", 1e300), ("alternating", 2.0**-20), ("loop_pi3", 1e-76),
+    ("shift5", 1e70), ("shift7", 1e50), ("shift5", 1e60),
+])
+def test_cli_analyze_at_any_scale_gives_the_unscaled_report(
+    name, scale, tmp_path, monkeypatch, capsys
+):
+    # A tensor and its multiples generate one family; canonical_decompose
+    # brings the input's largest entry to [1/2, 1) by a power of two, so the
+    # report is the unscaled one, byte for byte.
+    tensor = _SCALED_INPUTS[name]()
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for t in (tensor, tensor.scaled(scale)):
+        save_tensor(Path("t.json"), t)
+        code = main(["--pipeline", "analyze", "--input", "t.json"])
+        out = capsys.readouterr()
+        runs.append((code, out.out, out.err))
+    assert runs[0][0] in (0, 2, 3) and runs[0][2] == ""
+    assert runs[1] == runs[0]
 
 
 def test_cli_tiny_radius_is_named_where_the_resolvent_overflows(tmp_path, capsys):
-    # The transfer norm is in range, but the shifted inverse, about
-    # 1e10 / radius, overflows inverse iteration: the error carries the
+    # The two-site cycle behind a diagonal gauge of condition number 1e50:
+    # its entries are 1e50 and 1e-50, so at unit scale the transfer norm is
+    # about one and the radius about 1e-100, and the shifted inverse, about
+    # 1e10 / radius, overflows inverse iteration.  No rescaling of the input
+    # moves the radius relative to the norm, so the error carries the
     # spectrum it was iterating on as well as the norm.
-    save_tensor(tmp_path / "tiny.json", phase_loop_tensor(math.pi / 3).scaled(1e-76))
+    save_tensor(tmp_path / "tiny.json", _cyclic_shift(2).gauged(np.diag([1.0, 1e50])))
     err = _analyze_error(tmp_path / "tiny.json", capsys)
     assert err["error"] == "ScaleOutOfRange"
     assert list(err["payload"]) == ["spectrum", "norm"]  # in the order of the raise
-    assert 0.0 < err["payload"]["norm"] < 1e-140
-    assert all(abs(z["re"]) < 1e-140 for z in err["payload"]["spectrum"])
+    assert 0.1 < err["payload"]["norm"] < 10.0
+    assert all(abs(complex(z["re"], z["im"])) < 1e-99 for z in err["payload"]["spectrum"])
 
 
 def test_cli_zero_family_carries_the_spectrum_it_tested(tmp_path, capsys):
-    # Radius 1e-26 < TAU_ZERO: the payload holds the transfer spectrum.
-    save_tensor(tmp_path / "small.json", ghz_tensor().scaled(1e-13))
-    err = _analyze_error(tmp_path / "small.json", capsys)
+    # A strictly upper-triangular tensor generates the zero family: every
+    # component of its support graph is a zero scalar, so the payload holds
+    # their transfer spectra, all zero.
+    from lrn_detect import MpsTensor
+
+    mats = np.zeros((2, 3, 3), dtype=complex)
+    mats[:, 0, 1], mats[:, 1, 2], mats[1, 0, 2] = 1.0, 2.0, 3.0
+    save_tensor(tmp_path / "nilpotent.json", MpsTensor(mats))
+    err = _analyze_error(tmp_path / "nilpotent.json", capsys)
     assert err["error"] == "DecompositionFailure"
     assert err["message"] == "tensor generates the zero family"
-    moduli = [math.hypot(z["re"], z["im"]) for z in err["payload"]["spectrum"]]
-    assert moduli == sorted(moduli, reverse=True) and 0.0 < moduli[0] < 1e-24
+    assert err["payload"]["spectrum"] == [{"re": 0.0, "im": 0.0}] * 3
 
 
-def test_cli_all_nilpotent_parts_carry_the_spectrum_they_tested(fixture_dir, monkeypatch,
-                                                                capsys):
+def test_cli_all_nilpotent_parts_carry_the_spectrum_they_tested(tmp_path, monkeypatch,
+                                                                capsys, unitary_gauged):
     # No known tensor splits into parts that are all nilpotent, so the
-    # splitter is made to drop every part.
+    # splitter is made to drop every part.  ghz in a dense gauge is one
+    # component, whose transfer spectrum is the payload.  Written
+    # diagonally, it is two scalar components, brought to unit scale
+    # together: each entry is 1/2, and the payload holds both spectra.
     from lrn_detect import canonical
 
     monkeypatch.setattr(canonical, "_split_parts", lambda *args: [])
-    err = _analyze_error(fixture_dir / "ghz.json", capsys)
-    assert err["message"] == "all parts are nilpotent"
-    spectrum = [complex(z["re"], z["im"]) for z in err["payload"]["spectrum"]]
-    assert np.allclose(spectrum, [1, 1, 0, 0])
+    for tensor, expect in ((unitary_gauged(ghz_tensor()), [1, 1, 0, 0]),
+                           (ghz_tensor(), [0.25, 0.25])):
+        save_tensor(tmp_path / "t.json", tensor)
+        err = _analyze_error(tmp_path / "t.json", capsys)
+        assert err["message"] == "all parts are nilpotent"
+        spectrum = [complex(z["re"], z["im"]) for z in err["payload"]["spectrum"]]
+        assert np.allclose(spectrum, expect)
 
 
 @pytest.mark.parametrize("name, message", [
@@ -1358,24 +1453,6 @@ def test_cli_analyze_skips_sizes_where_a_cyclic_shift_has_no_state(p, tmp_path, 
         residues = sorted(evidence["empty_residues"] + [c["residue"] for c in evidence["classes"]])
         assert residues == list(range(evidence["period"]))
         assert entropies == pytest.approx([1.0] * len(entropies), abs=1e-12)
-
-
-@pytest.mark.parametrize("p, scale", [(5, 1e70), (7, 1e50), (5, 1e60)])
-def test_cli_overflowing_blocked_words_are_out_of_scale(p, scale, tmp_path, capsys):
-    # A scaled cyclic shift is blocked p sites at a time.  Every input entry
-    # is finite, but at 1e70 (p = 5) and 1e50 (p = 7) the blocked words
-    # overflow to inf, and at 1e60 (p = 5) only their transfer matrix does.
-    # All three are one failure, a scale outside floating-point spectral
-    # work, named with the transfer norm that left the range.
-    from lrn_detect import MpsTensor
-
-    mats = np.zeros((2, p, p), dtype=complex)
-    for r in range(p):
-        mats[r % 2, r, (r + 1) % p] = scale
-    save_tensor(tmp_path / "t.json", MpsTensor(mats))
-    err = _analyze_error(tmp_path / "t.json", capsys)
-    assert err["error"] == "ScaleOutOfRange"
-    assert err["payload"]["norm"] in ("inf", "nan")
 
 
 def test_cli_verify_peak_memory_is_bounded(traced_peak, capsys):

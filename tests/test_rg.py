@@ -294,15 +294,18 @@ def test_materialized_pair_fixed_point_matches_flow_limit(chi, n):
     [("ghz", [4], [2, 2]), ("loop_pi3", [9], [3, 3]), ("chi4", [16], [])],
     ids=["ghz", "loop_pi3", "chi4"],
 )
-def test_flow_reads_first_lambda2_from_witness(name, eigvals_sizes, eig_sizes, count_linalg):
+def test_flow_reads_first_lambda2_from_witness(
+    name, eigvals_sizes, eig_sizes, count_linalg, unitary_gauged
+):
     # canonical_decompose already factorized every block; the fixed point
     # takes lambda2 and the Schmidt weights from the carried witnesses and
     # factorizes nothing else.  Each transfer matrix of chi > 1 gets one
     # eigvals, and a scalar block none; eig runs only on the Ritz matrix of a
-    # degenerate peripheral cluster, once per inverse-iteration sweep.
+    # degenerate peripheral cluster, once per inverse-iteration sweep.  The
+    # fixtures go in a dense gauge, so that each is one component.
     tensor = {
-        "ghz": ghz_tensor,
-        "loop_pi3": lambda: phase_loop_tensor(math.pi / 3),
+        "ghz": lambda: unitary_gauged(ghz_tensor()),
+        "loop_pi3": lambda: unitary_gauged(phase_loop_tensor(math.pi / 3)),
         "chi4": lambda: random_normal_tensor(2, 4, seed=3),
     }[name]()
     calls = count_linalg()
